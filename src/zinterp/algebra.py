@@ -21,9 +21,8 @@ the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
@@ -58,43 +57,6 @@ class FeasibilityError(ValueError):
     """A brute-force sweep was asked to cover more cases than the guard allows."""
 
 
-def sqrt_mod(a: int, p: int) -> Optional[int]:
-    """A square root of a modulo the prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks; for p = 2 every residue is its own square root.
-    """
-    _check_modulus(p)
-    if p == 0:
-        raise ValueError("square roots modulo 0 are not defined")
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def kth_roots_mod(a: int, k: int, p: int) -> list[int]:
     """All k-th roots of a modulo the prime p, ascending.
 
@@ -105,77 +67,6 @@ def kth_roots_mod(a: int, k: int, p: int) -> list[int]:
         raise ValueError("k-th roots modulo 0 are not defined")
     a %= p
     return [c for c in range(p) if pow(c, k, p) == a]
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of the prime field F_p, stored reduced to range(p)."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2 or not is_prime(self.modulus):
-            raise ValueError(f"modulus must be prime, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def _coerce(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return FieldElem(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return FieldElem(self.residue + other.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElem(-self.residue, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return FieldElem(self.residue - other.residue, self.modulus)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return FieldElem(self.residue * other.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElem":
-        if self.residue == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElem(pow(self.residue, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self * other.inverse()
-
-    def sqrt(self) -> Optional["FieldElem"]:
-        r = sqrt_mod(self.residue, self.modulus)
-        return None if r is None else FieldElem(r, self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def __str__(self) -> str:
-        return str(self.residue)
 
 
 def _normalize(coeffs: Iterable[int], p: int) -> tuple[int, ...]:
@@ -383,10 +274,6 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     ]
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b.
 
@@ -491,6 +378,18 @@ def frob_pow(f: Poly, r: int) -> Poly:
 
 # -- text format ------------------------------------------------------------
 
+def signed_terms(s: str):
+    """Split a sum on its + and - signs, yielding (sign, term text) pairs;
+    a leading sign belongs to the first term."""
+    pieces = re.split(r"([+-])", s)
+    if pieces[0]:
+        pieces.insert(0, "+")
+    else:
+        del pieces[0]
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        yield (-1 if sign == "-" else 1), term.strip()
+
+
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>\d+)\s*\*?\s*)?(?:(?P<var>[A-Za-z]\w*)(?:\^(?P<exp>\d+))?)?$"
 )
@@ -514,18 +413,7 @@ def parse_poly(text: str, p: int, var: str = "t") -> Poly:
             return Poly.zero(p)
         return Poly([int(c) for c in inner.split(",")], p)
     coeffs: dict[int, int] = {}
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    while pos <= len(s):
-        nxt = len(s)
-        for i in range(pos, len(s)):
-            if s[i] in "+-":
-                nxt = i
-                break
-        term = s[pos:nxt].strip()
+    for sign, term in signed_terms(s):
         m = _TERM_RE.match(term)
         if not m or not term:
             raise ValueError(f"bad polynomial term {term!r} in {text!r}")
@@ -539,10 +427,6 @@ def parse_poly(text: str, p: int, var: str = "t") -> Poly:
         c = sign * (int(coeff_s) if coeff_s is not None else 1)
         k = 0 if var_s is None else (int(exp_s) if exp_s is not None else 1)
         coeffs[k] = coeffs.get(k, 0) + c
-        if nxt == len(s):
-            break
-        sign = -1 if s[nxt] == "-" else 1
-        pos = nxt + 1
     deg = max(coeffs) if coeffs else 0
     return Poly([coeffs.get(k, 0) for k in range(deg + 1)], p)
 

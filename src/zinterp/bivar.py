@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import _check_modulus
+from .algebra import _check_modulus, signed_terms
 from .valued import LaurentTrunc, ValCoeff
 
 
@@ -268,21 +268,10 @@ def parse_bipoly(
     if not s:
         raise ValueError("empty bivariate polynomial text")
     acc: dict[tuple[int, int], int] = {}
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    while pos <= len(s):
-        nxt = len(s)
-        for i in range(pos, len(s)):
-            if s[i] in "+-":
-                nxt = i
-                break
-        term = s[pos:nxt].strip()
+    for coeff, term in signed_terms(s):
         if not term:
             raise ValueError(f"bad term in {text!r}")
-        coeff, powers = sign, {names[0]: 0, names[1]: 0}
+        powers = {names[0]: 0, names[1]: 0}
         for factor in term.split("*"):
             m = _BIFACTOR_RE.match(factor.strip())
             if not m:
@@ -296,10 +285,6 @@ def parse_bipoly(
                 powers[var] += int(m.group(3)) if m.group(3) else 1
         key = (powers[names[0]], powers[names[1]])
         acc[key] = acc.get(key, 0) + coeff
-        if nxt == len(s):
-            break
-        sign = -1 if s[nxt] == "-" else 1
-        pos = nxt + 1
     return BiTrunc.from_dict(acc, p, bound)
 
 

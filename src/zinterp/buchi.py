@@ -23,7 +23,6 @@ from .algebra import (
     Poly,
     frob_pow,
     kth_roots_mod,
-    sqrt_mod,
 )
 
 SEARCH_DEGREE_CAP = 2
@@ -64,6 +63,8 @@ def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
         raise ValueError("v must be a polynomial over F_p")
     if r < 0:
         raise ValueError("Frobenius exponent must be nonnegative")
+    if length < 1:
+        raise ValueError(f"sequence length must be at least 1, got {length}")
     terms = []
     for n in range(1, length + 1):
         base = Poly.const(n, p) + v

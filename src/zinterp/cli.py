@@ -35,6 +35,7 @@ from .formula import (
     print_formula,
 )
 from .harness import (
+    FAMILIES,
     check_witness,
     e2e_verify,
     family_formula,
@@ -116,8 +117,8 @@ def _fraction_text(v) -> str:
     return str(int(v)) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _vertices_text(polygon) -> str:
-    return " ".join(f"({n}, {_fraction_text(v)})" for n, v in polygon.vertices)
+def _points_text(points) -> str:
+    return " ".join(f"({n}, {_fraction_text(v)})" for n, v in points)
 
 
 # -- pell ----------------------------------------------------------------------
@@ -181,7 +182,7 @@ def cmd_pell_oracle(args) -> int:
 def cmd_newton_hull(args) -> int:
     h = parse_series(_read_text_arg(args.series))
     polygon = newton_polygon(h)
-    print("vertices: " + _vertices_text(polygon))
+    print("vertices: " + _points_text(polygon.vertices))
     uncertain = hull_uncertainty(h)
     if uncertain:
         print("uncertain abscissae: " + " ".join(str(n) for n in uncertain))
@@ -196,22 +197,18 @@ def cmd_newton_theta(args) -> int:
     h = theta_series(args.p, args.n_max, args.q_prec)
     polygon = newton_polygon(h)
     print(format_series(h))
-    print("vertices: " + _vertices_text(polygon))
+    print("vertices: " + _points_text(polygon.vertices))
     vertex_set = set(polygon.vertices)
     support = [(n, v) for n, v in h.support()]
     missing = [pt for pt in support if (pt[0], pt[1]) not in vertex_set]
     ok = not missing
     if missing:
-        print("support points off the hull: " + _vertices_text_pairs(missing))
+        print("support points off the hull: " + _points_text(missing))
     print(
         f"#RESULT newton-theta p={args.p} n_max={args.n_max} Q={args.q_prec} "
         f"support={len(support)} status={'ok' if ok else 'fail'}"
     )
     return 0 if ok else 1
-
-
-def _vertices_text_pairs(points) -> str:
-    return " ".join(f"({n}, {v})" for n, v in points)
 
 
 def cmd_newton_monomial(args) -> int:
@@ -547,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = top.add_parser("synth", help="synthesize a verified witness")
     synth.add_argument("--family", required=True,
-                       choices=("nu", "beta", "phi", "psi", "theta"))
+                       choices=FAMILIES)
     synth.add_argument("-p", type=int, required=True)
     synth.add_argument("-n", type=int, default=None, help="pair index (theta)")
     synth.add_argument("--target", default=None, help="nonzero target poly (nu)")

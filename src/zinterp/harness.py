@@ -7,6 +7,11 @@ semantic checker that decides the intended relation directly, with no
 formula evaluation.  Tests drive both against check_sat to confirm that
 the formulas define exactly what they should at desk scale.
 
+Binder order comes from interp.py alone.  A synthesizer returns its values
+in the binder order of the family's closed sentence, and _bind pairs them
+with the bound names read off that sentence, refusing a count mismatch.
+Adding a family takes one FAMILIES entry and one synthesizer.
+
 e2e_verify ties the pipeline together: it translates a closed sentence of
 the star language through the standard pair encoding, converts an integer
 witness into polynomial values for every bound variable of the output, and
@@ -17,6 +22,7 @@ reported, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from .algebra import (
@@ -39,6 +45,7 @@ from .formula import (
     print_formula,
 )
 from .interp import (
+    GE_P_CHAIN_LENGTH,
     _ordered_bound,
     frob_powers_of_t,
     ge_p_full,
@@ -52,11 +59,14 @@ from .interp import (
 from .pell import pell_index_recognize, pell_pair
 
 
-FAMILIES = ("nu", "beta", "phi", "psi", "theta")
-
-# Bound-variable order of the three chain certificates inside the full
-# power certificate, shared by the synthesizer and the clause assembler.
-_CHAIN_SUFFIXES = ("a", "b", "c")
+# Family name -> builder of the closed sentence its witnesses satisfy.
+FAMILIES = {
+    "nu": lambda: Exists(("x",), nonzero("x")),
+    "beta": lambda: Exists(("x", "y"), ge_p_full(Var("x"), Var("y"))),
+    "phi": lambda: Exists(("f",), frob_powers_of_t("f")),
+    "psi": lambda: Exists(("f",), positive_powers_of_t("f")),
+    "theta": lambda: Exists(("x", "y"), pell_domain()),
+}
 
 
 @dataclass(frozen=True)
@@ -70,17 +80,30 @@ class Witness:
 
 def family_formula(family: str) -> Formula:
     """The closed sentence a family witness is checked against."""
-    if family == "theta":
-        return Exists(("x", "y"), pell_domain())
-    if family == "nu":
-        return Exists(("x",), nonzero("x"))
-    if family == "beta":
-        return Exists(("x", "y"), ge_p_full(Var("x"), Var("y")))
-    if family == "phi":
-        return Exists(("f",), frob_powers_of_t("f"))
-    if family == "psi":
-        return Exists(("f",), positive_powers_of_t("f"))
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if family not in FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; choose from {tuple(FAMILIES)}"
+        )
+    return FAMILIES[family]()
+
+
+def _bind(what: str, names: tuple, values) -> dict:
+    """names paired with values, in order; the counts must agree."""
+    if len(names) != len(values):
+        raise ValueError(
+            f"{what}: {len(values)} values for {len(names)} bound names"
+        )
+    return dict(zip(names, values))
+
+
+@lru_cache(maxsize=None)
+def _family_binders(family: str) -> tuple:
+    """Bound names of a family's sentence in binder order, built once."""
+    return _ordered_bound(family_formula(family))
+
+
+def _witness(family: str, p: int, values: list) -> Witness:
+    return Witness(family, p, _bind(family, _family_binders(family), values))
 
 
 def check_witness(w: Witness) -> bool:
@@ -124,8 +147,8 @@ def _strip_factor(f: Poly, d: Poly) -> tuple:
 
 # -- per-family synthesis -----------------------------------------------------------
 
-def synth_nonzero(f: Poly, p: int) -> Witness:
-    """Witness (a, b, c) certifying f != 0.
+def _nonzero_values(f: Poly, p: int) -> list:
+    """Values (a, b, c) of the nonzero certificate for f != 0.
 
     Factor f = t^alpha (t-1)^beta G with G coprime to t(t-1); then the two
     Bezout identities t*u + ((t-1)^beta G)*v = 1 and
@@ -144,9 +167,12 @@ def synth_nonzero(f: Poly, p: int) -> Witness:
     gcd2, s, r = poly_extgcd(tm1, cof_tm1)
     if gcd1 != one or gcd2 != one:
         raise ValueError("factor stripping left a common divisor")
-    return Witness("nu", p, {
-        "x": f, "a": -u, "b": -s, "c": gamma * v * r,
-    })
+    return [-u, -s, gamma * v * r]
+
+
+def synth_nonzero(f: Poly, p: int) -> Witness:
+    """Witness certifying f != 0."""
+    return _witness("nu", p, [f] + _nonzero_values(f, p))
 
 
 def synth_pair(n: int, p: int) -> Witness:
@@ -154,9 +180,7 @@ def synth_pair(n: int, p: int) -> Witness:
     if p == 2:
         raise ValueError("the pair domain uses the conic form; p must be odd")
     pair = pell_pair(n, p)
-    return Witness("theta", p, {
-        "x": pair.x, "y": pair.y, "z": _offset_quotient(pair.x, p),
-    })
+    return _witness("theta", p, [pair.x, pair.y, _offset_quotient(pair.x, p)])
 
 
 def decode_pair(x: Poly, y: Poly) -> Optional[int]:
@@ -167,14 +191,14 @@ def decode_pair(x: Poly, y: Poly) -> Optional[int]:
 def _ge_p_values(g: Poly, r: int, p: int) -> list:
     """Values for the full power certificate's bound variables beyond the
     two related elements, in binder order: the conic point (u, v), then the
-    three chains (17 sequence terms and a quotient each) for bases t, t*g,
-    and g."""
+    three chains (GE_P_CHAIN_LENGTH sequence terms and a quotient each) for
+    bases t, t*g, and g."""
     t = Poly.gen(p)
     one = Poly.one(p)
     q = p ** r
     out = [Poly.monomial(1, q, p), (t * t - one) ** ((q - 1) // 2)]
     for base in (t, t * g, g):
-        for i in range(17):
+        for i in range(GE_P_CHAIN_LENGTH):
             s = base + Poly.monomial(i, 0, p)
             out.append(frob_pow(s, r) * s)
         out.append(base ** (q - 1))
@@ -186,21 +210,13 @@ def synth_ge_p(g: Poly, r: int, p: int) -> Witness:
 
     The sequence values are (i - 1 + base)^(p^r + 1); their second
     difference is 2 in any odd characteristic, and the three pin equations
-    hold identically for x = y^(p^r).  The pinning argument that forces
-    the converse needs 17 terms, hence the fixed chain length.
+    hold identically for x = y^(p^r).
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("odd characteristic required")
     if r < 0:
         raise ValueError("the Frobenius exponent must be nonnegative")
-    assignment = {"x": frob_pow(g, r), "y": g}
-    values = _ge_p_values(g, r, p)
-    names = ["u", "v"]
-    for suffix in _CHAIN_SUFFIXES:
-        names.extend(f"u{i}{suffix}" for i in range(1, 18))
-        names.append(f"z{suffix}")
-    assignment.update(zip(names, values))
-    return Witness("beta", p, assignment)
+    return _witness("beta", p, [frob_pow(g, r), g] + _ge_p_values(g, r, p))
 
 
 def synth_frob_power(r: int, p: int) -> Witness:
@@ -213,38 +229,32 @@ def synth_frob_power(r: int, p: int) -> Witness:
     pair = pell_pair(q, p)
     t = Poly.gen(p)
     one = Poly.one(p)
-    return Witness("phi", p, {
-        "f": pair.x,
-        "y": pair.y,
-        "h": _offset_quotient(pair.x, p),
-        "u": pair.x + one,
-        "v": poly_compose(pair.y, t + one),
-        "g": Poly.monomial(1, q - 1, p),
-    })
+    return _witness("phi", p, [
+        pair.x,
+        pair.y,
+        _offset_quotient(pair.x, p),
+        pair.x + one,
+        poly_compose(pair.y, t + one),
+        Poly.monomial(1, q - 1, p),
+    ])
 
 
 def synth_positive_power(k: int, r: int, p: int) -> Witness:
     """Witness that t^k lies in the positive-power set, via t^k | t^(p^r).
 
-    Requires 1 <= k <= p^r so the quotient t^(p^r - k) exists.
+    Requires 1 <= k <= p^r so the quotient t^(p^r - k) exists.  The
+    Frobenius-power witness for t^(p^r) fills the nested certificate.
     """
     q = p ** r
     if not 1 <= k <= q:
         raise ValueError(f"k must satisfy 1 <= k <= {q}")
-    inner = synth_frob_power(r, p).assignment
+    inner = list(synth_frob_power(r, p).assignment.values())
     f = Poly.monomial(1, k, p)
-    return Witness("psi", p, {
-        "f": f,
-        "h": inner["f"],
-        "y0": inner["y"],
-        "h0": inner["h"],
-        "u0": inner["u"],
-        "v0": inner["v"],
-        "g0": inner["g"],
-        "w1": Poly.monomial(1, q - k, p),
-        "w2": Poly.monomial(1, k - 1, p),
-        "w3": _offset_quotient(f, p),
-    })
+    return _witness("psi", p, [f] + inner + [
+        Poly.monomial(1, q - k, p),
+        Poly.monomial(1, k - 1, p),
+        _offset_quotient(f, p),
+    ])
 
 
 # -- semantic ground truth ----------------------------------------------------------
@@ -324,14 +334,19 @@ def _frob_exponent(a: int, b: int, p: int) -> int:
     return r
 
 
-def _clause_values(kind: str, ms: list, p: int, pairs: dict) -> tuple:
+def _clause_values(kind: str, ms: list, p: int, pairs: dict,
+                   count: int) -> tuple:
     """(semantic truth, bound values in binder order) for one clause of
-    the standard pair interpretation."""
+    the standard pair interpretation with count bound names.  Binders with
+    no witness, in a false clause or an untaken disjunct, get zeros."""
     zero = Poly.zero(p)
     ints = IntStructure(p)
 
     def quot(m):
         return _offset_quotient(pairs[m].x, p)
+
+    def padded(values):
+        return values + [zero] * (count - len(values))
 
     if kind == "domain":
         return True, [quot(ms[0])]
@@ -355,24 +370,21 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict) -> tuple:
     if kind == "|*":
         a, b = ms
         ok = ints.relation("|*", (a, b))
-        if ok:
-            r = _frob_exponent(a, b, p)
-            tail = _ge_p_values(pairs[a].x, r, p)
-        else:
-            tail = [zero] * 56
-        return ok, [quot(a), quot(b)] + tail
+        head = [quot(a), quot(b)]
+        if not ok:
+            return ok, padded(head)
+        r = _frob_exponent(a, b, p)
+        return ok, head + _ge_p_values(pairs[a].x, r, p)
     if kind == "!=":
         a, b = ms
-        ok = a != b
-        first = [zero] * 3
-        second = [zero] * 3
+        head = [quot(a), quot(b)]
         if pairs[a].x != pairs[b].x:
-            w = synth_nonzero(pairs[a].x - pairs[b].x, p).assignment
-            first = [w["a"], w["b"], w["c"]]
-        elif pairs[a].y != pairs[b].y:
-            w = synth_nonzero(pairs[a].y - pairs[b].y, p).assignment
-            second = [w["a"], w["b"], w["c"]]
-        return ok, [quot(a), quot(b)] + first + second
+            cert = _nonzero_values(pairs[a].x - pairs[b].x, p)
+            return a != b, padded(head + cert)
+        if pairs[a].y != pairs[b].y:
+            cert = _nonzero_values(pairs[a].y - pairs[b].y, p)
+            return a != b, head + [zero] * len(cert) + cert
+        return a != b, padded(head)
     raise ValueError(f"no clause synthesis for symbol {kind!r}")
 
 
@@ -400,15 +412,9 @@ def relation_instance(kind: str, ints, p: int):
             f"symbol {kind!r} speaks about {len(of.params) // 2} integers, "
             f"got {len(ints)}"
         )
-    body = instantiate(of, tuple(coords))
-    ok, bound_values = _clause_values(kind, list(ints), p, pairs)
-    names = _ordered_bound(body)
-    if len(names) != len(bound_values):
-        raise RuntimeError(
-            f"clause synthesis for {kind!r} produced {len(bound_values)} "
-            f"values for {len(names)} bound names"
-        )
-    witness.update(zip(names, bound_values))
+    body, names = instantiate(of, tuple(coords))
+    ok, values = _clause_values(kind, list(ints), p, pairs, len(names))
+    witness.update(_bind(kind, names, values))
     return ok, Exists(tuple(coords), body), witness
 
 
@@ -465,13 +471,10 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     for rec in trace.instantiations:
         bases = [rec.args[i].rsplit(".", 1)[0] for i in range(0, len(rec.args), 2)]
         ms = [values[b] for b in bases]
-        ok, bound_values = _clause_values(rec.kind, ms, p, pairs)
-        if len(bound_values) != len(rec.bound):
-            raise AssertionError(
-                f"clause synthesis for {rec.kind!r} produced "
-                f"{len(bound_values)} values for {len(rec.bound)} slots"
-            )
-        witness.update(zip(rec.bound, bound_values))
+        ok, bound_values = _clause_values(
+            rec.kind, ms, p, pairs, len(rec.bound)
+        )
+        witness.update(_bind(rec.kind, rec.bound, bound_values))
         clauses.append(ClauseReport(rec.kind, tuple(ms), ok))
 
     overall = check_sat(out, witness, p)

@@ -28,8 +28,7 @@ single translate call, so identical inputs give identical outputs.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import is_prime
@@ -48,14 +47,19 @@ from .formula import (
     TRUE,
     Term,
     Var,
+    _subst_term,
     free_vars,
     parse,
     print_formula,
     print_term,
-    substitute,
     term_vars,
     walk,
 )
+
+
+# Terms of the square sequence in a chain certificate.  The pinning argument
+# that forces x = y^(p^r) needs seventeen.
+GE_P_CHAIN_LENGTH = 17
 
 
 # -- term shorthand -------------------------------------------------------------
@@ -208,18 +212,18 @@ def nonzero_difference(x, u, suffix="") -> Formula:
 def ge_p_chain(x, y, suffix="") -> Formula:
     """Chain certificate for x = y^(p^r) when x or y is non-constant.
 
-    Seventeen terms u_n with second difference 2 (u_{n+2} - 2u_{n+1} + u_n
-    = 2, written u_{n+2} + u_n = 1+1 + u_{n+1}+u_{n+1}), pinned by
+    GE_P_CHAIN_LENGTH terms u_n with second difference 2 (u_{n+2} - 2u_{n+1}
+    + u_n = 2, written u_{n+2} + u_n = 1+1 + u_{n+1}+u_{n+1}), pinned by
     xy = u_1, x + y = u_2 - u_1 - 1 (written x+y+u_1+1 = u_2), and y | x.
     """
     x = _v(x)
     y = _v(y)
-    us = tuple(f"u{n}{suffix}" for n in range(1, 18))
+    us = tuple(f"u{n}{suffix}" for n in range(1, GE_P_CHAIN_LENGTH + 1))
     z = f"z{suffix}"
     _guard_bound_names(us + (z,), x, y)
     two = _add(ONE, ONE)
     parts = []
-    for n in range(15):
+    for n in range(GE_P_CHAIN_LENGTH - 2):
         lhs = _add(Var(us[n + 2]), Var(us[n]))
         rhs = _add(two, _add(Var(us[n + 1]), Var(us[n + 1])))
         parts.append(_eq(lhs, rhs))
@@ -435,15 +439,18 @@ class OpenFormula:
 
     Bound names must be pairwise distinct and disjoint from the parameters,
     so that a flat witness map can address every quantifier unambiguously.
+    bound keeps them in binder order, read once here.
     """
 
     params: tuple
     body: Formula
+    bound: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter name")
         bound = _ordered_bound(self.body)
+        object.__setattr__(self, "bound", bound)
         if len(set(bound)) != len(bound):
             raise ValueError("a bound name is reused inside the body")
         if set(bound) & set(self.params):
@@ -459,34 +466,45 @@ class OpenFormula:
         return len(self.params)
 
 
-def _rename_all(phi: Formula, name_map: dict) -> Formula:
-    """Rename variables everywhere, binders included.  Safe only when the
-    new names are fresh and bound names are never shadowed, which the
-    OpenFormula invariants guarantee."""
-    sub = {old: Var(new) for old, new in name_map.items()}
-    if isinstance(phi, Atom):
-        return substitute(phi, sub)
-    if isinstance(phi, (And, Or)):
-        parts = tuple(_rename_all(f, name_map) for f in phi.parts)
-        return And(parts) if isinstance(phi, And) else Or(parts)
-    names = tuple(name_map.get(n, n) for n in phi.names)
-    return Exists(names, _rename_all(phi.body, name_map))
+def _suffix_bound(phi: Formula, bound: tuple, mark: str,
+                  mapping: dict) -> tuple:
+    """Rename every name in bound to name + mark, binders included, and
+    replace the free variables in mapping by terms, in one walk.  Returns
+    the new formula and the renamed bound names in binder order.
+
+    The walk does no capture avoidance.  It is safe because bound names are
+    never shadowed and stay apart from the free variables, which the
+    OpenFormula invariants guarantee, and because an inserted term that
+    mentions a renamed bound name is refused.
+    """
+    new = tuple(b + mark for b in bound)
+    _guard_bound_names(new, *mapping.values())
+    names = dict(zip(bound, new))
+    sub = {old: Var(n) for old, n in names.items()}
+    sub.update(mapping)
+
+    def rename(f: Formula) -> Formula:
+        if isinstance(f, Atom):
+            return Atom(f.rel, tuple(_subst_term(a, sub) for a in f.args))
+        if isinstance(f, (And, Or)):
+            parts = tuple(rename(g) for g in f.parts)
+            return And(parts) if isinstance(f, And) else Or(parts)
+        return Exists(tuple(names.get(n, n) for n in f.names), rename(f.body))
+
+    return rename(phi), new
 
 
-def instantiate(of: OpenFormula, args, tag=None) -> Formula:
-    """Substitute arguments for the parameters.  With a tag, bound names
-    get a #tag suffix first, keeping instantiations witness-disjoint."""
+def instantiate(of: OpenFormula, args, tag=None) -> tuple:
+    """Substitute arguments for the parameters; return the instance and its
+    bound names in binder order.  With a tag, bound names get a #tag suffix,
+    keeping instantiations witness-disjoint."""
     if len(args) != len(of.params):
         raise ValueError(
             f"expected {len(of.params)} arguments, got {len(args)}"
         )
-    body = of.body
-    if tag is not None:
-        bound = _ordered_bound(body)
-        if bound:
-            body = _rename_all(body, {b: f"{b}#{tag}" for b in bound})
     mapping = {p: _v(a) for p, a in zip(of.params, args)}
-    return substitute(body, mapping)
+    mark = "" if tag is None else f"#{tag}"
+    return _suffix_bound(of.body, of.bound, mark, mapping)
 
 
 class Interpretation:
@@ -677,16 +695,8 @@ class _Translator:
 
     def inst(self, kind: str, of: OpenFormula, names: tuple) -> Formula:
         self.counter += 1
-        tag = self.counter
-        bound = _ordered_bound(of.body)
-        body = of.body
-        if bound:
-            body = _rename_all(body, {b: f"{b}#{tag}" for b in bound})
-        mapping = {p: Var(n) for p, n in zip(of.params, names)}
-        out = substitute(body, mapping)
-        self.instantiations.append(
-            InstRecord(kind, names, tag, tuple(f"{b}#{tag}" for b in bound))
-        )
+        out, bound = instantiate(of, names, self.counter)
+        self.instantiations.append(InstRecord(kind, names, self.counter, bound))
         return out
 
     def domain_parts(self, base: str) -> list:
@@ -879,10 +889,6 @@ def _pad_and_rename(of: OpenFormula, dim: int, full_dim: int,
     index, parameters renamed to x1..xN element-major, missing coordinates
     padded with atoms pinning them to the element's first coordinate."""
     elements = len(of.params) // dim
-    bound = _ordered_bound(of.body)
-    body = of.body
-    if bound:
-        body = _rename_all(body, {b: f"{b}!{branch}" for b in bound})
     mapping = {}
     pads = []
     for e in range(elements):
@@ -892,7 +898,7 @@ def _pad_and_rename(of: OpenFormula, dim: int, full_dim: int,
         first = f"x{e * full_dim + 1}"
         for c in range(dim, full_dim):
             pads.append(_eq(Var(f"x{e * full_dim + c + 1}"), Var(first)))
-    body = substitute(body, mapping)
+    body, _ = _suffix_bound(of.body, of.bound, f"!{branch}", mapping)
     if pads:
         body = And((body,) + tuple(pads))
     params = tuple(f"x{i}" for i in range(1, elements * full_dim + 1))
@@ -919,19 +925,18 @@ def dispatch(branches) -> Interpretation:
     if len(branches) == 1 and guards[0] == TRUE:
         return interps[0]
     full_dim = max(i.dim for i in interps)
+    guards = [
+        _suffix_bound(g, _ordered_bound(g), f"!g{idx}", {})[0]
+        for idx, g in enumerate(guards, start=1)
+    ]
 
     def merged(pick) -> OpenFormula:
         params = None
         alternatives = []
         for idx, (guard, interp) in enumerate(zip(guards, interps), start=1):
-            of = pick(interp)
-            p, body = _pad_and_rename(of, interp.dim, full_dim, idx)
+            p, body = _pad_and_rename(pick(interp), interp.dim, full_dim, idx)
             params = p if params is None or len(p) > len(params) else params
-            gbound = _ordered_bound(guard)
-            g = guard
-            if gbound:
-                g = _rename_all(guard, {b: f"{b}!g{idx}" for b in gbound})
-            alternatives.append(And((g, body)))
+            alternatives.append(And((guard, body)))
         return OpenFormula(params, Or(tuple(alternatives)))
 
     domain = merged(lambda i: i.domain)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from zinterp.algebra import (
     NEG_INFINITY,
-    FieldElem,
     Poly,
     format_poly,
     frob_pow,
@@ -17,9 +16,7 @@ from zinterp.algebra import (
     poly_divides,
     poly_divrem,
     poly_extgcd,
-    poly_mul,
     poly_shift,
-    sqrt_mod,
     _kronecker_mul,
     _schoolbook_mul,
 )
@@ -206,37 +203,11 @@ def test_is_prime_small():
     assert not is_prime(1) and not is_prime(0)
 
 
-def test_sqrt_mod_all_residues():
-    for p in [2, 3, 5, 7, 13, 17, 19, 29]:
-        squares = {x * x % p for x in range(p)}
-        for a in range(p):
-            r = sqrt_mod(a, p)
-            if a in squares:
-                assert r is not None and r * r % p == a
-            else:
-                assert r is None
-
-
 def test_kth_roots_mod():
     assert kth_roots_mod(2, 2, 17) == [6, 11]
     for c in kth_roots_mod(8, 3, 17):
         assert pow(c, 3, 17) == 8
     assert kth_roots_mod(0, 5, 7) == [0]
-
-
-def test_field_elem_ops():
-    a = FieldElem(3, 7)
-    b = FieldElem(5, 7)
-    assert (a + b).residue == 1
-    assert (a - b).residue == 5
-    assert (a * b).residue == 1
-    assert (a / b).residue == (3 * pow(5, -1, 7)) % 7
-    assert a.inverse() * a == FieldElem(1, 7)
-    assert FieldElem(2, 17).sqrt().residue in (6, 11)
-    with pytest.raises(ValueError):
-        FieldElem(1, 6)
-    with pytest.raises(ZeroDivisionError):
-        FieldElem(0, 7).inverse()
 
 
 # -- text format -------------------------------------------------------------

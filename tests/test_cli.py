@@ -86,6 +86,15 @@ class TestNewtonCommands:
         assert code == 1
         assert "falsified" in out
 
+    def test_monomial_precision_error_is_inconclusive(self, capsys):
+        code, out, err = run(
+            capsys, "newton", "monomial",
+            "--series", "{3: 1 + q^5} @ p=2 Q=10",
+        )
+        assert code == 3
+        assert "falsified" not in out
+        assert "error: inconclusive" in err
+
 
 class TestBivarCommands:
     def test_kernel_factor(self, capsys):
@@ -121,6 +130,16 @@ class TestBuchiCommands:
         assert code == 0
         assert out.splitlines()[0] == "u_1 = t^6 + t^5 + t + 1"
         assert "status=ok" in out.splitlines()[-1]
+
+    def test_gen_rejects_bad_length(self, capsys):
+        for length in ("0", "-3"):
+            code, out, err = run(
+                capsys, "buchi", "gen", "-v", "t", "-r", "1", "-M", length,
+                "-p", "5",
+            )
+            assert code == 2, length
+            assert out == ""
+            assert "length must be at least 1" in err
 
     def test_oracle_degree_zero_sweep(self, capsys):
         code, out, _ = run(capsys, "buchi", "oracle", "-d", "0")

@@ -10,7 +10,9 @@ from zinterp.buchi import ge_p_check
 from zinterp.formula import bound_vars, check_sat, eval_qf
 from zinterp.harness import (
     E2EReport,
+    FAMILIES,
     Witness,
+    _bind,
     check_witness,
     decode_pair,
     e2e_verify,
@@ -25,7 +27,7 @@ from zinterp.harness import (
     synth_pair,
     synth_positive_power,
 )
-from zinterp.interp import nonzero
+from zinterp.interp import _ordered_bound, nonzero
 from zinterp.pell import pell_enumerate_oracle, pell_pair
 
 
@@ -246,6 +248,30 @@ class TestWitnessType:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_formula("sigma")
+
+    def test_every_family_binds_in_binder_order(self):
+        samples = {
+            "nu": lambda: synth_nonzero(Poly((2, 0, 1), 5), 5),
+            "beta": lambda: synth_ge_p(Poly((1, 1), 5), 1, 5),
+            "phi": lambda: synth_frob_power(1, 5),
+            "psi": lambda: synth_positive_power(3, 1, 5),
+            "theta": lambda: synth_pair(-3, 5),
+        }
+        assert set(samples) == set(FAMILIES)
+        for family in FAMILIES:
+            w = samples[family]()
+            assert w.family == family
+            want = _ordered_bound(family_formula(family))
+            assert tuple(w.assignment) == want, family
+            assert check_witness(w), family
+
+    def test_bind_refuses_count_mismatch(self):
+        names = ("a", "b", "c")
+        assert _bind("nu", names, [1, 2, 3]) == {"a": 1, "b": 2, "c": 3}
+        for values in ([1, 2], [1, 2, 3, 4]):
+            want = f"nu: {len(values)} values for 3 bound names"
+            with pytest.raises(ValueError, match=want):
+                _bind("nu", names, values)
 
 
 class TestRelationInstance:

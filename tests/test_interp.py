@@ -335,20 +335,27 @@ class TestOpenFormula:
 
     def test_instantiate_tags_bound_names(self):
         of = OpenFormula(("x", "y"), pell_domain())
-        phi = instantiate(of, ("a", "b"), tag=7)
+        phi, bound = instantiate(of, ("a", "b"), tag=7)
         assert isinstance(phi, Exists)
-        assert phi.names == ("z#7",)
+        assert phi.names == bound == ("z#7",)
         assert free_vars(phi) == {"a", "b"}
 
     def test_instantiate_accepts_terms(self):
         of = OpenFormula(("x", "y"), conic_atom("x", "y"))
-        phi = instantiate(of, (App("*", (Var("a"), Var("a"))), Var("b")))
+        phi, _ = instantiate(of, (App("*", (Var("a"), Var("a"))), Var("b")))
         assert free_vars(phi) == {"a", "b"}
 
     def test_instantiate_arity_mismatch(self):
         of = OpenFormula(("x", "y"), conic_atom("x", "y"))
         with pytest.raises(ValueError):
             instantiate(of, ("a",))
+
+    def test_instantiate_refuses_captured_argument(self):
+        of = OpenFormula(("x", "y"), pell_domain())
+        with pytest.raises(ValueError, match="collide"):
+            instantiate(of, ("z", "b"))
+        phi, bound = instantiate(of, ("z", "b"), tag=1)
+        assert bound == ("z#1",) and free_vars(phi) == {"z", "b"}
 
 
 class TestInterpretation:
