@@ -11,22 +11,40 @@ The degree of the zero polynomial is the sentinel ``NEG_INFINITY`` (never -1),
 so degree comparisons behave correctly without special-casing.
 
 Everything here is exact; there are no floats anywhere in this package's core.
-Multiplication has two interchangeable paths: schoolbook convolution, and (for
-large dense operands over a prime field) Kronecker substitution, which packs
-the coefficient vector into a single big integer so that Python's native
-bignum multiplication does the convolution.  Both paths are cross-checked in
-the test suite.
+
+Over a prime field two kernels use the structure of F_p.  Multiplication of
+large operands is Kronecker substitution: each coefficient vector is packed
+into one big integer through an ``array`` of 1-, 2-, 4- or 8-byte slots, wide
+enough that no convolution sum carries into the next slot, Python's bignum
+multiply does the convolution, and the product is read back through a
+``memoryview`` cast (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 44, 2009).  Slots wider than 8 bytes
+fall back to per-coefficient byte packing; small operands and the integers
+use schoolbook convolution, which the tests also use as the reference.
+Composition with a linear inner polynomial is a Taylor shift done with
+additions only, one base-p digit of the exponent at a time, since
+(t + b)^(p^k) = t^(p^k) + b over F_p (von zur Gathen and Gerhard, "Fast
+algorithms for Taylor shifts and certain difference equations", ISSAC 1997).
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from functools import lru_cache
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
 _KRONECKER_MIN_LEN = 96  # combined operand length above which packing wins
+
+# (slot width in bytes, array type code), narrowest first.  Packing reads
+# slots as little-endian integers, so other byte orders take the byte path.
+_SLOTS = (
+    tuple(sorted({array(code).itemsize: code for code in "BHILQ"}.items()))
+    if sys.byteorder == "little" else ()
+)
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +220,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -260,14 +279,20 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     # slot width chosen so convolution sums never carry between slots
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = max(1, (bound.bit_length() + 7) // 8)
+    n = len(a) + len(b) - 1
+    for slot, code in _SLOTS:
+        if slot >= width:
+            abig = int.from_bytes(array(code, a).tobytes(), "little")
+            bbig = int.from_bytes(array(code, b).tobytes(), "little")
+            raw = (abig * bbig).to_bytes(slot * n, "little")
+            return [c % p for c in memoryview(raw).cast(code)]
     abig = int.from_bytes(
         b"".join(c.to_bytes(width, "little") for c in a), "little"
     )
     bbig = int.from_bytes(
         b"".join(c.to_bytes(width, "little") for c in b), "little"
     )
-    n = len(a) + len(b) - 1
-    raw = (abig * bbig).to_bytes(width * (n + 1), "little")
+    raw = (abig * bbig).to_bytes(width * n, "little")
     return [
         int.from_bytes(raw[i * width : (i + 1) * width], "little") % p
         for i in range(n)
@@ -343,16 +368,79 @@ def poly_extgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def poly_compose(f: Poly, g: Poly) -> Poly:
-    """f(g(t)) by Horner's scheme in the polynomial ring."""
+    """f(g(t)).
+
+    Over F_p with g = a*t + b, a != 0, this is a Taylor shift: f(t + b) by
+    additions only, one base-p digit at a time (see _taylor_shift), then
+    coefficient i scaled by a^i, in O(n p log_p n) field operations for n
+    coefficients (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+    shifts and certain difference equations", ISSAC 1997).  Otherwise,
+    Horner's scheme in the polynomial ring.
+    """
     f._same_ring(g)
-    acc = Poly.zero(f.modulus)
+    p = f.modulus
+    if p and len(g.coeffs) == 2:
+        b, a = g.coeffs
+        cs = _taylor_shift(list(f.coeffs), b, p)
+        if a != 1:
+            scale = 1
+            for i, c in enumerate(cs):
+                cs[i] = c * scale % p
+                scale = scale * a % p
+        return Poly(cs, p)
+    acc = Poly.zero(p)
     for c in reversed(f.coeffs):
         acc = acc * g + c
     return acc
 
 
+def _taylor_shift(cs: list[int], b: int, p: int) -> list[int]:
+    """Turn the coefficient list cs of f, in place, into that of f(t + b)
+    over F_p, with trailing zeros left from padding.
+
+    As (t + b)^(p^k) = t^(p^k) + b^(p^k) = t^(p^k) + b, the shift acts on
+    each base-p digit of the exponent on its own.  On level m = p^k every
+    block of p*m coefficients is p chunks of m: the coefficients of T^0 ..
+    T^(p-1) with T = t^m.  The classic p-term shift T -> T + b, chunk_j +=
+    b * chunk_(j+1) over a triangle of index pairs, then needs additions
+    only.  The top level may have fewer than p chunks per block.
+    """
+    n = len(cs)
+    top = 1
+    while top * p < n:
+        top *= p
+    cs += [0] * (-n % top)
+    size = len(cs)
+    m = 1
+    while b and m < size:
+        chunks = min(p, size // m)
+        width = chunks * m
+        few_blocks = size // width <= m
+        for i in range(chunks - 1):
+            for j in range(chunks - 2, i - 1, -1):
+                lo, hi = j * m, (j + 1) * m
+                if few_blocks:
+                    # one contiguous slice per block
+                    for s in range(0, size, width):
+                        cs[s + lo : s + hi] = [
+                            (x + b * y) % p
+                            for x, y in zip(cs[s + lo : s + hi],
+                                            cs[s + hi : s + hi + m])
+                        ]
+                else:
+                    # one strided slice per offset within the chunk
+                    for r in range(m):
+                        cs[lo + r :: width] = [
+                            (x + b * y) % p
+                            for x, y in zip(cs[lo + r :: width],
+                                            cs[hi + r :: width])
+                        ]
+        m *= p
+    return cs
+
+
 def poly_shift(f: Poly) -> Poly:
-    """f(t+1)."""
+    """f(t+1): a Taylor shift over F_p (see poly_compose), Horner over Z."""
     return poly_compose(f, Poly((1, 1), f.modulus))
 
 

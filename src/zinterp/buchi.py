@@ -14,6 +14,7 @@ a generated one.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
@@ -103,14 +104,63 @@ def ge_p_check(f: Poly, g: Poly, p: Optional[int] = None) -> Optional[int]:
     return r if r > 0 and frob_pow(g, r) == f else None
 
 
+# The residue prefilter evaluates at most this many points of F_p: any
+# subset keeps it sound, and a scan of all of a large field would cost more
+# than the descent it saves.
+_PREFILTER_POINTS = 64
+
+
+def _has_nonresidue_value(coeffs: tuple[int, ...], k: int, p: int) -> bool:
+    """Whether some f(a), a in F_p, is nonzero and not a k-th power.
+
+    A k-th power g^k takes k-th power values at every point, and a unit v
+    is a k-th power exactly when v^((p-1)/gcd(k, p-1)) = 1.
+    """
+    e = (p - 1) // math.gcd(k, p - 1)
+    if e == p - 1:
+        return False  # every unit is a k-th power
+    rev = coeffs[::-1]
+    # Horner inline rather than Poly.evaluate: this loop runs for every
+    # candidate of the brute-force oracles.
+    for a in range(min(p, _PREFILTER_POINTS)):
+        v = 0
+        for c in rev:
+            v = (v * a + c) % p
+        if v and pow(v, e, p) != 1:
+            return True
+    return False
+
+
+def _square_root_descent(coeffs: tuple[int, ...], lc: int, p: int) -> list[int]:
+    """The s = sum g_i t^i with leading coefficient lc whose square matches
+    the top half of the coefficients of f = coeffs, deg f = 2m.
+
+    The coefficient of t^(2m-j) in s^2 is 2*lc*g_(m-j) plus products of
+    coefficients already found, so each g_(m-j) costs O(j) operations.
+    """
+    m = (len(coeffs) - 1) // 2
+    g = [0] * (m + 1)
+    g[m] = lc
+    inv = pow(2 * lc, -1, p)
+    for j in range(1, m + 1):
+        top = 2 * m - j
+        cross = sum(g[i] * g[top - i] for i in range(m - j + 1, m))
+        g[m - j] = (coeffs[top] - cross) * inv % p
+    return g
+
+
 def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
     """A polynomial g with g^k = f, or None.
 
     Requires a prime modulus not dividing k, so the leading coefficient of
     the candidate root enters the top cross term with an invertible factor
     k * lc^(k-1) and coefficients can be matched from the top degree down.
-    The lowest coefficients are not pinned by the descent, so the candidate
-    is verified exactly before being returned.
+    First f is rejected when one of its values on F_p is a unit but not a
+    k-th power.  For k = 2 the descent matches coefficients of the square
+    directly, O(m^2) operations for a root of degree m; other k recompute
+    the candidate's k-th power at each step.  The lowest coefficients are
+    not pinned by the descent, so the candidate is verified exactly before
+    being returned.
     """
     p = f.modulus
     if p == 0:
@@ -122,10 +172,15 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
     if not f.coeffs:
         return Poly.zero(p)
     df = f.degree
-    if df % k:
+    if df % k or _has_nonresidue_value(f.coeffs, k, p):
         return None
     m = df // k
     for lc in kth_roots_mod(f.leading_coeff(), k, p):
+        if k == 2:
+            cand = Poly(_square_root_descent(f.coeffs, lc, p), p)
+            if cand * cand == f:
+                return cand
+            continue
         g = [0] * (m + 1)
         g[m] = lc
         inv_top = pow(k * pow(lc, k - 1, p) % p, -1, p)

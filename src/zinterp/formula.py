@@ -14,7 +14,8 @@ Terms and formulas are written as s-expressions:
 
 Relation heads may appear bare, as in (= ...) or (| ...), or quoted through
 the rel keyword; the printer always emits the bare form.  The keywords
-exists, and, or, rel are reserved.
+exists, and, or, rel are reserved.  Text nested more than MAX_PARSE_DEPTH
+parentheses deep is refused with ValueError.
 
 Evaluation is parameterized by a structure: a universe with constant values,
 function values, and relation callbacks.  PolyStructure evaluates over
@@ -151,6 +152,12 @@ LANG_D = Lang(
 
 # -- parsing ---------------------------------------------------------------------
 
+# Deepest parenthesis nesting parse accepts, formulas and terms together.
+# Parsing, evaluation and translation recurse once per level, and check_sat
+# exhausts the default recursion limit between 300 and 400 levels; library
+# formulas and translated sentences stay under 20.
+MAX_PARSE_DEPTH = 200
+
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
 
 
@@ -276,8 +283,24 @@ def _parse_formula(ts: _TokenStream, lang: Lang) -> Formula:
     return Atom(rel, tuple(args))
 
 
+def _check_depth(tokens) -> None:
+    depth = 0
+    for tok, pos in tokens:
+        if tok == "(":
+            depth += 1
+            if depth > MAX_PARSE_DEPTH:
+                raise ValueError(
+                    f"nesting deeper than {MAX_PARSE_DEPTH} levels "
+                    f"at position {pos}"
+                )
+        elif tok == ")":
+            depth -= 1
+
+
 def parse(text: str, lang: Lang) -> Formula:
-    ts = _TokenStream(_tokenize(text), text)
+    tokens = _tokenize(text)
+    _check_depth(tokens)
+    ts = _TokenStream(tokens, text)
     out = _parse_formula(ts, lang)
     if ts.i != len(ts.tokens):
         tok, pos = ts.tokens[ts.i]

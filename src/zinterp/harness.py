@@ -39,7 +39,6 @@ from .formula import (
     IntStructure,
     LANG_STAR,
     Var,
-    bound_vars,
     check_sat,
     parse,
     print_formula,
@@ -78,8 +77,10 @@ class Witness:
     assignment: dict
 
 
+@lru_cache(maxsize=None)
 def family_formula(family: str) -> Formula:
-    """The closed sentence a family witness is checked against."""
+    """The closed sentence a family witness is checked against, built once
+    per family (formulas are immutable)."""
     if family not in FAMILIES:
         raise ValueError(
             f"unknown family {family!r}; choose from {tuple(FAMILIES)}"
@@ -102,6 +103,13 @@ def _family_binders(family: str) -> tuple:
     return _ordered_bound(family_formula(family))
 
 
+@lru_cache(maxsize=None)
+def _interpretation():
+    """The standard pair interpretation, built once; this module only reads
+    it."""
+    return pell_interpretation()
+
+
 def _witness(family: str, p: int, values: list) -> Witness:
     return Witness(family, p, _bind(family, _family_binders(family), values))
 
@@ -109,7 +117,7 @@ def _witness(family: str, p: int, values: list) -> Witness:
 def check_witness(w: Witness) -> bool:
     """Exact-coverage check followed by satisfaction."""
     phi = family_formula(w.family)
-    need = bound_vars(phi)
+    need = set(_family_binders(w.family))
     got = set(w.assignment)
     if need != got:
         missing = sorted(need - got)
@@ -397,7 +405,7 @@ def relation_instance(kind: str, ints, p: int):
     the witness covers every bound variable of the formula whenever the
     clause is true (placeholder zeros otherwise).
     """
-    interp = pell_interpretation()
+    interp = _interpretation()
     of = interp.domain if kind == "domain" else interp.symbols[kind]
     pairs = {m: pell_pair(m, p) for m in set(ints)}
     coords = []
@@ -430,7 +438,7 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     """
     phi = parse(sentence, LANG_STAR) if isinstance(sentence, str) else sentence
     text = print_formula(phi)
-    out, trace = translate_with_trace(pell_interpretation(), phi)
+    out, trace = translate_with_trace(_interpretation(), phi)
     formula_text = print_formula(out)
 
     values = {}

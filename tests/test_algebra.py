@@ -1,5 +1,7 @@
 """Polynomial core: frozen examples, random cross-checks, ring axioms."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,28 @@ def test_kronecker_equals_schoolbook(rng):
             assert _kronecker_mul(a, b, p) == school
 
 
+# (p, shortest, longest operand): slots of 1, 2, 4 and 8 bytes, then one
+# wider than 8 bytes, which takes the byte-packing fallback.
+_SLOT_CASES = [
+    (2, 1, 100), (5, 1, 15), (17, 16, 200), (257, 1, 50),
+    (65537, 1, 50), (2**31 - 1, 8, 40),
+]
+
+
+def test_kronecker_slot_widths(rng):
+    for p, lo, hi in _SLOT_CASES:
+        top = (p - 1,) * hi
+        cases = [(top, top), (top[:lo], top)]
+        for _ in range(20):
+            cases.append(tuple(
+                tuple(rng.randrange(p) for _ in range(rng.randint(lo, hi)))
+                for _ in range(2)
+            ))
+        for a, b in cases:
+            school = [c % p for c in _schoolbook_mul(a, b)]
+            assert _kronecker_mul(a, b, p) == school, (p, len(a), len(b))
+
+
 def test_mul_threshold_crossing(rng):
     # same result on either side of the fast-path threshold
     for p in [5, 17]:
@@ -191,6 +215,44 @@ def test_compose_is_hom(rng):
             h = random_poly(rng, p, 3)
             assert poly_compose(f * g, h) == poly_compose(f, h) * poly_compose(g, h)
             assert poly_compose(f + g, h) == poly_compose(f, h) + poly_compose(g, h)
+
+
+def _horner_linear(cs, a, b, p):
+    """Coefficients of f(a*t + b) by Horner's rule on plain lists."""
+    acc = []
+    for c in reversed(cs):
+        shifted = [0] + [a * x for x in acc]
+        scaled = [b * x for x in acc] + [0]
+        acc = [(x + y) % p for x, y in zip(shifted, scaled)]
+        acc[0] = (acc[0] + c) % p
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
+
+
+def test_compose_linear_matches_horner(rng):
+    for p in [2, 3, 5, 17]:
+        lengths = [0, 1, p, p + 1, p * p, p * p + 1, p**3]
+        for n in lengths:
+            cs = [rng.randrange(p) for _ in range(n)]
+            inner = [(rng.randrange(p), rng.randrange(1, p))]
+            if n < p**3:
+                inner += [(1, 1), (0, rng.randrange(1, p)), (p - 1, 1)]
+            for b, a in inner:
+                got = poly_compose(Poly(cs, p), Poly([b, a], p))
+                assert got.coeffs == _horner_linear(cs, a, b, p), (p, n, a, b)
+        f = Poly([rng.randrange(p) for _ in range(p * p + 2)], p)
+        assert poly_shift(f).coeffs == _horner_linear(f.coeffs, 1, 1, p)
+
+
+def test_shift_over_integers():
+    f = Poly([3, -2, 0, 5, 1], 0)
+    want = tuple(
+        sum(c * comb(i, j) for i, c in enumerate(f.coeffs))
+        for j in range(5)
+    )
+    assert poly_shift(f).coeffs == want
+    assert poly_shift(Poly.zero(0)) == Poly.zero(0)
 
 
 # -- scalar helpers ----------------------------------------------------------

@@ -1,11 +1,15 @@
 """Tests for square-sequence families, polynomial roots, and the seed sweep."""
 
+import itertools
+
 import pytest
 
+from zinterp import buchi
 from zinterp.algebra import FeasibilityError, Poly, frob_pow
 from zinterp.buchi import (
     BuchiSeq,
     _extend_all_squares,
+    _has_nonresidue_value,
     _match_family,
     buchi_generate,
     buchi_search_oracle,
@@ -179,6 +183,47 @@ def test_kth_root_random_roundtrip(rng):
         root = poly_kth_root(g ** k, k)
         assert root is not None
         assert root ** k == g ** k
+
+
+def test_prefilter_keeps_true_powers(rng):
+    cases = [(p, k) for p in [3, 5, 7, 13, 17] for k in [2, 3] if k != p]
+    cases.append((17, 18))
+    for p, k in cases:
+        for _ in range(40):
+            s = random_poly(rng, p, 4 if k < 18 else 2, nonzero=True)
+            # vanish at a few points of F_p, so some values are zero
+            for a in rng.sample(range(p), rng.randint(0, 2)):
+                s = s * Poly((-a, 1), p)
+            f = s ** k
+            assert not _has_nonresidue_value(f.coeffs, k, p), (p, k, s)
+            root = poly_kth_root(f, k)
+            assert root is not None and root ** k == f
+
+
+def _is_square_brute(f, p):
+    m = f.degree // 2
+    return any(
+        Poly(cs, p) * Poly(cs, p) == f
+        for cs in itertools.product(range(p), repeat=m + 1)
+    )
+
+
+def test_square_descent_rejects_nonsquares(rng, monkeypatch):
+    # with the prefilter off, the descent and its final check alone decide
+    monkeypatch.setattr(buchi, "_has_nonresidue_value", lambda *a: False)
+    rejected = 0
+    for _ in range(150):
+        p = rng.choice([3, 5, 7])
+        f = random_poly(rng, p, 2 * rng.randint(1, 2), nonzero=True)
+        if f.degree % 2:
+            continue
+        root = poly_kth_root(f, 2)
+        if _is_square_brute(f, p):
+            assert root is not None and root * root == f
+        else:
+            rejected += 1
+            assert root is None, f
+    assert rejected > 50
 
 
 def test_kth_root_index_divisible_by_characteristic():

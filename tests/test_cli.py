@@ -222,6 +222,16 @@ class TestCheckCommand:
         assert code == 0
         assert "verified" in out
 
+    @pytest.mark.parametrize("text", [
+        "(and " * 1200 + "(= 0 0)" + ")" * 1200,
+        "(= " + "(+ 1 " * 1200 + "0" + ")" * 1200 + " 0)",
+    ], ids=["and-chain", "term-chain"])
+    def test_deep_nesting_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "check", "-p", "5", "--formula", text)
+        assert code == 2
+        assert out == ""
+        assert "nesting deeper than" in err
+
 
 class TestSynthCommand:
     def test_theta_feeds_check(self, capsys, tmp_path):

@@ -18,6 +18,7 @@ from zinterp.formula import (
     LANG_STAR,
     LANG_T,
     LANG_T_SEM,
+    MAX_PARSE_DEPTH,
     Formula,
     Lang,
     Or,
@@ -105,6 +106,21 @@ def test_parse_rejects_symbols_as_variables():
 def test_parse_rel_keyword_needs_quoted_name():
     with pytest.raises(ValueError, match="quoted relation name"):
         parse("(rel = x 1)", LANG_RING)
+
+
+def test_parse_depth_limit_counts_formulas_and_terms():
+    def ands(n):
+        return "(and " * n + "(= 0 0)" + ")" * n
+
+    def sums(n):
+        return "(= " + "(+ 1 " * n + "0" + ")" * n + " 0)"
+
+    # the atom's own parenthesis is one level
+    for nest in (ands, sums):
+        deepest = nest(MAX_PARSE_DEPTH - 1)
+        assert print_formula(parse(deepest, LANG_RING)) == deepest
+        with pytest.raises(ValueError, match="nesting deeper than"):
+            parse(nest(MAX_PARSE_DEPTH), LANG_RING)
 
 
 def test_print_parse_roundtrips():
