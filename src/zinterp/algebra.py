@@ -12,6 +12,19 @@ so degree comparisons behave correctly without special-casing.
 
 Everything here is exact; there are no floats anywhere in this package's core.
 
+``Poly(coeffs, modulus)`` checks the modulus and reduces and trims whatever
+it is given; every caller outside this module goes through it.  The ring
+operations, whose results are canonical by construction, return through the
+trusted constructor ``Poly._raw(coeffs, p)`` instead.  Its contract: coeffs
+is a tuple, each entry in ``range(p)`` when p is a prime (any int when p is
+0), with no trailing zero, and p is already a valid modulus; nothing is
+checked.  A product is never trimmed, since the product of two leading
+coefficients is nonzero over a field and over Z; a sum or difference is
+trimmed only when both operands have the same length, since otherwise the
+longer operand's leading coefficient survives.  Build those tuples from
+lists, ``tuple([...])``, not from generator expressions: on long vectors the
+generator form is slower and was seen to raise peak memory.
+
 Over a prime field two kernels use the structure of F_p.  Multiplication of
 large operands is Kronecker substitution: each coefficient vector is packed
 into one big integer through an ``array`` of 1-, 2-, 4- or 8-byte slots, wide
@@ -19,8 +32,11 @@ enough that no convolution sum carries into the next slot, Python's bignum
 multiply does the convolution, and the product is read back through a
 ``memoryview`` cast (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 44, 2009).  Slots wider than 8 bytes
-fall back to per-coefficient byte packing; small operands and the integers
-use schoolbook convolution, which the tests also use as the reference.
+fall back to per-coefficient byte packing.  Packing has a fixed cost of a few
+microseconds and schoolbook convolution costs one step per pair of
+coefficients, so operands whose length product is below
+``_KRONECKER_MIN_PRODUCT`` use schoolbook, as do the integers; the tests
+also use it as the reference.
 Composition with a linear inner polynomial is a Taylor shift done with
 additions only, one base-p digit of the exponent at a time, since
 (t + b)^(p^k) = t^(p^k) + b over F_p (von zur Gathen and Gerhard, "Fast
@@ -37,7 +53,7 @@ from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
-_KRONECKER_MIN_LEN = 96  # combined operand length above which packing wins
+_KRONECKER_MIN_PRODUCT = 25  # operand length product from which packing wins
 
 # (slot width in bytes, array type code), narrowest first.  Packing reads
 # slots as little-endian integers, so other byte orders take the byte path.
@@ -87,9 +103,9 @@ def kth_roots_mod(a: int, k: int, p: int) -> list[int]:
     return [c for c in range(p) if pow(c, k, p) == a]
 
 
-def _normalize(coeffs: Iterable[int], p: int) -> tuple[int, ...]:
-    cs = [c % p for c in coeffs] if p else list(coeffs)
-    while cs and cs[-1] == 0:
+def _trimmed(cs: list[int]) -> tuple[int, ...]:
+    """cs as a tuple without its trailing zeros (cs is shortened in place)."""
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -105,8 +121,18 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[int] = (), modulus: int = 0):
         _check_modulus(modulus)
-        object.__setattr__(self, "coeffs", _normalize(coeffs, modulus))
-        object.__setattr__(self, "modulus", modulus)
+        cs = [c % modulus for c in coeffs] if modulus else list(coeffs)
+        _set_coeffs(self, _trimmed(cs))
+        _set_modulus(self, modulus)
+
+    @staticmethod
+    def _raw(coeffs: tuple[int, ...], p: int) -> "Poly":
+        """A polynomial from coefficients already in canonical form, with no
+        checks: see the module docstring for the contract."""
+        f = object.__new__(Poly)
+        _set_coeffs(f, coeffs)
+        _set_modulus(f, p)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -164,7 +190,8 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            self._same_ring(other)
+            if other.modulus != self.modulus:
+                self._same_ring(other)
             return other
         if isinstance(other, int):
             return Poly((other,), self.modulus)
@@ -179,21 +206,43 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return Poly(cs, self.modulus)
+        p = self.modulus
+        if p:
+            cs = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            cs = [x + y for x, y in zip(a, b)]
+        if len(a) == len(b):
+            return Poly._raw(_trimmed(cs), p)
+        cs += a[len(b):]
+        return Poly._raw(tuple(cs), p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.modulus)
+        p = self.modulus
+        if p:
+            return Poly._raw(tuple([-c % p for c in self.coeffs]), p)
+        return Poly._raw(tuple([-c for c in self.coeffs]), p)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        p = self.modulus
+        if p:
+            cs = [(x - y) % p for x, y in zip(a, b)]
+        else:
+            cs = [x - y for x, y in zip(a, b)]
+        if len(a) == len(b):
+            return Poly._raw(_trimmed(cs), p)
+        if len(a) > len(b):
+            cs += a[len(b):]
+        elif p:
+            cs += [-c % p for c in b[len(a):]]
+        else:
+            cs += [-c for c in b[len(a):]]
+        return Poly._raw(tuple(cs), p)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -203,19 +252,21 @@ class Poly:
         if other is NotImplemented:
             return other
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.modulus)
         p = self.modulus
-        if p and len(a) + len(b) >= _KRONECKER_MIN_LEN:
-            return Poly(_kronecker_mul(a, b, p), p)
-        return Poly(_schoolbook_mul(a, b), p)
+        if not a or not b:
+            return Poly._raw((), p)
+        if not p:
+            return Poly._raw(tuple(_schoolbook_mul(a, b)), p)
+        if len(a) * len(b) >= _KRONECKER_MIN_PRODUCT:
+            return Poly._raw(tuple(_kronecker_mul(a, b, p)), p)
+        return Poly._raw(tuple([c % p for c in _schoolbook_mul(a, b)]), p)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        result = Poly.one(self.modulus)
+        result = Poly._raw((1,), self.modulus)
         base = self
         while e:
             if e & 1:
@@ -264,6 +315,12 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r}, {self.modulus})"
+
+
+# The slots' own setters, which skip the immutability guard in __setattr__
+# at half the cost of object.__setattr__.
+_set_coeffs = Poly.coeffs.__set__
+_set_modulus = Poly.modulus.__set__
 
 
 def _schoolbook_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -332,7 +389,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
                 rem[i + j] -= q * bc
                 if p:
                     rem[i + j] %= p
-    return Poly(quot, p), Poly(rem[:db], p)
+    return Poly._raw(tuple(quot), p), Poly._raw(_trimmed(rem[:db]), p)
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
@@ -387,7 +444,7 @@ def poly_compose(f: Poly, g: Poly) -> Poly:
             for i, c in enumerate(cs):
                 cs[i] = c * scale % p
                 scale = scale * a % p
-        return Poly(cs, p)
+        return Poly._raw(_trimmed(cs), p)
     acc = Poly.zero(p)
     for c in reversed(f.coeffs):
         acc = acc * g + c
@@ -461,7 +518,7 @@ def frob_pow(f: Poly, r: int) -> Poly:
     cs = [0] * ((len(f.coeffs) - 1) * q + 1)
     for i, c in enumerate(f.coeffs):
         cs[i * q] = c
-    return Poly(cs, f.modulus)
+    return Poly._raw(tuple(cs), f.modulus)
 
 
 # -- text format ------------------------------------------------------------

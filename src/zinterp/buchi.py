@@ -22,6 +22,7 @@ from typing import Optional
 from .algebra import (
     FeasibilityError,
     Poly,
+    _trimmed,
     frob_pow,
     kth_roots_mod,
 )
@@ -43,11 +44,23 @@ class BuchiSeq:
         return len(self.terms)
 
 
+def _next_term(prev: tuple[int, ...], cur: tuple[int, ...],
+               p: int) -> tuple[int, ...]:
+    """Coefficients of 2*cur - prev + 2 over F_p, from canonical coefficient
+    tuples: the term after prev, cur in a sequence whose second differences
+    are 2."""
+    n = max(len(prev), len(cur), 1)
+    prev += (0,) * (n - len(prev))
+    cur += (0,) * (n - len(cur))
+    cs = [(y + y - x) % p for x, y in zip(prev, cur)]
+    cs[0] = (cs[0] + 2) % p
+    return _trimmed(cs)
+
+
 def second_differences_equal_two(terms: tuple[Poly, ...], p: int) -> bool:
-    two = Poly.const(2, p)
     return all(
-        terms[i + 2] - terms[i + 1] - terms[i + 1] + terms[i] == two
-        for i in range(len(terms) - 2)
+        c.coeffs == _next_term(a.coeffs, b.coeffs, p)
+        for a, b, c in zip(terms, terms[1:], terms[2:])
     )
 
 
@@ -177,7 +190,7 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
     m = df // k
     for lc in kth_roots_mod(f.leading_coeff(), k, p):
         if k == 2:
-            cand = Poly(_square_root_descent(f.coeffs, lc, p), p)
+            cand = Poly._raw(tuple(_square_root_descent(f.coeffs, lc, p)), p)
             if cand * cand == f:
                 return cand
             continue
@@ -241,10 +254,11 @@ class BuchiOracleReport:
 def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int):
     """Follow u_{n+2} = 2u_{n+1} - u_n + 2 from (u1, u2); return the full
     term list if every term is a square, else None (early exit)."""
-    two = Poly.const(2, p)
     terms = [u1, u2]
+    prev, cur = u1.coeffs, u2.coeffs
     while len(terms) < length:
-        nxt = terms[-1] + terms[-1] - terms[-2] + two
+        prev, cur = cur, _next_term(prev, cur, p)
+        nxt = Poly._raw(cur, p)
         if square_root_poly(nxt) is None:
             return None
         terms.append(nxt)
@@ -292,13 +306,15 @@ def _scan_seed_block(args) -> tuple[int, list, list]:
     retained = []
     constants = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    second_squares = []
+    for s2_coeffs in itertools.product(range(p), repeat=d + 1):
+        s2 = Poly(s2_coeffs, p)
+        second_squares.append(s2 * s2)
     for s1_rest in itertools.product(range(p), repeat=d):
         s1 = Poly((s1_const,) + s1_rest, p)
         u1 = s1 * s1
-        for s2_coeffs in itertools.product(range(p), repeat=d + 1):
+        for u2 in second_squares:
             scanned += 1
-            s2 = Poly(s2_coeffs, p)
-            u2 = s2 * s2
             key = (u1.coeffs, u2.coeffs)
             if key in seen:
                 continue
@@ -306,8 +322,7 @@ def _scan_seed_block(args) -> tuple[int, list, list]:
             terms = _extend_all_squares(u1, u2, length, p)
             if terms is None:
                 continue
-            if all(not isinstance(t.degree, int) or t.degree == 0
-                   for t in terms):
+            if all(len(t.coeffs) <= 1 for t in terms):
                 constants.append(key)
                 continue
             match = _match_family(terms, p)

@@ -16,7 +16,8 @@ e2e_verify ties the pipeline together: it translates a closed sentence of
 the star language through the standard pair encoding, converts an integer
 witness into polynomial values for every bound variable of the output, and
 reports pass or fail for each instantiated clause.  Synthesis failures are
-reported, never raised.
+reported, never raised; only work past SYNTH_DEGREE_CAP raises
+FeasibilityError.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .algebra import (
+    FeasibilityError,
     Poly,
     frob_pow,
     poly_compose,
@@ -57,6 +59,12 @@ from .interp import (
 )
 from .pell import pell_index_recognize, pell_pair
 
+
+# Synthesis refuses to build polynomials of degree above this.  Witnesses
+# grow as deg(base) * p^r for the Frobenius-power certificates and as |n|
+# for pairs.  phi at p = 17, r = 4 (degree 83,521) takes about 2 s to
+# synthesize and 2 s to check; r = 5 is out of reach.
+SYNTH_DEGREE_CAP = 100_000
 
 # Family name -> builder of the closed sentence its witnesses satisfy.
 FAMILIES = {
@@ -131,6 +139,32 @@ def check_witness(w: Witness) -> bool:
 
 # -- elementary helpers ------------------------------------------------------------
 
+def _check_degree(degree: int) -> None:
+    if degree > SYNTH_DEGREE_CAP:
+        raise FeasibilityError(
+            f"synthesis would build degree {degree} or more, above the cap "
+            f"{SYNTH_DEGREE_CAP}"
+        )
+
+
+def _frob_scale(p: int, r: int, base_degree: int = 1) -> int:
+    """p^r, once base_degree * p^r is known to be within SYNTH_DEGREE_CAP.
+    The power grows one factor at a time, so a huge r fails at once."""
+    q = 1
+    for _ in range(r):
+        q *= p
+        _check_degree(base_degree * q)
+    return q
+
+
+def _pairs(ms, p: int) -> dict:
+    """pell_pair(m, p) for each distinct m; the pair for m has degree |m|."""
+    ms = set(ms)
+    for m in ms:
+        _check_degree(abs(m))
+    return {m: pell_pair(m, p) for m in ms}
+
+
 def _offset_quotient(x: Poly, p: int) -> Poly:
     """The z with x = 1 + (t-1)z; requires x(1) = 1."""
     t = Poly.gen(p)
@@ -187,6 +221,7 @@ def synth_pair(n: int, p: int) -> Witness:
     """Domain witness (x, y, z) for the pair encoding the integer n."""
     if p == 2:
         raise ValueError("the pair domain uses the conic form; p must be odd")
+    _check_degree(abs(n))
     pair = pell_pair(n, p)
     return _witness("theta", p, [pair.x, pair.y, _offset_quotient(pair.x, p)])
 
@@ -200,10 +235,10 @@ def _ge_p_values(g: Poly, r: int, p: int) -> list:
     """Values for the full power certificate's bound variables beyond the
     two related elements, in binder order: the conic point (u, v), then the
     three chains (GE_P_CHAIN_LENGTH sequence terms and a quotient each) for
-    bases t, t*g, and g."""
+    bases t, t*g, and g.  The largest has degree about deg(t*g) * p^r."""
+    q = _frob_scale(p, r, max(len(g.coeffs), 1))
     t = Poly.gen(p)
     one = Poly.one(p)
-    q = p ** r
     out = [Poly.monomial(1, q, p), (t * t - one) ** ((q - 1) // 2)]
     for base in (t, t * g, g):
         for i in range(GE_P_CHAIN_LENGTH):
@@ -224,7 +259,8 @@ def synth_ge_p(g: Poly, r: int, p: int) -> Witness:
         raise ValueError("odd characteristic required")
     if r < 0:
         raise ValueError("the Frobenius exponent must be nonnegative")
-    return _witness("beta", p, [frob_pow(g, r), g] + _ge_p_values(g, r, p))
+    rest = _ge_p_values(g, r, p)
+    return _witness("beta", p, [frob_pow(g, r), g] + rest)
 
 
 def synth_frob_power(r: int, p: int) -> Witness:
@@ -233,7 +269,7 @@ def synth_frob_power(r: int, p: int) -> Witness:
         raise ValueError("odd characteristic required")
     if r < 0:
         raise ValueError("the Frobenius exponent must be nonnegative")
-    q = p ** r
+    q = _frob_scale(p, r)
     pair = pell_pair(q, p)
     t = Poly.gen(p)
     one = Poly.one(p)
@@ -253,7 +289,7 @@ def synth_positive_power(k: int, r: int, p: int) -> Witness:
     Requires 1 <= k <= p^r so the quotient t^(p^r - k) exists.  The
     Frobenius-power witness for t^(p^r) fills the nested certificate.
     """
-    q = p ** r
+    q = _frob_scale(p, r)
     if not 1 <= k <= q:
         raise ValueError(f"k must satisfy 1 <= k <= {q}")
     inner = list(synth_frob_power(r, p).assignment.values())
@@ -407,7 +443,7 @@ def relation_instance(kind: str, ints, p: int):
     """
     interp = _interpretation()
     of = interp.domain if kind == "domain" else interp.symbols[kind]
-    pairs = {m: pell_pair(m, p) for m in set(ints)}
+    pairs = _pairs(ints, p)
     coords = []
     witness = {}
     for i, m in enumerate(ints):
@@ -469,7 +505,7 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
             formula_text=formula_text,
         )
 
-    pairs = {m: pell_pair(m, p) for m in set(values.values())}
+    pairs = _pairs(values.values(), p)
     witness = {}
     for base, m in values.items():
         witness[f"{base}.1"] = pairs[m].x

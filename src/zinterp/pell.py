@@ -202,8 +202,22 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     return None
 
 
-def _conic_solutions_for_y(y: Poly, t2m1: Poly, one: Poly):
-    u = one + t2m1 * (y * y)
+def _conic_solutions_for_y(y: Poly, p: int):
+    """The pairs (+-s, y) with s^2 = 1 + (t^2 - 1) y^2, over F_p, p odd.
+
+    With w = y^2, the coefficient of t^i in u = t^2 w - w + 1 is
+    w_(i-2) - w_i, plus 1 at i = 0; for w != 0 the top two are those of
+    t^2 w, so u needs no trimming.
+    """
+    w = (y * y).coeffs
+    if w:
+        shifted = (0, 0) + w
+        cs = [(x - c) % p for x, c in zip(shifted, w)]
+        cs += shifted[len(w):]
+        cs[0] = (cs[0] + 1) % p
+        u = Poly._raw(tuple(cs), p)
+    else:
+        u = Poly._raw((1,), p)
     s = square_root_poly(u)
     if s is None:
         return []
@@ -216,13 +230,10 @@ def _oracle_chunk_conic(args):
     Returns coefficient tuples so the sweep can cross process boundaries.
     """
     p, max_deg, const = args
-    t = Poly.gen(p)
-    one = Poly.one(p)
-    t2m1 = t * t - one
     found = []
     for rest in itertools.product(range(p), repeat=max_deg):
         y = Poly((const,) + rest, p)
-        for x, yy in _conic_solutions_for_y(y, t2m1, one):
+        for x, yy in _conic_solutions_for_y(y, p):
             found.append((x.coeffs, yy.coeffs))
     return found
 

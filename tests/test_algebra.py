@@ -207,6 +207,50 @@ def test_evaluation_is_ring_hom_z(a, b):
         assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
 
 
+def _assert_canonical(r, p):
+    """r is stored as the checking constructor would store it."""
+    assert type(r.coeffs) is tuple and r.modulus == p
+    assert all(type(c) is int for c in r.coeffs)
+    if p:
+        assert all(0 <= c < p for c in r.coeffs)
+    assert not r.coeffs or r.coeffs[-1] != 0
+    assert r.coeffs == Poly(list(r.coeffs), p).coeffs
+
+
+@st.composite
+def _canonical_cases(draw):
+    """(p, a, b, c): random a and b, and c = -a with its k lowest
+    coefficients replaced, so a + c cancels from the top down."""
+    p = draw(st.sampled_from((0, 2, 3, 5, 17)))
+    lo, hi = (0, p - 1) if p else (-9, 9)
+    coeffs = st.lists(st.integers(lo, hi), max_size=8)
+    a = Poly(draw(coeffs), p)
+    b = Poly(draw(coeffs), p)
+    k = draw(st.integers(0, len(a.coeffs)))
+    low = draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k))
+    c = Poly(low + [-x for x in a.coeffs[k:]], p)
+    return p, a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_canonical_cases(), e=st.integers(0, 3))
+def test_results_are_canonical(case, e):
+    p, a, b, c = case
+    results = [
+        a + b, a - b, b - a, -a, a * b, a ** e,
+        a + (-a), a - a, a + c, c + a, a - (-c), a + 3, 3 - a, a * 0,
+        poly_compose(a, b), poly_shift(a),
+    ]
+    if b.coeffs and (p or b.coeffs[-1] in (1, -1)):
+        results.extend(divmod(a, b))
+    if p:
+        results.append(frob_pow(a, 1))
+        if len(b.coeffs) == 2:
+            results.append(poly_compose(c, b))
+    for r in results:
+        _assert_canonical(r, p)
+
+
 def test_compose_is_hom(rng):
     for p in [5, 7]:
         for _ in range(50):

@@ -294,3 +294,75 @@ def test_no_false_rejects_on_seeded_positives(rng):
 def test_sequence_type_flags_invalid():
     bad = BuchiSeq((Poly.one(17), Poly.one(17), Poly.one(17)), 17, False)
     assert not second_differences_equal_two(bad.terms, 17)
+
+
+# -- coefficient-level loops against their Poly-level originals -----------------
+
+def _extend_all_squares_reference(u1, u2, length, p):
+    two = Poly.const(2, p)
+    terms = [u1, u2]
+    while len(terms) < length:
+        nxt = terms[-1] + terms[-1] - terms[-2] + two
+        if buchi.square_root_poly(nxt) is None:
+            return None
+        terms.append(nxt)
+    return terms
+
+
+def _second_differences_reference(terms, p):
+    two = Poly.const(2, p)
+    return all(
+        terms[i + 2] - terms[i + 1] - terms[i + 1] + terms[i] == two
+        for i in range(len(terms) - 2)
+    )
+
+
+def _seed_pairs(rng, p):
+    """Zero, constants, random squares, random non-squares and the seeds
+    of generated families."""
+    small = [Poly.zero(p), Poly.one(p), Poly.const(p - 1, p)]
+    pairs = [(a, b) for a in small for b in small]
+    for _ in range(40):
+        s1, s2 = random_poly(rng, p, 2), random_poly(rng, p, 2)
+        pairs.append((s1 * s1, s2 * s2))
+        pairs.append((random_poly(rng, p, 4), random_poly(rng, p, 4)))
+    for _ in range(10):
+        seq = buchi_generate(random_poly(rng, p, 2), rng.choice([0, 1]), 2, p)
+        pairs.append(seq.terms)
+    return pairs
+
+
+@pytest.mark.parametrize("p", [5, 17])
+def test_extend_all_squares_matches_reference(rng, p):
+    for u1, u2 in _seed_pairs(rng, p):
+        assert (_extend_all_squares(u1, u2, p, p)
+                == _extend_all_squares_reference(u1, u2, p, p)), (u1, u2)
+
+
+@pytest.mark.parametrize("p", [5, 17])
+def test_extension_recurrence_matches_reference(rng, monkeypatch, p):
+    # With every term accepted as a square, the whole recurrence is compared,
+    # including terms whose top coefficients cancel.
+    monkeypatch.setattr(buchi, "square_root_poly", lambda u: u)
+    for u1, u2 in _seed_pairs(rng, p):
+        got = _extend_all_squares(u1, u2, 6, p)
+        assert got == _extend_all_squares_reference(u1, u2, 6, p), (u1, u2)
+        assert all(t == Poly(list(t.coeffs), p) for t in got)
+
+
+@pytest.mark.parametrize("p", [5, 17])
+def test_second_differences_matches_reference(rng, p):
+    cases = []
+    for u1, u2 in _seed_pairs(rng, p):
+        seq = _extend_all_squares_reference(u1, u2, 5, p)
+        if seq is not None:
+            cases.append(tuple(seq))
+            bumped = list(seq)
+            bumped[rng.randrange(len(seq))] += Poly.monomial(1, rng.randrange(3), p)
+            cases.append(tuple(bumped))
+        cases.append((u1, u2, u1 + u2))
+        cases.append((u1, u2, u2 + u2 - u1 + 2))
+    for terms in cases:
+        assert (second_differences_equal_two(terms, p)
+                == _second_differences_reference(terms, p)), terms
+    assert any(second_differences_equal_two(t, p) for t in cases)

@@ -267,8 +267,31 @@ class TestSynthCommand:
         assert code == 2
         assert "target" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "phi", "-r", "5", "-p", "17"),
+        ("--family", "phi", "-r", "1000000000", "-p", "3"),
+        ("--family", "psi", "-k", "3", "-r", "9", "-p", "5"),
+        ("--family", "beta", "--base", "t + 1", "-r", "5", "-p", "17"),
+        ("--family", "beta", "--base", "1", "-r", "1000000000", "-p", "17"),
+        ("--family", "theta", "-n", "-1000001", "-p", "17"),
+    ], ids=["phi", "phi-huge-r", "psi", "beta", "beta-constant", "theta"])
+    def test_degree_cap_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, "synth", *argv)
+        assert code == 3
+        assert out == ""
+        assert "above the cap" in err
+
 
 class TestE2ECommand:
+    def test_degree_cap_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "e2e", "--sentence", "(exists (a b) (|* a b))",
+            "--witness", "a=1,b=1419857", "-p", "17",
+        )
+        assert code == 3
+        assert out == ""
+        assert "above the cap" in err
+
     def test_verifies_sum(self, capsys):
         code, out, _ = run(
             capsys, "e2e", "--sentence", "(exists (n) (= (+ 1 1) n))",

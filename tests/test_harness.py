@@ -5,12 +5,13 @@ import itertools
 import pytest
 from conftest import random_poly
 
-from zinterp.algebra import Poly, poly_divrem
+from zinterp.algebra import FeasibilityError, Poly, poly_divrem
 from zinterp.buchi import ge_p_check
 from zinterp.formula import bound_vars, check_sat, eval_qf
 from zinterp.harness import (
     E2EReport,
     FAMILIES,
+    SYNTH_DEGREE_CAP,
     Witness,
     _bind,
     check_witness,
@@ -387,3 +388,27 @@ class TestDomainSoundness:
             assert n is not None
             decoded.add(n)
         assert decoded == set(range(-4, 5))
+
+
+def test_degree_cap_refuses_oversized_synthesis():
+    t = Poly.gen(17)
+    over = [
+        lambda: synth_frob_power(5, 17),
+        lambda: synth_frob_power(10 ** 9, 3),
+        lambda: synth_positive_power(1, 10 ** 9, 5),
+        lambda: synth_ge_p(t, 5, 17),
+        lambda: synth_ge_p(Poly.zero(17), 10 ** 9, 17),
+        lambda: synth_pair(SYNTH_DEGREE_CAP + 1, 17),
+        lambda: synth_pair(-SYNTH_DEGREE_CAP - 1, 17),
+        lambda: e2e_verify("(exists (a b) (|* a b))", {"a": 1, "b": 17 ** 5}, 17),
+        lambda: relation_instance("=", (SYNTH_DEGREE_CAP + 1,) * 2, 17),
+    ]
+    for call in over:
+        with pytest.raises(FeasibilityError, match="above the cap"):
+            call()
+
+
+def test_degree_cap_admits_largest_benchmarked_jobs():
+    assert check_witness(synth_frob_power(3, 17))
+    assert check_witness(synth_ge_p(Poly((1, 2, 3, 4), 7), 2, 7))
+    assert synth_pair(SYNTH_DEGREE_CAP, 3).assignment["x"].degree == SYNTH_DEGREE_CAP

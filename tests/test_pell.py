@@ -2,12 +2,14 @@
 
 import pytest
 
+from zinterp import pell
 from zinterp.algebra import FeasibilityError, Poly, format_poly
 from zinterp.pell import (
     MODE_CHAR2,
     MODE_CONIC,
     PellPair,
     STEP_LIMIT,
+    _conic_solutions_for_y,
     _pair_by_doubling,
     _pair_by_steps,
     pell_add,
@@ -16,6 +18,8 @@ from zinterp.pell import (
     pell_pair,
     pell_verify,
 )
+
+from conftest import random_poly
 
 
 def pair_tuple(n, p, mode=None):
@@ -244,3 +248,29 @@ def test_pair_type_fields():
     pr = pell_pair(4, 7)
     assert isinstance(pr, PellPair)
     assert pr.p == 7 and pr.mode == MODE_CONIC and pr.n == 4
+
+
+# -- the conic oracle's coefficient loop against its Poly-level original ---------
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conic_candidate_matches_reference(rng, monkeypatch, p):
+    seen = []
+    monkeypatch.setattr(pell, "square_root_poly", lambda u: seen.append(u))
+    t, one = Poly.gen(p), Poly.one(p)
+    t2m1 = t * t - one
+    ys = [Poly.zero(p), one, Poly.const(p - 1, p), t]
+    ys += [random_poly(rng, p, rng.randint(0, 6)) for _ in range(60)]
+    for y in ys:
+        assert _conic_solutions_for_y(y, p) == []
+        u = seen.pop()
+        assert u == one + t2m1 * (y * y), y
+        assert u.coeffs == Poly(list(u.coeffs), p).coeffs
+
+
+def test_conic_candidate_solutions():
+    p = 5
+    pair = pell_pair(3, p)
+    sols = _conic_solutions_for_y(pair.y, p)
+    assert {x for x, _ in sols} == {pair.x, -pair.x}
+    assert all(y == pair.y for _, y in sols)
+    assert _conic_solutions_for_y(Poly.gen(p), p) == []
