@@ -91,16 +91,21 @@ class FeasibilityError(ValueError):
     """A brute-force sweep was asked to cover more cases than the guard allows."""
 
 
-def kth_roots_mod(a: int, k: int, p: int) -> list[int]:
+def kth_roots_mod(a: int, k: int, p: int) -> tuple[int, ...]:
     """All k-th roots of a modulo the prime p, ascending.
 
     Brute force over the field; the moduli used by the oracles are tiny.
+    Answers are cached on (a mod p, k, p), hence the immutable tuple.
     """
     _check_modulus(p)
     if p == 0:
         raise ValueError("k-th roots modulo 0 are not defined")
-    a %= p
-    return [c for c in range(p) if pow(c, k, p) == a]
+    return _kth_roots(a % p, k, p)
+
+
+@lru_cache(maxsize=1024)
+def _kth_roots(a: int, k: int, p: int) -> tuple[int, ...]:
+    return tuple([c for c in range(p) if pow(c, k, p) == a])
 
 
 def _trimmed(cs: list[int]) -> tuple[int, ...]:

@@ -577,10 +577,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PrecisionError as exc:
+    except (FeasibilityError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

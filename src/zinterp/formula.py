@@ -153,9 +153,9 @@ LANG_D = Lang(
 # -- parsing ---------------------------------------------------------------------
 
 # Deepest parenthesis nesting parse accepts, formulas and terms together.
-# Parsing, evaluation and translation recurse once per level, and check_sat
-# exhausts the default recursion limit between 300 and 400 levels; library
-# formulas and translated sentences stay under 20.
+# Parsing, evaluation and translation recurse once per level (translation
+# twice per and/or), so translation meets the default recursion limit first,
+# near 490 levels; library formulas and translated sentences stay under 20.
 MAX_PARSE_DEPTH = 200
 
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
@@ -178,10 +178,9 @@ def _tokenize(text: str):
 
 
 class _TokenStream:
-    def __init__(self, tokens, text):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.text = text
 
     def peek(self):
         if self.i >= len(self.tokens):
@@ -300,7 +299,7 @@ def _check_depth(tokens) -> None:
 def parse(text: str, lang: Lang) -> Formula:
     tokens = _tokenize(text)
     _check_depth(tokens)
-    ts = _TokenStream(tokens, text)
+    ts = _TokenStream(tokens)
     out = _parse_formula(ts, lang)
     if ts.i != len(ts.tokens):
         tok, pos = ts.tokens[ts.i]
@@ -308,29 +307,49 @@ def parse(text: str, lang: Lang) -> Formula:
     return out
 
 
+# The term walks take a tuple of terms (an Atom's or an App's args), so
+# the Var and Const leaves are handled in the loop, without a call each.
+
+def _print_terms(terms: tuple, out: list) -> None:
+    """Append " " and the text of each term to out."""
+    for a in terms:
+        tp = type(a)
+        if tp is Var or tp is Const:
+            out += (" ", a.name)
+        else:
+            out += (" (", a.fn) if a.args else (" (", a.fn, " ")
+            _print_terms(a.args, out)
+            out.append(")")
+
+
+def _print_formula(phi, out: list) -> None:
+    tp = type(phi)
+    if tp is Atom:
+        out += ("(", phi.rel)
+        _print_terms(phi.args, out)
+    elif tp is And or tp is Or:
+        out.append("(and" if tp is And else "(or")
+        for f in phi.parts:
+            out.append(" ")
+            _print_formula(f, out)
+    elif tp is Exists:
+        out += ("(exists (", " ".join(phi.names), ") ")
+        _print_formula(phi.body, out)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    out.append(")")
+
+
 def print_term(term: Term) -> str:
-    if isinstance(term, (Var, Const)):
-        return term.name
-    inner = " ".join(print_term(a) for a in term.args)
-    return f"({term.fn} {inner})"
+    out = []
+    _print_terms((term,), out)
+    return "".join(out)[1:]
 
 
 def print_formula(phi: Formula) -> str:
-    if isinstance(phi, Atom):
-        if phi.args:
-            inner = " ".join(print_term(a) for a in phi.args)
-            return f"({phi.rel} {inner})"
-        return f"({phi.rel})"
-    if isinstance(phi, And):
-        inner = " ".join(print_formula(f) for f in phi.parts)
-        return f"(and {inner})" if phi.parts else "(and)"
-    if isinstance(phi, Or):
-        inner = " ".join(print_formula(f) for f in phi.parts)
-        return f"(or {inner})" if phi.parts else "(or)"
-    if isinstance(phi, Exists):
-        names = " ".join(phi.names)
-        return f"(exists ({names}) {print_formula(phi.body)})"
-    raise TypeError(f"not a formula: {phi!r}")
+    out = []
+    _print_formula(phi, out)
+    return "".join(out)
 
 
 # -- structures ------------------------------------------------------------------
@@ -434,35 +453,44 @@ class IntStructure:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _eval_term(term: Term, env: Mapping, structure) -> object:
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise ValueError(f"unassigned variable {term.name!r}")
-        return env[term.name]
-    if isinstance(term, Const):
-        return structure.constant(term.name)
-    return structure.function(
-        term.fn, [_eval_term(a, env, structure) for a in term.args]
-    )
+def _eval_terms(terms: tuple, env: Mapping, structure) -> list:
+    values = []
+    for a in terms:
+        tp = type(a)
+        if tp is Var:
+            if a.name not in env:
+                raise ValueError(f"unassigned variable {a.name!r}")
+            values.append(env[a.name])
+        elif tp is Const:
+            values.append(structure.constant(a.name))
+        else:
+            values.append(
+                structure.function(a.fn, _eval_terms(a.args, env, structure))
+            )
+    return values
 
 
-def _eval(phi: Formula, env: dict, witness: Mapping, structure) -> bool:
-    if isinstance(phi, Atom):
-        args = [_eval_term(a, env, structure) for a in phi.args]
-        return structure.relation(phi.rel, args)
-    if isinstance(phi, And):
-        return all(_eval(f, env, witness, structure) for f in phi.parts)
-    if isinstance(phi, Or):
-        return any(_eval(f, env, witness, structure) for f in phi.parts)
-    if isinstance(phi, Exists):
-        inner = dict(env)
-        for name in phi.names:
-            if name not in witness:
-                raise ValueError(
-                    f"witness does not assign bound variable {name!r}"
-                )
-            inner[name] = witness[name]
-        return _eval(phi.body, inner, witness, structure)
+def _eval(phi: Formula, env: Mapping, structure) -> bool:
+    """Truth of phi with every variable it mentions, free or bound, read
+    from env.  Conjunctions and disjunctions stop at the first false or
+    true part, so later parts are not evaluated."""
+    tp = type(phi)
+    if tp is Atom:
+        return structure.relation(
+            phi.rel, _eval_terms(phi.args, env, structure)
+        )
+    if tp is And:
+        for f in phi.parts:
+            if not _eval(f, env, structure):
+                return False
+        return True
+    if tp is Or:
+        for f in phi.parts:
+            if _eval(f, env, structure):
+                return True
+        return False
+    if tp is Exists:
+        return _eval(phi.body, env, structure)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -473,7 +501,7 @@ def eval_qf(matrix: Formula, assignment: Mapping, p: int,
         structure = PolyStructure(p)
     if any(isinstance(f, Exists) for f in walk(matrix)):
         raise ValueError("matrix must be quantifier-free")
-    return _eval(matrix, dict(assignment), {}, structure)
+    return _eval(matrix, dict(assignment), structure)
 
 
 def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
@@ -483,15 +511,16 @@ def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
     need (any) values too."""
     if structure is None:
         structure = PolyStructure(p)
-    free = free_vars(phi)
+    free, bound = _scan(phi)
     if free:
         raise ValueError(f"formula is not closed; free: {sorted(free)}")
-    unassigned = bound_vars(phi) - set(witness)
+    unassigned = {name for name in bound if name not in witness}
     if unassigned:
         raise ValueError(
             f"witness does not assign bound variables {sorted(unassigned)}"
         )
-    return _eval(phi, {}, witness, structure)
+    # Closed and fully assigned: each variable takes its witness value.
+    return _eval(phi, witness, structure)
 
 
 # -- utilities --------------------------------------------------------------------
@@ -505,103 +534,74 @@ def walk(phi: Formula):
         yield from walk(phi.body)
 
 
+def _vars_into(terms: tuple, scope, out: set) -> None:
+    """Add the variables of terms that are not in scope to out."""
+    for a in terms:
+        tp = type(a)
+        if tp is Var:
+            if a.name not in scope:
+                out.add(a.name)
+        elif tp is not Const:
+            _vars_into(a.args, scope, out)
+
+
+def _scan_formula(phi: Formula, scope: set, free: set, bound: set) -> None:
+    tp = type(phi)
+    if tp is Atom:
+        _vars_into(phi.args, scope, free)
+    elif tp is And or tp is Or:
+        for f in phi.parts:
+            _scan_formula(f, scope, free, bound)
+    elif tp is Exists:
+        names = phi.names
+        bound.update(names)
+        if scope.isdisjoint(names):
+            entered = names
+        else:  # shadowing: the outer binder stays in scope on the way out
+            entered = [n for n in names if n not in scope]
+        scope.update(entered)
+        _scan_formula(phi.body, scope, free, bound)
+        scope.difference_update(entered)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+
+
+def _scan(phi: Formula) -> tuple:
+    """(free names, bound names) of phi, in one walk."""
+    free = set()
+    bound = set()
+    _scan_formula(phi, set(), free, bound)
+    return free, bound
+
+
 def term_vars(term: Term) -> set:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Const):
-        return set()
     out = set()
-    for a in term.args:
-        out |= term_vars(a)
+    _vars_into((term,), (), out)
     return out
 
 
 def free_vars(phi: Formula) -> set:
-    if isinstance(phi, Atom):
-        out = set()
-        for a in phi.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(phi, (And, Or)):
-        out = set()
-        for f in phi.parts:
-            out |= free_vars(f)
-        return out
-    if isinstance(phi, Exists):
-        return free_vars(phi.body) - set(phi.names)
-    raise TypeError(f"not a formula: {phi!r}")
+    return _scan(phi)[0]
 
 
 def bound_vars(phi: Formula) -> set:
-    out = set()
-    for node in walk(phi):
-        if isinstance(node, Exists):
-            out |= set(node.names)
-    return out
+    return _scan(phi)[1]
 
 
-def _subst_term(term: Term, mapping: Mapping) -> Term:
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, Const):
-        return term
-    return App(term.fn, tuple(_subst_term(a, mapping) for a in term.args))
-
-
-def substitute(phi: Formula, mapping: Mapping) -> Formula:
-    """Replace free variables by terms, renaming bound variables that would
-    capture a variable of an inserted term."""
-    mapping = {k: v for k, v in mapping.items()}
-    if isinstance(phi, Atom):
-        return Atom(phi.rel, tuple(_subst_term(a, mapping) for a in phi.args))
-    if isinstance(phi, (And, Or)):
-        parts = tuple(substitute(f, mapping) for f in phi.parts)
-        return And(parts) if isinstance(phi, And) else Or(parts)
-    if isinstance(phi, Exists):
-        live = {k: v for k, v in mapping.items() if k not in phi.names}
-        if not live:
-            return phi
-        incoming = set()
-        for v in live.values():
-            incoming |= term_vars(v)
-        taken = incoming | free_vars(phi) | set(phi.names) | set(live)
-        renames = {}
-        new_names = []
-        for name in phi.names:
-            if name in incoming:
-                fresh = name
-                k = 1
-                while fresh in taken:
-                    fresh = f"{name}_{k}"
-                    k += 1
-                taken.add(fresh)
-                renames[name] = Var(fresh)
-                new_names.append(fresh)
-            else:
-                new_names.append(name)
-        body = phi.body
-        if renames:
-            body = substitute(body, renames)
-        return Exists(tuple(new_names), substitute(body, live))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def conjoin(parts) -> Formula:
-    """n-ary conjunction; flattens nested conjunctions; empty input is TRUE."""
-    flat = []
-    for f in parts:
-        if isinstance(f, And):
-            flat.extend(f.parts)
+def _subst_args(args: tuple, mapping: Mapping) -> tuple:
+    """args with each variable in mapping replaced by its term.  Subterms
+    that nothing changes are shared, args itself included."""
+    out = []
+    changed = False
+    for a in args:
+        tp = type(a)
+        if tp is Var:
+            b = mapping.get(a.name, a)
+        elif tp is Const:
+            b = a
         else:
-            flat.append(f)
-    return And(tuple(flat))
-
-
-def disjoin(parts) -> Formula:
-    flat = []
-    for f in parts:
-        if isinstance(f, Or):
-            flat.extend(f.parts)
-        else:
-            flat.append(f)
-    return Or(tuple(flat))
+            inner = _subst_args(a.args, mapping)
+            b = a if inner is a.args else App(a.fn, inner)
+        changed = changed or b is not a
+        out.append(b)
+    return tuple(out) if changed else args

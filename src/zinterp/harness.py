@@ -57,14 +57,14 @@ from .interp import (
     positive_powers_of_t,
     translate_with_trace,
 )
-from .pell import pell_index_recognize, pell_pair
+from .pell import SYNTH_DEGREE_CAP, pell_index_recognize, pell_pair
 
 
-# Synthesis refuses to build polynomials of degree above this.  Witnesses
-# grow as deg(base) * p^r for the Frobenius-power certificates and as |n|
-# for pairs.  phi at p = 17, r = 4 (degree 83,521) takes about 2 s to
-# synthesize and 2 s to check; r = 5 is out of reach.
-SYNTH_DEGREE_CAP = 100_000
+# Synthesis refuses to build polynomials of degree above SYNTH_DEGREE_CAP.
+# Witnesses grow as deg(base) * p^r for the Frobenius-power certificates,
+# checked here, and as |n| for pairs, checked by pell_pair.  phi at p = 17,
+# r = 4 (degree 83,521) takes about 2 s to synthesize and 2 s to check;
+# r = 5 is out of reach.
 
 # Family name -> builder of the closed sentence its witnesses satisfy.
 FAMILIES = {
@@ -139,30 +139,23 @@ def check_witness(w: Witness) -> bool:
 
 # -- elementary helpers ------------------------------------------------------------
 
-def _check_degree(degree: int) -> None:
-    if degree > SYNTH_DEGREE_CAP:
-        raise FeasibilityError(
-            f"synthesis would build degree {degree} or more, above the cap "
-            f"{SYNTH_DEGREE_CAP}"
-        )
-
-
 def _frob_scale(p: int, r: int, base_degree: int = 1) -> int:
     """p^r, once base_degree * p^r is known to be within SYNTH_DEGREE_CAP.
     The power grows one factor at a time, so a huge r fails at once."""
     q = 1
     for _ in range(r):
         q *= p
-        _check_degree(base_degree * q)
+        if base_degree * q > SYNTH_DEGREE_CAP:
+            raise FeasibilityError(
+                f"synthesis would build degree {base_degree * q} or more, "
+                f"above the cap {SYNTH_DEGREE_CAP}"
+            )
     return q
 
 
 def _pairs(ms, p: int) -> dict:
-    """pell_pair(m, p) for each distinct m; the pair for m has degree |m|."""
-    ms = set(ms)
-    for m in ms:
-        _check_degree(abs(m))
-    return {m: pell_pair(m, p) for m in ms}
+    """pell_pair(m, p) for each distinct m."""
+    return {m: pell_pair(m, p) for m in set(ms)}
 
 
 def _offset_quotient(x: Poly, p: int) -> Poly:
@@ -221,7 +214,6 @@ def synth_pair(n: int, p: int) -> Witness:
     """Domain witness (x, y, z) for the pair encoding the integer n."""
     if p == 2:
         raise ValueError("the pair domain uses the conic form; p must be odd")
-    _check_degree(abs(n))
     pair = pell_pair(n, p)
     return _witness("theta", p, [pair.x, pair.y, _offset_quotient(pair.x, p)])
 

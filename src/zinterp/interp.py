@@ -47,7 +47,7 @@ from .formula import (
     TRUE,
     Term,
     Var,
-    _subst_term,
+    _subst_args,
     free_vars,
     parse,
     print_formula,
@@ -337,25 +337,19 @@ def outside_units(x="x") -> Formula:
     ))
 
 
-def _ones(count: int) -> Term:
-    term = ONE
+def _sum_copies(term: Term, count: int) -> Term:
+    """term + (term + ... + term), count copies nested to the right."""
+    out = term
     for _ in range(count - 1):
-        term = App("+", (ONE, term))
-    return term
-
-
-def _copies(name: str, count: int) -> Term:
-    term = Var(name)
-    for _ in range(count - 1):
-        term = App("+", (Var(name), term))
-    return term
+        out = App("+", (term, out))
+    return out
 
 
 def char_is(n: int) -> Formula:
     """Guard sentence: 1 summed n times equals 0."""
     if n < 1:
         raise ValueError("the count must be at least 1")
-    return _eq(_ones(n), ZERO)
+    return _eq(_sum_copies(ONE, n), ZERO)
 
 
 def char_at_least(p: int) -> Formula:
@@ -365,7 +359,7 @@ def char_at_least(p: int) -> Formula:
     primes = [q for q in range(2, p) if is_prime(q)]
     names = tuple(f"z{j}" for j in range(1, len(primes) + 1))
     parts = tuple(
-        _eq(_copies(name, q), ONE) for name, q in zip(names, primes)
+        _eq(_sum_copies(Var(name), q), ONE) for name, q in zip(names, primes)
     )
     return Exists(names, And(parts))
 
@@ -484,11 +478,11 @@ def _suffix_bound(phi: Formula, bound: tuple, mark: str,
     sub.update(mapping)
 
     def rename(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.rel, tuple(_subst_term(a, sub) for a in f.args))
-        if isinstance(f, (And, Or)):
-            parts = tuple(rename(g) for g in f.parts)
-            return And(parts) if isinstance(f, And) else Or(parts)
+        tp = type(f)
+        if tp is Atom:
+            return Atom(f.rel, _subst_args(f.args, sub))
+        if tp is And or tp is Or:
+            return tp(tuple([rename(g) for g in f.parts]))
         return Exists(tuple(names.get(n, n) for n in f.names), rename(f.body))
 
     return rename(phi), new

@@ -34,6 +34,10 @@ MODE_CHAR2 = "char2"
 STEP_LIMIT = 64
 ORACLE_CASE_LIMIT = 10 ** 7
 
+# Largest degree synthesis builds: pell_pair refuses |n| past it (the pair
+# has degree |n|), harness the larger Frobenius-power certificates.
+SYNTH_DEGREE_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class PellPair:
@@ -116,11 +120,17 @@ def pell_pair(n: int, p: int, mode: Optional[str] = None) -> PellPair:
     """The index-n solution pair over F_p[t] (or Z[t] when p = 0).
 
     Index 0 is (1, 0) and index 1 the fundamental pair; negative indices
-    invert: (x, -y) in the conic form, (x + t y, y) in char 2.
+    invert: (x, -y) in the conic form, (x + t y, y) in char 2.  Indices
+    past SYNTH_DEGREE_CAP raise FeasibilityError.
     """
     _check_modulus(p)
     mode = _infer_mode(p, mode)
     n_abs = abs(n)
+    if n_abs > SYNTH_DEGREE_CAP:
+        raise FeasibilityError(
+            f"pair index {n} would build degree {n_abs}, above the cap "
+            f"{SYNTH_DEGREE_CAP}"
+        )
     if n_abs <= STEP_LIMIT:
         pair = _pair_by_steps(n_abs, p, mode)
     else:

@@ -310,10 +310,19 @@ def test_is_prime_small():
 
 
 def test_kth_roots_mod():
-    assert kth_roots_mod(2, 2, 17) == [6, 11]
+    assert kth_roots_mod(2, 2, 17) == (6, 11)
     for c in kth_roots_mod(8, 3, 17):
         assert pow(c, 3, 17) == 8
-    assert kth_roots_mod(0, 5, 7) == [0]
+    assert kth_roots_mod(0, 5, 7) == (0,)
+
+
+def test_kth_roots_mod_cached_on_reduced_residue():
+    roots = kth_roots_mod(2, 2, 17)
+    assert kth_roots_mod(19, 2, 17) is roots
+    assert kth_roots_mod(-15, 2, 17) is roots
+    assert kth_roots_mod(2, 2, 19) == ()
+    with pytest.raises(ValueError):
+        kth_roots_mod(2, 2, 0)
 
 
 # -- text format -------------------------------------------------------------

@@ -25,6 +25,13 @@ class TestPellCommands:
         assert code == 0
         assert out.splitlines()[0] == "x = 0, y = 1"
 
+    @pytest.mark.parametrize("n", ["3000000", "-3000000", "100001"])
+    def test_gen_degree_cap_exits_3(self, capsys, n):
+        code, out, err = run(capsys, "pell", "gen", "-n", n, "-p", "5")
+        assert code == 3
+        assert out == ""
+        assert "above the cap 100000" in err
+
     def test_verify_accepts_generated_pair(self, capsys):
         code, out, _ = run(
             capsys, "pell", "verify",

@@ -3,6 +3,8 @@
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zinterp.algebra import Poly, parse_poly, poly_divides, poly_divrem
 from zinterp.formula import (
@@ -26,14 +28,12 @@ from zinterp.formula import (
     Var,
     bound_vars,
     check_sat,
-    conjoin,
-    disjoin,
     eval_qf,
     free_vars,
     parse,
     print_formula,
     print_term,
-    substitute,
+    term_vars,
     walk,
 )
 from zinterp.pell import pell_pair
@@ -387,32 +387,6 @@ def test_int_structure_evaluates_formulas():
 
 # -- utilities ---------------------------------------------------------------------
 
-def test_substitute_constant_for_variable():
-    phi = parse("(= x 1)", LANG_T)
-    out = substitute(phi, {"x": Const("t")})
-    assert out == parse("(= t 1)", LANG_T)
-    assert print_formula(out) == "(= t 1)"
-
-
-def test_substitute_respects_shadowing():
-    phi = parse("(exists (x) (= x 1))", LANG_T)
-    assert substitute(phi, {"x": Const("t")}) == phi
-
-
-def test_substitute_avoids_capture():
-    phi = parse("(exists (x) (= y (+ x 1)))", LANG_T)
-    out = substitute(phi, {"y": Var("x")})
-    assert free_vars(out) == {"x"}
-    assert out.names == ("x_1",)
-    assert print_formula(out) == "(exists (x_1) (= x (+ x_1 1)))"
-
-
-def test_substitute_term_arguments():
-    phi = parse("(= (+ x y) 0)", LANG_T)
-    out = substitute(phi, {"x": App("*", (Var("y"), Const("t")))})
-    assert print_formula(out) == "(= (+ (* y t) y) 0)"
-
-
 def test_free_and_bound_variables():
     phi = parse(
         "(exists (u v) (and (= u x) (exists (w) (= (+ v w) y))))", LANG_T
@@ -420,15 +394,6 @@ def test_free_and_bound_variables():
     assert free_vars(phi) == {"x", "y"}
     assert bound_vars(phi) == {"u", "v", "w"}
     assert print_term(App("+", (Var("v"), Var("w")))) == "(+ v w)"
-
-
-def test_conjoin_and_disjoin():
-    assert conjoin([]) == TRUE
-    a = parse("(= x 1)", LANG_T)
-    b = parse("(= y 0)", LANG_T)
-    assert conjoin([a, b]) == And((a, b))
-    assert conjoin([And((a, b)), a]) == And((a, b, a))
-    assert disjoin([Or((a,)), b]) == Or((a, b))
 
 
 def test_constructor_audit():
@@ -441,3 +406,290 @@ def test_constructor_audit():
         "(exists (a) (or (= a 0) (and (= a 1) (!= a t))))", LANG_T_SEM
     )
     assert all(isinstance(n, (Atom, And, Or, Exists)) for n in walk(phi))
+
+
+# -- differential tests: the walks against the recursive originals ----------------
+#
+# ref_* are the set-per-node recursive walks the accumulator walks replaced,
+# kept verbatim as references.  Free names, bound names, printed text,
+# truth values and error text must all agree.
+
+def ref_walk(phi):
+    yield phi
+    if isinstance(phi, (And, Or)):
+        for f in phi.parts:
+            yield from ref_walk(f)
+    elif isinstance(phi, Exists):
+        yield from ref_walk(phi.body)
+
+
+def ref_term_vars(term):
+    if isinstance(term, Var):
+        return {term.name}
+    if isinstance(term, Const):
+        return set()
+    out = set()
+    for a in term.args:
+        out |= ref_term_vars(a)
+    return out
+
+
+def ref_free_vars(phi):
+    if isinstance(phi, Atom):
+        out = set()
+        for a in phi.args:
+            out |= ref_term_vars(a)
+        return out
+    if isinstance(phi, (And, Or)):
+        out = set()
+        for f in phi.parts:
+            out |= ref_free_vars(f)
+        return out
+    if isinstance(phi, Exists):
+        return ref_free_vars(phi.body) - set(phi.names)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def ref_bound_vars(phi):
+    out = set()
+    for node in ref_walk(phi):
+        if isinstance(node, Exists):
+            out |= set(node.names)
+    return out
+
+
+def ref_print_term(term):
+    if isinstance(term, (Var, Const)):
+        return term.name
+    inner = " ".join(ref_print_term(a) for a in term.args)
+    return f"({term.fn} {inner})"
+
+
+def ref_print_formula(phi):
+    if isinstance(phi, Atom):
+        if phi.args:
+            inner = " ".join(ref_print_term(a) for a in phi.args)
+            return f"({phi.rel} {inner})"
+        return f"({phi.rel})"
+    if isinstance(phi, And):
+        inner = " ".join(ref_print_formula(f) for f in phi.parts)
+        return f"(and {inner})" if phi.parts else "(and)"
+    if isinstance(phi, Or):
+        inner = " ".join(ref_print_formula(f) for f in phi.parts)
+        return f"(or {inner})" if phi.parts else "(or)"
+    if isinstance(phi, Exists):
+        names = " ".join(phi.names)
+        return f"(exists ({names}) {ref_print_formula(phi.body)})"
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def ref_eval_term(term, env, structure):
+    if isinstance(term, Var):
+        if term.name not in env:
+            raise ValueError(f"unassigned variable {term.name!r}")
+        return env[term.name]
+    if isinstance(term, Const):
+        return structure.constant(term.name)
+    return structure.function(
+        term.fn, [ref_eval_term(a, env, structure) for a in term.args]
+    )
+
+
+def ref_eval(phi, env, witness, structure):
+    if isinstance(phi, Atom):
+        args = [ref_eval_term(a, env, structure) for a in phi.args]
+        return structure.relation(phi.rel, args)
+    if isinstance(phi, And):
+        return all(ref_eval(f, env, witness, structure) for f in phi.parts)
+    if isinstance(phi, Or):
+        return any(ref_eval(f, env, witness, structure) for f in phi.parts)
+    if isinstance(phi, Exists):
+        inner = dict(env)
+        for name in phi.names:
+            if name not in witness:
+                raise ValueError(
+                    f"witness does not assign bound variable {name!r}"
+                )
+            inner[name] = witness[name]
+        return ref_eval(phi.body, inner, witness, structure)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def ref_check_sat(phi, witness, structure):
+    free = ref_free_vars(phi)
+    if free:
+        raise ValueError(f"formula is not closed; free: {sorted(free)}")
+    unassigned = ref_bound_vars(phi) - set(witness)
+    if unassigned:
+        raise ValueError(
+            f"witness does not assign bound variables {sorted(unassigned)}"
+        )
+    return ref_eval(phi, {}, witness, structure)
+
+
+def ref_eval_qf(matrix, assignment, structure):
+    if any(isinstance(f, Exists) for f in ref_walk(matrix)):
+        raise ValueError("matrix must be quantifier-free")
+    return ref_eval(matrix, dict(assignment), {}, structure)
+
+
+def outcome(fn, *args):
+    """("ok", result) or (exception type name, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, TypeError, AttributeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_NAMES = ("a", "b", "x", "y")
+
+
+def _terms(depth):
+    leaf = st.one_of(
+        st.sampled_from(_NAMES).map(Var),
+        st.sampled_from(("0", "1")).map(Const),
+    )
+    if depth == 0:
+        return leaf
+    sub = _terms(depth - 1)
+    app = st.builds(
+        App, st.sampled_from(("+", "*")), st.tuples(sub, sub)
+    )
+    return st.one_of(leaf, app)
+
+
+TERMS = _terms(4)
+
+
+def _formulas(depth):
+    atom = st.builds(
+        Atom, st.sampled_from(("=", "!=", "|", "|*")), st.tuples(TERMS, TERMS)
+    )
+    if depth == 0:
+        return atom
+    sub = _formulas(depth - 1)
+    parts = st.lists(sub, max_size=3).map(tuple)
+    return st.one_of(
+        atom,
+        parts.map(And),
+        parts.map(Or),
+        st.builds(
+            Exists,
+            st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2,
+                     unique=True).map(tuple),
+            sub,
+        ),
+    )
+
+
+FORMULAS = _formulas(4)
+
+
+@st.composite
+def _sentences(draw):
+    """A formula, usually closed by a binder over its free names, and a
+    witness that may leave some bound names unassigned."""
+    phi = draw(FORMULAS)
+    free = sorted(ref_free_vars(phi))
+    if free and draw(st.integers(0, 3)):
+        phi = Exists(tuple(free), phi)
+    keep = names = sorted(ref_bound_vars(phi))
+    if names and not draw(st.integers(0, 3)):
+        keep = draw(st.lists(st.sampled_from(names), unique=True))
+    witness = {n: draw(st.integers(-4, 4)) for n in keep}
+    return phi, witness
+
+
+_DIFF = settings(max_examples=300, deadline=None, derandomize=True,
+                 database=None)
+
+
+@_DIFF
+@given(term=TERMS)
+def test_term_walks_match_reference(term):
+    assert term_vars(term) == ref_term_vars(term)
+    assert print_term(term) == ref_print_term(term)
+
+
+@_DIFF
+@given(phi=FORMULAS)
+def test_formula_walks_match_reference(phi):
+    assert free_vars(phi) == ref_free_vars(phi)
+    assert bound_vars(phi) == ref_bound_vars(phi)
+    text = print_formula(phi)
+    assert text == ref_print_formula(phi)
+    assert parse(text, LANG_T_SEM) == phi
+    assert print_formula(parse(text, LANG_T_SEM)) == text
+
+
+@_DIFF
+@given(case=_sentences())
+def test_check_sat_matches_reference(case):
+    phi, witness = case
+    ints = IntStructure(3)
+    assert outcome(check_sat, phi, witness, 3, ints) \
+        == outcome(ref_check_sat, phi, witness, ints)
+    polys = {n: Poly.const(v, 5) for n, v in witness.items()}
+    ring = PolyStructure(5)
+    assert outcome(check_sat, phi, polys, 5) \
+        == outcome(ref_check_sat, phi, polys, ring)
+
+
+@_DIFF
+@given(phi=_formulas(3), values=st.dictionaries(
+    st.sampled_from(_NAMES), st.integers(-4, 4)))
+def test_eval_qf_matches_reference(phi, values):
+    ints = IntStructure(3)
+    assert outcome(eval_qf, phi, values, 3, ints) \
+        == outcome(ref_eval_qf, phi, values, ints)
+
+
+def test_walk_errors_match_reference():
+    ints = IntStructure(3)
+    zero, one = Const("0"), Const("1")
+    false = Atom("=", (zero, one))
+    true = Atom("=", (one, one))
+    open_atom = Atom("=", (Var("x"), zero))
+    untaken = Or((true, Exists(("z",), Atom("=", (Var("z"), zero)))))
+    cases = [
+        (open_atom, {}),
+        (Exists(("y",), open_atom), {"y": 0}),
+        (untaken, {}),
+        (Exists(("z",), And((false, Exists(("w",), true)))), {"z": 1}),
+        (And((false, Var("x"))), {}),
+        (Or((true, 7)), {}),
+        (Exists(("a",), Or((Atom("=", (Var("a"), zero)), Const("1")))),
+         {"a": 0}),
+    ]
+    for phi, witness in cases:
+        want = outcome(ref_check_sat, phi, witness, ints)
+        assert want[0] != "ok"
+        assert outcome(check_sat, phi, witness, 3, ints) == want
+        assert outcome(free_vars, phi) == outcome(ref_free_vars, phi)
+        assert outcome(print_formula, phi) == outcome(ref_print_formula, phi)
+    assert outcome(check_sat, untaken, {}, 3, ints) == (
+        "ValueError", "witness does not assign bound variables ['z']"
+    )
+    assert outcome(check_sat, open_atom, {}, 3, ints) == (
+        "ValueError", "formula is not closed; free: ['x']"
+    )
+    # quantifier-free evaluation stops at the first false conjunct and the
+    # first true disjunct, so a malformed later part is never reached
+    for phi in (And((false, Var("x"))), Or((true, 7))):
+        assert outcome(eval_qf, phi, {}, 3, ints) \
+            == outcome(ref_eval_qf, phi, {}, ints)
+        assert outcome(eval_qf, phi, {}, 3, ints)[0] == "ok"
+    for phi in (And((true, Var("x"))), Or((false, 7))):
+        assert outcome(eval_qf, phi, {}, 3, ints) \
+            == outcome(ref_eval_qf, phi, {}, ints) \
+            == ("TypeError", f"not a formula: {phi.parts[1]!r}")
+    # applications and atoms without arguments
+    for term in (App("+", ()), App("*", (App("+", ()), Var("x")))):
+        assert print_term(term) == ref_print_term(term)
+    assert print_term(App("+", ())) == "(+ )"
+    assert print_formula(Atom("T", ())) == ref_print_formula(Atom("T", ())) \
+        == "(T)"
+    # a non-formula node anywhere is refused by the name walks
+    bad = And((true, Exists(("v",), Var("v"))))
+    for walk_fn in (free_vars, bound_vars, print_formula):
+        assert outcome(walk_fn, bad) == ("TypeError", "not a formula: Var(name='v')")

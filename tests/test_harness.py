@@ -1,11 +1,12 @@
 """Tests for witness synthesis, semantic checks, and e2e verification."""
 
+import hashlib
 import itertools
 
 import pytest
 from conftest import random_poly
 
-from zinterp.algebra import FeasibilityError, Poly, poly_divrem
+from zinterp.algebra import FeasibilityError, Poly, format_poly, poly_divrem
 from zinterp.buchi import ge_p_check
 from zinterp.formula import bound_vars, check_sat, eval_qf
 from zinterp.harness import (
@@ -412,3 +413,48 @@ def test_degree_cap_admits_largest_benchmarked_jobs():
     assert check_witness(synth_frob_power(3, 17))
     assert check_witness(synth_ge_p(Poly((1, 2, 3, 4), 7), 2, 7))
     assert synth_pair(SYNTH_DEGREE_CAP, 3).assignment["x"].degree == SYNTH_DEGREE_CAP
+
+
+# -- e2e report digest --------------------------------------------------------------
+
+# Fixed star sentences with integer witnesses: every relation, nested and
+# shadowing binders, taken and untaken disjuncts, true and false verdicts.
+E2E_BATCH = (
+    ("(exists (n) (= (+ 1 1) n))", {"n": 2}),
+    ("(exists (n) (and (| 1 n) (!= n 0)))", {"n": 3}),
+    ("(exists (n) (= (+ n n) (+ 1 1)))", {"n": 1}),
+    ("(exists (a b) (|* a b))", {"a": 2, "b": 34}),
+    ("(exists (a b) (|* a b))", {"a": -1, "b": 3}),
+    ("(exists (a b) (|* a b))", {"a": 1, "b": -19}),
+    ("(exists (a b) (= a b))", {"a": 1}),
+    ("(exists (a b) (or (|* a b) (= a (+ b 1))))", {"a": 4, "b": 3}),
+    ("(exists (a b c) (and (= (+ a b) c) (| a c) (!= a b)))",
+     {"a": 2, "b": -4, "c": -2}),
+    ("(exists (a) (exists (a) (= a 0)))", {"a": 0}),
+    ("(exists (a b) (and (= (+ a b) 1) (!= a b)))", {"a": 3, "b": -2}),
+    ("(exists (x) (or (= x 0) (and (| x 1) (!= x 1))))", {"x": -1}),
+    ("(exists (u v) (and (= (+ (+ u v) 1) (+ v u)) (| u v)))",
+     {"u": 0, "v": 5}),
+    ("(exists (m) (and (!= m 1) (exists (k) (= (+ m k) 0))))",
+     {"m": 1, "k": -1}),
+)
+
+
+# sha256 over every report field (witness values printed, names sorted);
+# fixed by the formula layer's recursive walks and unchanged since.
+E2E_BATCH_DIGEST = (
+    "17207a651f20bf6cf6f3b2dc1714c704bcebf43b0ad4f78f70f0c14efc525ee6"
+)
+
+
+def test_e2e_reports_pinned_by_digest():
+    h = hashlib.sha256()
+    for sentence, ints in E2E_BATCH:
+        for p in (17, 19):
+            r = e2e_verify(sentence, ints, p)
+            lines = [r.sentence, str(r.p), str(r.ok), r.error, r.formula_text]
+            lines += [f"{c.kind} {c.values} {c.ok} {c.note}" for c in r.clauses]
+            lines += [f"{name} = {format_poly(v)}"
+                      for name, v in sorted((r.witness or {}).items())]
+            h.update("\n".join(lines).encode() + b"\0")
+    assert h.hexdigest() == E2E_BATCH_DIGEST

@@ -2,6 +2,8 @@
 
 import pytest
 from conftest import random_poly
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zinterp.algebra import Poly, poly_divrem
 from zinterp.formula import (
@@ -27,6 +29,7 @@ from zinterp.interp import (
     InstRecord,
     Interpretation,
     OpenFormula,
+    _suffix_bound,
     add_graph,
     char_at_least,
     char_is,
@@ -763,3 +766,122 @@ def test_translated_sum_agrees_with_pell_arithmetic():
         }
         assert bound_vars(out) == set(witness)
         assert check_sat(out, witness, p)
+
+
+# -- differential test: instantiation against the recursive original -------------
+
+def ref_term_vars(term):
+    if isinstance(term, Var):
+        return {term.name}
+    if isinstance(term, Const):
+        return set()
+    out = set()
+    for a in term.args:
+        out |= ref_term_vars(a)
+    return out
+
+
+def ref_subst_term(term, mapping):
+    if isinstance(term, Var):
+        return mapping.get(term.name, term)
+    if isinstance(term, Const):
+        return term
+    return App(term.fn, tuple(ref_subst_term(a, mapping) for a in term.args))
+
+
+def ref_suffix_bound(phi, bound, mark, mapping):
+    """The per-leaf recursive rename-and-substitute walk, verbatim."""
+    new = tuple(b + mark for b in bound)
+    incoming = set()
+    for a in mapping.values():
+        incoming |= ref_term_vars(a)
+    clash = incoming & set(new)
+    if clash:
+        raise ValueError(
+            f"argument variables {sorted(clash)} collide with bound names; "
+            "pass a different suffix"
+        )
+    names = dict(zip(bound, new))
+    sub = {old: Var(n) for old, n in names.items()}
+    sub.update(mapping)
+
+    def rename(f):
+        if isinstance(f, Atom):
+            return Atom(f.rel, tuple(ref_subst_term(a, sub) for a in f.args))
+        if isinstance(f, (And, Or)):
+            parts = tuple(rename(g) for g in f.parts)
+            return And(parts) if isinstance(f, And) else Or(parts)
+        return Exists(tuple(names.get(n, n) for n in f.names), rename(f.body))
+
+    return rename(phi), new
+
+
+def _library_open_formulas():
+    interps = [
+        pell_interpretation(),
+        divisibility_in_star(),
+        dispatch([(char_is(5), pell_interpretation()),
+                  (char_at_least(7), pell_interpretation())]),
+    ]
+    out = []
+    for interp in interps:
+        out.append(interp.domain)
+        out.extend(interp.symbols[s] for s in sorted(interp.symbols))
+    return out
+
+
+LIBRARY = _library_open_formulas()
+
+_ARG_NAMES = ("a", "b", "w1.1", "z#1", "z1#1", "u#2", "x")
+
+
+def _arg_terms(depth):
+    leaf = st.one_of(
+        st.sampled_from(_ARG_NAMES).map(Var),
+        st.sampled_from(("0", "1", "t")).map(Const),
+    )
+    if depth == 0:
+        return leaf
+    sub = _arg_terms(depth - 1)
+    return st.one_of(
+        leaf, st.builds(App, st.sampled_from(("+", "*")), st.tuples(sub, sub))
+    )
+
+
+@st.composite
+def _instantiations(draw):
+    of = draw(st.sampled_from(LIBRARY))
+    args = draw(st.lists(_arg_terms(2), min_size=len(of.params),
+                         max_size=len(of.params)))
+    mark = draw(st.sampled_from(("", "#1", "#2", "!1", "#1#2")))
+    return of, tuple(args), mark
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_instantiations())
+def test_suffix_bound_matches_reference(case):
+    of, args, mark = case
+    mapping = dict(zip(of.params, args))
+
+    def run(fn):
+        try:
+            return fn(of.body, of.bound, mark, dict(mapping))
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = run(_suffix_bound), run(ref_suffix_bound)
+    assert got == want
+    if isinstance(want, tuple):
+        assert print_formula(got[0]) == print_formula(want[0])
+        assert bound_vars(got[0]) == set(got[1])
+
+
+def test_suffix_bound_covers_every_library_formula():
+    for idx, of in enumerate(LIBRARY):
+        args = tuple(Var(f"v{i}") for i in range(len(of.params)))
+        mapping = dict(zip(of.params, args))
+        mark = f"#{idx}"
+        got = _suffix_bound(of.body, of.bound, mark, mapping)
+        assert got == ref_suffix_bound(of.body, of.bound, mark, mapping)
+        assert instantiate(of, args, idx) == got
+        assert free_vars(got[0]) <= {a.name for a in args}

@@ -9,6 +9,7 @@ from zinterp.pell import (
     MODE_CONIC,
     PellPair,
     STEP_LIMIT,
+    SYNTH_DEGREE_CAP,
     _conic_solutions_for_y,
     _pair_by_doubling,
     _pair_by_steps,
@@ -60,6 +61,15 @@ def test_char2_small_indices():
     }
     for n, want in expect.items():
         assert pair_tuple(n, 2) == want
+
+
+def test_index_past_degree_cap_refused():
+    for n, p in ((SYNTH_DEGREE_CAP + 1, 5), (-SYNTH_DEGREE_CAP - 1, 3),
+                 (10 ** 12, 2), (-10 ** 12, 0)):
+        with pytest.raises(FeasibilityError, match="above the cap"):
+            pell_pair(n, p)
+    with pytest.raises(ValueError, match="modulus"):
+        pell_pair(10 ** 12, 4)
 
 
 def test_degree_formulas():
