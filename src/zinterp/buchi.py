@@ -9,13 +9,18 @@ polynomial square roots and k-th roots by coefficient matching, decides the
 Frobenius-power order (is f = g^(p^r)?), and runs a desk-scale search oracle
 that sweeps all square seed pairs and matches every surviving family back to
 a generated one.
+
+The oracle sieves seeds before any root extraction, on two facts: a square
+in F_p[t] takes a square or zero value at every point a of F_p; and with
+u1 = s1^2, u2 = s2^2 the terms are u1 + (n - 1)(u2 - u1) + (n - 1)(n - 2),
+so u_n(a) depends only on the pair (s1(a), s2(a)): one p x p table serves
+every point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -292,51 +297,23 @@ def _match_family(terms: list[Poly], p: int) -> Optional[tuple[Poly, int]]:
         r += 1
 
 
-def _scan_seed_block(args) -> tuple[int, list, list]:
-    """Sweep all (s1, s2) with the constant coefficient of s1 fixed.
-
-    Returns primitive data (coefficient tuples) so results cross process
-    boundaries without custom pickling: (seeds scanned, retained family
-    records, constant family keys).  Keys rather than counts, because the
-    same family surfaces in the blocks of both s1 and -s1 and the caller
-    dedupes globally.
-    """
-    p, d, s1_const, length = args
-    scanned = 0
-    retained = []
-    constants = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    second_squares = []
-    for s2_coeffs in itertools.product(range(p), repeat=d + 1):
-        s2 = Poly(s2_coeffs, p)
-        second_squares.append(s2 * s2)
-    for s1_rest in itertools.product(range(p), repeat=d):
-        s1 = Poly((s1_const,) + s1_rest, p)
-        u1 = s1 * s1
-        for u2 in second_squares:
-            scanned += 1
-            key = (u1.coeffs, u2.coeffs)
-            if key in seen:
-                continue
-            seen.add(key)
-            terms = _extend_all_squares(u1, u2, length, p)
-            if terms is None:
-                continue
-            if all(len(t.coeffs) <= 1 for t in terms):
-                constants.append(key)
-                continue
-            match = _match_family(terms, p)
-            if match is None:
-                retained.append((u1.coeffs, u2.coeffs, None, None))
-            else:
-                v, r = match
-                retained.append((u1.coeffs, u2.coeffs, v.coeffs, r))
-    return scanned, retained, constants
+def _sieve_masks(values: list[list[int]], p: int) -> list[list[int]]:
+    """masks[a][x]: the bitset of seed indices j for which u_3(a)..u_p(a)
+    are all squares or zero when s1(a) = x and s2(a) = values[j][a]."""
+    squares = {x * x % p for x in range(p)}
+    table = [[all((x * x + (n - 1) * (y * y - x * x) + (n - 1) * (n - 2)) % p
+                  in squares for n in range(3, p + 1)) for y in range(p)]
+             for x in range(p)]
+    at_value = [[0] * p for _ in range(p)]
+    for j, point_values in enumerate(values):
+        for a, y in enumerate(point_values):
+            at_value[a][y] |= 1 << j
+    # The sets at_value[a][y] are disjoint over y, so their sum is their union.
+    return [[sum(at_a[y] for y in range(p) if table[x][y]) for x in range(p)]
+            for at_a in at_value]
 
 
-def buchi_search_oracle(
-    p: int, d: int, workers: Optional[int] = None
-) -> BuchiOracleReport:
+def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
     """Sweep every seed pair u1 = s1^2, u2 = s2^2 with deg s_i <= d over F_p,
     keep the seeds whose recurrence extension stays square through p terms
     with some nonconstant term, and match each survivor to a generated
@@ -344,41 +321,49 @@ def buchi_search_oracle(
     (see BuchiOracleReport.flagged) for manual review rather than asserted
     away.
 
+    Seeds are first sieved by their values on F_p (see the module
+    docstring); only the survivors go through the exact extension.
+
     Restricted to p = 17: it is the smallest modulus where the length-17
     all-squares condition is the meaningful one.  Deduplication is by the
     seed squares themselves, so sign choices of s1, s2 collapse.
     """
+    if d < 0:
+        raise ValueError(f"seed degree bound must be nonnegative, got {d}")
     if p != 17:
         raise ValueError("the seed sweep is specified for p = 17 only")
     if d > SEARCH_DEGREE_CAP:
         raise FeasibilityError(
             f"seed degree {d} exceeds the sweep cap {SEARCH_DEGREE_CAP}"
         )
-    blocks = [(p, d, c, p) for c in range(p)]
-    if workers and workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_scan_seed_block, blocks)
-    else:
-        results = [_scan_seed_block(b) for b in blocks]
-
-    scanned = sum(r[0] for r in results)
-    constant_keys: set[tuple] = set()
-    merged: dict[tuple, tuple] = {}
-    for _, retained, constants in results:
-        constant_keys.update(constants)
-        for u1c, u2c, vc, r in retained:
-            merged[(u1c, u2c)] = (vc, r)
-    families = []
-    for (u1c, u2c) in sorted(merged):
-        vc, r = merged[(u1c, u2c)]
-        families.append(
-            BuchiFamily(
-                Poly(u1c, p),
-                Poly(u2c, p),
-                None if vc is None else Poly(vc, p),
-                r,
-            )
-        )
+    seeds = [Poly(cs, p) for cs in itertools.product(range(p), repeat=d + 1)]
+    values = [[s.evaluate(a) for a in range(p)] for s in seeds]
+    masks = _sieve_masks(values, p)
+    squares = [s * s for s in seeds]
+    seen = set()
+    constants = 0
+    families = {}
+    for i, point_values in enumerate(values):
+        survivors = -1
+        for a, x in enumerate(point_values):
+            survivors &= masks[a][x]
+        while survivors:
+            low = survivors & -survivors
+            survivors ^= low
+            u1, u2 = squares[i], squares[low.bit_length() - 1]
+            key = (u1.coeffs, u2.coeffs)
+            if key in seen:
+                continue
+            seen.add(key)
+            terms = _extend_all_squares(u1, u2, p, p)
+            if terms is None:
+                continue
+            if all(len(t.coeffs) <= 1 for t in terms):
+                constants += 1
+                continue
+            v, r = _match_family(terms, p) or (None, None)
+            families[key] = BuchiFamily(u1, u2, v, r)
     return BuchiOracleReport(
-        p, d, scanned, tuple(families), len(constant_keys)
+        p, d, len(seeds) ** 2, tuple(families[k] for k in sorted(families)),
+        constants,
     )

@@ -55,6 +55,7 @@ from .interp import (
 from .pell import (
     MODE_CHAR2,
     pell_enumerate_oracle,
+    pell_family,
     pell_index_recognize,
     pell_pair,
     pell_verify,
@@ -146,25 +147,10 @@ def cmd_pell_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _expected_pell_family(p: int, max_y_degree: int, mode) -> set:
-    expected = set()
-    n = 0
-    while True:
-        pos = pell_pair(n, p, mode)
-        if pos.y.degree > max_y_degree:
-            return expected
-        neg = pell_pair(-n, p, mode)
-        for pair in (pos, neg):
-            expected.add((pair.x, pair.y))
-            if pair.p != 2 and pair.mode != MODE_CHAR2:
-                expected.add((-pair.x, pair.y))
-        n += 1
-
-
 def cmd_pell_oracle(args) -> int:
     mode = MODE_CHAR2 if (args.char2 or args.p == 2) else None
-    found = pell_enumerate_oracle(args.p, args.D, mode, workers=args.workers)
-    expected = _expected_pell_family(args.p, args.D, mode)
+    found = pell_enumerate_oracle(args.p, args.D, mode)
+    expected = pell_family(args.p, args.D, mode)
     for x, y in sorted(found, key=lambda s: (s[1].coeffs, s[0].coeffs)):
         print(f"x = {format_poly(x)}, y = {format_poly(y)}")
     match = found == frozenset(expected)
@@ -273,7 +259,7 @@ def cmd_buchi_gen(args) -> int:
 
 
 def cmd_buchi_oracle(args) -> int:
-    report = buchi_search_oracle(args.p, args.d, workers=args.workers)
+    report = buchi_search_oracle(args.p, args.d)
     print(f"seeds scanned: {report.seeds_scanned}")
     print(f"retained nonconstant families: {len(report.retained)}")
     print(f"constant families: {report.constant_families}")
@@ -451,14 +437,12 @@ def _add_pell_oracle_args(sub) -> None:
     sub.add_argument("-p", type=int, required=True, help="characteristic")
     sub.add_argument("-D", type=int, required=True, help="max degree of y")
     sub.add_argument("--char2", action="store_true", help="characteristic-2 form")
-    sub.add_argument("--workers", type=int, default=None)
     sub.set_defaults(handler=cmd_pell_oracle)
 
 
 def _add_buchi_oracle_args(sub) -> None:
     sub.add_argument("-d", type=int, required=True, help="seed degree bound")
     sub.add_argument("-p", type=int, default=17, help="characteristic (17)")
-    sub.add_argument("--workers", type=int, default=None)
     sub.set_defaults(handler=cmd_buchi_oracle)
 
 

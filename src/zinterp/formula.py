@@ -364,6 +364,9 @@ class PolyStructure:
 
     def __init__(self, p: int):
         self.p = p
+        self._constants = {
+            "0": Poly.zero(p), "1": Poly.one(p), "t": Poly.gen(p),
+        }
         self._relations: dict[str, Callable] = {
             "=": lambda a, b: a == b,
             "|": lambda a, b: poly_divides(a, b),
@@ -378,13 +381,10 @@ class PolyStructure:
         self._relations[name] = fn
 
     def constant(self, name: str):
-        if name == "0":
-            return Poly.zero(self.p)
-        if name == "1":
-            return Poly.one(self.p)
-        if name == "t":
-            return Poly.gen(self.p)
-        raise ValueError(f"no constant {name!r} in F_p[t]")
+        value = self._constants.get(name)
+        if value is None:
+            raise ValueError(f"no constant {name!r} in F_p[t]")
+        return value
 
     def function(self, name: str, args):
         if name == "+":

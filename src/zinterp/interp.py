@@ -765,8 +765,10 @@ class _Translator:
         if isinstance(phi, Atom):
             return self.atom(phi, env)
         if isinstance(phi, (And, Or)):
-            parts = tuple(self.go(f, env) for f in phi.parts)
-            return And(parts) if isinstance(phi, And) else Or(parts)
+            parts = []
+            for f in phi.parts:
+                parts.append(self.go(f, env))
+            return type(phi)(tuple(parts))
         inner = dict(env)
         names = []
         parts = []

@@ -16,12 +16,16 @@ step directions.
 Pairs at large indices are assembled by binary doubling through the
 bilinear index-addition laws; the stepwise and doubling paths are
 cross-checked in the tests.
+
+The conic oracle sieves each y before root extraction, on two facts: a
+square in F_p[t] takes a square or zero value at every point a of F_p; and
+u = 1 + (t^2 - 1) y^2 has the value u(a) = 1 + (a^2 - 1) y(a)^2, which depends
+on the constant coefficient c0 of y only through c0 + tail(a), tail = y - c0.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -234,54 +238,70 @@ def _conic_solutions_for_y(y: Poly, p: int):
     return [(s, y), (-s, y)]
 
 
-def _oracle_chunk_conic(args):
-    """All solutions whose y has the given constant coefficient.
+def _oracle_conic(p: int, max_deg: int) -> list:
+    """All conic solutions with deg y <= max_deg, sweeping y = c0 + tail.
 
-    Returns coefficient tuples so the sweep can cross process boundaries.
+    For each tail, one AND over the points gives the bitset of the c0 whose
+    values u(a) are all squares or zero (see the module docstring); only
+    those y go through root extraction.  Points with a^2 = 1 give u(a) = 1
+    and are skipped.
     """
-    p, max_deg, const = args
+    squares = {x * x % p for x in range(p)}
+    points = [a for a in range(p) if (a * a - 1) % p]
+    masks = [
+        [
+            sum(1 << c for c in range(p)
+                if (1 + (a * a - 1) * (c + v) ** 2) % p in squares)
+            for v in range(p)
+        ]
+        for a in points
+    ]
+    powers = [[pow(a, i, p) for i in range(1, max_deg + 1)] for a in points]
     found = []
-    for rest in itertools.product(range(p), repeat=max_deg):
-        y = Poly((const,) + rest, p)
-        for x, yy in _conic_solutions_for_y(y, p):
-            found.append((x.coeffs, yy.coeffs))
+    for tail in itertools.product(range(p), repeat=max_deg):
+        survivors = (1 << p) - 1
+        for row, pw in zip(masks, powers):
+            survivors &= row[sum(c * w for c, w in zip(tail, pw)) % p]
+        for c0 in range(p):
+            if survivors >> c0 & 1:
+                found.extend(_conic_solutions_for_y(Poly((c0,) + tail, p), p))
     return found
 
 
-def _oracle_chunk_char2(args):
-    """Char-2 sweep block: for each y, x is swept over deg x <= deg y + 1.
+def _oracle_char2(p: int, max_deg: int) -> list:
+    """Char-2 sweep: for each y, x is swept over deg x <= deg y + 1.
 
     The degree cap is forced by the equation: if deg x > deg y + 1, the
     leading term of x^2 dominates t x y + y^2 + 1 and cannot cancel.
     """
-    p, max_deg, const = args
     t = Poly.gen(p)
     one = Poly.one(p)
     found = []
-    for rest in itertools.product(range(p), repeat=max_deg):
-        y = Poly((const,) + rest, p)
+    for y_coeffs in itertools.product(range(p), repeat=max_deg + 1):
+        y = Poly(y_coeffs, p)
         for x_coeffs in itertools.product(range(p), repeat=max_deg + 2):
             x = Poly(x_coeffs, p)
             if x * x + t * x * y + y * y == one:
-                found.append((x.coeffs, y.coeffs))
+                found.append((x, y))
     return found
 
 
-def pell_enumerate_oracle(
-    p: int,
-    max_y_degree: int,
-    mode: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> frozenset:
+def pell_enumerate_oracle(p: int, max_y_degree: int,
+                          mode: Optional[str] = None) -> frozenset:
     """Every solution pair with deg y <= max_y_degree, by brute force.
 
     Conic form: sweep y and test 1 + (t^2 - 1) y^2 for a polynomial square
-    root.  Char 2: sweep y and x, with deg x capped at deg y + 1 by the
-    leading-term argument documented on the chunk worker.  Independent of
-    pell_pair, so the two can be compared as generator versus oracle.
+    root, after a point-value sieve (see _oracle_conic).  Char 2: sweep y
+    and x, with deg x capped at deg y + 1 by the leading-term argument
+    documented on _oracle_char2.  Independent of pell_pair, so the two can
+    be compared as generator versus oracle.
     """
     if p < 2:
         raise ValueError("the oracle sweeps a finite field; p must be prime")
+    if max_y_degree < 0:
+        raise ValueError(
+            f"degree bound on y must be nonnegative, got {max_y_degree}"
+        )
     mode = _infer_mode(p, mode)
     cases = p ** (max_y_degree + 1)
     if mode == MODE_CHAR2:
@@ -290,15 +310,22 @@ def pell_enumerate_oracle(
         raise FeasibilityError(
             f"{cases} candidate pairs exceed the sweep limit {ORACLE_CASE_LIMIT}"
         )
-    chunk = _oracle_chunk_char2 if mode == MODE_CHAR2 else _oracle_chunk_conic
-    blocks = [(p, max_y_degree, c) for c in range(p)]
-    if workers and workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(chunk, blocks)
-    else:
-        results = [chunk(b) for b in blocks]
-    return frozenset(
-        (Poly(xc, p), Poly(yc, p))
-        for block in results
-        for xc, yc in block
-    )
+    _check_modulus(p)
+    sweep = _oracle_char2 if mode == MODE_CHAR2 else _oracle_conic
+    return frozenset(sweep(p, max_y_degree))
+
+
+def pell_family(p: int, max_y_degree: int, mode: Optional[str] = None) -> set:
+    """Every solution with deg y <= max_y_degree, generated from the indexed
+    pairs: (+-x_n, y_n) in the conic form, (x_n, y_n) in char 2, over all
+    indices n.  The set pell_enumerate_oracle must return."""
+    expected = set()
+    for n in itertools.count():
+        pos = pell_pair(n, p, mode)
+        if pos.y.degree > max_y_degree:
+            return expected
+        neg = pell_pair(-n, p, mode)
+        for pair in (pos, neg):
+            expected.add((pair.x, pair.y))
+            if pair.mode != MODE_CHAR2:
+                expected.add((-pair.x, pair.y))

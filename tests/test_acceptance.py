@@ -119,7 +119,7 @@ def test_criterion_2_pell_oracle_set_equality(capsys):
 def test_criterion_3_buchi_oracle_sweep(capsys):
     p = 17
     start = time.monotonic()
-    report = buchi_search_oracle(p, 1, workers=4)
+    report = buchi_search_oracle(p, 1)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     assert report.seeds_scanned == 83521

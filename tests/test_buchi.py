@@ -270,10 +270,105 @@ def test_oracle_seeded_positive_is_retained():
     )
 
 
-def test_oracle_workers_agree_with_serial():
-    serial = buchi_search_oracle(17, 1)
-    parallel = buchi_search_oracle(17, 1, workers=2)
-    assert serial == parallel
+def _unsieved_oracle(p, d):
+    """The seed sweep without the point-value sieve: every seed pair goes
+    through the exact extension, as the oracle did before the sieve."""
+    scanned = 0
+    seen = set()
+    constants = set()
+    families = {}
+    seeds = [Poly(cs, p) for cs in itertools.product(range(p), repeat=d + 1)]
+    for s1 in seeds:
+        u1 = s1 * s1
+        for s2 in seeds:
+            u2 = s2 * s2
+            scanned += 1
+            key = (u1.coeffs, u2.coeffs)
+            if key in seen:
+                continue
+            seen.add(key)
+            terms = _extend_all_squares(u1, u2, p, p)
+            if terms is None:
+                continue
+            if all(len(t.coeffs) <= 1 for t in terms):
+                constants.add(key)
+                continue
+            match = _match_family(terms, p)
+            v, r = (None, None) if match is None else match
+            families[key] = buchi.BuchiFamily(u1, u2, v, r)
+    retained = tuple(families[k] for k in sorted(families))
+    return buchi.BuchiOracleReport(p, d, scanned, retained, len(constants))
+
+
+def _record_exact_path(monkeypatch):
+    """The seed squares the oracle hands to the exact extension, in order."""
+    reached = []
+
+    def recording(u1, u2, length, p):
+        reached.append((u1.coeffs, u2.coeffs))
+        return _extend_all_squares(u1, u2, length, p)
+
+    monkeypatch.setattr(buchi, "_extend_all_squares", recording)
+    return reached
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_oracle_equals_unsieved_reference(d):
+    assert buchi_search_oracle(17, d) == _unsieved_oracle(17, d)
+
+
+def test_oracle_sieve_passes_exactly_the_square_valued_seeds(monkeypatch):
+    # A seed reaches the exact extension iff every term u_3..u_17 takes a
+    # square or zero value at every point of F_17: the sieve is neither
+    # weaker nor stronger than the point test it stands for.
+    p = 17
+    reached = _record_exact_path(monkeypatch)
+    buchi_search_oracle(p, 1)
+    squares = {x * x % p for x in range(p)}
+    pair_ok = {}
+    for x, y in itertools.product(range(p), repeat=2):
+        u1, u2 = x * x, y * y
+        pair_ok[x, y] = all(
+            (u1 + (n - 1) * (u2 - u1) + (n - 1) * (n - 2)) % p in squares
+            for n in range(3, p + 1)
+        )
+    seeds = [Poly(cs, p) for cs in itertools.product(range(p), repeat=2)]
+    values = [[s.evaluate(a) for a in range(p)] for s in seeds]
+    expected = {
+        ((s1 * s1).coeffs, (s2 * s2).coeffs)
+        for s1, v1 in zip(seeds, values)
+        for s2, v2 in zip(seeds, values)
+        if all(pair_ok[x, y] for x, y in zip(v1, v2))
+    }
+    assert len(reached) == len(set(reached))
+    assert set(reached) == expected
+    assert len(expected) == 289
+
+
+def test_oracle_degree_two_sweep(monkeypatch):
+    # 4,913 = 4,896 + 17: the sieve hands the exact path only seeds of
+    # real families and constants.  An independent brute force over all
+    # 24,137,569 pairs and 17 points finds the same 4,913 seed squares
+    # (19,648 pairs) with every value square or zero.
+    p = 17
+    reached = _record_exact_path(monkeypatch)
+    report = buchi_search_oracle(p, 2)
+    assert len(reached) == len(set(reached)) == 4913
+    assert report.seeds_scanned == 24137569
+    assert report.constant_families == 17
+    assert len(report.retained) == 4896
+    assert report.flagged == ()
+    expected = {
+        (Poly(cs, p), 0)
+        for cs in itertools.product(range(p), repeat=3)
+        if cs[1] or cs[2]
+    }
+    assert {(fam.v, fam.r) for fam in report.retained} == expected
+
+
+def test_oracle_rejects_negative_degree_bound():
+    with pytest.raises(ValueError, match="seed degree bound"):
+        buchi_search_oracle(17, -1)
 
 
 def test_no_false_rejects_on_seeded_positives(rng):

@@ -1,7 +1,13 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import zinterp
 from zinterp.cli import main
 from zinterp.formula import print_formula
 from zinterp.interp import char_is
@@ -60,6 +66,13 @@ class TestPellCommands:
         _, direct, _ = run(capsys, "pell", "oracle", "-p", "3", "-D", "1")
         _, fronted, _ = run(capsys, "oracle", "pell", "-p", "3", "-D", "1")
         assert direct == fronted
+
+    @pytest.mark.parametrize("p", ["5", "2"])
+    def test_oracle_negative_degree_bound_exits_2(self, capsys, p):
+        code, out, err = run(capsys, "pell", "oracle", "-p", p, "-D", "-1")
+        assert code == 2
+        assert out == ""
+        assert "degree bound on y must be nonnegative, got -1" in err
 
 
 class TestNewtonCommands:
@@ -154,6 +167,12 @@ class TestBuchiCommands:
         assert "seeds scanned: 289" in out
         assert "constant families: 17" in out
         assert "flagged=0" in out
+
+    def test_oracle_negative_degree_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "buchi", "oracle", "-d", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed degree bound must be nonnegative, got -1" in err
 
 
 class TestCompileCommand:
@@ -353,3 +372,16 @@ class TestDemoAndUsage:
             main(["nosuch"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_import_leaves_multiprocessing_out(self):
+        # Every sweep runs in-process; importing multiprocessing would only
+        # add to the start-up time of every command.
+        src = str(Path(zinterp.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zinterp, zinterp.cli; "
+             "print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert probe.stdout == "False\n"

@@ -403,6 +403,17 @@ class TestInterpretation:
         with pytest.raises(ValueError):
             Interpretation("broken", LANG_STAR, LANG_T, 2, I.domain, symbols)
 
+    def test_translate_deep_conjunction_built_in_code(self):
+        # Formulas built in code are not held to the parser's depth limit;
+        # translation spends one frame per and/or level, like the other
+        # walks, so a 600-level chain translates.
+        n = Var("n")
+        phi = Atom("=", (n, n))
+        for _ in range(600):
+            phi = And((Atom("=", (n, n)), phi))
+        out = translate(pell_interpretation(), Exists(("n",), phi))
+        assert isinstance(out, Exists)
+
     def test_identity_interpretation(self):
         I = identity_interpretation(LANG_STAR)
         assert I.dim == 1

@@ -1,5 +1,7 @@
 """Tests for Pell pair generation, addition, recognition, and the oracle."""
 
+import itertools
+
 import pytest
 
 from zinterp import pell
@@ -245,8 +247,48 @@ def test_oracle_char2_frozen():
     assert len(got) == 7
 
 
-def test_oracle_workers_agree():
-    assert pell_enumerate_oracle(3, 2, workers=2) == pell_enumerate_oracle(3, 2)
+def _unsieved_oracle(p, max_deg):
+    """The conic sweep without the point-value sieve: every y goes through
+    the exact square-root test, as the oracle did before the sieve."""
+    found = set()
+    for coeffs in itertools.product(range(p), repeat=max_deg + 1):
+        found.update(_conic_solutions_for_y(Poly(coeffs, p), p))
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("p, max_deg", [(3, 3), (5, 3), (7, 2), (11, 1)])
+def test_oracle_equals_unsieved_reference(p, max_deg):
+    assert pell_enumerate_oracle(p, max_deg) == _unsieved_oracle(p, max_deg)
+
+
+@pytest.mark.parametrize("p, max_deg", [(3, 2), (5, 3), (7, 2), (11, 1)])
+def test_oracle_sieve_passes_exactly_the_square_valued_ys(
+        monkeypatch, p, max_deg):
+    # y reaches the exact square-root test iff 1 + (a^2 - 1) y(a)^2 is a
+    # square or zero at every point a of F_p.
+    reached = []
+
+    def recording(y, q):
+        reached.append(y)
+        return _conic_solutions_for_y(y, q)
+
+    monkeypatch.setattr(pell, "_conic_solutions_for_y", recording)
+    pell_enumerate_oracle(p, max_deg)
+    squares = {x * x % p for x in range(p)}
+    ys = [Poly(cs, p) for cs in itertools.product(range(p), repeat=max_deg + 1)]
+    expected = [
+        y for y in ys
+        if all((1 + (a * a - 1) * y.evaluate(a) ** 2) % p in squares
+               for a in range(p))
+    ]
+    assert len(reached) == len(set(reached))
+    assert set(reached) == set(expected)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_oracle_rejects_negative_degree_bound(p):
+    with pytest.raises(ValueError, match="degree bound"):
+        pell_enumerate_oracle(p, -1)
 
 
 def test_oracle_feasibility_guard():
