@@ -275,7 +275,8 @@ def _match_family(terms: list[Poly], p: int) -> Optional[tuple[Poly, int]]:
 
     The first term pins deg v via deg u1 = (p^r + 1) deg v, so only finitely
     many r are possible; each candidate root of u1 is adjusted by the
-    (p^r + 1)-th roots of unity before the whole sequence is compared.
+    (p^r + 1)-th roots of unity.  Every such v matches u1, so only a v that
+    also matches the second term has its whole sequence built and compared.
     """
     u1 = terms[0]
     d1 = u1.degree
@@ -291,6 +292,9 @@ def _match_family(terms: list[Poly], p: int) -> Optional[tuple[Poly, int]]:
             if w is not None:
                 for unit in kth_roots_mod(1, k, p):
                     v = Poly.const(unit, p) * w - Poly.one(p)
+                    two = Poly.const(2, p) + v
+                    if len(terms) > 1 and frob_pow(two, r) * two != terms[1]:
+                        continue
                     seq = buchi_generate(v, r, len(terms), p)
                     if list(seq.terms) == terms:
                         return v, r

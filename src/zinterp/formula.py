@@ -6,6 +6,13 @@ universal quantification do not exist as nodes, so everything built here is
 positive-existential by construction.  Inequality, where needed, is an
 ordinary relation symbol with registered semantics, not a negation.
 
+Nodes are slots dataclasses, a half to a third as costly to build as frozen
+ones, with the same == and hash.  They stay immutable by convention: no code
+assigns a field of a built node, because one node may sit in many formulas
+(TRUE, interp's T_CONST, ONE and ZERO, and the ground subterms of
+instantiation templates such as (* t t)).  So an instance of a library
+formula may share ground subterms with other instances.
+
 Terms and formulas are written as s-expressions:
 
     (exists (y) (= (* y y) (+ 1 1)))
@@ -36,17 +43,17 @@ from .buchi import ge_p_check
 
 # -- abstract syntax -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     fn: str
     args: tuple
@@ -55,23 +62,23 @@ class App:
 Term = Union[Var, Const, App]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Atom:
     rel: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class And:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Exists:
     names: tuple
     body: "Formula"
@@ -107,16 +114,10 @@ class Lang:
                 raise ValueError(f"symbol {n!r} is a reserved keyword")
 
     def function_arity(self, name: str) -> Optional[int]:
-        for n, a in self.functions:
-            if n == name:
-                return a
-        return None
+        return dict(self.functions).get(name)
 
     def relation_arity(self, name: str) -> Optional[int]:
-        for n, a in self.relations:
-            if n == name:
-                return a
-        return None
+        return dict(self.relations).get(name)
 
     def is_constant(self, name: str) -> bool:
         return name in self.constants
@@ -153,9 +154,10 @@ LANG_D = Lang(
 # -- parsing ---------------------------------------------------------------------
 
 # Deepest parenthesis nesting parse accepts, formulas and terms together.
-# Parsing, evaluation and translation recurse once per level (translation
-# twice per and/or), so translation meets the default recursion limit first,
-# near 490 levels; library formulas and translated sentences stay under 20.
+# Every walk recurses once per level: under the default recursion limit, an
+# and chain under one exists translates up to 983 levels deep, and prints
+# and scans (free_vars) up to 994 and 993.  Library formulas and translated
+# sentences stay under 20 levels.
 MAX_PARSE_DEPTH = 200
 
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
@@ -588,20 +590,53 @@ def bound_vars(phi: Formula) -> set:
     return _scan(phi)[1]
 
 
-def _subst_args(args: tuple, mapping: Mapping) -> tuple:
-    """args with each variable in mapping replaced by its term.  Subterms
-    that nothing changes are shared, args itself included."""
-    out = []
-    changed = False
-    for a in args:
-        tp = type(a)
-        if tp is Var:
-            b = mapping.get(a.name, a)
-        elif tp is Const:
-            b = a
+def _template_source(params: tuple, body: Formula, bound: tuple) -> tuple:
+    """Source of build(a, m), body's instantiation template (interp's
+    OpenFormula.template), and its constants.  Each bound name and its Var
+    are built once per call, every other node gets one local (so equal
+    subterms are built once and nesting stays flat), and each subterm or
+    atom without a variable is a constant k<j> shared by all instances.
+    Names enter the source only through repr."""
+    leaf = {p: f"a[{i}]" for i, p in enumerate(params)}
+    slot = {n: f"b{j}" for j, n in enumerate(bound)}
+    lines = ["def build(a, m):"]
+    for j, name in enumerate(bound):
+        leaf[name] = f"v{j}"
+        lines += [f"    b{j} = {name!r} + m", f"    v{j} = Var(b{j})"]
+    lines.append(f"    new = ({''.join(b + ', ' for b in slot.values())})")
+    if params and bound:
+        lines.append("    guard(new, *a)")
+    consts = []
+    built = {}
+
+    def const(node) -> str:
+        consts.append(node)
+        return f"k{len(consts) - 1}"
+
+    def emit(node):
+        """The name holding node's instance, or None if node is ground."""
+        tp = type(node)
+        if tp is Var or tp is Const:
+            return leaf[node.name] if tp is Var else None
+        kids = (node.body,) if tp is Exists else \
+            node.parts if tp is And or tp is Or else node.args
+        refs = []
+        for kid in kids:
+            refs.append(emit(kid))
+        if tp is not Exists and refs.count(None) == len(refs):
+            return None
+        refs = [r or const(k) for k, r in zip(kids, refs)]
+        if tp is Exists:
+            names = "".join(slot[n] + ", " for n in node.names)
+            expr = f"Exists(({names}), {refs[0]})"
         else:
-            inner = _subst_args(a.args, mapping)
-            b = a if inner is a.args else App(a.fn, inner)
-        changed = changed or b is not a
-        out.append(b)
-    return tuple(out) if changed else args
+            head = "" if tp is And or tp is Or else \
+                repr(node.fn if tp is App else node.rel) + ", "
+            expr = f"{tp.__name__}({head}({''.join(r + ', ' for r in refs)}))"
+        if expr not in built:
+            built[expr] = f"n{len(built)}"
+            lines.append(f"    {built[expr]} = {expr}")
+        return built[expr]
+
+    lines.append(f"    return {emit(body) or const(body)}, new")
+    return "\n".join(lines) + "\n", consts

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .algebra import is_prime
@@ -47,7 +48,7 @@ from .formula import (
     TRUE,
     Term,
     Var,
-    _subst_args,
+    _template_source,
     free_vars,
     parse,
     print_formula,
@@ -390,41 +391,29 @@ def formula_library() -> dict:
 
 # -- interpretation objects --------------------------------------------------------
 
-def _check_term_lang(term: Term, lang: Lang, where: str) -> None:
-    if isinstance(term, Var):
-        return
-    if isinstance(term, Const):
-        if not lang.is_constant(term.name):
-            raise ValueError(
-                f"{where}: constant {term.name!r} not in language {lang.name}"
-            )
-        return
-    arity = lang.function_arity(term.fn)
+def _check_args(kind: str, name: str, arity, args: tuple, lang: Lang,
+                where: str) -> None:
+    """The symbol name, applied to args, must be in lang with that arity,
+    and so must every symbol inside args."""
     if arity is None:
-        raise ValueError(
-            f"{where}: function {term.fn!r} not in language {lang.name}"
-        )
-    if arity != len(term.args):
-        raise ValueError(f"{where}: function {term.fn!r} arity mismatch")
-    for a in term.args:
-        _check_term_lang(a, lang, where)
+        raise ValueError(f"{where}: {kind} {name!r} not in language {lang.name}")
+    if arity != len(args):
+        raise ValueError(f"{where}: {kind} {name!r} arity mismatch")
+    for a in args:
+        if isinstance(a, App):
+            _check_args("function", a.fn, lang.function_arity(a.fn), a.args,
+                        lang, where)
+        elif isinstance(a, Const) and not lang.is_constant(a.name):
+            raise ValueError(
+                f"{where}: constant {a.name!r} not in language {lang.name}"
+            )
 
 
 def _check_formula_lang(phi: Formula, lang: Lang, where: str) -> None:
     for node in walk(phi):
         if isinstance(node, Atom):
-            arity = lang.relation_arity(node.rel)
-            if arity is None:
-                raise ValueError(
-                    f"{where}: relation {node.rel!r} not in language "
-                    f"{lang.name}"
-                )
-            if arity != len(node.args):
-                raise ValueError(
-                    f"{where}: relation {node.rel!r} arity mismatch"
-                )
-            for a in node.args:
-                _check_term_lang(a, lang, where)
+            _check_args("relation", node.rel, lang.relation_arity(node.rel),
+                        node.args, lang, where)
 
 
 @dataclass(frozen=True)
@@ -459,33 +448,20 @@ class OpenFormula:
     def arity(self) -> int:
         return len(self.params)
 
-
-def _suffix_bound(phi: Formula, bound: tuple, mark: str,
-                  mapping: dict) -> tuple:
-    """Rename every name in bound to name + mark, binders included, and
-    replace the free variables in mapping by terms, in one walk.  Returns
-    the new formula and the renamed bound names in binder order.
-
-    The walk does no capture avoidance.  It is safe because bound names are
-    never shadowed and stay apart from the free variables, which the
-    OpenFormula invariants guarantee, and because an inserted term that
-    mentions a renamed bound name is refused.
-    """
-    new = tuple(b + mark for b in bound)
-    _guard_bound_names(new, *mapping.values())
-    names = dict(zip(bound, new))
-    sub = {old: Var(n) for old, n in names.items()}
-    sub.update(mapping)
-
-    def rename(f: Formula) -> Formula:
-        tp = type(f)
-        if tp is Atom:
-            return Atom(f.rel, _subst_args(f.args, sub))
-        if tp is And or tp is Or:
-            return tp(tuple([rename(g) for g in f.parts]))
-        return Exists(tuple(names.get(n, n) for n in f.names), rename(f.body))
-
-    return rename(phi), new
+    @cached_property
+    def template(self):
+        """The one instantiation routine, compiled on first use.
+        template(args, mark) is the body with the terms args (in parameter
+        order) for the parameters and each bound name renamed to name +
+        mark, paired with the renamed names in binder order.  The
+        invariants above make capture avoidance needless, except for an
+        argument that mentions a renamed name, which is refused."""
+        source, consts = _template_source(self.params, self.body, self.bound)
+        scope = {"Var": Var, "App": App, "Atom": Atom, "And": And, "Or": Or,
+                 "Exists": Exists, "guard": _guard_bound_names}
+        scope.update((f"k{j}", c) for j, c in enumerate(consts))
+        exec(compile(source, "<instantiation template>", "exec"), scope)
+        return scope["build"]
 
 
 def instantiate(of: OpenFormula, args, tag=None) -> tuple:
@@ -496,9 +472,8 @@ def instantiate(of: OpenFormula, args, tag=None) -> tuple:
         raise ValueError(
             f"expected {len(of.params)} arguments, got {len(args)}"
         )
-    mapping = {p: _v(a) for p, a in zip(of.params, args)}
-    mark = "" if tag is None else f"#{tag}"
-    return _suffix_bound(of.body, of.bound, mark, mapping)
+    return of.template(tuple([_v(a) for a in args]),
+                       "" if tag is None else f"#{tag}")
 
 
 class Interpretation:
@@ -689,7 +664,8 @@ class _Translator:
 
     def inst(self, kind: str, of: OpenFormula, names: tuple) -> Formula:
         self.counter += 1
-        out, bound = instantiate(of, names, self.counter)
+        out, bound = of.template(tuple([Var(n) for n in names]),
+                                 f"#{self.counter}")
         self.instantiations.append(InstRecord(kind, names, self.counter, bound))
         return out
 
@@ -702,6 +678,13 @@ class _Translator:
     def symbol_inst(self, sym: str, names: tuple) -> Formula:
         return self.inst(sym, self.interp.symbols[sym], names)
 
+    def coords(self, terms, env, parts, local) -> tuple:
+        """The coordinate names of terms, each flattened in turn."""
+        names = []
+        for t in terms:
+            names.extend(self.tuple_names(self.flatten(t, env, parts, local)))
+        return tuple(names)
+
     def flatten(self, term: Term, env, parts, local) -> str:
         """Reduce a term to a tuple base, innermost first, appending the
         constraining parts for any intermediate tuple introduced."""
@@ -709,25 +692,18 @@ class _Translator:
             return env[term.name]
         if isinstance(term, Const):
             return self.const_base(term.name)
-        arg_names = []
-        for sub in term.args:
-            base = self.flatten(sub, env, parts, local)
-            arg_names.extend(self.tuple_names(base))
+        args = self.coords(term.args, env, parts, local)
         w = self.fresh_base(print_term(term))
         local.append(w)
         parts.extend(self.domain_parts(w))
-        parts.append(
-            self.symbol_inst(term.fn, tuple(arg_names) + self.tuple_names(w))
-        )
+        parts.append(self.symbol_inst(term.fn, args + self.tuple_names(w)))
         return w
 
     def wrap(self, parts, local) -> Formula:
         body = parts[0] if len(parts) == 1 else And(tuple(parts))
         if not local:
             return body
-        names = []
-        for base in local:
-            names.extend(self.tuple_names(base))
+        names = [n for base in local for n in self.tuple_names(base)]
         return Exists(tuple(names), And(tuple(parts)))
 
     def graph_equals(self, term: Term, var: Var, env) -> Formula:
@@ -736,13 +712,9 @@ class _Translator:
         target = self.tuple_names(env[var.name])
         if isinstance(term, Const):
             return self.symbol_inst(term.name, target)
-        parts = []
-        local = []
-        arg_names = []
-        for sub in term.args:
-            base = self.flatten(sub, env, parts, local)
-            arg_names.extend(self.tuple_names(base))
-        parts.append(self.symbol_inst(term.fn, tuple(arg_names) + target))
+        parts, local = [], []
+        args = self.coords(term.args, env, parts, local)
+        parts.append(self.symbol_inst(term.fn, args + target))
         return self.wrap(parts, local)
 
     def atom(self, node: Atom, env) -> Formula:
@@ -752,13 +724,9 @@ class _Translator:
                 return self.graph_equals(b, a, env)
             if isinstance(b, Var) and not isinstance(a, Var):
                 return self.graph_equals(a, b, env)
-        parts = []
-        local = []
-        names = []
-        for term in node.args:
-            base = self.flatten(term, env, parts, local)
-            names.extend(self.tuple_names(base))
-        parts.append(self.symbol_inst(node.rel, tuple(names)))
+        parts, local = [], []
+        names = self.coords(node.args, env, parts, local)
+        parts.append(self.symbol_inst(node.rel, names))
         return self.wrap(parts, local)
 
     def go(self, phi: Formula, env) -> Formula:
@@ -885,18 +853,13 @@ def _pad_and_rename(of: OpenFormula, dim: int, full_dim: int,
     index, parameters renamed to x1..xN element-major, missing coordinates
     padded with atoms pinning them to the element's first coordinate."""
     elements = len(of.params) // dim
-    mapping = {}
-    pads = []
-    for e in range(elements):
-        for c in range(dim):
-            old = of.params[e * dim + c]
-            mapping[old] = Var(f"x{e * full_dim + c + 1}")
-        first = f"x{e * full_dim + 1}"
-        for c in range(dim, full_dim):
-            pads.append(_eq(Var(f"x{e * full_dim + c + 1}"), Var(first)))
-    body, _ = _suffix_bound(of.body, of.bound, f"!{branch}", mapping)
+    rows = [[Var(f"x{e * full_dim + c + 1}") for c in range(full_dim)]
+            for e in range(elements)]
+    body, _ = of.template(tuple(x for row in rows for x in row[:dim]),
+                          f"!{branch}")
+    pads = tuple(_eq(x, row[0]) for row in rows for x in row[dim:])
     if pads:
-        body = And((body,) + tuple(pads))
+        body = And((body,) + pads)
     params = tuple(f"x{i}" for i in range(1, elements * full_dim + 1))
     return params, body
 
@@ -921,10 +884,8 @@ def dispatch(branches) -> Interpretation:
     if len(branches) == 1 and guards[0] == TRUE:
         return interps[0]
     full_dim = max(i.dim for i in interps)
-    guards = [
-        _suffix_bound(g, _ordered_bound(g), f"!g{idx}", {})[0]
-        for idx, g in enumerate(guards, start=1)
-    ]
+    guards = [OpenFormula((), g).template((), f"!g{idx}")[0]
+              for idx, g in enumerate(guards, start=1)]
 
     def merged(pick) -> OpenFormula:
         params = None

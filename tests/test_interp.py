@@ -1,5 +1,10 @@
 """Tests for formula builders, interpretations, translation, and bundles."""
 
+import ast
+import io
+import re
+import tokenize
+
 import pytest
 from conftest import random_poly
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from zinterp.formula import (
     Or,
     TRUE,
     Var,
+    _template_source,
     bound_vars,
     check_sat,
     free_vars,
@@ -29,7 +35,7 @@ from zinterp.interp import (
     InstRecord,
     Interpretation,
     OpenFormula,
-    _suffix_bound,
+    _ordered_bound,
     add_graph,
     char_at_least,
     char_is,
@@ -713,6 +719,23 @@ class TestDispatch:
         wide = of.body.parts[1].parts[1]
         assert print_formula(wide) == "(= x1 x3)"
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_matches_reference(self, wide):
+        """Guards and branch formulas renamed by the template equal the
+        reference walk's, with pads when the branch dimensions differ."""
+        if wide:
+            one_dim, two_dim = self._tiny_pair()
+            branches = [(char_at_least(5), one_dim), (char_is(3), two_dim)]
+        else:
+            branches = [(char_is(5), pell_interpretation()),
+                        (char_at_least(7), pell_interpretation())]
+        d = dispatch(branches)
+        assert d.domain.body == ref_dispatch_body(branches, lambda i: i.domain)
+        for sym, of in d.symbols.items():
+            want = ref_dispatch_body(branches, lambda i: i.symbols[sym])
+            assert of.body == want
+            assert print_formula(of.body) == print_formula(want)
+
     def test_shared_language_required(self):
         with pytest.raises(ValueError):
             dispatch([
@@ -827,14 +850,44 @@ def ref_suffix_bound(phi, bound, mark, mapping):
     return rename(phi), new
 
 
+def ref_dispatch_body(branches, pick):
+    """dispatch's merged body for one symbol, renamed by the reference walk:
+    guards get !g<idx>, branch formulas !<idx> with parameters x1..xN
+    element-major and padded coordinates pinned to the first."""
+    full_dim = max(interp.dim for _, interp in branches)
+    alternatives = []
+    for idx, (guard, interp) in enumerate(branches, start=1):
+        guard = ref_suffix_bound(guard, _ordered_bound(guard), f"!g{idx}",
+                                 {})[0]
+        of, dim = pick(interp), interp.dim
+        mapping = {}
+        pads = []
+        for e in range(len(of.params) // dim):
+            for c in range(full_dim):
+                coord = Var(f"x{e * full_dim + c + 1}")
+                if c < dim:
+                    mapping[of.params[e * dim + c]] = coord
+                else:
+                    pads.append(Atom("=", (coord, Var(f"x{e * full_dim + 1}"))))
+        body = ref_suffix_bound(of.body, of.bound, f"!{idx}", mapping)[0]
+        if pads:
+            body = And((body,) + tuple(pads))
+        alternatives.append(And((guard, body)))
+    return Or(tuple(alternatives))
+
+
 def _library_open_formulas():
     interps = [
         pell_interpretation(),
         divisibility_in_star(),
         dispatch([(char_is(5), pell_interpretation()),
                   (char_at_least(7), pell_interpretation())]),
+        compose(divisibility_in_star(), pell_interpretation()),
     ]
-    out = []
+    out = [translate_open(pell_interpretation(),
+                          OpenFormula(("m", "n"), parse(
+                              "(exists (k) (and (= (+ m k) n) (!= k 0)))",
+                              LANG_STAR)))]
     for interp in interps:
         out.append(interp.domain)
         out.extend(interp.symbols[s] for s in sorted(interp.symbols))
@@ -843,7 +896,7 @@ def _library_open_formulas():
 
 LIBRARY = _library_open_formulas()
 
-_ARG_NAMES = ("a", "b", "w1.1", "z#1", "z1#1", "u#2", "x")
+_ARG_NAMES = ("a", "b", "w1.1", "z#1", "z1#1", "u#2", "x", "k.1#1")
 
 
 def _arg_terms(depth):
@@ -868,19 +921,21 @@ def _instantiations(draw):
     return of, tuple(args), mark
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=_instantiations())
 def test_suffix_bound_matches_reference(case):
+    """The compiled template against the reference walk, refusals included."""
     of, args, mark = case
     mapping = dict(zip(of.params, args))
-
-    def run(fn):
-        try:
-            return fn(of.body, of.bound, mark, dict(mapping))
-        except ValueError as exc:
-            return str(exc)
-
-    got, want = run(_suffix_bound), run(ref_suffix_bound)
+    got = _outcome(lambda: of.template(args, mark))
+    want = _outcome(lambda: ref_suffix_bound(of.body, of.bound, mark, mapping))
     assert got == want
     if isinstance(want, tuple):
         assert print_formula(got[0]) == print_formula(want[0])
@@ -892,7 +947,69 @@ def test_suffix_bound_covers_every_library_formula():
         args = tuple(Var(f"v{i}") for i in range(len(of.params)))
         mapping = dict(zip(of.params, args))
         mark = f"#{idx}"
-        got = _suffix_bound(of.body, of.bound, mark, mapping)
+        got = of.template(args, mark)
         assert got == ref_suffix_bound(of.body, of.bound, mark, mapping)
         assert instantiate(of, args, idx) == got
         assert free_vars(got[0]) <= {a.name for a in args}
+
+
+def test_template_refusal_text_matches_reference():
+    of = OpenFormula(("x", "y"), pell_domain())
+    args = (App("+", (Var("z"), Const("1"))), Var("b"))
+    want = _outcome(lambda: ref_suffix_bound(
+        of.body, of.bound, "", dict(zip(of.params, args))))
+    assert want.startswith("argument variables ['z'] collide")
+    assert _outcome(lambda: of.template(args, "")) == want
+    assert _outcome(lambda: instantiate(of, args)) == want
+
+
+# -- injection: names reach the generated source only as string literals ---------
+
+_TEMPLATE_NAME = re.compile(
+    r"def|return|build|a|m|new|guard|Var|App|Atom|And|Or|Exists|[bvnk]\d+"
+)
+
+
+def _odd_interpretation():
+    """The pair interpretation with a quote, a backslash, ! and # in every
+    parameter and bound name, and a bound-name tail that would end a
+    string literal written without repr."""
+    I = pell_interpretation()
+
+    def odd(of):
+        params = tuple(p + "'\\" for p in of.params)
+        mapping = {p: Var(q) for p, q in zip(of.params, params)}
+        body = ref_suffix_bound(of.body, of.bound, "'\\!#'+m+'", mapping)[0]
+        return OpenFormula(params, body)
+
+    return Interpretation(
+        "odd-names", I.source_lang, I.target_lang, I.dim, odd(I.domain),
+        {sym: odd(of) for sym, of in I.symbols.items()},
+    )
+
+
+def test_template_quotes_every_name(tmp_path):
+    J = load_bundle(save_bundle(_odd_interpretation(), tmp_path / "odd"))
+    for of in [J.domain, *J.symbols.values()]:
+        assert all("'" in n and "\\" in n and "!#" in n for n in of.bound)
+        args = tuple(Var(f"a'{i}\\") for i in range(len(of.params)))
+        got = instantiate(of, args, "'+m+'\\")
+        want = ref_suffix_bound(of.body, of.bound, "#'+m+'\\",
+                                dict(zip(of.params, args)))
+        assert got == want
+        assert print_formula(got[0]) == print_formula(want[0])
+        source, _ = _template_source(of.params, of.body, of.bound)
+        literals = set(of.bound) | {"=", "+", "*"}
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.STRING:
+                assert ast.literal_eval(tok.string) in literals
+            elif tok.type == tokenize.NAME:
+                assert _TEMPLATE_NAME.fullmatch(tok.string), tok.string
+            else:
+                assert tok.type in _LAYOUT_TOKENS, tok
+
+
+_LAYOUT_TOKENS = {
+    tokenize.OP, tokenize.NUMBER, tokenize.NEWLINE, tokenize.NL,
+    tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
+}
