@@ -88,7 +88,28 @@ def _check_modulus(p: int) -> None:
 
 
 class FeasibilityError(ValueError):
-    """A brute-force sweep was asked to cover more cases than the guard allows."""
+    """A brute-force sweep was asked to cover more cases than the guard allows,
+    or a construction to build past SYNTH_DEGREE_CAP."""
+
+
+# Largest degree a construction builds: pell_pair refuses |n| past it (the
+# pair has degree |n|), synthesis the larger Frobenius-power certificates,
+# buchi_generate its Frobenius scale and its length.
+SYNTH_DEGREE_CAP = 100_000
+
+
+def _frob_scale(p: int, r: int, base_degree: int = 1) -> int:
+    """p^r, once base_degree * p^r is known to be within SYNTH_DEGREE_CAP.
+    The power grows one factor at a time, so a huge r fails at once."""
+    q = 1
+    for _ in range(r):
+        q *= p
+        if base_degree * q > SYNTH_DEGREE_CAP:
+            raise FeasibilityError(
+                f"the result would have degree {base_degree * q} or more, "
+                f"above the cap {SYNTH_DEGREE_CAP}"
+            )
+    return q
 
 
 def kth_roots_mod(a: int, k: int, p: int) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 A sequence u_1, u_2, ... of polynomials over F_p satisfying
 u_{n+2} - 2u_{n+1} + u_n = 2 consists of consecutive values of a quadratic;
 the interesting families are u_n = (n + v)^(p^r + 1), which are squares of
-(n + v)^((p^r + 1)/2) for odd p.  This module generates those families,
+(n + v)^((p^r + 1)/2) for odd p.  Frobenius is additive and fixes F_p, so
+(n + v)^(p^r) = n + v^(p^r) and u_n = (n + v)(n + v^(p^r)) is indeed a
+quadratic in n.  This module generates those families,
 checks the defining second-difference identity symbolically, extracts
 polynomial square roots and k-th roots by coefficient matching, decides the
 Frobenius-power order (is f = g^(p^r)?), and runs a desk-scale search oracle
@@ -20,13 +22,14 @@ every point.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
+    SYNTH_DEGREE_CAP,
     FeasibilityError,
     Poly,
+    _frob_scale,
     _trimmed,
     frob_pow,
     kth_roots_mod,
@@ -75,6 +78,8 @@ def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
     Each term is computed as frob_pow(n + v, r) * (n + v), which is the same
     polynomial as the power but linear in the output size.  The returned
     sequence carries the result of an exact second-difference check.
+    A Frobenius scale p^r * max(deg v, 1) or a length past SYNTH_DEGREE_CAP
+    raises FeasibilityError before anything is built.
     """
     if p < 3:
         raise ValueError("square-sequence families need an odd prime modulus")
@@ -84,6 +89,11 @@ def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
         raise ValueError("Frobenius exponent must be nonnegative")
     if length < 1:
         raise ValueError(f"sequence length must be at least 1, got {length}")
+    _frob_scale(p, r, max(v.degree, 1))
+    if length > SYNTH_DEGREE_CAP:
+        raise FeasibilityError(
+            f"sequence length {length} is above the cap {SYNTH_DEGREE_CAP}"
+        )
     terms = []
     for n in range(1, length + 1):
         base = Poly.const(n, p) + v
@@ -122,33 +132,6 @@ def ge_p_check(f: Poly, g: Poly, p: Optional[int] = None) -> Optional[int]:
     return r if r > 0 and frob_pow(g, r) == f else None
 
 
-# The residue prefilter evaluates at most this many points of F_p: any
-# subset keeps it sound, and a scan of all of a large field would cost more
-# than the descent it saves.
-_PREFILTER_POINTS = 64
-
-
-def _has_nonresidue_value(coeffs: tuple[int, ...], k: int, p: int) -> bool:
-    """Whether some f(a), a in F_p, is nonzero and not a k-th power.
-
-    A k-th power g^k takes k-th power values at every point, and a unit v
-    is a k-th power exactly when v^((p-1)/gcd(k, p-1)) = 1.
-    """
-    e = (p - 1) // math.gcd(k, p - 1)
-    if e == p - 1:
-        return False  # every unit is a k-th power
-    rev = coeffs[::-1]
-    # Horner inline rather than Poly.evaluate: this loop runs for every
-    # candidate of the brute-force oracles.
-    for a in range(min(p, _PREFILTER_POINTS)):
-        v = 0
-        for c in rev:
-            v = (v * a + c) % p
-        if v and pow(v, e, p) != 1:
-            return True
-    return False
-
-
 def _square_root_descent(coeffs: tuple[int, ...], lc: int, p: int) -> list[int]:
     """The s = sum g_i t^i with leading coefficient lc whose square matches
     the top half of the coefficients of f = coeffs, deg f = 2m.
@@ -173,12 +156,17 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
     Requires a prime modulus not dividing k, so the leading coefficient of
     the candidate root enters the top cross term with an invertible factor
     k * lc^(k-1) and coefficients can be matched from the top degree down.
-    First f is rejected when one of its values on F_p is a unit but not a
-    k-th power.  For k = 2 the descent matches coefficients of the square
-    directly, O(m^2) operations for a root of degree m; other k recompute
-    the candidate's k-th power at each step.  The lowest coefficients are
-    not pinned by the descent, so the candidate is verified exactly before
+    For k = 2 the descent matches coefficients of the square directly,
+    O(m^2) operations for a root of degree m; other k recompute the
+    candidate's k-th power at each step.  The lowest coefficients are not
+    pinned by the descent, so the candidate is verified exactly before
     being returned.
+
+    One candidate decides.  Starting from lc * z with z^k = 1 instead of lc
+    multiplies every coefficient of the descent by z (induction on the
+    step: the cross terms are unchanged and the pivot 1/(k lc^(k-1)) gains
+    the factor z^(1-k) = z), so every candidate has the same k-th power.
+    No value test runs first: the callers pass sieved or known squares.
     """
     p = f.modulus
     if p == 0:
@@ -190,26 +178,22 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
     if not f.coeffs:
         return Poly.zero(p)
     df = f.degree
-    if df % k or _has_nonresidue_value(f.coeffs, k, p):
+    lcs = kth_roots_mod(f.leading_coeff(), k, p)
+    if df % k or not lcs:
         return None
-    m = df // k
-    for lc in kth_roots_mod(f.leading_coeff(), k, p):
-        if k == 2:
-            cand = Poly._raw(tuple(_square_root_descent(f.coeffs, lc, p)), p)
-            if cand * cand == f:
-                return cand
-            continue
-        g = [0] * (m + 1)
-        g[m] = lc
-        inv_top = pow(k * pow(lc, k - 1, p) % p, -1, p)
-        for j in range(1, m + 1):
-            partial = Poly(tuple(g), p) ** k
-            delta = (f.coeff(k * m - j) - partial.coeff(k * m - j)) % p
-            g[m - j] = delta * inv_top % p
-        cand = Poly(tuple(g), p)
-        if cand ** k == f:
-            return cand
-    return None
+    lc, m = lcs[0], df // k
+    if k == 2:
+        cand = Poly._raw(tuple(_square_root_descent(f.coeffs, lc, p)), p)
+        return cand if cand * cand == f else None
+    g = [0] * (m + 1)
+    g[m] = lc
+    inv_top = pow(k * pow(lc, k - 1, p) % p, -1, p)
+    for j in range(1, m + 1):
+        partial = Poly(tuple(g), p) ** k
+        delta = (f.coeff(k * m - j) - partial.coeff(k * m - j)) % p
+        g[m - j] = delta * inv_top % p
+    cand = Poly(tuple(g), p)
+    return cand if cand ** k == f else None
 
 
 def square_root_poly(u: Poly) -> Optional[Poly]:
@@ -271,34 +255,37 @@ def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int):
 
 
 def _match_family(terms: list[Poly], p: int) -> Optional[tuple[Poly, int]]:
-    """Find (v, r) with terms[n-1] = (n + v)^(p^r + 1), if any.
+    """Find (v, r) with terms[n-1] = (n + v)^(p^r + 1), if any (p odd, at
+    least two terms).
 
-    The first term pins deg v via deg u1 = (p^r + 1) deg v, so only finitely
-    many r are possible; each candidate root of u1 is adjusted by the
-    (p^r + 1)-th roots of unity.  Every such v matches u1, so only a v that
-    also matches the second term has its whole sequence built and compared.
+    deg u1 = (p^r + 1) m with m = deg v, so only finitely many r are
+    possible.  As u_n = (n + v)(n + v^(p^r)), D = u2 - u1 - 3 = v + v^(p^r),
+    which is linear in v: with q = p^r, D_i = v_i + [q | i] v_(i/q), so
+    D_0 = 2 v_0 and D_i = 2 v_i when r = 0.  Solving from the bottom up shows
+    the map injective for odd p, so each r has one candidate, read off the
+    first m + 1 coefficients of D; the generated sequence is the check.
     """
-    u1 = terms[0]
-    d1 = u1.degree
+    d1 = terms[0].degree
     if not isinstance(d1, int) or d1 == 0:
         return None
-    r = 0
-    while True:
-        k = p ** r + 1
-        if k > d1:
-            return None
-        if d1 % k == 0:
-            w = poly_kth_root(u1, k)
-            if w is not None:
-                for unit in kth_roots_mod(1, k, p):
-                    v = Poly.const(unit, p) * w - Poly.one(p)
-                    two = Poly.const(2, p) + v
-                    if len(terms) > 1 and frob_pow(two, r) * two != terms[1]:
-                        continue
-                    seq = buchi_generate(v, r, len(terms), p)
-                    if list(seq.terms) == terms:
-                        return v, r
-        r += 1
+    dc = (terms[1] - terms[0] - Poly.const(3, p)).coeffs
+    half = pow(2, -1, p)
+    r, q = 0, 1
+    while q < d1:
+        if d1 % (q + 1) == 0:
+            v = []
+            for i, c in enumerate(dc[:d1 // (q + 1) + 1]):
+                if i == 0 or r == 0:
+                    v.append(c * half % p)
+                elif i % q:
+                    v.append(c)
+                else:
+                    v.append((c - v[i // q]) % p)
+            v = Poly(tuple(v), p)
+            if list(buchi_generate(v, r, len(terms), p).terms) == terms:
+                return v, r
+        r, q = r + 1, q * p
+    return None
 
 
 def _sieve_masks(values: list[list[int]], p: int) -> list[list[int]]:

@@ -27,8 +27,9 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .algebra import (
-    FeasibilityError,
+    SYNTH_DEGREE_CAP,
     Poly,
+    _frob_scale,
     frob_pow,
     poly_compose,
     poly_divrem,
@@ -57,7 +58,7 @@ from .interp import (
     positive_powers_of_t,
     translate_with_trace,
 )
-from .pell import SYNTH_DEGREE_CAP, pell_index_recognize, pell_pair
+from .pell import pell_index_recognize, pell_pair
 
 
 # Synthesis refuses to build polynomials of degree above SYNTH_DEGREE_CAP.
@@ -139,23 +140,13 @@ def check_witness(w: Witness) -> bool:
 
 # -- elementary helpers ------------------------------------------------------------
 
-def _frob_scale(p: int, r: int, base_degree: int = 1) -> int:
-    """p^r, once base_degree * p^r is known to be within SYNTH_DEGREE_CAP.
-    The power grows one factor at a time, so a huge r fails at once."""
-    q = 1
-    for _ in range(r):
-        q *= p
-        if base_degree * q > SYNTH_DEGREE_CAP:
-            raise FeasibilityError(
-                f"synthesis would build degree {base_degree * q} or more, "
-                f"above the cap {SYNTH_DEGREE_CAP}"
-            )
-    return q
-
-
-def _pairs(ms, p: int) -> dict:
-    """pell_pair(m, p) for each distinct m."""
-    return {m: pell_pair(m, p) for m in set(ms)}
+def _pairs(ms, p: int) -> tuple[dict, dict]:
+    """pell_pair(m, p) and its offset quotient z (x = 1 + (t-1)z) for each
+    distinct m, each computed once."""
+    if p < 3:
+        raise ValueError("the pair domain uses the conic form; p must be odd")
+    pairs = {m: pell_pair(m, p) for m in set(ms)}
+    return pairs, {m: _offset_quotient(pair.x, p) for m, pair in pairs.items()}
 
 
 def _offset_quotient(x: Poly, p: int) -> Poly:
@@ -370,30 +361,28 @@ def _frob_exponent(a: int, b: int, p: int) -> int:
     return r
 
 
-def _clause_values(kind: str, ms: list, p: int, pairs: dict,
+def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
                    count: int) -> tuple:
     """(semantic truth, bound values in binder order) for one clause of
-    the standard pair interpretation with count bound names.  Binders with
-    no witness, in a false clause or an untaken disjunct, get zeros."""
+    the standard pair interpretation with count bound names; pairs and quot
+    come from _pairs.  Binders with no witness, in a false clause or an
+    untaken disjunct, get zeros."""
     zero = Poly.zero(p)
     ints = IntStructure(p)
-
-    def quot(m):
-        return _offset_quotient(pairs[m].x, p)
 
     def padded(values):
         return values + [zero] * (count - len(values))
 
     if kind == "domain":
-        return True, [quot(ms[0])]
+        return True, [quot[ms[0]]]
     if kind == "0":
         return ms[0] == 0, []
     if kind == "1":
         return ms[0] == 1, []
     if kind == "+":
-        return ms[0] + ms[1] == ms[2], [quot(ms[0]), quot(ms[1])]
+        return ms[0] + ms[1] == ms[2], [quot[ms[0]], quot[ms[1]]]
     if kind == "=":
-        return ms[0] == ms[1], [quot(ms[0]), quot(ms[1])]
+        return ms[0] == ms[1], [quot[ms[0]], quot[ms[1]]]
     if kind == "|":
         a, b = ms
         ok = ints.relation("|", (a, b))
@@ -401,19 +390,19 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict,
         if ok and a != 0:
             z, rem = poly_divrem(pairs[b].y, pairs[a].y)
             if not rem.is_zero():
-                return False, [zero, quot(a), quot(b)]
-        return ok, [z, quot(a), quot(b)]
+                return False, [zero, quot[a], quot[b]]
+        return ok, [z, quot[a], quot[b]]
     if kind == "|*":
         a, b = ms
         ok = ints.relation("|*", (a, b))
-        head = [quot(a), quot(b)]
+        head = [quot[a], quot[b]]
         if not ok:
             return ok, padded(head)
         r = _frob_exponent(a, b, p)
         return ok, head + _ge_p_values(pairs[a].x, r, p)
     if kind == "!=":
         a, b = ms
-        head = [quot(a), quot(b)]
+        head = [quot[a], quot[b]]
         if pairs[a].x != pairs[b].x:
             cert = _nonzero_values(pairs[a].x - pairs[b].x, p)
             return a != b, padded(head + cert)
@@ -435,7 +424,7 @@ def relation_instance(kind: str, ints, p: int):
     """
     interp = _interpretation()
     of = interp.domain if kind == "domain" else interp.symbols[kind]
-    pairs = _pairs(ints, p)
+    pairs, quot = _pairs(ints, p)
     coords = []
     witness = {}
     for i, m in enumerate(ints):
@@ -449,7 +438,7 @@ def relation_instance(kind: str, ints, p: int):
             f"got {len(ints)}"
         )
     body, names = instantiate(of, tuple(coords))
-    ok, values = _clause_values(kind, list(ints), p, pairs, len(names))
+    ok, values = _clause_values(kind, list(ints), p, pairs, quot, len(names))
     witness.update(_bind(kind, names, values))
     return ok, Exists(tuple(coords), body), witness
 
@@ -497,7 +486,7 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
             formula_text=formula_text,
         )
 
-    pairs = _pairs(values.values(), p)
+    pairs, quot = _pairs(values.values(), p)
     witness = {}
     for base, m in values.items():
         witness[f"{base}.1"] = pairs[m].x
@@ -508,7 +497,7 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
         bases = [rec.args[i].rsplit(".", 1)[0] for i in range(0, len(rec.args), 2)]
         ms = [values[b] for b in bases]
         ok, bound_values = _clause_values(
-            rec.kind, ms, p, pairs, len(rec.bound)
+            rec.kind, ms, p, pairs, quot, len(rec.bound)
         )
         witness.update(_bind(rec.kind, rec.bound, bound_values))
         clauses.append(ClauseReport(rec.kind, tuple(ms), ok))

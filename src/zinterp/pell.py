@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import FeasibilityError, Poly, _check_modulus
+from .algebra import SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus
 from .buchi import square_root_poly
 
 MODE_CONIC = "char-ne-2"
@@ -37,10 +37,6 @@ MODE_CHAR2 = "char2"
 
 STEP_LIMIT = 64
 ORACLE_CASE_LIMIT = 10 ** 7
-
-# Largest degree synthesis builds: pell_pair refuses |n| past it (the pair
-# has degree |n|), harness the larger Frobenius-power certificates.
-SYNTH_DEGREE_CAP = 100_000
 
 
 @dataclass(frozen=True)

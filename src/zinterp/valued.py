@@ -479,11 +479,13 @@ def parse_series(text: str) -> LaurentTrunc:
             expo, _, coeff = chunk.partition(":")
             if not _:
                 raise ValueError(f"bad series entry {chunk!r}")
-            coeff = coeff.strip()
+            expo, coeff = int(expo), coeff.strip()
+            if expo in data:
+                raise ValueError(f"series exponent {expo} appears twice")
             if coeff == "0?":
-                data[int(expo)] = ValCoeff((), p, q_prec, exact=False)
+                data[expo] = ValCoeff((), p, q_prec, exact=False)
             else:
-                data[int(expo)] = ValCoeff.make(coeff, p, q_prec)
+                data[expo] = ValCoeff.make(coeff, p, q_prec)
     if not data:
         raise ValueError("series has no entries")
     return LaurentTrunc.from_dict(data, p, q_prec, lo_exact, hi_exact)

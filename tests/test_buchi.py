@@ -5,11 +5,10 @@ import itertools
 import pytest
 
 from zinterp import buchi
-from zinterp.algebra import FeasibilityError, Poly, frob_pow
+from zinterp.algebra import FeasibilityError, Poly, frob_pow, kth_roots_mod
 from zinterp.buchi import (
     BuchiSeq,
     _extend_all_squares,
-    _has_nonresidue_value,
     _match_family,
     buchi_generate,
     buchi_search_oracle,
@@ -195,7 +194,6 @@ def test_prefilter_keeps_true_powers(rng):
             for a in rng.sample(range(p), rng.randint(0, 2)):
                 s = s * Poly((-a, 1), p)
             f = s ** k
-            assert not _has_nonresidue_value(f.coeffs, k, p), (p, k, s)
             root = poly_kth_root(f, k)
             assert root is not None and root ** k == f
 
@@ -210,7 +208,6 @@ def _is_square_brute(f, p):
 
 def test_square_descent_rejects_nonsquares(rng, monkeypatch):
     # with the prefilter off, the descent and its final check alone decide
-    monkeypatch.setattr(buchi, "_has_nonresidue_value", lambda *a: False)
     rejected = 0
     for _ in range(150):
         p = rng.choice([3, 5, 7])
@@ -384,6 +381,51 @@ def test_no_false_rejects_on_seeded_positives(rng):
         assert terms is not None
         assert tuple(terms) == seq.terms
         assert _match_family(terms, 17) == (v, r)
+
+
+def _match_family_by_roots(terms, p):
+    """The root-and-unit matcher: each (p^r + 1)-th root of u1, times each
+    (p^r + 1)-th root of unity, minus 1, as the candidate v."""
+    u1 = terms[0]
+    d1 = u1.degree
+    if not isinstance(d1, int) or d1 == 0:
+        return None
+    r = 0
+    while p ** r + 1 <= d1:
+        k = p ** r + 1
+        w = poly_kth_root(u1, k) if d1 % k == 0 else None
+        if w is not None:
+            for unit in kth_roots_mod(1, k, p):
+                v = Poly.const(unit, p) * w - Poly.one(p)
+                if list(buchi_generate(v, r, len(terms), p).terms) == terms:
+                    return v, r
+        r += 1
+    return None
+
+
+def test_match_family_equals_root_and_unit_matcher(rng):
+    # Real families, the same with the second term perturbed, and the same
+    # scaled by a square unit: the linear solve for v decides as the roots
+    # of u1 adjusted by every unit do.
+    matched = unmatched = 0
+    for _ in range(1500):
+        p = rng.choice([3, 5, 7, 11, 17])
+        r = rng.choice([0, 0, 1, 1, 2]) if p < 11 else rng.choice([0, 1])
+        v = random_poly(rng, p, rng.randint(1, 5))
+        terms = list(buchi_generate(v, r, rng.randint(2, p), p).terms)
+        kind = rng.choice(["real", "perturbed", "scaled"])
+        if kind == "perturbed":
+            terms[1] += random_poly(rng, p, rng.randint(0, 3), nonzero=True)
+        elif kind == "scaled":
+            c = rng.randint(2, p - 1)
+            terms = [Poly.const(c * c, p) * u for u in terms]
+        match = _match_family(terms, p)
+        assert match == _match_family_by_roots(terms, p), (p, r, v, kind)
+        if kind == "real" and v.degree >= 1:
+            assert match == (v, r)
+        matched += match is not None
+        unmatched += match is None
+    assert matched > 500 and unmatched > 500
 
 
 def test_sequence_type_flags_invalid():

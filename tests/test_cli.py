@@ -161,6 +161,17 @@ class TestBuchiCommands:
             assert out == ""
             assert "length must be at least 1" in err
 
+    @pytest.mark.parametrize("r, length", [("9", "3"), ("0", "100000000")],
+                             ids=["frobenius-scale", "length"])
+    def test_gen_degree_cap_exits_3(self, capsys, r, length):
+        code, out, err = run(
+            capsys, "buchi", "gen", "-v", "t", "-r", r, "-M", length,
+            "-p", "17",
+        )
+        assert code == 3
+        assert out == ""
+        assert "above the cap 100000" in err
+
     def test_oracle_degree_zero_sweep(self, capsys):
         code, out, _ = run(capsys, "buchi", "oracle", "-d", "0")
         assert code == 0
@@ -349,6 +360,15 @@ class TestE2ECommand:
             "--witness", "m=2", "-p", "17",
         )
         assert code == 2
+
+    def test_char_two_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "e2e", "--sentence", "(exists (n) (= n 1))",
+            "--witness", "n=1", "-p", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "the pair domain uses the conic form; p must be odd" in err
 
     def test_byte_identical_runs(self, capsys):
         argv = (

@@ -243,6 +243,7 @@ def test_series_roundtrip():
 
 
 def test_parse_series_errors():
-    for bad in ["{}", "{1: q}", "{1 q} @ p=5 Q=3", "1: q @ p=5 Q=3"]:
+    for bad in ["{}", "{1: q}", "{1 q} @ p=5 Q=3", "1: q @ p=5 Q=3",
+                "{0: 1, 0: 2} @ p=5 Q=3"]:
         with pytest.raises(ValueError):
             parse_series(bad)
