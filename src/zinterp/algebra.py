@@ -561,6 +561,18 @@ def signed_terms(s: str):
         yield (-1 if sign == "-" else 1), term.strip()
 
 
+def parse_exponent(text: str) -> int:
+    """An exponent read from polynomial or series text, refused with
+    ValueError when its absolute value passes SYNTH_DEGREE_CAP, before
+    anything dense is built from it."""
+    k = int(text)
+    if abs(k) > SYNTH_DEGREE_CAP:
+        raise ValueError(
+            f"exponent {k} is above the cap {SYNTH_DEGREE_CAP} in absolute value"
+        )
+    return k
+
+
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>\d+)\s*\*?\s*)?(?:(?P<var>[A-Za-z]\w*)(?:\^(?P<exp>\d+))?)?$"
 )
@@ -596,7 +608,8 @@ def parse_poly(text: str, p: int, var: str = "t") -> Poly:
                 f"unexpected variable {var_s!r} (want {var!r}) in {text!r}"
             )
         c = sign * (int(coeff_s) if coeff_s is not None else 1)
-        k = 0 if var_s is None else (int(exp_s) if exp_s is not None else 1)
+        k = 0 if var_s is None else (
+            parse_exponent(exp_s) if exp_s is not None else 1)
         coeffs[k] = coeffs.get(k, 0) + c
     deg = max(coeffs) if coeffs else 0
     return Poly([coeffs.get(k, 0) for k in range(deg + 1)], p)

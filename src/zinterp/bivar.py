@@ -23,7 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import _check_modulus, signed_terms
+from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, _check_modulus,
+                      parse_exponent, signed_terms)
 from .valued import LaurentTrunc, ValCoeff
 
 
@@ -46,6 +47,10 @@ class BiTrunc:
             raise ValueError("bivariate truncations need a prime modulus")
         if self.bound < 0:
             raise ValueError("degree bound must be >= 0")
+        if self.bound > SYNTH_DEGREE_CAP:
+            raise FeasibilityError(
+                f"degree bound {self.bound} is above the cap {SYNTH_DEGREE_CAP}"
+            )
         acc: dict[tuple[int, int], int] = {}
         for m, n, c in self.entries:
             if m < 0 or n < 0:
@@ -282,7 +287,7 @@ def parse_bipoly(
                 var = m.group(2)
                 if var not in powers:
                     raise ValueError(f"unknown variable {var!r} in {text!r}")
-                powers[var] += int(m.group(3)) if m.group(3) else 1
+                powers[var] += parse_exponent(m.group(3)) if m.group(3) else 1
         key = (powers[names[0]], powers[names[1]])
         acc[key] = acc.get(key, 0) + coeff
     return BiTrunc.from_dict(acc, p, bound)

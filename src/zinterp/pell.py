@@ -18,14 +18,24 @@ bilinear index-addition laws; the stepwise and doubling paths are
 cross-checked in the tests.
 
 The conic oracle sieves each y before root extraction, on two facts: a
-square in F_p[t] takes a square or zero value at every point a of F_p; and
-u = 1 + (t^2 - 1) y^2 has the value u(a) = 1 + (a^2 - 1) y(a)^2, which depends
-on the constant coefficient c0 of y only through c0 + tail(a), tail = y - c0.
+square in F_p[t] takes a square or zero value at every point a of F_p, and
+at every point alpha of F_(p^2) it takes a square of F_(p^2), since
+u = s^2 gives u(alpha) = s(alpha)^2; and u = 1 + (t^2 - 1) y^2 has the value
+u(alpha) = 1 + (alpha^2 - 1) y(alpha)^2, which depends on the constant
+coefficient c0 of y only through c0 + tail(alpha), tail = y - c0.  Every
+element of F_p is a square in F_(p^2), so F_p points are tested against the
+squares of F_p; and u has coefficients in F_p, so u(alpha^p) = u(alpha)^p
+and one point of each conjugate pair decides for both.
+
+The char-2 oracle solves for x instead of sweeping it: over F_2 the map
+x -> x^2 + t y x is linear, because Frobenius is additive, and its kernel
+is {0, t y}, because x (x + t y) = 0 in the domain F_2[t].
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -237,46 +247,117 @@ def _conic_solutions_for_y(y: Poly, p: int):
 def _oracle_conic(p: int, max_deg: int) -> list:
     """All conic solutions with deg y <= max_deg, sweeping y = c0 + tail.
 
-    For each tail, one AND over the points gives the bitset of the c0 whose
-    values u(a) are all squares or zero (see the module docstring); only
-    those y go through root extraction.  Points with a^2 = 1 give u(a) = 1
-    and are skipped.
+    The sieve points (see the module docstring) are every a in F_p with
+    a^2 != 1, tested against the squares of F_p, then points a + b i of
+    F_(p^2) = F_p[i]/(i^2 - n), n the least non-residue, one per conjugate
+    pair (b = 1..(p-1)/2, a = 0..p-1, in that order), tested against the
+    squares of F_(p^2).  Extension points are added until there are
+    ceil((max_deg + 1) log2 p) points in all, or none are left: each point
+    passes about half of the non-square values, so that many leave about one
+    false y of the p^(max_deg + 1).
+
+    The tail splits into a prefix c1..c(D-1) and a last coefficient cD.  Per
+    point and prefix value w, a table row gives, for each cD, the bitset of
+    the c0 whose value u(alpha) = 1 + (alpha^2 - 1)(c0 + w + cD alpha^D)^2
+    is a square or zero; each tail costs one lookup per point, and only the
+    y in the AND of its rows go through root extraction.
     """
-    squares = {x * x % p for x in range(p)}
-    points = [a for a in range(p) if (a * a - 1) % p]
-    masks = [
-        [
-            sum(1 << c for c in range(p)
-                if (1 + (a * a - 1) * (c + v) ** 2) % p in squares)
-            for v in range(p)
-        ]
-        for a in points
-    ]
-    powers = [[pow(a, i, p) for i in range(1, max_deg + 1)] for a in points]
+    n = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + n * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    rational = [(a, 0) for a in range(p) if (a * a - 1) % p]
+    wanted = (p ** (max_deg + 1) - 1).bit_length() - len(rational)
+    extension = [(k % p, 1 + k // p)
+                 for k in range(min(wanted, p * (p - 1) // 2))]
+    field = [(a, b) for b in range(p if extension else 1) for a in range(p)]
+    squared = [a + p * b for a, b in (mul(x, x) for x in field)]
+    points = ([(alpha, p, set(squared[:p])) for alpha in rational]
+              + [(alpha, p * p, set(squared)) for alpha in extension])
+    lasts = range(p) if max_deg else (0,)
+    tables = []
+    for alpha, size, squares in points:
+        pows = [(1, 0)]
+        for _ in range(max_deg):
+            pows.append(mul(pows[-1], alpha))
+        g = mul(alpha, alpha)
+        g = ((g[0] - 1) % p, g[1])
+        square_at = [(v[0] + 1) % p + p * v[1] in squares
+                     for v in (mul(g, mul(z, z)) for z in field[:size])]
+        masks = [sum(1 << c for c in range(p)
+                     if square_at[(a + c) % p + p * b])
+                 for a, b in field[:size]]
+        br, bi = pows[max_deg]
+        rows = [[masks[(a + c * br) % p + p * ((b + c * bi) % p)]
+                 for c in lasts]
+                for a, b in field[:size]]
+        tables.append((rows, [w[0] for w in pows[1:max_deg]],
+                       [w[1] for w in pows[1:max_deg]]))
     found = []
-    for tail in itertools.product(range(p), repeat=max_deg):
-        survivors = (1 << p) - 1
-        for row, pw in zip(masks, powers):
-            survivors &= row[sum(c * w for c, w in zip(tail, pw)) % p]
-        for c0 in range(p):
-            if survivors >> c0 & 1:
-                found.extend(_conic_solutions_for_y(Poly((c0,) + tail, p), p))
+    for prefix in itertools.product(range(p), repeat=max(max_deg - 1, 0)):
+        survivors = [(1 << p) - 1] * len(lasts)
+        for rows, re_pows, im_pows in tables:
+            a = sum(map(operator.mul, prefix, re_pows)) % p
+            b = sum(map(operator.mul, prefix, im_pows)) % p
+            survivors = list(map(operator.and_, survivors, rows[a + p * b]))
+        for last, bits in zip(lasts, survivors):
+            while bits:
+                c0 = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                # when D = 0, last is a 0 that Poly trims
+                y = Poly((c0,) + prefix + (last,), p)
+                found.extend(_conic_solutions_for_y(y, p))
     return found
 
 
-def _oracle_char2(p: int, max_deg: int) -> list:
-    """Char-2 sweep: for each y, x is swept over deg x <= deg y + 1.
+def _char2_candidates(y: int) -> list:
+    """The x with x^2 + t y x = y^2 + 1 over F_2, as coefficient bitmasks.
 
-    The degree cap is forced by the equation: if deg x > deg y + 1, the
-    leading term of x^2 dominates t x y + y^2 + 1 and cannot cancel.
+    The map x -> x^2 + t y x is F_2-linear (Frobenius is additive), so the
+    columns t^(2j) + t^(j+1) y for deg x <= deg y + 1 are reduced to an
+    echelon basis, each tracking the combination of unknowns behind it, and
+    y^2 + 1 is reduced against it.  The kernel is {0, t y}, as
+    x (x + t y) = 0 in the domain F_2[t], so the solutions are x0 and
+    x0 + t y, or none.
+    """
+    basis = {}
+    for j in range(y.bit_length() + 1):
+        col, comb = (1 << 2 * j) ^ (y << j + 1), 1 << j
+        while col:
+            top = col.bit_length() - 1
+            if top not in basis:
+                basis[top] = (col, comb)
+                break
+            col ^= basis[top][0]
+            comb ^= basis[top][1]
+    rhs = int(format(y, "b"), 4) ^ 1  # y^2 + 1: bit i of y moves to 2i
+    x = 0
+    while rhs:
+        top = rhs.bit_length() - 1
+        if top not in basis:
+            return []
+        rhs ^= basis[top][0]
+        x ^= basis[top][1]
+    return [x, x ^ y << 1] if y else [x]
+
+
+def _oracle_char2(p: int, max_deg: int) -> list:
+    """Char-2 sweep: for each y, solve for x (see _char2_candidates).
+
+    The degree cap deg x <= deg y + 1 is forced by the equation: if
+    deg x > deg y + 1, the leading term of x^2 dominates t x y + y^2 + 1
+    and cannot cancel.  Each candidate passes the exact check before it is
+    kept.
     """
     t = Poly.gen(p)
     one = Poly.one(p)
     found = []
-    for y_coeffs in itertools.product(range(p), repeat=max_deg + 1):
-        y = Poly(y_coeffs, p)
-        for x_coeffs in itertools.product(range(p), repeat=max_deg + 2):
-            x = Poly(x_coeffs, p)
+    for y_mask in range(1 << max_deg + 1):
+        y = Poly([y_mask >> i & 1 for i in range(max_deg + 1)], p)
+        for x_mask in _char2_candidates(y_mask):
+            x = Poly([x_mask >> i & 1 for i in range(x_mask.bit_length())], p)
             if x * x + t * x * y + y * y == one:
                 found.append((x, y))
     return found
@@ -287,10 +368,12 @@ def pell_enumerate_oracle(p: int, max_y_degree: int,
     """Every solution pair with deg y <= max_y_degree, by brute force.
 
     Conic form: sweep y and test 1 + (t^2 - 1) y^2 for a polynomial square
-    root, after a point-value sieve (see _oracle_conic).  Char 2: sweep y
-    and x, with deg x capped at deg y + 1 by the leading-term argument
-    documented on _oracle_char2.  Independent of pell_pair, so the two can
-    be compared as generator versus oracle.
+    root, after a sieve on its values at points of F_p and F_(p^2) (see
+    _oracle_conic).  Char 2: sweep y and solve the F_2-linear equation
+    x^2 + t y x = y^2 + 1 for x, whose solutions differ by the kernel
+    {0, t y} (see _char2_candidates), with deg x capped at deg y + 1 by the
+    leading-term argument documented on _oracle_char2.  Independent of
+    pell_pair, so the two can be compared as generator versus oracle.
     """
     if p < 2:
         raise ValueError("the oracle sweeps a finite field; p must be prime")

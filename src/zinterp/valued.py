@@ -20,11 +20,13 @@ and the machinery degenerates to plain polynomial supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import Poly, _check_modulus, format_poly, parse_poly
+from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
+                      format_poly, parse_exponent, parse_poly)
 
 
 class PrecisionError(ValueError):
@@ -395,9 +397,20 @@ def theta_series(p: int, n_max: int, q_prec: int) -> LaurentTrunc:
 
     Terms with n*n >= q_prec collapse to zero at precision; the upper tail is
     open (the true series continues past the window), the lower tail exact.
+    An n_max or a largest q-exponent past SYNTH_DEGREE_CAP raises
+    FeasibilityError before anything is built.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if n_max > SYNTH_DEGREE_CAP:
+        raise FeasibilityError(
+            f"n_max {n_max} is above the cap {SYNTH_DEGREE_CAP}"
+        )
+    top = min(n_max, math.isqrt(max(q_prec - 1, 0)))
+    if top * top > SYNTH_DEGREE_CAP:
+        raise FeasibilityError(
+            f"coefficient q^{top * top} is above the cap {SYNTH_DEGREE_CAP}"
+        )
     cs = []
     for n in range(1, n_max + 1):
         if n * n < q_prec:
@@ -479,7 +492,7 @@ def parse_series(text: str) -> LaurentTrunc:
             expo, _, coeff = chunk.partition(":")
             if not _:
                 raise ValueError(f"bad series entry {chunk!r}")
-            expo, coeff = int(expo), coeff.strip()
+            expo, coeff = parse_exponent(expo), coeff.strip()
             if expo in data:
                 raise ValueError(f"series exponent {expo} appears twice")
             if coeff == "0?":

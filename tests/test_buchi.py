@@ -184,7 +184,7 @@ def test_kth_root_random_roundtrip(rng):
         assert root ** k == g ** k
 
 
-def test_prefilter_keeps_true_powers(rng):
+def test_kth_root_keeps_true_powers(rng):
     cases = [(p, k) for p in [3, 5, 7, 13, 17] for k in [2, 3] if k != p]
     cases.append((17, 18))
     for p, k in cases:
@@ -206,8 +206,7 @@ def _is_square_brute(f, p):
     )
 
 
-def test_square_descent_rejects_nonsquares(rng, monkeypatch):
-    # with the prefilter off, the descent and its final check alone decide
+def test_square_descent_rejects_nonsquares(rng):
     rejected = 0
     for _ in range(150):
         p = rng.choice([3, 5, 7])

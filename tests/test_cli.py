@@ -75,6 +75,15 @@ class TestPellCommands:
         assert "degree bound on y must be nonnegative, got -1" in err
 
 
+    def test_verify_exponent_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "pell", "verify", "-x", "t^100000000", "-y", "1", "-p", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exponent 100000000 is above the cap 100000" in err
+
+
 class TestNewtonCommands:
     def test_hull_vertices(self, capsys):
         code, out, _ = run(
@@ -90,6 +99,28 @@ class TestNewtonCommands:
         )
         assert code == 0
         assert "vertices: (1, 1) (2, 4) (3, 9) (4, 16)" in out
+
+    def test_hull_exponent_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "newton", "hull",
+            "--series", "{0: 1, 100000000000: q} @ p=5 Q=40",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exponent 100000000000 is above the cap 100000" in err
+
+    @pytest.mark.parametrize("n_max, q_prec", [
+        ("100000000", "10"),  # n_max itself
+        ("100000", "1000000000000"),  # the largest q-exponent, q^(n^2)
+    ])
+    def test_theta_cap_exits_3(self, capsys, n_max, q_prec):
+        code, out, err = run(
+            capsys, "newton", "theta", "-p", "5",
+            "--n-max", n_max, "--q-prec", q_prec,
+        )
+        assert code == 3
+        assert out == ""
+        assert "above the cap 100000" in err
 
     def test_monomial_reads_off(self, capsys):
         code, out, _ = run(
@@ -140,6 +171,25 @@ class TestBivarCommands:
             "--inverse",
         )
         assert back.splitlines()[0] == "t*u"
+
+
+    def test_degree_bound_cap_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "bivar", "collapse", "--poly", "t*u - 1", "-p", "5",
+            "-D", "100000000",
+        )
+        assert code == 3
+        assert out == ""
+        assert "degree bound 100000000 is above the cap 100000" in err
+
+    def test_exponent_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "bivar", "collapse", "--poly", "t^100000000*u", "-p", "5",
+            "-D", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exponent 100000000 is above the cap 100000" in err
 
 
 class TestBuchiCommands:
@@ -405,3 +455,24 @@ class TestDemoAndUsage:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert probe.stdout == "False\n"
+
+    def test_runtime_imports_are_standard_library(self):
+        # The runtime promises the standard library only; numpy may be
+        # installed beside it, so an accidental import would go unnoticed.
+        # Modules loaded before zinterp (site hooks) are not its imports.
+        src = str(Path(zinterp.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "before = set(sys.modules)\n"
+             "import zinterp\n"
+             "zinterp.pell_enumerate_oracle(5, 2)\n"
+             "zinterp.pell_enumerate_oracle(2, 2)\n"
+             "zinterp.buchi_search_oracle(17, 0)\n"
+             "print(sorted(m for m in set(sys.modules) - before\n"
+             "             if m.split('.')[0] not in\n"
+             "             {'zinterp', *sys.stdlib_module_names}))"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert probe.stdout == "[]\n"

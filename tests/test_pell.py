@@ -1,6 +1,7 @@
 """Tests for Pell pair generation, addition, recognition, and the oracle."""
 
 import itertools
+import math
 
 import pytest
 
@@ -256,16 +257,33 @@ def _unsieved_oracle(p, max_deg):
     return frozenset(found)
 
 
-@pytest.mark.parametrize("p, max_deg", [(3, 3), (5, 3), (7, 2), (11, 1)])
+@pytest.mark.parametrize("p, max_deg",
+                         [(3, 3), (5, 3), (7, 2), (11, 1), (3, 4), (5, 4)])
 def test_oracle_equals_unsieved_reference(p, max_deg):
     assert pell_enumerate_oracle(p, max_deg) == _unsieved_oracle(p, max_deg)
+
+
+def _fp2(p):
+    """F_(p^2) = F_p[i]/(i^2 - n), n the least non-residue: its multiply
+    on pairs (a, b) = a + b i, and its set of squares."""
+    n = min(set(range(1, p)) - {x * x % p for x in range(p)})
+
+    def mul(x, y):
+        return ((x[0] * y[0] + n * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    field = [(a, b) for a in range(p) for b in range(p)]
+    return mul, {mul(x, x) for x in field}
 
 
 @pytest.mark.parametrize("p, max_deg", [(3, 2), (5, 3), (7, 2), (11, 1)])
 def test_oracle_sieve_passes_exactly_the_square_valued_ys(
         monkeypatch, p, max_deg):
-    # y reaches the exact square-root test iff 1 + (a^2 - 1) y(a)^2 is a
-    # square or zero at every point a of F_p.
+    # y reaches the exact square-root test iff u = 1 + (t^2 - 1) y^2 takes a
+    # square or zero of F_p at every a in F_p, and a square of F_(p^2) at
+    # each extension point the sieve uses: one per conjugate pair, taken in
+    # the order b = 1, 2, ..., a = 0..p-1, until there are
+    # ceil((max_deg + 1) log2 p) points with a^2 != 1 in all.
     reached = []
 
     def recording(y, q):
@@ -274,15 +292,57 @@ def test_oracle_sieve_passes_exactly_the_square_valued_ys(
 
     monkeypatch.setattr(pell, "_conic_solutions_for_y", recording)
     pell_enumerate_oracle(p, max_deg)
-    squares = {x * x % p for x in range(p)}
+    mul, fp2_squares = _fp2(p)
+    fp_squares = {x * x % p for x in range(p)}
+    wanted = math.ceil((max_deg + 1) * math.log2(p)) - (p - 2)
+    classes = [(a, b) for b in range(1, (p + 1) // 2) for a in range(p)]
+    extension = classes[:max(wanted, 0)]
+
+    def u_at(y, alpha):
+        value = (0, 0)
+        for c in reversed(y.coeffs):
+            value = mul(value, alpha)
+            value = ((value[0] + c) % p, value[1])
+        g = mul(alpha, alpha)
+        v = mul(((g[0] - 1) % p, g[1]), mul(value, value))
+        return ((v[0] + 1) % p, v[1])
+
     ys = [Poly(cs, p) for cs in itertools.product(range(p), repeat=max_deg + 1)]
     expected = [
         y for y in ys
-        if all((1 + (a * a - 1) * y.evaluate(a) ** 2) % p in squares
+        if all((1 + (a * a - 1) * y.evaluate(a) ** 2) % p in fp_squares
                for a in range(p))
+        and all(u_at(y, alpha) in fp2_squares for alpha in extension)
     ]
     assert len(reached) == len(set(reached))
     assert set(reached) == set(expected)
+
+
+def _brute_force_char2(max_deg):
+    """The char-2 sweep over every x with deg x <= max_deg + 1, as the
+    oracle did before it solved for x."""
+    t, one = Poly.gen(2), Poly.one(2)
+    found = set()
+    for y_coeffs in itertools.product(range(2), repeat=max_deg + 1):
+        y = Poly(y_coeffs, 2)
+        for x_coeffs in itertools.product(range(2), repeat=max_deg + 2):
+            x = Poly(x_coeffs, 2)
+            if x * x + t * x * y + y * y == one:
+                found.add((x, y))
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("max_deg", range(5))
+def test_char2_oracle_equals_brute_force(max_deg):
+    assert pell_enumerate_oracle(2, max_deg) == _brute_force_char2(max_deg)
+
+
+def test_char2_candidates_pass_the_exact_check(monkeypatch):
+    # A wrong candidate from the linear solve must not reach the result.
+    solve = pell._char2_candidates
+    monkeypatch.setattr(pell, "_char2_candidates",
+                        lambda y: solve(y) + [y, y << 1 | 1])
+    assert pell_enumerate_oracle(2, 3) == _brute_force_char2(3)
 
 
 @pytest.mark.parametrize("p", [2, 5])
