@@ -18,13 +18,12 @@ shrinking the result's degree bound rather than ever guessing a coefficient.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, _check_modulus,
-                      parse_exponent, signed_terms)
+from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly,
+                      _check_modulus, parse_exponent, signed_terms)
 from .valued import LaurentTrunc, ValCoeff
 
 
@@ -162,65 +161,51 @@ def kernel_factor(f: BiTrunc) -> BiTrunc:
     """The factor F with f = (tu - 1) * F, for f whose collapse vanishes.
 
     The recursion gamma[m][n] = gamma[m-1][n-1] - c[m][n] (zero off the
-    quadrant) produces the factor directly; vanishing diagonal sums make it
-    terminate two degrees below the input bound.  For an inexact input the
-    guarantee, like the returned bound, drops to f.bound - 2.
+    quadrant) produces the factor directly.  It moves along one diagonal
+    m - n = d at a time, so only diagonals holding entries are walked, from
+    their first entry to their last: gamma is zero before the first, and
+    past the last it is minus the diagonal's sum, which vanishes.  So every
+    term of the factor lies at least two degrees below an entry of f, and
+    within f.bound - 2.  For an inexact input the guarantee, like the
+    returned bound, drops to f.bound - 2.
     """
-    sums: dict[int, int] = {}
+    diagonals: dict[int, dict[int, int]] = {}
     for m, n, c in f.entries:
-        sums[m - n] = (sums.get(m - n, 0) + c) % f.p
-    bad = sorted(d for d, c in sums.items() if c)
+        diagonals.setdefault(m - n, {})[n] = c
+    bad = sorted(d for d, cs in diagonals.items() if sum(cs.values()) % f.p)
     if bad:
         raise ValueError(
             f"collapse does not vanish (nonzero on diagonals {bad}); "
             "no kernel factorization exists"
         )
-    cs = f.as_dict()
-    out_bound = max(f.bound - 2, 0)
     gamma: dict[tuple[int, int], int] = {}
-    for s in range(0, f.bound + 1):
-        for m in range(0, s + 1):
-            n = s - m
-            prev = gamma.get((m - 1, n - 1), 0)
-            g = (prev - cs.get((m, n), 0)) % f.p
+    for d, cs in diagonals.items():
+        g = 0
+        for n in range(min(cs), max(cs)):
+            g = (g - cs.get(n, 0)) % f.p
             if g:
-                gamma[(m, n)] = g
-    if f.exact:
-        overflow = [k for k in gamma if k[0] + k[1] > out_bound]
-        if overflow:
-            raise ValueError(
-                "factor escapes the degree bound; input was not an exact "
-                "multiple of tu - 1"
-            )
-    kept = {k: v for k, v in gamma.items() if k[0] + k[1] <= out_bound}
-    return BiTrunc.from_dict(kept, f.p, out_bound, f.exact)
+                gamma[(n + d, n)] = g
+    return BiTrunc.from_dict(gamma, f.p, max(f.bound - 2, 0), f.exact)
 
 
 def _linear_subst(
     f: BiTrunc, first: tuple[int, int], second: tuple[int, int]
 ) -> BiTrunc:
-    """Substitute var1 -> a*z + b*w, var2 -> c*z + d*w (exact, degree kept)."""
+    """Substitute var1 -> a*z + b*w, var2 -> c*z + d*w (exact, degree kept).
+
+    Each t^m u^n becomes (b + a X)^m (d + c X)^n in one variable X, on the
+    F_p multiply path; its coefficient of X^j is that of z^j w^(m+n-j).
+    """
     a, b = first
     c, d = second
     p = f.p
     acc: dict[tuple[int, int], int] = {}
     for m, n, coeff in f.entries:
-        left = [
-            math.comb(m, i) * pow(a, i, p) * pow(b, m - i, p) % p
-            for i in range(m + 1)
-        ]
-        right = [
-            math.comb(n, k) * pow(c, k, p) * pow(d, n - k, p) % p
-            for k in range(n + 1)
-        ]
-        for i, lc in enumerate(left):
-            if not lc:
-                continue
-            for k, rc in enumerate(right):
-                if not rc:
-                    continue
-                key = (i + k, (m - i) + (n - k))
-                acc[key] = acc.get(key, 0) + coeff * lc * rc
+        image = Poly((b, a), p) ** m * Poly((d, c), p) ** n
+        for j, cj in enumerate(image.coeffs):
+            if cj:
+                key = (j, m + n - j)
+                acc[key] = acc.get(key, 0) + coeff * cj
     return BiTrunc.from_dict(acc, p, f.bound, f.exact)
 
 

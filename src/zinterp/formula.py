@@ -455,7 +455,7 @@ class IntStructure:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _eval_terms(terms: tuple, env: Mapping, structure) -> list:
+def _eval_terms(terms: tuple, env: Mapping, structure, memo: dict) -> list:
     values = []
     for a in terms:
         tp = type(a)
@@ -466,51 +466,70 @@ def _eval_terms(terms: tuple, env: Mapping, structure) -> list:
         elif tp is Const:
             values.append(structure.constant(a.name))
         else:
-            values.append(
-                structure.function(a.fn, _eval_terms(a.args, env, structure))
-            )
+            args = _eval_terms(a.args, env, structure, memo)
+            if len(args) == 2:  # + and *: a third of the cost of map(id, ...)
+                key = (a.fn, id(args[0]), id(args[1]))
+            else:
+                key = (a.fn, *map(id, args))
+            hit = memo.get(key)
+            if hit is None:
+                # args stay alive with the result, so no id in a key is
+                # reused by a later value while the memo lives
+                hit = memo[key] = (args, structure.function(a.fn, args))
+            values.append(hit[1])
     return values
 
 
-def _eval(phi: Formula, env: Mapping, structure) -> bool:
+def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
     """Truth of phi with every variable it mentions, free or bound, read
     from env.  Conjunctions and disjunctions stop at the first false or
-    true part, so later parts are not evaluated."""
+    true part, so later parts are not evaluated.  memo maps
+    (function, id of each argument value) to (argument values, result), so
+    a function is applied once per distinct tuple of argument objects."""
     tp = type(phi)
     if tp is Atom:
         return structure.relation(
-            phi.rel, _eval_terms(phi.args, env, structure)
+            phi.rel, _eval_terms(phi.args, env, structure, memo)
         )
     if tp is And:
         for f in phi.parts:
-            if not _eval(f, env, structure):
+            if not _eval(f, env, structure, memo):
                 return False
         return True
     if tp is Or:
         for f in phi.parts:
-            if _eval(f, env, structure):
+            if _eval(f, env, structure, memo):
                 return True
         return False
     if tp is Exists:
-        return _eval(phi.body, env, structure)
+        return _eval(phi.body, env, structure, memo)
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def eval_qf(matrix: Formula, assignment: Mapping, p: int,
             structure=None) -> bool:
-    """Truth value of a quantifier-free formula under a total assignment."""
+    """Truth value of a quantifier-free formula under a total assignment.
+
+    Each function is applied once per distinct tuple of argument objects:
+    the values are memoized for the length of this call only and dropped
+    when it returns, so nothing is cached across calls."""
     if structure is None:
         structure = PolyStructure(p)
     if any(isinstance(f, Exists) for f in walk(matrix)):
         raise ValueError("matrix must be quantifier-free")
-    return _eval(matrix, dict(assignment), structure)
+    return _eval(matrix, dict(assignment), structure, {})
 
 
 def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
     """Does the closed formula hold with its existentials bound as in the
     witness?  Every bound variable must be assigned up front; disjunction
     branches are all evaluated with the same witness, so untaken branches
-    need (any) values too."""
+    need (any) values too.
+
+    Each function is applied once per distinct tuple of argument objects
+    (witness values shared between names count once): the values are
+    memoized for the length of this call only and dropped when it returns,
+    so nothing is cached across calls."""
     if structure is None:
         structure = PolyStructure(p)
     free, bound = _scan(phi)
@@ -522,7 +541,7 @@ def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
             f"witness does not assign bound variables {sorted(unassigned)}"
         )
     # Closed and fully assigned: each variable takes its witness value.
-    return _eval(phi, witness, structure)
+    return _eval(phi, witness, structure, {})
 
 
 # -- utilities --------------------------------------------------------------------

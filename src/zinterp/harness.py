@@ -33,7 +33,6 @@ from .algebra import (
     frob_pow,
     poly_compose,
     poly_divrem,
-    poly_extgcd,
 )
 from .buchi import ge_p_check
 from .formula import (
@@ -58,12 +57,16 @@ from .interp import (
     positive_powers_of_t,
     translate_with_trace,
 )
-from .pell import pell_index_recognize, pell_pair
+from .pell import (
+    _offset_quotient,
+    pell_index_recognize,
+    pell_pairs_with_quotients,
+)
 
 
 # Synthesis refuses to build polynomials of degree above SYNTH_DEGREE_CAP.
 # Witnesses grow as deg(base) * p^r for the Frobenius-power certificates,
-# checked here, and as |n| for pairs, checked by pell_pair.  phi at p = 17,
+# checked here, and as |n| for pairs, checked in pell.py.  phi at p = 17,
 # r = 4 (degree 83,521) takes about 2 s to synthesize and 2 s to check;
 # r = 5 is out of reach.
 
@@ -142,21 +145,10 @@ def check_witness(w: Witness) -> bool:
 
 def _pairs(ms, p: int) -> tuple[dict, dict]:
     """pell_pair(m, p) and its offset quotient z (x = 1 + (t-1)z) for each
-    distinct m, each computed once."""
+    distinct m, from one Pell walk (pell_pairs_with_quotients)."""
     if p < 3:
         raise ValueError("the pair domain uses the conic form; p must be odd")
-    pairs = {m: pell_pair(m, p) for m in set(ms)}
-    return pairs, {m: _offset_quotient(pair.x, p) for m, pair in pairs.items()}
-
-
-def _offset_quotient(x: Poly, p: int) -> Poly:
-    """The z with x = 1 + (t-1)z; requires x(1) = 1."""
-    t = Poly.gen(p)
-    one = Poly.one(p)
-    q, r = poly_divrem(x - one, t - one)
-    if not r.is_zero():
-        raise ValueError("no quotient: the argument is not 1 at t = 1")
-    return q
+    return pell_pairs_with_quotients(ms, p)
 
 
 def _strip_factor(f: Poly, d: Poly) -> tuple:
@@ -173,6 +165,22 @@ def _strip_factor(f: Poly, d: Poly) -> tuple:
 
 # -- per-family synthesis -----------------------------------------------------------
 
+def _bezout_linear(a: int, cof: Poly, p: int) -> tuple:
+    """(s, r) with (t - a) s + cof r = 1 and r a constant.
+
+    Against a linear factor the cofactor's part is the constant
+    r = cof(a)^-1, and then s = (1 - r cof) / (t - a) exactly: the unique
+    pair with deg r < 1 that poly_extgcd also returns.  cof(a) is the
+    remainder of cof by t - a, so a zero there is a common divisor.
+    """
+    c = cof.evaluate(a)
+    if not c:
+        raise ValueError("factor stripping left a common divisor")
+    r = Poly.const(pow(c, -1, p), p)
+    s, _ = poly_divrem(Poly.one(p) - r * cof, Poly((-a, 1), p))
+    return s, r
+
+
 def _nonzero_values(f: Poly, p: int) -> list:
     """Values (a, b, c) of the nonzero certificate for f != 0.
 
@@ -183,16 +191,11 @@ def _nonzero_values(f: Poly, p: int) -> list:
     if f.is_zero():
         raise ValueError("no witness: the target is zero")
     t = Poly.gen(p)
-    one = Poly.one(p)
-    tm1 = t - one
+    tm1 = t - Poly.one(p)
     alpha, g1 = _strip_factor(f, t)
     beta, gamma = _strip_factor(g1, tm1)
-    cof_t = tm1 ** beta * gamma
-    cof_tm1 = t ** alpha * gamma
-    gcd1, u, v = poly_extgcd(t, cof_t)
-    gcd2, s, r = poly_extgcd(tm1, cof_tm1)
-    if gcd1 != one or gcd2 != one:
-        raise ValueError("factor stripping left a common divisor")
+    u, v = _bezout_linear(0, tm1 ** beta * gamma, p)
+    s, r = _bezout_linear(1, t ** alpha * gamma, p)
     return [-u, -s, gamma * v * r]
 
 
@@ -205,8 +208,8 @@ def synth_pair(n: int, p: int) -> Witness:
     """Domain witness (x, y, z) for the pair encoding the integer n."""
     if p == 2:
         raise ValueError("the pair domain uses the conic form; p must be odd")
-    pair = pell_pair(n, p)
-    return _witness("theta", p, [pair.x, pair.y, _offset_quotient(pair.x, p)])
+    pairs, quot = pell_pairs_with_quotients((n,), p)
+    return _witness("theta", p, [pairs[n].x, pairs[n].y, quot[n]])
 
 
 def decode_pair(x: Poly, y: Poly) -> Optional[int]:
@@ -253,13 +256,14 @@ def synth_frob_power(r: int, p: int) -> Witness:
     if r < 0:
         raise ValueError("the Frobenius exponent must be nonnegative")
     q = _frob_scale(p, r)
-    pair = pell_pair(q, p)
+    pairs, quot = pell_pairs_with_quotients((q,), p)
+    pair = pairs[q]
     t = Poly.gen(p)
     one = Poly.one(p)
     return _witness("phi", p, [
         pair.x,
         pair.y,
-        _offset_quotient(pair.x, p),
+        quot[q],
         pair.x + one,
         poly_compose(pair.y, t + one),
         Poly.monomial(1, q - 1, p),

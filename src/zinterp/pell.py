@@ -39,7 +39,8 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus
+from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
+                      poly_divrem)
 from .buchi import square_root_poly
 
 MODE_CONIC = "char-ne-2"
@@ -113,17 +114,36 @@ def _pair_by_doubling(n_abs: int, p: int, mode: str):
     return acc
 
 
-def _pair_by_steps(n_abs: int, p: int, mode: str):
-    t = Poly.gen(p)
+def _times_t(f: Poly) -> Poly:
+    """t f, by shifting the coefficients."""
+    return Poly._raw((0,) + f.coeffs, f.modulus) if f.coeffs else f
+
+
+def _steps(p: int, mode: str):
+    """(x_n, y_n) for n = 0, 1, 2, ..., by the step recurrence: the one
+    step walk behind pell_pair and pell_pairs_with_quotients.  A conic step
+    is y' = x + t y, x' = t y' - y, so it takes shifts and additions only."""
     x, y = Poly.one(p), Poly.zero(p)
     if mode == MODE_CHAR2:
-        for _ in range(n_abs):
-            x, y = y, x + t * y
-    else:
-        t2m1 = t * t - Poly.one(p)
-        for _ in range(n_abs):
-            x, y = t * x + t2m1 * y, x + t * y
-    return (x, y)
+        while True:
+            yield x, y
+            x, y = y, x + _times_t(y)
+    while True:
+        yield x, y
+        y_next = x + _times_t(y)
+        x, y = _times_t(y_next) - y, y_next
+
+
+def _pair_by_steps(n_abs: int, p: int, mode: str):
+    return next(itertools.islice(_steps(p, mode), n_abs, None))
+
+
+def _check_index(n: int) -> None:
+    if abs(n) > SYNTH_DEGREE_CAP:
+        raise FeasibilityError(
+            f"pair index {n} would build degree {abs(n)}, above the cap "
+            f"{SYNTH_DEGREE_CAP}"
+        )
 
 
 def pell_pair(n: int, p: int, mode: Optional[str] = None) -> PellPair:
@@ -135,12 +155,8 @@ def pell_pair(n: int, p: int, mode: Optional[str] = None) -> PellPair:
     """
     _check_modulus(p)
     mode = _infer_mode(p, mode)
+    _check_index(n)
     n_abs = abs(n)
-    if n_abs > SYNTH_DEGREE_CAP:
-        raise FeasibilityError(
-            f"pair index {n} would build degree {n_abs}, above the cap "
-            f"{SYNTH_DEGREE_CAP}"
-        )
     if n_abs <= STEP_LIMIT:
         pair = _pair_by_steps(n_abs, p, mode)
     else:
@@ -148,6 +164,58 @@ def pell_pair(n: int, p: int, mode: Optional[str] = None) -> PellPair:
     if n < 0:
         pair = _raw_negate(pair, mode, Poly.gen(p))
     return PellPair(n, pair[0], pair[1], mode)
+
+
+def _offset_quotient(x: Poly, p: int) -> Poly:
+    """The z with x = 1 + (t-1)z; requires x(1) = 1."""
+    t = Poly.gen(p)
+    one = Poly.one(p)
+    q, r = poly_divrem(x - one, t - one)
+    if not r.is_zero():
+        raise ValueError("no quotient: the argument is not 1 at t = 1")
+    return q
+
+
+def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
+    """pell_pair(n, p) and its offset quotient z (x_n = 1 + (t-1) z_n) for
+    each distinct n in ns, conic form.
+
+    Indices up to STEP_LIMIT in absolute value are read off one step walk
+    to the largest of them, with z_0 = 0 and
+    z_(n+1) = 1 + t z_n + (t+1) y_n, from x_(n+1) = t x_n + (t^2 - 1) y_n
+    (shifts and additions only, like the walk).
+    Larger ones are built by doubling and divided once.  n and -n share the
+    objects x and z; indices past SYNTH_DEGREE_CAP raise FeasibilityError
+    before anything is built.
+    """
+    _check_modulus(p)
+    if _infer_mode(p, None) != MODE_CONIC:
+        raise ValueError("offset quotients need the conic form; p must be odd")
+    by_abs = {}
+    for n in set(ns):
+        _check_index(n)
+        by_abs.setdefault(abs(n), []).append(n)
+    pairs, quot = {}, {}
+
+    def record(k, x, y, z):
+        for n in by_abs[k]:
+            pairs[n] = PellPair(n, x, -y if n < 0 else y, MODE_CONIC)
+            quot[n] = z
+
+    top = max((k for k in by_abs if k <= STEP_LIMIT), default=-1)
+    one = Poly.one(p)
+    z = Poly.zero(p)
+    steps = itertools.islice(_steps(p, MODE_CONIC), top + 1)
+    for k, (x, y) in enumerate(steps):
+        if k in by_abs:
+            record(k, x, y, z)
+        if k < top:
+            z = one + y + _times_t(z + y)
+    for k in by_abs:
+        if k > STEP_LIMIT:
+            x, y = _pair_by_doubling(k, p, MODE_CONIC)
+            record(k, x, y, _offset_quotient(x, p))
+    return pairs, quot
 
 
 def pell_verify(x: Poly, y: Poly, mode: Optional[str] = None) -> bool:

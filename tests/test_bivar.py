@@ -4,6 +4,7 @@ import pytest
 
 from zinterp.bivar import (
     BiTrunc,
+    _linear_subst,
     collapse_diagonal,
     format_bipoly,
     from_hyperbola,
@@ -16,6 +17,7 @@ from zinterp.bivar import (
 from zinterp.valued import series_mul
 
 from conftest import SEED
+import math
 import random
 
 
@@ -163,6 +165,49 @@ def test_kernel_factor_inexact_window():
     assert F.as_dict() == G.as_dict()
 
 
+def ref_kernel_factor(f):
+    """The recursion over every (m, n) with m + n <= f.bound."""
+    sums = {}
+    for m, n, c in f.entries:
+        sums[m - n] = (sums.get(m - n, 0) + c) % f.p
+    if any(sums.values()):
+        raise ValueError("collapse does not vanish")
+    cs = f.as_dict()
+    gamma = {}
+    for s in range(f.bound + 1):
+        for m in range(s + 1):
+            n = s - m
+            g = (gamma.get((m - 1, n - 1), 0) - cs.get((m, n), 0)) % f.p
+            if g:
+                gamma[(m, n)] = g
+    out_bound = max(f.bound - 2, 0)
+    if f.exact and any(m + n > out_bound for m, n in gamma):
+        raise ValueError("factor escapes the degree bound")
+    kept = {k: v for k, v in gamma.items() if k[0] + k[1] <= out_bound}
+    return BiTrunc.from_dict(kept, f.p, out_bound, f.exact)
+
+
+def _kernel_outcome(fn, f):
+    try:
+        return fn(f)
+    except ValueError as exc:
+        return str(exc).split(" (")[0]
+
+
+def test_kernel_factor_matches_full_walk(rng):
+    # multiples of tu - 1, some marked inexact, and arbitrary truncations
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        G = random_bitrunc(rng, p, rng.randrange(6), rng.random())
+        f = BiTrunc.kernel_generator(p) * G
+        if rng.random() < 0.3:
+            f = random_bitrunc(rng, p, rng.randrange(4), rng.random())
+        f = BiTrunc(p, f.bound + rng.randrange(3), f.entries,
+                    rng.random() < 0.7)
+        assert _kernel_outcome(kernel_factor, f) \
+            == _kernel_outcome(ref_kernel_factor, f)
+
+
 # -- hyperbola coordinates -----------------------------------------------------
 
 def test_pell_conic_maps_to_hyperbola_odd():
@@ -190,6 +235,36 @@ def test_negating_second_variable_swaps_hyperbola_coords(rng):
         p = rng.choice([3, 5, 7])
         f = random_bitrunc(rng, p, 6)
         assert to_hyperbola(negate_second(f)) == swap_vars(to_hyperbola(f))
+
+
+def ref_linear_subst(f, first, second):
+    """The binomial expansion of each (a z + b w)^m (c z + d w)^n."""
+    a, b = first
+    c, d = second
+    p = f.p
+    acc = {}
+    for m, n, coeff in f.entries:
+        left = [math.comb(m, i) * pow(a, i, p) * pow(b, m - i, p) % p
+                for i in range(m + 1)]
+        right = [math.comb(n, k) * pow(c, k, p) * pow(d, n - k, p) % p
+                 for k in range(n + 1)]
+        for i, lc in enumerate(left):
+            for k, rc in enumerate(right):
+                key = (i + k, (m - i) + (n - k))
+                acc[key] = acc.get(key, 0) + coeff * lc * rc
+    return BiTrunc.from_dict(acc, p, f.bound, f.exact)
+
+
+def test_linear_subst_matches_binomial_expansion(rng):
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 11])
+        f = random_bitrunc(rng, p, rng.randrange(10), rng.random())
+        if rng.random() < 0.3:
+            f = BiTrunc(p, f.bound, f.entries, exact=False)
+        first = (rng.randrange(p), rng.randrange(p))
+        second = (rng.randrange(p), rng.randrange(p))
+        assert _linear_subst(f, first, second) \
+            == ref_linear_subst(f, first, second)
 
 
 # -- text format ---------------------------------------------------------------

@@ -173,6 +173,28 @@ class TestBivarCommands:
         assert back.splitlines()[0] == "t*u"
 
 
+    # Bounds within the cap: kernel and hyperbola work grows with the
+    # input's support and the exponents' digits, not with bound^2 or m*n.
+    @pytest.mark.parametrize("argv, first", [
+        (("kernel", "--poly", "t*u-1"), "1"),
+        (("hyperbola", "--poly", "t^50000*u^50000"),
+         "t^100000 + 4*t^93750*u^6250 + 2*t^68750*u^31250"
+         " + 3*t^62500*u^37500 + 3*t^37500*u^62500 + 2*t^31250*u^68750"
+         " + 4*t^6250*u^93750 + u^100000"),
+    ])
+    def test_large_bound_within_time_limit(self, argv, first):
+        src = str(Path(zinterp.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from zinterp.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "bivar", *argv, "-p", "5", "-D", "100000"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.splitlines()[0] == first
+
     def test_degree_bound_cap_exits_3(self, capsys):
         code, out, err = run(
             capsys, "bivar", "collapse", "--poly", "t*u - 1", "-p", "5",

@@ -3,7 +3,7 @@
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from zinterp.algebra import Poly, parse_poly, poly_divides, poly_divrem
@@ -37,6 +37,8 @@ from zinterp.formula import (
     walk,
 )
 from zinterp.pell import pell_pair
+
+from conftest import SEED
 
 
 # -- parsing -----------------------------------------------------------------
@@ -642,6 +644,123 @@ def test_eval_qf_matches_reference(phi, values):
     ints = IntStructure(3)
     assert outcome(eval_qf, phi, values, 3, ints) \
         == outcome(ref_eval_qf, phi, values, ints)
+
+
+# -- the per-call memo of check_sat -------------------------------------------------
+
+_MEMO_NAMES = ("a", "b", "c", "x", "y")
+
+
+def _memo_terms(depth):
+    leaf = st.one_of(
+        st.sampled_from(_MEMO_NAMES).map(Var),
+        st.sampled_from(("0", "1", "t")).map(Const),
+    )
+    if depth == 0:
+        return leaf
+    sub = _memo_terms(depth - 1)
+    return st.one_of(
+        leaf, st.builds(App, st.sampled_from(("+", "*")), st.tuples(sub, sub))
+    )
+
+
+def _memo_formulas(depth):
+    atom = st.one_of(
+        st.builds(Atom, st.sampled_from(("=", "!=", "|")),
+                  st.tuples(MEMO_TERMS, MEMO_TERMS)),
+        MEMO_TERMS.map(lambda s: Atom("=", (s, s))),
+    )
+    if depth == 0:
+        return atom
+    sub = _memo_formulas(depth - 1)
+    parts = st.lists(sub, max_size=3).map(tuple)
+    return st.one_of(
+        atom, parts.map(And), parts.map(Or),
+        st.builds(Exists, st.lists(st.sampled_from(_MEMO_NAMES), min_size=1,
+                                   max_size=2, unique=True).map(tuple), sub),
+    )
+
+
+MEMO_TERMS = _memo_terms(3)
+MEMO_FORMULAS = _memo_formulas(3)
+_POOL = st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1,
+                 max_size=3)
+
+
+@st.composite
+def _shared_value_sentences(draw):
+    """A closed sentence and a witness drawn from a pool of one to three
+    Poly objects, so several names usually hold the same object."""
+    phi = draw(MEMO_FORMULAS)
+    free = tuple(sorted(ref_free_vars(phi)))
+    if free:
+        phi = Exists(free, phi)
+    pool = [Poly(c, 5) for c in draw(_POOL)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=len(_MEMO_NAMES), max_size=len(_MEMO_NAMES)))
+    return phi, {n: pool[i] for n, i in zip(_MEMO_NAMES, picks)}
+
+
+class FreshConstants(PolyStructure):
+    """F_5[t] whose constant() returns a new object on every call: a memo
+    that let go of its argument values would see their ids reused."""
+
+    def constant(self, name):
+        return Poly(super().constant(name).coeffs, self.p)
+
+
+@seed(SEED)
+@_DIFF
+@given(case=_shared_value_sentences())
+def test_memoized_check_sat_matches_memo_free_reference(case):
+    phi, witness = case
+    for structure in (PolyStructure(5), FreshConstants(5)):
+        assert outcome(check_sat, phi, witness, 5, structure) \
+            == outcome(ref_check_sat, phi, witness, structure)
+
+
+def test_check_sat_applies_each_function_once_per_argument_objects():
+    class Counting(PolyStructure):
+        def __init__(self, p):
+            super().__init__(p)
+            self.calls = []
+
+        def function(self, name, args):
+            self.calls.append(name)
+            return super().function(name, args)
+
+    shared = Poly((1, 2), 5)
+    phi = parse("(exists (x y z) (and (= (* x y) (* y x))"
+                " (= (* x y) (+ (* x y) 0)) (= (* x z) (* x y))))", LANG_T)
+    # x and y are one object; z is equal to it but another object
+    witness = {"x": shared, "y": shared, "z": Poly((1, 2), 5)}
+    ring = Counting(5)
+    assert check_sat(phi, witness, 5, ring)
+    assert ring.calls == ["*", "+", "*"]
+    # the memo lives for one call only
+    assert check_sat(phi, witness, 5, ring)
+    assert eval_qf(phi.body, witness, 5, ring)
+    assert eval_qf(phi.body, witness, 5, ring)
+    assert ring.calls == ["*", "+", "*"] * 4
+
+
+def test_memo_keys_on_every_argument_of_any_arity():
+    class Picking(IntStructure):
+        def function(self, name, args):
+            if name == "third":
+                return args[2]
+            if name == "neg":
+                return -args[0]
+            return super().function(name, args)
+
+    a, b, c = Var("a"), Var("b"), Var("c")
+    phi = And((
+        Atom("=", (App("third", (a, a, b)), b)),
+        Atom("=", (App("third", (a, a, c)), c)),
+        Atom("=", (App("neg", (a,)), App("neg", (App("neg", (b,)),)))),
+    ))
+    assert eval_qf(phi, {"a": 2, "b": -2, "c": 3}, 3, Picking(3))
+    assert not eval_qf(phi, {"a": 2, "b": 2, "c": 3}, 3, Picking(3))
 
 
 def test_walk_errors_match_reference():

@@ -6,7 +6,13 @@ import itertools
 import pytest
 from conftest import random_poly
 
-from zinterp.algebra import FeasibilityError, Poly, format_poly, poly_divrem
+from zinterp.algebra import (
+    FeasibilityError,
+    Poly,
+    format_poly,
+    poly_divrem,
+    poly_extgcd,
+)
 from zinterp.buchi import ge_p_check
 from zinterp.formula import bound_vars, check_sat, eval_qf
 from zinterp.harness import (
@@ -15,6 +21,8 @@ from zinterp.harness import (
     SYNTH_DEGREE_CAP,
     Witness,
     _bind,
+    _nonzero_values,
+    _strip_factor,
     check_witness,
     decode_pair,
     e2e_verify,
@@ -93,6 +101,27 @@ class TestNonzeroFamily:
                 w = synth_nonzero(f, p)
                 assert check_witness(w)
                 assert eval_qf(matrix, w.assignment, p)
+
+    def test_closed_form_bezout_matches_extgcd(self, rng):
+        def ref_values(f, p):
+            t = Poly.gen(p)
+            tm1 = t - Poly.one(p)
+            alpha, g1 = _strip_factor(f, t)
+            beta, gamma = _strip_factor(g1, tm1)
+            gcd1, u, v = poly_extgcd(t, tm1 ** beta * gamma)
+            gcd2, s, r = poly_extgcd(tm1, t ** alpha * gamma)
+            assert gcd1 == gcd2 == Poly.one(p)
+            return [-u, -s, gamma * v * r]
+
+        for p in (2, 3, 5, 17):
+            t = Poly.gen(p)
+            targets = [Poly.const(c, p) for c in range(1, p)]
+            for _ in range(60):
+                g = random_poly(rng, p, rng.randrange(7), nonzero=True)
+                alpha, beta = rng.randrange(4), rng.randrange(4)
+                targets.append(t ** alpha * (t - 1) ** beta * g)
+            for f in targets:
+                assert _nonzero_values(f, p) == ref_values(f, p)
 
     def test_soundness_random_samples(self, rng):
         matrix = nonzero("x").body

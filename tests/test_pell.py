@@ -14,12 +14,14 @@ from zinterp.pell import (
     STEP_LIMIT,
     SYNTH_DEGREE_CAP,
     _conic_solutions_for_y,
+    _offset_quotient,
     _pair_by_doubling,
     _pair_by_steps,
     pell_add,
     pell_enumerate_oracle,
     pell_index_recognize,
     pell_pair,
+    pell_pairs_with_quotients,
     pell_verify,
 )
 
@@ -108,6 +110,28 @@ def test_doubling_matches_stepwise_across_threshold():
         assert _pair_by_steps(n, 2, MODE_CHAR2) == _pair_by_doubling(
             n, 2, MODE_CHAR2
         )
+
+
+@pytest.mark.parametrize("p", [3, 17])
+def test_one_walk_matches_pell_pair_and_division(p):
+    ms = range(-70, 71)  # past STEP_LIMIT, so both paths are read off
+    pairs, quot = pell_pairs_with_quotients(list(ms) + [5, -5], p)
+    assert set(pairs) == set(quot) == set(ms)
+    for m in ms:
+        assert pairs[m] == pell_pair(m, p)
+        assert quot[m] == _offset_quotient(pell_pair(m, p).x, p)
+        # n and -n share their objects, which check_sat's memo keys on
+        assert pairs[m].x is pairs[-m].x and quot[m] is quot[-m]
+    assert pell_pairs_with_quotients([], p) == ({}, {})
+
+
+def test_one_walk_refusals():
+    with pytest.raises(FeasibilityError, match="above the cap"):
+        pell_pairs_with_quotients([1, -SYNTH_DEGREE_CAP - 1], 17)
+    with pytest.raises(ValueError, match="conic form"):
+        pell_pairs_with_quotients([1], 2)
+    with pytest.raises(ValueError, match="modulus"):
+        pell_pairs_with_quotients([1], 9)
 
 
 def test_integer_pairs_reduce_to_mod_p_pairs():
