@@ -16,7 +16,8 @@ The oracle sieves seeds before any root extraction, on two facts: a square
 in F_p[t] takes a square or zero value at every point a of F_p; and with
 u1 = s1^2, u2 = s2^2 the terms are u1 + (n - 1)(u2 - u1) + (n - 1)(n - 2),
 so u_n(a) depends only on the pair (s1(a), s2(a)): one p x p table serves
-every point.
+every point.  The same formula shows that u1 and u2 fix the sequence, so
+the oracle reads everything but the square test of u_3..u_p off them.
 """
 
 from __future__ import annotations
@@ -240,35 +241,38 @@ class BuchiOracleReport:
         return tuple(f for f in self.retained if not f.matched)
 
 
-def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int):
-    """Follow u_{n+2} = 2u_{n+1} - u_n + 2 from (u1, u2); return the full
-    term list if every term is a square, else None (early exit)."""
-    terms = [u1, u2]
+def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int) -> bool:
+    """Are all of u_3..u_length squares, where u_{n+2} = 2u_{n+1} - u_n + 2?
+    Stops at the first non-square and keeps no terms, as the seeds (u1, u2)
+    fix them all."""
     prev, cur = u1.coeffs, u2.coeffs
-    while len(terms) < length:
+    for _ in range(length - 2):
         prev, cur = cur, _next_term(prev, cur, p)
-        nxt = Poly._raw(cur, p)
-        if square_root_poly(nxt) is None:
-            return None
-        terms.append(nxt)
-    return terms
+        if square_root_poly(Poly._raw(cur, p)) is None:
+            return False
+    return True
 
 
-def _match_family(terms: list[Poly], p: int) -> Optional[tuple[Poly, int]]:
-    """Find (v, r) with terms[n-1] = (n + v)^(p^r + 1), if any (p odd, at
-    least two terms).
+def _match_family(u1: Poly, u2: Poly, p: int) -> Optional[tuple[Poly, int]]:
+    """Find (v, r) with u_n = (n + v)^(p^r + 1) for the sequence u_{n+2} =
+    2u_{n+1} - u_n + 2 seeded by (u1, u2), if any (p odd).
 
     deg u1 = (p^r + 1) m with m = deg v, so only finitely many r are
     possible.  As u_n = (n + v)(n + v^(p^r)), D = u2 - u1 - 3 = v + v^(p^r),
     which is linear in v: with q = p^r, D_i = v_i + [q | i] v_(i/q), so
     D_0 = 2 v_0 and D_i = 2 v_i when r = 0.  Solving from the bottom up shows
     the map injective for odd p, so each r has one candidate, read off the
-    first m + 1 coefficients of D; the generated sequence is the check.
+    first m + 1 coefficients of D.
+
+    Two terms decide.  The family obeys the same recurrence (its second
+    difference is 2, see the module docstring), and a sequence with that
+    recurrence is fixed by its first two terms; so the candidate matches the
+    whole sequence exactly when buchi_generate(v, r, 2, p) gives (u1, u2).
     """
-    d1 = terms[0].degree
+    d1 = u1.degree
     if not isinstance(d1, int) or d1 == 0:
         return None
-    dc = (terms[1] - terms[0] - Poly.const(3, p)).coeffs
+    dc = (u2 - u1 - Poly.const(3, p)).coeffs
     half = pow(2, -1, p)
     r, q = 0, 1
     while q < d1:
@@ -282,7 +286,7 @@ def _match_family(terms: list[Poly], p: int) -> Optional[tuple[Poly, int]]:
                 else:
                     v.append((c - v[i // q]) % p)
             v = Poly(tuple(v), p)
-            if list(buchi_generate(v, r, len(terms), p).terms) == terms:
+            if buchi_generate(v, r, 2, p).terms == (u1, u2):
                 return v, r
         r, q = r + 1, q * p
     return None
@@ -313,11 +317,23 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
     away.
 
     Seeds are first sieved by their values on F_p (see the module
-    docstring); only the survivors go through the exact extension.
+    docstring); only the survivors go through the exact extension.  A
+    survivor is constant when both seeds are: the non-constant part of
+    u_n is u1' + (n - 1)(u2' - u1'), where ' drops the constant term, and
+    that is zero for every n exactly when it is zero at n = 1 and n = 2.
 
     Restricted to p = 17: it is the smallest modulus where the length-17
     all-squares condition is the meaningful one.  Deduplication is by the
     seed squares themselves, so sign choices of s1, s2 collapse.
+
+    Why SEARCH_DEGREE_CAP stays at 2: at p = 17 the sieve table's row for
+    s1(a) = x is exactly {+-(x + 1), +-(x - 1)}, so at each of the 17
+    points s2 agrees with one of +-(s1 + 1), +-(s1 - 1), and with one of
+    those four at 5 or more points.  For d <= 4 that forces equality, so
+    every survivor is a constant or the trivial family (+-s1 - 1, 0), and a
+    d = 3 sweep (289 times the d = 2 seed pairs) would only confirm it.
+    See Pasten, Pheidas and Vidaux, "A survey on Buchi's problem: new
+    presentations and open problems", Zap. Nauchn. Sem. POMI 377, 2010.
     """
     if d < 0:
         raise ValueError(f"seed degree bound must be nonnegative, got {d}")
@@ -346,15 +362,12 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
             if key in seen:
                 continue
             seen.add(key)
-            terms = _extend_all_squares(u1, u2, p, p)
-            if terms is None:
+            if not _extend_all_squares(u1, u2, p, p):
                 continue
-            if all(len(t.coeffs) <= 1 for t in terms):
+            if len(u1.coeffs) <= 1 and len(u2.coeffs) <= 1:
                 constants += 1
                 continue
-            v, r = _match_family(terms, p) or (None, None)
+            v, r = _match_family(u1, u2, p) or (None, None)
             families[key] = BuchiFamily(u1, u2, v, r)
-    return BuchiOracleReport(
-        p, d, len(seeds) ** 2, tuple(families[k] for k in sorted(families)),
-        constants,
-    )
+    retained = tuple(families[k] for k in sorted(families))
+    return BuchiOracleReport(p, d, len(seeds) ** 2, retained, constants)

@@ -53,7 +53,6 @@ from .interp import (
     translate,
 )
 from .pell import (
-    MODE_CHAR2,
     pell_enumerate_oracle,
     pell_family,
     pell_index_recognize,
@@ -125,18 +124,16 @@ def _points_text(points) -> str:
 # -- pell ----------------------------------------------------------------------
 
 def cmd_pell_gen(args) -> int:
-    mode = MODE_CHAR2 if args.char2 else None
-    pair = pell_pair(args.n, args.p, mode)
+    pair = pell_pair(args.n, args.p)
     print(f"x = {format_poly(pair.x)}, y = {format_poly(pair.y)}")
     print(f"#RESULT pell-gen n={args.n} p={args.p} status=ok")
     return 0
 
 
 def cmd_pell_verify(args) -> int:
-    mode = MODE_CHAR2 if args.char2 else None
     x = parse_poly(args.x, args.p)
     y = parse_poly(args.y, args.p)
-    ok = pell_verify(x, y, mode)
+    ok = pell_verify(x, y)
     index_note = ""
     if ok:
         index = pell_index_recognize(x, y)
@@ -148,9 +145,8 @@ def cmd_pell_verify(args) -> int:
 
 
 def cmd_pell_oracle(args) -> int:
-    mode = MODE_CHAR2 if (args.char2 or args.p == 2) else None
-    found = pell_enumerate_oracle(args.p, args.D, mode)
-    expected = pell_family(args.p, args.D, mode)
+    found = pell_enumerate_oracle(args.p, args.D)
+    expected = pell_family(args.p, args.D)
     for x, y in sorted(found, key=lambda s: (s[1].coeffs, s[0].coeffs)):
         print(f"x = {format_poly(x)}, y = {format_poly(y)}")
     match = found == frozenset(expected)
@@ -436,7 +432,6 @@ def cmd_demo(args) -> int:
 def _add_pell_oracle_args(sub) -> None:
     sub.add_argument("-p", type=int, required=True, help="characteristic")
     sub.add_argument("-D", type=int, required=True, help="max degree of y")
-    sub.add_argument("--char2", action="store_true", help="characteristic-2 form")
     sub.set_defaults(handler=cmd_pell_oracle)
 
 
@@ -459,13 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen = pell_sub.add_parser("gen", help="print the n-th solution pair")
     gen.add_argument("-n", type=int, required=True)
     gen.add_argument("-p", type=int, required=True)
-    gen.add_argument("--char2", action="store_true")
     gen.set_defaults(handler=cmd_pell_gen)
     verify = pell_sub.add_parser("verify", help="check a claimed solution pair")
     verify.add_argument("-x", required=True, help="polynomial text")
     verify.add_argument("-y", required=True, help="polynomial text")
     verify.add_argument("-p", type=int, required=True)
-    verify.add_argument("--char2", action="store_true")
     verify.set_defaults(handler=cmd_pell_verify)
     _add_pell_oracle_args(pell_sub.add_parser(
         "oracle", help="enumerate all bounded-degree solutions"))

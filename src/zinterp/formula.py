@@ -566,7 +566,7 @@ def _vars_into(terms: tuple, scope, out: set) -> None:
             _vars_into(a.args, scope, out)
 
 
-def _scan_formula(phi: Formula, scope: set, free: set, bound: set) -> None:
+def _scan_formula(phi: Formula, scope: set, free: set, bound: list) -> None:
     tp = type(phi)
     if tp is Atom:
         _vars_into(phi.args, scope, free)
@@ -575,7 +575,7 @@ def _scan_formula(phi: Formula, scope: set, free: set, bound: set) -> None:
             _scan_formula(f, scope, free, bound)
     elif tp is Exists:
         names = phi.names
-        bound.update(names)
+        bound.extend(names)
         if scope.isdisjoint(names):
             entered = names
         else:  # shadowing: the outer binder stays in scope on the way out
@@ -588,9 +588,10 @@ def _scan_formula(phi: Formula, scope: set, free: set, bound: set) -> None:
 
 
 def _scan(phi: Formula) -> tuple:
-    """(free names, bound names) of phi, in one walk."""
+    """(free names, bound names) of phi, in one walk: a set and a list, the
+    list in binder order (top-down, left to right, as walk yields them)."""
     free = set()
-    bound = set()
+    bound = []
     _scan_formula(phi, set(), free, bound)
     return free, bound
 
@@ -606,7 +607,7 @@ def free_vars(phi: Formula) -> set:
 
 
 def bound_vars(phi: Formula) -> set:
-    return _scan(phi)[1]
+    return set(_scan(phi)[1])
 
 
 def _template_source(params: tuple, body: Formula, bound: tuple) -> tuple:

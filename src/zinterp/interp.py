@@ -48,6 +48,7 @@ from .formula import (
     TRUE,
     Term,
     Var,
+    _scan,
     _template_source,
     free_vars,
     parse,
@@ -88,11 +89,7 @@ def _eq(a, b) -> Formula:
 
 def _ordered_bound(phi: Formula) -> tuple:
     """Bound variable names in binder order (top-down, left to right)."""
-    out = []
-    for node in walk(phi):
-        if isinstance(node, Exists):
-            out.extend(node.names)
-    return tuple(out)
+    return tuple(_scan(phi)[1])
 
 
 def _guard_bound_names(names, *args) -> None:
@@ -432,13 +429,13 @@ class OpenFormula:
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter name")
-        bound = _ordered_bound(self.body)
-        object.__setattr__(self, "bound", bound)
+        free, bound = _scan(self.body)
+        object.__setattr__(self, "bound", tuple(bound))
         if len(set(bound)) != len(bound):
             raise ValueError("a bound name is reused inside the body")
         if set(bound) & set(self.params):
             raise ValueError("a bound name shadows a parameter")
-        extra = free_vars(self.body) - set(self.params)
+        extra = free - set(self.params)
         if extra:
             raise ValueError(
                 f"body has free variables outside params: {sorted(extra)}"
@@ -773,7 +770,7 @@ class _Translator:
 
 
 def _collect_names(phi: Formula) -> set:
-    names = set(free_vars(phi)) | set(_ordered_bound(phi))
+    names = set().union(*_scan(phi))
     for name in names:
         for mark in RESERVED_MARKS:
             if mark in name:

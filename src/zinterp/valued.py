@@ -95,17 +95,16 @@ class ValCoeff:
         return ValCoeff(self.qcoeffs[:prec] if not exact else self.qcoeffs,
                         self.p, prec, exact)
 
+    def _poly(self) -> Poly:
+        # qcoeffs are reduced and trimmed, so they are already canonical.
+        return Poly._raw(self.qcoeffs, self.p)
+
     def __add__(self, other: "ValCoeff") -> "ValCoeff":
         if self.p != other.p:
             raise ValueError("mixed moduli")
         prec = min(self.prec, other.prec)
-        a, b = self.qcoeffs, other.qcoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = (cs[i] + c) % self.p
-        return ValCoeff(tuple(cs), self.p, prec, self.exact and other.exact)
+        return ValCoeff((self._poly() + other._poly()).coeffs, self.p, prec,
+                        self.exact and other.exact)
 
     def __mul__(self, other: "ValCoeff") -> "ValCoeff":
         if self.p != other.p:
@@ -115,18 +114,14 @@ class ValCoeff:
             exact = self.is_exact_zero() or other.is_exact_zero()
             return ValCoeff((), self.p, prec, exact)
         n = len(self.qcoeffs) + len(other.qcoeffs) - 1
-        cs = [0] * n
-        for i, a in enumerate(self.qcoeffs):
-            if a:
-                for j, b in enumerate(other.qcoeffs):
-                    cs[i + j] += a * b
         exact = self.exact and other.exact and n <= prec
-        return ValCoeff(tuple(cs), self.p, prec, exact)
+        return ValCoeff((self._poly() * other._poly()).coeffs, self.p, prec,
+                        exact)
 
     def format(self) -> str:
         if not self.qcoeffs:
             return "0" if self.exact else "0?"
-        return format_poly(Poly(self.qcoeffs, self.p), var="q")
+        return format_poly(self._poly(), var="q")
 
 
 CoeffLike = Union[int, "ValCoeff", Poly, str, tuple, list]

@@ -254,7 +254,8 @@ def test_oracle_degree_one_sweep():
         assert fam.r == 0
         assert fam.v.degree == 1
         regen = buchi_generate(fam.v, fam.r, 17, 17)
-        assert regen.terms[0] == fam.u1 and regen.terms[1] == fam.u2
+        full = _extend_all_squares_reference(fam.u1, fam.u2, 17, 17)
+        assert full is not None and regen.terms == tuple(full)
 
 
 def test_oracle_seeded_positive_is_retained():
@@ -268,7 +269,9 @@ def test_oracle_seeded_positive_is_retained():
 
 def _unsieved_oracle(p, d):
     """The seed sweep without the point-value sieve: every seed pair goes
-    through the exact extension, as the oracle did before the sieve."""
+    through the exact extension, as the oracle did before the sieve.  It
+    keeps the whole extended sequence, tests constancy on every term and
+    matches families by comparing all p terms."""
     scanned = 0
     seen = set()
     constants = set()
@@ -283,13 +286,13 @@ def _unsieved_oracle(p, d):
             if key in seen:
                 continue
             seen.add(key)
-            terms = _extend_all_squares(u1, u2, p, p)
+            terms = _extend_all_squares_reference(u1, u2, p, p)
             if terms is None:
                 continue
             if all(len(t.coeffs) <= 1 for t in terms):
                 constants.add(key)
                 continue
-            match = _match_family(terms, p)
+            match = _match_family_by_roots(terms, p)
             v, r = (None, None) if match is None else match
             families[key] = buchi.BuchiFamily(u1, u2, v, r)
     retained = tuple(families[k] for k in sorted(families))
@@ -341,6 +344,31 @@ def test_oracle_sieve_passes_exactly_the_square_valued_seeds(monkeypatch):
     assert len(expected) == 289
 
 
+def test_sieve_table_rows_at_17():
+    # Row x of the p = 17 table is {+-(x + 1), +-(x - 1)}: the fact behind
+    # the oracle docstring's argument that every survivor at d <= 4 is a
+    # constant or a trivial family.  One seed per value y, at one point,
+    # reads the row off the module's own table.
+    p = 17
+    masks = buchi._sieve_masks([[y] for y in range(p)], p)[0]
+    for x in range(p):
+        row = {y for y in range(p) if masks[x] >> y & 1}
+        assert row == {(s * (x + e)) % p for s in (1, -1) for e in (1, -1)}
+
+
+def test_oracle_generates_two_terms_per_family(monkeypatch):
+    lengths = []
+
+    def recording(v, r, length, p):
+        lengths.append(length)
+        return buchi_generate(v, r, length, p)
+
+    monkeypatch.setattr(buchi, "buchi_generate", recording)
+    report = buchi_search_oracle(17, 1)
+    assert len(lengths) >= len(report.retained) == 272
+    assert set(lengths) == {2}
+
+
 def test_oracle_degree_two_sweep(monkeypatch):
     # 4,913 = 4,896 + 17: the sieve hands the exact path only seeds of
     # real families and constants.  An independent brute force over all
@@ -376,10 +404,11 @@ def test_no_false_rejects_on_seeded_positives(rng):
             continue
         count += 1
         seq = buchi_generate(v, r, 17, 17)
-        terms = _extend_all_squares(seq.terms[0], seq.terms[1], 17, 17)
-        assert terms is not None
-        assert tuple(terms) == seq.terms
-        assert _match_family(terms, 17) == (v, r)
+        u1, u2 = seq.terms[:2]
+        assert _extend_all_squares(u1, u2, 17, 17)
+        assert tuple(_extend_all_squares_reference(u1, u2, 17, 17)) \
+            == seq.terms
+        assert _match_family(u1, u2, 17) == (v, r)
 
 
 def _match_family_by_roots(terms, p):
@@ -403,22 +432,24 @@ def _match_family_by_roots(terms, p):
 
 
 def test_match_family_equals_root_and_unit_matcher(rng):
-    # Real families, the same with the second term perturbed, and the same
-    # scaled by a square unit: the linear solve for v decides as the roots
-    # of u1 adjusted by every unit do.
+    # Seeds of real families, the same with the second seed perturbed, and
+    # the same scaled by a square unit: the linear solve for v on two seeds
+    # decides as the roots of u1 adjusted by every unit do on the whole
+    # recurrence extension of those seeds.
     matched = unmatched = 0
     for _ in range(1500):
         p = rng.choice([3, 5, 7, 11, 17])
         r = rng.choice([0, 0, 1, 1, 2]) if p < 11 else rng.choice([0, 1])
         v = random_poly(rng, p, rng.randint(1, 5))
-        terms = list(buchi_generate(v, r, rng.randint(2, p), p).terms)
+        u1, u2 = buchi_generate(v, r, 2, p).terms
         kind = rng.choice(["real", "perturbed", "scaled"])
         if kind == "perturbed":
-            terms[1] += random_poly(rng, p, rng.randint(0, 3), nonzero=True)
+            u2 += random_poly(rng, p, rng.randint(0, 3), nonzero=True)
         elif kind == "scaled":
-            c = rng.randint(2, p - 1)
-            terms = [Poly.const(c * c, p) * u for u in terms]
-        match = _match_family(terms, p)
+            c = Poly.const(rng.randint(2, p - 1) ** 2, p)
+            u1, u2 = c * u1, c * u2
+        terms = _extend_reference(u1, u2, rng.randint(2, p), p)
+        match = _match_family(u1, u2, p)
         assert match == _match_family_by_roots(terms, p), (p, r, v, kind)
         if kind == "real" and v.degree >= 1:
             assert match == (v, r)
@@ -434,15 +465,22 @@ def test_sequence_type_flags_invalid():
 
 # -- coefficient-level loops against their Poly-level originals -----------------
 
-def _extend_all_squares_reference(u1, u2, length, p):
+def _extend_reference(u1, u2, length, p, keep=lambda u: True):
+    """u1, u2 and the terms after them by u_{n+2} = 2u_{n+1} - u_n + 2, up
+    to length terms; None at the first term that keep refuses."""
     two = Poly.const(2, p)
     terms = [u1, u2]
     while len(terms) < length:
         nxt = terms[-1] + terms[-1] - terms[-2] + two
-        if buchi.square_root_poly(nxt) is None:
+        if not keep(nxt):
             return None
         terms.append(nxt)
     return terms
+
+
+def _extend_all_squares_reference(u1, u2, length, p):
+    return _extend_reference(
+        u1, u2, length, p, lambda u: buchi.square_root_poly(u) is not None)
 
 
 def _second_differences_reference(terms, p):
@@ -472,18 +510,23 @@ def _seed_pairs(rng, p):
 def test_extend_all_squares_matches_reference(rng, p):
     for u1, u2 in _seed_pairs(rng, p):
         assert (_extend_all_squares(u1, u2, p, p)
-                == _extend_all_squares_reference(u1, u2, p, p)), (u1, u2)
+                == (_extend_all_squares_reference(u1, u2, p, p) is not None)
+                ), (u1, u2)
 
 
 @pytest.mark.parametrize("p", [5, 17])
 def test_extension_recurrence_matches_reference(rng, monkeypatch, p):
-    # With every term accepted as a square, the whole recurrence is compared,
-    # including terms whose top coefficients cancel.
-    monkeypatch.setattr(buchi, "square_root_poly", lambda u: u)
+    # With every term accepted as a square, the terms handed to the square
+    # test are the whole recurrence, including terms whose top coefficients
+    # cancel, each in canonical form.
+    tested = []
+    monkeypatch.setattr(buchi, "square_root_poly",
+                        lambda u: tested.append(u) or u)
     for u1, u2 in _seed_pairs(rng, p):
-        got = _extend_all_squares(u1, u2, 6, p)
-        assert got == _extend_all_squares_reference(u1, u2, 6, p), (u1, u2)
-        assert all(t == Poly(list(t.coeffs), p) for t in got)
+        tested.clear()
+        assert _extend_all_squares(u1, u2, 6, p)
+        assert tested == _extend_reference(u1, u2, 6, p)[2:], (u1, u2)
+        assert all(t == Poly(list(t.coeffs), p) for t in tested)
 
 
 @pytest.mark.parametrize("p", [5, 17])

@@ -75,6 +75,20 @@ class TestPellCommands:
         assert "degree bound on y must be nonnegative, got -1" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("pell", "gen", "-n", "1", "-p", "2"),
+        ("pell", "verify", "-x", "0", "-y", "1", "-p", "2"),
+        ("pell", "oracle", "-p", "2", "-D", "1"),
+        ("oracle", "pell", "-p", "2", "-D", "1"),
+    ])
+    def test_char2_flag_is_gone(self, capsys, argv):
+        # The form follows from -p alone, so there is no flag to repeat it.
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--char2"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_verify_exponent_cap_exits_2(self, capsys):
         code, out, err = run(
             capsys, "pell", "verify", "-x", "t^100000000", "-y", "1", "-p", "5",
@@ -464,6 +478,20 @@ class TestDemoAndUsage:
             main(["nosuch"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("demo", sorted(
+        p.name for p in (Path(__file__).resolve().parents[1] / "demos")
+        .glob("*.py")))
+    def test_demo_script_runs(self, demo):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "demos" / demo)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout
 
     def test_import_leaves_multiprocessing_out(self):
         # Every sweep runs in-process; importing multiprocessing would only

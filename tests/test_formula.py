@@ -36,6 +36,7 @@ from zinterp.formula import (
     term_vars,
     walk,
 )
+from zinterp.interp import _ordered_bound
 from zinterp.pell import pell_pair
 
 from conftest import SEED
@@ -618,6 +619,9 @@ def test_term_walks_match_reference(term):
 def test_formula_walks_match_reference(phi):
     assert free_vars(phi) == ref_free_vars(phi)
     assert bound_vars(phi) == ref_bound_vars(phi)
+    assert _ordered_bound(phi) == tuple(
+        n for node in ref_walk(phi) if isinstance(node, Exists)
+        for n in node.names)
     text = print_formula(phi)
     assert text == ref_print_formula(phi)
     assert parse(text, LANG_T_SEM) == phi

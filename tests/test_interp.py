@@ -823,7 +823,7 @@ def ref_subst_term(term, mapping):
     return App(term.fn, tuple(ref_subst_term(a, mapping) for a in term.args))
 
 
-def ref_suffix_bound(phi, bound, mark, mapping):
+def ref_template(phi, bound, mark, mapping):
     """The per-leaf recursive rename-and-substitute walk, verbatim."""
     new = tuple(b + mark for b in bound)
     incoming = set()
@@ -857,7 +857,7 @@ def ref_dispatch_body(branches, pick):
     full_dim = max(interp.dim for _, interp in branches)
     alternatives = []
     for idx, (guard, interp) in enumerate(branches, start=1):
-        guard = ref_suffix_bound(guard, _ordered_bound(guard), f"!g{idx}",
+        guard = ref_template(guard, _ordered_bound(guard), f"!g{idx}",
                                  {})[0]
         of, dim = pick(interp), interp.dim
         mapping = {}
@@ -869,7 +869,7 @@ def ref_dispatch_body(branches, pick):
                     mapping[of.params[e * dim + c]] = coord
                 else:
                     pads.append(Atom("=", (coord, Var(f"x{e * full_dim + 1}"))))
-        body = ref_suffix_bound(of.body, of.bound, f"!{idx}", mapping)[0]
+        body = ref_template(of.body, of.bound, f"!{idx}", mapping)[0]
         if pads:
             body = And((body,) + tuple(pads))
         alternatives.append(And((guard, body)))
@@ -930,25 +930,25 @@ def _outcome(fn):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=_instantiations())
-def test_suffix_bound_matches_reference(case):
+def test_template_matches_reference(case):
     """The compiled template against the reference walk, refusals included."""
     of, args, mark = case
     mapping = dict(zip(of.params, args))
     got = _outcome(lambda: of.template(args, mark))
-    want = _outcome(lambda: ref_suffix_bound(of.body, of.bound, mark, mapping))
+    want = _outcome(lambda: ref_template(of.body, of.bound, mark, mapping))
     assert got == want
     if isinstance(want, tuple):
         assert print_formula(got[0]) == print_formula(want[0])
         assert bound_vars(got[0]) == set(got[1])
 
 
-def test_suffix_bound_covers_every_library_formula():
+def test_template_covers_every_library_formula():
     for idx, of in enumerate(LIBRARY):
         args = tuple(Var(f"v{i}") for i in range(len(of.params)))
         mapping = dict(zip(of.params, args))
         mark = f"#{idx}"
         got = of.template(args, mark)
-        assert got == ref_suffix_bound(of.body, of.bound, mark, mapping)
+        assert got == ref_template(of.body, of.bound, mark, mapping)
         assert instantiate(of, args, idx) == got
         assert free_vars(got[0]) <= {a.name for a in args}
 
@@ -956,7 +956,7 @@ def test_suffix_bound_covers_every_library_formula():
 def test_template_refusal_text_matches_reference():
     of = OpenFormula(("x", "y"), pell_domain())
     args = (App("+", (Var("z"), Const("1"))), Var("b"))
-    want = _outcome(lambda: ref_suffix_bound(
+    want = _outcome(lambda: ref_template(
         of.body, of.bound, "", dict(zip(of.params, args))))
     assert want.startswith("argument variables ['z'] collide")
     assert _outcome(lambda: of.template(args, "")) == want
@@ -979,7 +979,7 @@ def _odd_interpretation():
     def odd(of):
         params = tuple(p + "'\\" for p in of.params)
         mapping = {p: Var(q) for p, q in zip(of.params, params)}
-        body = ref_suffix_bound(of.body, of.bound, "'\\!#'+m+'", mapping)[0]
+        body = ref_template(of.body, of.bound, "'\\!#'+m+'", mapping)[0]
         return OpenFormula(params, body)
 
     return Interpretation(
@@ -994,7 +994,7 @@ def test_template_quotes_every_name(tmp_path):
         assert all("'" in n and "\\" in n and "!#" in n for n in of.bound)
         args = tuple(Var(f"a'{i}\\") for i in range(len(of.params)))
         got = instantiate(of, args, "'+m+'\\")
-        want = ref_suffix_bound(of.body, of.bound, "#'+m+'\\",
+        want = ref_template(of.body, of.bound, "#'+m+'\\",
                                 dict(zip(of.params, args)))
         assert got == want
         assert print_formula(got[0]) == print_formula(want[0])

@@ -55,6 +55,51 @@ def test_valcoeff_arith_precision():
     assert not prod.exact
 
 
+def _schoolbook_add(x, y):
+    """ValCoeff.__add__ before it went through Poly."""
+    a, b = x.qcoeffs, y.qcoeffs
+    if len(a) < len(b):
+        a, b = b, a
+    cs = list(a)
+    for i, c in enumerate(b):
+        cs[i] = (cs[i] + c) % x.p
+    return ValCoeff(tuple(cs), x.p, min(x.prec, y.prec), x.exact and y.exact)
+
+
+def _schoolbook_mul(x, y):
+    """ValCoeff.__mul__ before it went through Poly."""
+    prec = min(x.prec, y.prec)
+    if not x.qcoeffs or not y.qcoeffs:
+        return ValCoeff((), x.p, prec, x.is_exact_zero() or y.is_exact_zero())
+    n = len(x.qcoeffs) + len(y.qcoeffs) - 1
+    cs = [0] * n
+    for i, a in enumerate(x.qcoeffs):
+        if a:
+            for j, b in enumerate(y.qcoeffs):
+                cs[i + j] += a * b
+    return ValCoeff(tuple(cs), x.p, prec, x.exact and y.exact and n <= prec)
+
+
+def _random_valcoeff(rng, p):
+    size = rng.choice([0, 1, 2, rng.randint(3, 30)])
+    exact = rng.random() < 0.6
+    return ValCoeff(tuple(rng.randrange(p) for _ in range(size)), p,
+                    rng.randint(1, 20), exact)
+
+
+def test_valcoeff_arith_matches_schoolbook(rng):
+    # Both operations go through Poly; the copies above are the hand-written
+    # F_p convolution and sum they replaced.  Long operands reach the
+    # packed multiply, zeros and masked values the exactness rules.
+    for _ in range(600):
+        p = rng.choice([2, 3, 5, 17, 101])
+        x, y = _random_valcoeff(rng, p), _random_valcoeff(rng, p)
+        for got, want in ((x + y, _schoolbook_add(x, y)),
+                          (x * y, _schoolbook_mul(x, y))):
+            assert (got.qcoeffs, got.prec, got.exact) \
+                == (want.qcoeffs, want.prec, want.exact), (x, y)
+
+
 # -- multiplication and reflection ---------------------------------------------
 
 
