@@ -28,6 +28,7 @@ from .formula import (
     LANG_T,
     check_sat,
     eval_qf,
+    expand,
     parse,
     print_formula,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "LANG_T",
     "check_sat",
     "eval_qf",
+    "expand",
     "parse",
     "print_formula",
     "Witness",

@@ -17,7 +17,8 @@ in F_p[t] takes a square or zero value at every point a of F_p; and with
 u1 = s1^2, u2 = s2^2 the terms are u1 + (n - 1)(u2 - u1) + (n - 1)(n - 2),
 so u_n(a) depends only on the pair (s1(a), s2(a)): one p x p table serves
 every point.  The same formula shows that u1 and u2 fix the sequence, so
-the oracle reads everything but the square test of u_3..u_p off them.
+the oracle reads everything off them; only a survivor that is neither
+constant nor a generated family gets the exact square test of u_3..u_p.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class BuchiOracleReport:
 def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int) -> bool:
     """Are all of u_3..u_length squares, where u_{n+2} = 2u_{n+1} - u_n + 2?
     Stops at the first non-square and keeps no terms, as the seeds (u1, u2)
-    fix them all."""
+    fix them all.  The oracle needs it only for unmatched survivors."""
     prev, cur = u1.coeffs, u2.coeffs
     for _ in range(length - 2):
         prev, cur = cur, _next_term(prev, cur, p)
@@ -317,10 +318,13 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
     away.
 
     Seeds are first sieved by their values on F_p (see the module
-    docstring); only the survivors go through the exact extension.  A
-    survivor is constant when both seeds are: the non-constant part of
-    u_n is u1' + (n - 1)(u2' - u1'), where ' drops the constant term, and
-    that is zero for every n exactly when it is zero at n = 1 and n = 2.
+    docstring).  A survivor is constant when both seeds are: the
+    non-constant part of u_n is u1' + (n - 1)(u2' - u1'), where ' drops
+    the constant term, and that is zero for every n exactly when it is zero
+    at n = 1 and n = 2.  Only an unmatched non-constant survivor gets the
+    exact extension: a constant one's terms are its point values, which
+    the sieve table tested for n = 3..p, and a matched one's terms are
+    ((n + v)^((p^r + 1)/2))^2.
 
     Restricted to p = 17: it is the smallest modulus where the length-17
     all-squares condition is the meaningful one.  Deduplication is by the
@@ -362,12 +366,13 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
             if key in seen:
                 continue
             seen.add(key)
-            if not _extend_all_squares(u1, u2, p, p):
-                continue
             if len(u1.coeffs) <= 1 and len(u2.coeffs) <= 1:
                 constants += 1
                 continue
-            v, r = _match_family(u1, u2, p) or (None, None)
+            match = _match_family(u1, u2, p)
+            if match is None and not _extend_all_squares(u1, u2, p, p):
+                continue
+            v, r = match or (None, None)
             families[key] = BuchiFamily(u1, u2, v, r)
     retained = tuple(families[k] for k in sorted(families))
     return BuchiOracleReport(p, d, len(seeds) ** 2, retained, constants)

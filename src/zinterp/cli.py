@@ -5,8 +5,9 @@ oracle, demo.  Exit codes: 0 when the requested check verifies (or the
 command is pure generation), 1 when a check falsifies, 2 on usage or
 input errors, 3 when a feasibility guard or precision bound refuses the
 computation.  Every command ends with a machine-readable summary line
-prefixed ``#RESULT``.  Output is deterministic: identical invocations
-produce identical bytes.
+prefixed ``#RESULT``; on exits 2 and 3, usage errors included, it reads
+``#RESULT <command> status=error code=<exit code>``.  Output is
+deterministic: identical invocations produce identical bytes.
 """
 
 import argparse
@@ -387,9 +388,7 @@ def cmd_e2e(args) -> int:
     ints = _parse_int_witness(args.witness)
     report = e2e_verify(sentence, ints, args.p)
     if report.error:
-        print(f"error: {report.error}", file=sys.stderr)
-        print(f"#RESULT e2e p={args.p} status=error")
-        return 2
+        raise ValueError(report.error)
     print(f"sentence: {report.sentence}")
     print(f"translated: {report.formula_text}")
     _print_e2e_report(report)
@@ -441,8 +440,23 @@ def _add_buchi_oracle_args(sub) -> None:
     sub.set_defaults(handler=cmd_buchi_oracle)
 
 
+def _result_name(handler) -> str:
+    """The name in handler's #RESULT lines: pell-gen for cmd_pell_gen."""
+    return handler.__name__[len("cmd_"):].replace("_", "-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end with a #RESULT line too."""
+
+    def error(self, message):
+        handler = self.get_default("handler")
+        name = _result_name(handler) if handler else self.prog.split()[-1]
+        print(f"#RESULT {name} status=error code=2")
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zinterp",
         description="Pell pairs, Newton polygons, square sequences, and a "
         "positive-existential formula compiler over F_p[t].",
@@ -554,12 +568,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FeasibilityError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
+        code = 3 if isinstance(exc, (FeasibilityError, PrecisionError)) else 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"#RESULT {_result_name(args.handler)} status=error code={code}")
+        return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Positive-existential formulas: syntax, s-expression parsing, evaluation.
 
 The formula type has exactly four constructors: atoms, conjunction,
-disjunction, and existential quantification.  Negation, implication, and
-universal quantification do not exist as nodes, so everything built here is
-positive-existential by construction.  Inequality, where needed, is an
-ordinary relation symbol with registered semantics, not a negation.
+disjunction, and existential quantification (Inst, an unexpanded instance
+of a library formula, abbreviates a tree of them).  Negation, implication,
+and universal quantification do not exist as nodes, so everything built
+here is positive-existential by construction.  Inequality, where needed, is
+an ordinary relation symbol with registered semantics, not a negation.
 
 Nodes are slots dataclasses, a half to a third as costly to build as frozen
 ones, with the same == and hash.  They stay immutable by convention: no code
@@ -82,6 +83,24 @@ class Or:
 class Exists:
     names: tuple
     body: "Formula"
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Inst:
+    """The library formula of (interp's OpenFormula) with the variable
+    names[i] for its i-th parameter and each bound name b renamed to b +
+    mark, unexpanded: printer, scan and evaluator read of per instance."""
+
+    of: object
+    names: tuple
+    mark: str
+
+    # The plain instance, built on each read.  bench/spans.py's atom count
+    # walks through it, as into the body of any non-atom without parts.
+    @property
+    def body(self) -> "Formula":
+        return self.of.template(tuple([Var(n) for n in self.names]),
+                                self.mark)[0]
 
 
 Formula = Union[Atom, And, Or, Exists]
@@ -326,6 +345,9 @@ def _print_terms(terms: tuple, out: list) -> None:
 
 def _print_formula(phi, out: list) -> None:
     tp = type(phi)
+    if tp is Inst:
+        out.append(phi.of.print_format.format(*phi.names, m=phi.mark))
+        return
     if tp is Atom:
         out += ("(", phi.rel)
         _print_terms(phi.args, out)
@@ -483,7 +505,8 @@ def _eval_terms(terms: tuple, env: Mapping, structure, memo: dict) -> list:
 def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
     """Truth of phi with every variable it mentions, free or bound, read
     from env.  Conjunctions and disjunctions stop at the first false or
-    true part, so later parts are not evaluated.  memo maps
+    true part, so later parts are not evaluated.  An Inst runs its library
+    body with the values of its arguments and renamed bound names.  memo maps
     (function, id of each argument value) to (argument values, result), so
     a function is applied once per distinct tuple of argument objects."""
     tp = type(phi)
@@ -503,6 +526,14 @@ def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
         return False
     if tp is Exists:
         return _eval(phi.body, env, structure, memo)
+    if tp is Inst:
+        of = phi.of
+        local = {b: env[b + phi.mark] for b in of.bound}
+        for p, n in zip(of.params, phi.names):
+            if n not in env:
+                raise ValueError(f"unassigned variable {n!r}")
+            local[p] = env[n]
+        return _eval(of.body, local, structure, memo)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -551,8 +582,20 @@ def walk(phi: Formula):
     if isinstance(phi, (And, Or)):
         for f in phi.parts:
             yield from walk(f)
-    elif isinstance(phi, Exists):
+    elif isinstance(phi, (Exists, Inst)):
         yield from walk(phi.body)
+
+
+def expand(phi: Formula) -> Formula:
+    """phi with every Inst replaced by its body: the plain tree."""
+    tp = type(phi)
+    if tp is Inst:
+        return phi.body
+    if tp is And or tp is Or:
+        return tp(tuple([expand(f) for f in phi.parts]))
+    if tp is Exists:
+        return Exists(phi.names, expand(phi.body))
+    return phi
 
 
 def _vars_into(terms: tuple, scope, out: set) -> None:
@@ -583,6 +626,11 @@ def _scan_formula(phi: Formula, scope: set, free: set, bound: list) -> None:
         scope.update(entered)
         _scan_formula(phi.body, scope, free, bound)
         scope.difference_update(entered)
+    elif tp is Inst:  # no argument mentions a renamed name (the guard)
+        of, mark = phi.of, phi.mark
+        bound.extend([b + mark for b in of.bound])
+        free.update([n for p, n in zip(of.params, phi.names)
+                     if p in of.free and n not in scope])
     else:
         raise TypeError(f"not a formula: {phi!r}")
 

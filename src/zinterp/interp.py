@@ -28,6 +28,7 @@ single translate call, so identical inputs give identical outputs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -40,6 +41,7 @@ from .formula import (
     Const,
     Exists,
     Formula,
+    Inst,
     LANG_D,
     LANG_STAR,
     LANG_T,
@@ -50,6 +52,7 @@ from .formula import (
     Var,
     _scan,
     _template_source,
+    expand,
     free_vars,
     parse,
     print_formula,
@@ -95,7 +98,7 @@ def _ordered_bound(phi: Formula) -> tuple:
 def _guard_bound_names(names, *args) -> None:
     incoming = set()
     for a in args:
-        incoming |= term_vars(_v(a))
+        incoming |= {a} if isinstance(a, str) else term_vars(a)
     clash = incoming & set(names)
     if clash:
         raise ValueError(
@@ -419,18 +422,20 @@ class OpenFormula:
 
     Bound names must be pairwise distinct and disjoint from the parameters,
     so that a flat witness map can address every quantifier unambiguously.
-    bound keeps them in binder order, read once here.
+    bound keeps them in binder order, free the parameters the body reads.
     """
 
     params: tuple
     body: Formula
     bound: tuple = field(init=False, repr=False, compare=False)
+    free: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter name")
         free, bound = _scan(self.body)
         object.__setattr__(self, "bound", tuple(bound))
+        object.__setattr__(self, "free", frozenset(free))
         if len(set(bound)) != len(bound):
             raise ValueError("a bound name is reused inside the body")
         if set(bound) & set(self.params):
@@ -459,6 +464,15 @@ class OpenFormula:
         scope.update((f"k{j}", c) for j, c in enumerate(consts))
         exec(compile(source, "<instantiation template>", "exec"), scope)
         return scope["build"]
+
+    @cached_property
+    def print_format(self) -> str:
+        """An instance's text as a str.format string, {i} for argument i and
+        {m} for the mark, from holes printed "i" and "m" (no '"' otherwise)."""
+        holes = tuple(Var(f'"{i}"') for i in range(len(self.params)))
+        text = print_formula(self.template(holes, '"m"')[0])
+        text = text.replace("{", "{{").replace("}", "}}")
+        return re.sub(r'"(\d+|m)"', r"{\1}", text)
 
 
 def instantiate(of: OpenFormula, args, tag=None) -> tuple:
@@ -661,10 +675,11 @@ class _Translator:
 
     def inst(self, kind: str, of: OpenFormula, names: tuple) -> Formula:
         self.counter += 1
-        out, bound = of.template(tuple([Var(n) for n in names]),
-                                 f"#{self.counter}")
+        mark = f"#{self.counter}"
+        bound = tuple([b + mark for b in of.bound])
+        _guard_bound_names(bound, *names)
         self.instantiations.append(InstRecord(kind, names, self.counter, bound))
-        return out
+        return Inst(of, names, mark)
 
     def domain_parts(self, base: str) -> list:
         if self.interp.domain.body == TRUE:
@@ -782,8 +797,9 @@ def _collect_names(phi: Formula) -> set:
 
 
 def translate_with_trace(interp: Interpretation, phi: Formula):
-    """Translate a closed source sentence; also return the trace recording
-    every tuple and library instantiation, for witness synthesis."""
+    """Translate a closed source sentence into a glue of Inst nodes, one per
+    library instantiation (expand gives the plain tree); also return the
+    trace recording every tuple and instantiation, for witness synthesis."""
     stray = free_vars(phi)
     if stray:
         raise ValueError(f"sentence is not closed; free: {sorted(stray)}")
@@ -816,7 +832,7 @@ def translate_open(interp: Interpretation, of: OpenFormula) -> OpenFormula:
         parts.extend(tr.domain_parts(base))
     parts.append(tr.go(of.body, env))
     body = tr.hoist_constants(And(tuple(parts)))
-    return OpenFormula(tuple(params), body)
+    return OpenFormula(tuple(params), expand(body))
 
 
 def compose(first: Interpretation, second: Interpretation) -> Interpretation:

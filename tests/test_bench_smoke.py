@@ -6,6 +6,7 @@ BENCHMARK.json declares for that mode.  This catches a refactor that drops
 or renames a function the benchmark calls or the tracer wraps.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -32,3 +33,42 @@ def test_quick_run_prints_every_metric(workload, trace):
     declared = SPEC["per_layer"] if trace else SPEC["end_to_end"]
     missing = [m["name"] for m in declared if m["name"] not in proc.stdout]
     assert not missing
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sizes_instances_through_their_body():
+    # The tracer counts the atoms of each translated sentence by walking
+    # into the body of every node that has no parts; an Inst's body must
+    # be its expansion, so the count is the expanded sentence's.
+    from zinterp.formula import LANG_STAR, Atom, Inst, expand, parse, walk
+    from zinterp.interp import (
+        _ordered_bound, instantiate, pell_interpretation, translate_with_trace)
+
+    spans = _load_spans()
+    phi = parse("(exists (a b c) (and (= (+ a b) c) (| a c) (!= a b)"
+                " (|* a (+ 1 1))))", LANG_STAR)
+    out, trace = translate_with_trace(pell_interpretation(), phi)
+    records = {rec.tag: rec for rec in trace.instantiations}
+    stack, insts = [out], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Inst):
+            insts.append(node)
+        else:
+            stack.extend(getattr(node, "parts", None) or
+                         ([node.body] if hasattr(node, "body") else []))
+    assert sorted(int(node.mark[1:]) for node in insts) == sorted(records)
+    for node in insts:
+        rec = records[int(node.mark[1:])]
+        assert node.body == instantiate(node.of, node.names, rec.tag)[0]
+        assert _ordered_bound(node.body) == rec.bound
+    plain = expand(out)
+    assert spans._count_atoms(out, Atom) == \
+        sum(isinstance(node, Atom) for node in walk(plain)) > len(insts)

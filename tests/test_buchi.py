@@ -299,16 +299,23 @@ def _unsieved_oracle(p, d):
     return buchi.BuchiOracleReport(p, d, scanned, retained, len(constants))
 
 
-def _record_exact_path(monkeypatch):
-    """The seed squares the oracle hands to the exact extension, in order."""
-    reached = []
+def _record_survivors(monkeypatch):
+    """The non-constant seed squares the sieve lets through, in the order
+    the oracle hands them to the matcher, and those it hands on to the
+    exact extension."""
+    matched, extended = [], []
 
-    def recording(u1, u2, length, p):
-        reached.append((u1.coeffs, u2.coeffs))
+    def match(u1, u2, p):
+        matched.append((u1.coeffs, u2.coeffs))
+        return _match_family(u1, u2, p)
+
+    def extend(u1, u2, length, p):
+        extended.append((u1.coeffs, u2.coeffs))
         return _extend_all_squares(u1, u2, length, p)
 
-    monkeypatch.setattr(buchi, "_extend_all_squares", recording)
-    return reached
+    monkeypatch.setattr(buchi, "_match_family", match)
+    monkeypatch.setattr(buchi, "_extend_all_squares", extend)
+    return matched, extended
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -317,12 +324,13 @@ def test_oracle_equals_unsieved_reference(d):
 
 
 def test_oracle_sieve_passes_exactly_the_square_valued_seeds(monkeypatch):
-    # A seed reaches the exact extension iff every term u_3..u_17 takes a
-    # square or zero value at every point of F_17: the sieve is neither
-    # weaker nor stronger than the point test it stands for.
+    # A seed survives the sieve iff every term u_3..u_17 takes a square or
+    # zero value at every point of F_17: the sieve is neither weaker nor
+    # stronger than the point test it stands for.  Constant survivors are
+    # counted, the others handed to the matcher.
     p = 17
-    reached = _record_exact_path(monkeypatch)
-    buchi_search_oracle(p, 1)
+    matched, extended = _record_survivors(monkeypatch)
+    report = buchi_search_oracle(p, 1)
     squares = {x * x % p for x in range(p)}
     pair_ok = {}
     for x, y in itertools.product(range(p), repeat=2):
@@ -339,9 +347,13 @@ def test_oracle_sieve_passes_exactly_the_square_valued_seeds(monkeypatch):
         for s2, v2 in zip(seeds, values)
         if all(pair_ok[x, y] for x, y in zip(v1, v2))
     }
-    assert len(reached) == len(set(reached))
-    assert set(reached) == expected
+    constant = {k for k in expected if len(k[0]) <= 1 and len(k[1]) <= 1}
+    assert len(matched) == len(set(matched))
+    assert set(matched) == expected - constant
+    assert report.constant_families == len(constant)
     assert len(expected) == 289
+    # every non-constant survivor is a generated family
+    assert extended == []
 
 
 def test_sieve_table_rows_at_17():
@@ -370,14 +382,15 @@ def test_oracle_generates_two_terms_per_family(monkeypatch):
 
 
 def test_oracle_degree_two_sweep(monkeypatch):
-    # 4,913 = 4,896 + 17: the sieve hands the exact path only seeds of
-    # real families and constants.  An independent brute force over all
-    # 24,137,569 pairs and 17 points finds the same 4,913 seed squares
-    # (19,648 pairs) with every value square or zero.
+    # 4,913 = 4,896 + 17: the sieve passes only seeds of real families and
+    # constants.  An independent brute force over all 24,137,569 pairs and
+    # 17 points finds the same 4,913 seed squares (19,648 pairs) with every
+    # value square or zero.
     p = 17
-    reached = _record_exact_path(monkeypatch)
+    matched, extended = _record_survivors(monkeypatch)
     report = buchi_search_oracle(p, 2)
-    assert len(reached) == len(set(reached)) == 4913
+    assert len(matched) == len(set(matched)) == 4896
+    assert extended == []
     assert report.seeds_scanned == 24137569
     assert report.constant_families == 17
     assert len(report.retained) == 4896
@@ -388,6 +401,16 @@ def test_oracle_degree_two_sweep(monkeypatch):
         if cs[1] or cs[2]
     }
     assert {(fam.v, fam.r) for fam in report.retained} == expected
+
+
+def test_oracle_extends_what_the_matcher_cannot_explain(monkeypatch):
+    # With no family matched, every non-constant survivor goes through the
+    # exact extension, passes it, and is retained flagged.
+    _, extended = _record_survivors(monkeypatch)
+    monkeypatch.setattr(buchi, "_match_family", lambda u1, u2, p: None)
+    report = buchi_search_oracle(17, 1)
+    assert len(extended) == len(report.retained) == len(report.flagged) == 272
+    assert report.constant_families == 17
 
 
 def test_oracle_rejects_negative_degree_bound():

@@ -35,7 +35,7 @@ class TestPellCommands:
     def test_gen_degree_cap_exits_3(self, capsys, n):
         code, out, err = run(capsys, "pell", "gen", "-n", n, "-p", "5")
         assert code == 3
-        assert out == ""
+        assert out == "#RESULT pell-gen status=error code=3\n"
         assert "above the cap 100000" in err
 
     def test_verify_accepts_generated_pair(self, capsys):
@@ -71,7 +71,7 @@ class TestPellCommands:
     def test_oracle_negative_degree_bound_exits_2(self, capsys, p):
         code, out, err = run(capsys, "pell", "oracle", "-p", p, "-D", "-1")
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT pell-oracle status=error code=2\n"
         assert "degree bound on y must be nonnegative, got -1" in err
 
 
@@ -87,14 +87,15 @@ class TestPellCommands:
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--char2"])
         assert excinfo.value.code == 2
-        assert capsys.readouterr().out == ""
+        # argparse refuses unrecognized arguments at the top level
+        assert capsys.readouterr().out == "#RESULT zinterp status=error code=2\n"
 
     def test_verify_exponent_cap_exits_2(self, capsys):
         code, out, err = run(
             capsys, "pell", "verify", "-x", "t^100000000", "-y", "1", "-p", "5",
         )
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT pell-verify status=error code=2\n"
         assert "exponent 100000000 is above the cap 100000" in err
 
 
@@ -120,7 +121,7 @@ class TestNewtonCommands:
             "--series", "{0: 1, 100000000000: q} @ p=5 Q=40",
         )
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT newton-hull status=error code=2\n"
         assert "exponent 100000000000 is above the cap 100000" in err
 
     @pytest.mark.parametrize("n_max, q_prec", [
@@ -133,7 +134,7 @@ class TestNewtonCommands:
             "--n-max", n_max, "--q-prec", q_prec,
         )
         assert code == 3
-        assert out == ""
+        assert out == "#RESULT newton-theta status=error code=3\n"
         assert "above the cap 100000" in err
 
     def test_monomial_reads_off(self, capsys):
@@ -215,7 +216,7 @@ class TestBivarCommands:
             "-D", "100000000",
         )
         assert code == 3
-        assert out == ""
+        assert out == "#RESULT bivar-collapse status=error code=3\n"
         assert "degree bound 100000000 is above the cap 100000" in err
 
     def test_exponent_cap_exits_2(self, capsys):
@@ -224,7 +225,7 @@ class TestBivarCommands:
             "-D", "10",
         )
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT bivar-collapse status=error code=2\n"
         assert "exponent 100000000 is above the cap 100000" in err
 
 
@@ -244,7 +245,7 @@ class TestBuchiCommands:
                 "-p", "5",
             )
             assert code == 2, length
-            assert out == ""
+            assert out == "#RESULT buchi-gen status=error code=2\n"
             assert "length must be at least 1" in err
 
     @pytest.mark.parametrize("r, length", [("9", "3"), ("0", "100000000")],
@@ -255,7 +256,7 @@ class TestBuchiCommands:
             "-p", "17",
         )
         assert code == 3
-        assert out == ""
+        assert out == "#RESULT buchi-gen status=error code=3\n"
         assert "above the cap 100000" in err
 
     def test_oracle_degree_zero_sweep(self, capsys):
@@ -268,7 +269,7 @@ class TestBuchiCommands:
     def test_oracle_negative_degree_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "buchi", "oracle", "-d", "-1")
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT buchi-oracle status=error code=2\n"
         assert "seed degree bound must be nonnegative, got -1" in err
 
 
@@ -352,7 +353,7 @@ class TestCheckCommand:
     def test_deep_nesting_exits_2(self, capsys, text):
         code, out, err = run(capsys, "check", "-p", "5", "--formula", text)
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT check status=error code=2\n"
         assert "nesting deeper than" in err
 
 
@@ -401,7 +402,7 @@ class TestSynthCommand:
     def test_degree_cap_exits_3(self, capsys, argv):
         code, out, err = run(capsys, "synth", *argv)
         assert code == 3
-        assert out == ""
+        assert out == "#RESULT synth status=error code=3\n"
         assert "above the cap" in err
 
 
@@ -412,7 +413,7 @@ class TestE2ECommand:
             "--witness", "a=1,b=1419857", "-p", "17",
         )
         assert code == 3
-        assert out == ""
+        assert out == "#RESULT e2e status=error code=3\n"
         assert "above the cap" in err
 
     def test_verifies_sum(self, capsys):
@@ -453,7 +454,7 @@ class TestE2ECommand:
             "--witness", "n=1", "-p", "2",
         )
         assert code == 2
-        assert out == ""
+        assert out == "#RESULT e2e status=error code=2\n"
         assert "the pair domain uses the conic form; p must be odd" in err
 
     def test_byte_identical_runs(self, capsys):
@@ -477,7 +478,26 @@ class TestDemoAndUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["nosuch"])
         assert excinfo.value.code == 2
-        capsys.readouterr()
+        assert capsys.readouterr().out == "#RESULT zinterp status=error code=2\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (("pell", "gen", "-p", "5"), "pell-gen"),
+        (("oracle", "buchi", "-d", "x"), "buchi-oracle"),
+        (("newton",), "newton"),
+    ])
+    def test_usage_error_prints_result_line(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == f"#RESULT {name} status=error code=2\n"
+        assert "usage:" in err
+
+    def test_help_prints_no_result_line(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pell", "gen", "--help"])
+        assert excinfo.value.code == 0
+        assert "#RESULT" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("demo", sorted(
         p.name for p in (Path(__file__).resolve().parents[1] / "demos")

@@ -4,7 +4,9 @@ import hashlib
 import itertools
 
 import pytest
-from conftest import random_poly
+from conftest import SEED, random_poly
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from zinterp.algebra import (
     FeasibilityError,
@@ -14,7 +16,17 @@ from zinterp.algebra import (
     poly_extgcd,
 )
 from zinterp.buchi import ge_p_check
-from zinterp.formula import bound_vars, check_sat, eval_qf
+from zinterp.formula import (
+    LANG_STAR,
+    Var,
+    _scan,
+    bound_vars,
+    check_sat,
+    eval_qf,
+    expand,
+    parse,
+    print_formula,
+)
 from zinterp.harness import (
     E2EReport,
     FAMILIES,
@@ -37,7 +49,15 @@ from zinterp.harness import (
     synth_pair,
     synth_positive_power,
 )
-from zinterp.interp import _ordered_bound, nonzero
+from zinterp.interp import (
+    InstRecord,
+    _collect_names,
+    _ordered_bound,
+    _Translator,
+    nonzero,
+    pell_interpretation,
+    translate_with_trace,
+)
 from zinterp.pell import pell_enumerate_oracle, pell_pair
 
 
@@ -487,3 +507,90 @@ def test_e2e_reports_pinned_by_digest():
                       for name, v in sorted((r.witness or {}).items())]
             h.update("\n".join(lines).encode() + b"\0")
     assert h.hexdigest() == E2E_BATCH_DIGEST
+
+
+# -- translated sentences as instances, against their expansion ------------------
+#
+# The translator emits Inst nodes and expand gives the plain tree.  The
+# printer, the scan and check_sat must read both alike.
+
+class _ExpandingTranslator(_Translator):
+    """Reference translator: each library instance is expanded where it is
+    emitted."""
+
+    def inst(self, kind, of, names):
+        self.counter += 1
+        out, bound = of.template(tuple([Var(n) for n in names]),
+                                 f"#{self.counter}")
+        self.instantiations.append(InstRecord(kind, names, self.counter, bound))
+        return out
+
+
+def ref_translate(interp, phi):
+    tr = _ExpandingTranslator(interp, _collect_names(phi))
+    return tr.hoist_constants(tr.go(phi, {})), tr.trace()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _check_against_expansion(sentence, ints, pick):
+    """Every reading of the translated sentence equals its expansion's;
+    pick(names) chooses the witness name to perturb and to drop."""
+    interp = pell_interpretation()
+    phi = parse(sentence, LANG_STAR)
+    out, trace = translate_with_trace(interp, phi)
+    plain = expand(out)
+    assert (plain, trace) == ref_translate(interp, phi)
+    assert print_formula(out) == print_formula(plain)
+    assert _scan(out) == _scan(plain)
+    for p in (17, 19):
+        witness = e2e_verify(phi, ints, p).witness
+        if witness is None:  # the integer witness misses a variable
+            continue
+        assert check_sat(out, witness, p) == check_sat(plain, witness, p)
+        name = pick(sorted(witness))
+        bumped = {**witness, name: witness[name] + Poly.one(p)}
+        assert check_sat(out, bumped, p) == check_sat(plain, bumped, p)
+        dropped = {n: v for n, v in witness.items() if n != name}
+        refusal = _outcome(lambda: check_sat(out, dropped, p))
+        assert refusal.startswith("ValueError: witness does not assign")
+        assert refusal == _outcome(lambda: check_sat(plain, dropped, p))
+
+
+@pytest.mark.parametrize("sentence, ints", E2E_BATCH)
+def test_instances_read_like_their_expansion(sentence, ints, rng):
+    _check_against_expansion(sentence, ints, rng.choice)
+
+
+_STAR_LEAVES = st.sampled_from(("a", "b", "0", "1"))
+_STAR_TERMS = st.one_of(
+    _STAR_LEAVES,
+    st.tuples(_STAR_LEAVES, _STAR_LEAVES).map("(+ {0[0]} {0[1]})".format),
+)
+_STAR_ATOMS = st.tuples(st.sampled_from(("=", "|", "|*", "!=")),
+                        _STAR_TERMS, _STAR_TERMS).map("({0[0]} {0[1]} {0[2]})"
+                                                      .format)
+_STAR_BODIES = st.recursive(
+    _STAR_ATOMS,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(("and", "or")),
+                  st.lists(sub, min_size=1, max_size=3))
+        .map(lambda c: f"({c[0]} {' '.join(c[1])})"),
+        sub.map("(exists (a) {})".format),
+    ),
+    max_leaves=4,
+)
+
+
+@seed(SEED)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(body=_STAR_BODIES, a=st.integers(-3, 3), b=st.integers(-3, 3),
+       k=st.integers(0, 10 ** 6))
+def test_random_sentences_read_like_their_expansion(body, a, b, k):
+    _check_against_expansion(f"(exists (a b) {body})", {"a": a, "b": b},
+                             lambda names: names[k % len(names)])

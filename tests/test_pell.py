@@ -11,6 +11,7 @@ from zinterp.pell import (
     MODE_CHAR2,
     MODE_CONIC,
     PellPair,
+    PAIR_STEP_LIMIT,
     STEP_LIMIT,
     SYNTH_DEGREE_CAP,
     _conic_solutions_for_y,
@@ -102,7 +103,8 @@ def test_mode_validation():
 
 
 def test_doubling_matches_stepwise_across_threshold():
-    for n in (STEP_LIMIT - 1, STEP_LIMIT, STEP_LIMIT + 1, 100, 137):
+    for n in (PAIR_STEP_LIMIT, PAIR_STEP_LIMIT + 1,
+              STEP_LIMIT - 1, STEP_LIMIT, STEP_LIMIT + 1, 100, 137):
         for p in (3, 5):
             assert _pair_by_steps(n, p, MODE_CONIC) == _pair_by_doubling(
                 n, p, MODE_CONIC
