@@ -290,8 +290,15 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        """self^e; over F_p with e >= p, Horner over the base-p digits of e,
+        f^e = frob(f^(e // p)) f^(e % p), so each digit costs a coefficient
+        spread and one product by a small power.  Binary powering otherwise."""
         if e < 0:
             raise ValueError("negative exponent")
+        p = self.modulus
+        if p and e >= p:
+            high = frob_pow(self ** (e // p), 1)
+            return high * self ** (e % p) if e % p else high
         result = Poly._raw((1,), self.modulus)
         base = self
         while e:
@@ -542,8 +549,7 @@ def frob_pow(f: Poly, r: int) -> Poly:
         return f
     q = f.modulus**r
     cs = [0] * ((len(f.coeffs) - 1) * q + 1)
-    for i, c in enumerate(f.coeffs):
-        cs[i * q] = c
+    cs[::q] = f.coeffs
     return Poly._raw(tuple(cs), f.modulus)
 
 

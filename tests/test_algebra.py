@@ -125,12 +125,37 @@ def test_extgcd_random(rng):
             assert poly_divides(g, a) and poly_divides(g, b)
 
 
+def _binary_pow(f, e):
+    """f^e by square-and-multiply, with no Frobenius: the reference for
+    Poly.__pow__ and frob_pow."""
+    result, base = Poly.one(f.modulus), f
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
 def test_frob_pow_matches_repeated_mul(rng):
     for p in [2, 3]:
         for r in [0, 1, 2]:
             for _ in range(40):
                 f = random_poly(rng, p, 3)
-                assert frob_pow(f, r) == f ** (p**r)
+                assert frob_pow(f, r) == _binary_pow(f, p**r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_pow_matches_binary_powering(rng, p):
+    top = {2: 6, 3: 4, 5: 3, 17: 2}[p]
+    exponents = set(range(p + 2))
+    for k in range(1, top + 1):
+        exponents |= {p**k - 1, p**k, p**k + 1, (p**k - 1) // 2}
+    fs = [Poly.zero(p), Poly.one(p), Poly.gen(p)]
+    fs += [random_poly(rng, p, rng.randint(0, 4)) for _ in range(6)]
+    for f in fs:
+        for e in sorted(exponents):
+            assert f**e == _binary_pow(f, e), (p, f, e)
 
 
 def test_kronecker_equals_schoolbook(rng):

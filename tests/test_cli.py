@@ -38,6 +38,12 @@ class TestPellCommands:
         assert out == "#RESULT pell-gen status=error code=3\n"
         assert "above the cap 100000" in err
 
+    def test_gen_integer_index_limit_exits_3(self, capsys):
+        code, out, err = run(capsys, "pell", "gen", "-n", "1001", "-p", "0")
+        assert code == 3
+        assert out == "#RESULT pell-gen status=error code=3\n"
+        assert "above the cap 1000 over Z[t]" in err
+
     def test_verify_accepts_generated_pair(self, capsys):
         code, out, _ = run(
             capsys, "pell", "verify",

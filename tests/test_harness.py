@@ -12,6 +12,7 @@ from zinterp.algebra import (
     FeasibilityError,
     Poly,
     format_poly,
+    poly_compose,
     poly_divrem,
     poly_extgcd,
 )
@@ -58,7 +59,11 @@ from zinterp.interp import (
     pell_interpretation,
     translate_with_trace,
 )
-from zinterp.pell import pell_enumerate_oracle, pell_pair
+from zinterp.pell import (
+    pell_enumerate_oracle,
+    pell_pair,
+    pell_pairs_with_quotients,
+)
 
 
 class TestPairFamily:
@@ -215,6 +220,18 @@ class TestPowerSets:
                 assert w.assignment["f"] == Poly.monomial(1, p ** r, p)
                 assert check_witness(w)
                 assert is_frob_power_of_t(w.assignment["f"], p)
+
+    def test_frob_power_closed_form_matches_the_pair_walk(self):
+        for p in (3, 5, 7, 11, 13, 17):
+            t, one = Poly.gen(p), Poly.one(p)
+            for r in (0, 1, 2, 3):
+                q = p ** r
+                pairs, quot = pell_pairs_with_quotients((q,), p)
+                x, y = pairs[q].x, pairs[q].y
+                want = [x, y, quot[q], x + one, poly_compose(y, t + one),
+                        Poly.monomial(1, q - 1, p)]
+                got = list(synth_frob_power(r, p).assignment.values())
+                assert got == want, (p, r)
 
     def test_positive_power_frozen_example(self):
         p = 5

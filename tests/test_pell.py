@@ -6,17 +6,17 @@ import math
 import pytest
 
 from zinterp import pell
-from zinterp.algebra import FeasibilityError, Poly, format_poly
+from zinterp.algebra import FeasibilityError, Poly, format_poly, poly_divrem
 from zinterp.pell import (
+    INTEGER_INDEX_LIMIT,
     MODE_CHAR2,
     MODE_CONIC,
     PellPair,
-    PAIR_STEP_LIMIT,
     STEP_LIMIT,
     SYNTH_DEGREE_CAP,
     _conic_solutions_for_y,
     _offset_quotient,
-    _pair_by_doubling,
+    _pair_by_digits,
     _pair_by_steps,
     pell_add,
     pell_enumerate_oracle,
@@ -102,16 +102,88 @@ def test_mode_validation():
         pell_pair(1, 6)
 
 
-def test_doubling_matches_stepwise_across_threshold():
-    for n in (PAIR_STEP_LIMIT, PAIR_STEP_LIMIT + 1,
-              STEP_LIMIT - 1, STEP_LIMIT, STEP_LIMIT + 1, 100, 137):
-        for p in (3, 5):
-            assert _pair_by_steps(n, p, MODE_CONIC) == _pair_by_doubling(
-                n, p, MODE_CONIC
-            )
-        assert _pair_by_steps(n, 2, MODE_CHAR2) == _pair_by_doubling(
-            n, 2, MODE_CHAR2
-        )
+def test_digits_match_stepwise_at_digit_boundaries():
+    for p, mode in ((2, MODE_CHAR2), (3, MODE_CONIC), (5, MODE_CONIC)):
+        ns = {100, 137}
+        for k in (1, 2, 3):
+            ns |= {p ** k - 1, p ** k, p ** k + 1}
+        for n in sorted(ns):
+            assert _pair_by_digits(n, p, mode) == _pair_by_steps(n, p, mode), (
+                p, n)
+
+
+def _doubling_reference(n_abs, p, mode):
+    """The index-n_abs pair by binary doubling through the bilinear
+    index-addition laws, independent of the Frobenius: the construction
+    pell_pair used before the base-p digits."""
+    t = Poly.gen(p)
+    one = Poly.one(p)
+    if mode == MODE_CHAR2:
+        def add(a, b):
+            yy = a[1] * b[1]
+            return (a[0] * b[0] + yy, a[0] * b[1] + b[0] * a[1] + t * yy)
+        base = (Poly.zero(p), one)
+    else:
+        t2m1 = t * t - one
+
+        def add(a, b):
+            return (a[0] * b[0] + t2m1 * (a[1] * b[1]),
+                    a[0] * b[1] + b[0] * a[1])
+        base = (t, one)
+    acc = (one, Poly.zero(p))
+    for bit in bin(n_abs)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, base)
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 19, 2, 0])
+def test_digits_match_binary_doubling(p):
+    """pell_pair at n = m p^r (m 2^r over Z[t]) against doubling, and every
+    pair on the curve: the digit path's lift and digit products are checked
+    by arithmetic they do not share."""
+    mode = MODE_CHAR2 if p == 2 else MODE_CONIC
+    t = Poly.gen(p)
+    for r in (0, 1, 2):
+        for m in range(31):
+            n = m * (p or 2) ** r
+            x, y = _doubling_reference(n, p, mode)
+            neg = (x + t * y, y) if mode == MODE_CHAR2 else (x, -y)
+            for k, want in ((n, (x, y)), (-n, neg)):
+                got = pell_pair(k, p)
+                assert (got.x, got.y) == want, (p, k)
+                assert pell_verify(got.x, got.y, mode), (p, k)
+
+
+def test_integer_index_limit():
+    refusal = f"above the cap {INTEGER_INDEX_LIMIT} over"
+    for n in (INTEGER_INDEX_LIMIT + 1, -INTEGER_INDEX_LIMIT - 1):
+        with pytest.raises(FeasibilityError, match=refusal):
+            pell_pair(n, 0)
+        with pytest.raises(FeasibilityError, match=refusal):
+            pell_pairs_with_quotients([1, n], 0)
+    assert pell_pair(INTEGER_INDEX_LIMIT + 1, 3).x.degree == (
+        INTEGER_INDEX_LIMIT + 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 17])
+def test_offset_quotient_matches_division(rng, p):
+    t1 = Poly((p - 1, 1), p)
+    xs = [Poly.zero(p), Poly.one(p), Poly.gen(p)]
+    for _ in range(40):
+        z = random_poly(rng, p, rng.randint(0, 30))
+        xs += [Poly.one(p) + t1 * z, random_poly(rng, p, rng.randint(0, 30))]
+    refused = 0
+    for x in xs:
+        q, rem = poly_divrem(x - Poly.one(p), t1)
+        if rem.is_zero():
+            assert _offset_quotient(x, p) == q
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="not 1 at t = 1"):
+                _offset_quotient(x, p)
+    assert refused >= 10
 
 
 @pytest.mark.parametrize("p", [3, 17])
