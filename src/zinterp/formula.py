@@ -34,7 +34,9 @@ divisibility relation b = +-(p^r) * a as the |* semantics.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -89,7 +91,8 @@ class Exists:
 class Inst:
     """The library formula of (interp's OpenFormula) with the variable
     names[i] for its i-th parameter and each bound name b renamed to b +
-    mark, unexpanded: printer, scan and evaluator read of per instance."""
+    mark, unexpanded: printer and scan read of per instance, and the
+    evaluator runs of.evaluate, compiled once per library formula."""
 
     of: object
     names: tuple
@@ -178,6 +181,24 @@ LANG_D = Lang(
 # and scans (free_vars) up to 994 and 993.  Library formulas and translated
 # sentences stay under 20 levels.
 MAX_PARSE_DEPTH = 200
+
+
+def _depth_limited(fn):
+    """fn with the recursion limit reported as a ValueError.  The walks
+    recurse once per nesting level, so a formula built in code may nest
+    only about sys.getrecursionlimit() levels deep (parse refuses text
+    deeper than MAX_PARSE_DEPTH)."""
+    @functools.wraps(fn)
+    def limited(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise ValueError(
+                "formula nested too deeply: its walks recurse once per level, "
+                f"up to the recursion limit of {sys.getrecursionlimit()}"
+            ) from None
+    return limited
+
 
 _TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
 
@@ -370,6 +391,7 @@ def print_term(term: Term) -> str:
     return "".join(out)[1:]
 
 
+@_depth_limited
 def print_formula(phi: Formula) -> str:
     out = []
     _print_formula(phi, out)
@@ -506,9 +528,11 @@ def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
     """Truth of phi with every variable it mentions, free or bound, read
     from env.  Conjunctions and disjunctions stop at the first false or
     true part, so later parts are not evaluated.  An Inst runs its library
-    body with the values of its arguments and renamed bound names.  memo maps
-    (function, id of each argument value) to (argument values, result), so
-    a function is applied once per distinct tuple of argument objects."""
+    formula's compiled evaluator (interp's OpenFormula.evaluate), which makes
+    the calls this walk makes on the expanded instance, in the same order,
+    without building it.  memo maps (function, id of each argument value) to
+    (argument values, result), so a function is applied once per distinct
+    tuple of argument objects."""
     tp = type(phi)
     if tp is Atom:
         return structure.relation(
@@ -527,16 +551,11 @@ def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
     if tp is Exists:
         return _eval(phi.body, env, structure, memo)
     if tp is Inst:
-        of = phi.of
-        local = {b: env[b + phi.mark] for b in of.bound}
-        for p, n in zip(of.params, phi.names):
-            if n not in env:
-                raise ValueError(f"unassigned variable {n!r}")
-            local[p] = env[n]
-        return _eval(of.body, local, structure, memo)
+        return phi.of.evaluate(env, phi.names, phi.mark, structure, memo)
     raise TypeError(f"not a formula: {phi!r}")
 
 
+@_depth_limited
 def eval_qf(matrix: Formula, assignment: Mapping, p: int,
             structure=None) -> bool:
     """Truth value of a quantifier-free formula under a total assignment.
@@ -551,6 +570,7 @@ def eval_qf(matrix: Formula, assignment: Mapping, p: int,
     return _eval(matrix, dict(assignment), structure, {})
 
 
+@_depth_limited
 def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
     """Does the closed formula hold with its existentials bound as in the
     witness?  Every bound variable must be assigned up front; disjunction
@@ -560,7 +580,10 @@ def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
     Each function is applied once per distinct tuple of argument objects
     (witness values shared between names count once): the values are
     memoized for the length of this call only and dropped when it returns,
-    so nothing is cached across calls."""
+    so nothing is cached across calls.  The result and every structure call
+    are those of check_sat(expand(phi), ...): an Inst runs the compiled
+    evaluator of its library formula.  A formula nested deeper than the
+    recursion limit allows is refused with ValueError."""
     if structure is None:
         structure = PolyStructure(p)
     free, bound = _scan(phi)
@@ -586,16 +609,21 @@ def walk(phi: Formula):
         yield from walk(phi.body)
 
 
-def expand(phi: Formula) -> Formula:
-    """phi with every Inst replaced by its body: the plain tree."""
+def _expand(phi: Formula) -> Formula:
     tp = type(phi)
     if tp is Inst:
         return phi.body
     if tp is And or tp is Or:
-        return tp(tuple([expand(f) for f in phi.parts]))
+        return tp(tuple([_expand(f) for f in phi.parts]))
     if tp is Exists:
-        return Exists(phi.names, expand(phi.body))
+        return Exists(phi.names, _expand(phi.body))
     return phi
+
+
+@_depth_limited
+def expand(phi: Formula) -> Formula:
+    """phi with every Inst replaced by its body: the plain tree."""
+    return _expand(phi)
 
 
 def _vars_into(terms: tuple, scope, out: set) -> None:
@@ -650,6 +678,7 @@ def term_vars(term: Term) -> set:
     return out
 
 
+@_depth_limited
 def free_vars(phi: Formula) -> set:
     return _scan(phi)[0]
 
@@ -708,3 +737,123 @@ def _template_source(params: tuple, body: Formula, bound: tuple) -> tuple:
 
     lines.append(f"    return {emit(body) or const(body)}, new")
     return "\n".join(lines) + "\n", consts
+
+
+def _unassigned(name: str):
+    raise ValueError(f"unassigned variable {name!r}")
+
+
+def _apply(memo: dict, key: tuple, function, name: str, args: list) -> tuple:
+    # args stay alive with the result, so no id in a key is reused by a
+    # later value while the memo lives
+    hit = memo[key] = (args, function(name, args))
+    return hit
+
+
+def _group_source(name: str, atoms: list, kind, leaf: dict) -> str:
+    """Source of name(env, names, m, structure, memo): the atoms evaluated
+    in order as the parts of an And (kind), an Or, or alone (kind None, the
+    relation's value returned as is).  It makes the calls _eval makes on
+    their instance, in the same order: a variable is read from env at its
+    first use (leaf[name] is the expression of its key there), a constant
+    at each use, and an application goes through the memo.  A subterm
+    without a constant is evaluated once per group: an atom is reached
+    only after every earlier atom of the group, and a repeat would hit
+    the memo."""
+    lines = []
+    held = {}  # subterms without a constant -> the local holding the value
+    uses = {"r = structure.relation"}
+
+    def value(node) -> tuple:
+        """(local holding node's value, whether node has no constant)."""
+        if node in held:
+            return held[node], True
+        tp = type(node)
+        args = [] if tp is Var or tp is Const else [value(a) for a in node.args]
+        v = f"v{len(lines)}"  # one line per local, so the names differ
+        if tp is Var:
+            key = leaf[node.name]
+            lines.append(f"    try: {v} = env[{key}]\n"
+                         f"    except KeyError: unassigned({key})")
+            held[node] = v
+            return v, True
+        if tp is Const:
+            uses.add("c = structure.constant")
+            lines.append(f"    {v} = c({node.name!r})")
+            return v, False
+        uses.update(("f = structure.function", "get = memo.get"))
+        ids = "".join(f" id({a})," for a, _ in args)
+        values = ", ".join(a for a, _ in args)
+        lines.append(f"    {v} = (get(k := ({node.fn!r},{ids})) or "
+                     f"apply(memo, k, f, {node.fn!r}, [{values}]))[1]")
+        pure = all(p for _, p in args)
+        if pure:
+            held[node] = v
+        return v, pure
+
+    for atom in atoms:
+        call = f"r({atom.rel!r}, [{', '.join(value(a)[0] for a in atom.args)}])"
+        if kind is None:
+            lines.append(f"    return {call}")
+        elif kind is And:
+            lines.append(f"    if not {call}: return False")
+        else:
+            lines.append(f"    if {call}: return True")
+    if kind is not None:
+        lines.append(f"    return {kind is And}")
+    head = [f"def {name}(env, names, m, structure, memo):"]
+    return "\n".join(head + ["    " + u for u in sorted(uses)] + lines) + "\n"
+
+
+def _evaluator(params: tuple, body: Formula, bound: tuple):
+    """body's evaluator (interp's OpenFormula.evaluate), compiled: the
+    function evaluate(env, names, m, structure, memo), which is _eval of
+    the instance with the variable names[i] for parameter i and each bound
+    name b renamed to b + m, under env, without building it.  Each run of
+    consecutive atoms in a conjunction or disjunction (an exists is
+    transparent) is one group function, compiled on its own, and evaluate
+    is the and/or skeleton over the group calls: under tracemalloc, the 59
+    atoms of the largest library body (|*) compiled as one function make
+    the compiler peak at 5.1 MB, its largest group (18 atoms) at 1.5 MB.
+    Names enter the source only through repr."""
+    leaf = {p: f"names[{i}]" for i, p in enumerate(params)}
+    leaf.update((b, f"{b!r} + m") for b in bound)
+    scope = {"unassigned": _unassigned, "apply": _apply}
+    groups = []
+
+    def group(atoms: list, kind) -> str:
+        name = f"g{len(groups)}"
+        groups.append(name)
+        source = _group_source(name, atoms, kind, leaf)
+        exec(compile(source, "<library evaluator>", "exec"), scope)
+        return f"{name}(env, names, m, structure, memo)"
+
+    def skeleton(node) -> str:
+        while type(node) is Exists:
+            node = node.body
+        tp = type(node)
+        if tp is Atom:
+            return group([node], None)
+        if tp is not And and tp is not Or:
+            raise TypeError(f"not a formula: {node!r}")
+        calls, run = [], []
+        for part in node.parts:
+            while type(part) is Exists:
+                part = part.body
+            if type(part) is Atom:
+                run.append(part)
+                continue
+            if run:
+                calls.append(group(run, tp))
+                run = []
+            calls.append(skeleton(part))
+        if run:
+            calls.append(group(run, tp))
+        if not calls:
+            return str(tp is And)
+        return "(" + (" and " if tp is And else " or ").join(calls) + ")"
+
+    source = ("def evaluate(env, names, m, structure, memo):\n"
+              f"    return {skeleton(body)}\n")
+    exec(compile(source, "<library evaluator>", "exec"), scope)
+    return scope["evaluate"]

@@ -50,6 +50,7 @@ from .formula import (
     TRUE,
     Term,
     Var,
+    _evaluator,
     _scan,
     _template_source,
     expand,
@@ -464,6 +465,14 @@ class OpenFormula:
         scope.update((f"k{j}", c) for j, c in enumerate(consts))
         exec(compile(source, "<instantiation template>", "exec"), scope)
         return scope["build"]
+
+    @cached_property
+    def evaluate(self):
+        """The evaluator of an instance, compiled on first use.
+        evaluate(env, names, mark, structure, memo) is the truth of the
+        instance template(names as Vars, mark) under env, with the calls of
+        formula._eval on it, in its order, made without building it."""
+        return _evaluator(self.params, self.body, self.bound)
 
     @cached_property
     def print_format(self) -> str:

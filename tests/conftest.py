@@ -9,6 +9,7 @@ import random
 import pytest
 
 from zinterp.algebra import Poly
+from zinterp.formula import PolyStructure
 
 SEED = int(os.environ.get("ZINTERP_TEST_SEED", "20260819"))
 
@@ -30,3 +31,11 @@ def random_poly(rng, p, max_deg, nonzero=False):
         f = Poly([rng.randint(lo, hi) for _ in range(max_deg + 1)], p)
         if not (nonzero and f.is_zero()):
             return f
+
+
+class FreshConstants(PolyStructure):
+    """F_p[t] whose constant() returns a new object on every call: a memo
+    that let go of its argument values would see their ids reused."""
+
+    def constant(self, name):
+        return Poly(super().constant(name).coeffs, self.p)

@@ -1,5 +1,6 @@
 """Tests for formula syntax, parsing, printing, evaluation, and utilities."""
 
+import sys
 import typing
 
 import pytest
@@ -29,6 +30,7 @@ from zinterp.formula import (
     bound_vars,
     check_sat,
     eval_qf,
+    expand,
     free_vars,
     parse,
     print_formula,
@@ -39,7 +41,7 @@ from zinterp.formula import (
 from zinterp.interp import _ordered_bound
 from zinterp.pell import pell_pair
 
-from conftest import SEED
+from conftest import SEED, FreshConstants
 
 
 # -- parsing -----------------------------------------------------------------
@@ -705,14 +707,6 @@ def _shared_value_sentences(draw):
     return phi, {n: pool[i] for n, i in zip(_MEMO_NAMES, picks)}
 
 
-class FreshConstants(PolyStructure):
-    """F_5[t] whose constant() returns a new object on every call: a memo
-    that let go of its argument values would see their ids reused."""
-
-    def constant(self, name):
-        return Poly(super().constant(name).coeffs, self.p)
-
-
 @seed(SEED)
 @_DIFF
 @given(case=_shared_value_sentences())
@@ -816,3 +810,33 @@ def test_walk_errors_match_reference():
     bad = And((true, Exists(("v",), Var("v"))))
     for walk_fn in (free_vars, bound_vars, print_formula):
         assert outcome(walk_fn, bad) == ("TypeError", "not a formula: Var(name='v')")
+
+
+# -- formulas nested deeper than the walks can recurse ---------------------------
+
+def _and_chain(depth: int):
+    phi = Atom("=", (Const("1"), Const("1")))
+    for _ in range(depth):
+        phi = And((phi,))
+    return phi
+
+
+_ENTRY_POINTS = {
+    "check_sat": lambda phi: check_sat(phi, {}, 5),
+    "eval_qf": lambda phi: eval_qf(phi, {}, 5),
+    "free_vars": free_vars,
+    "print_formula": print_formula,
+    "expand": expand,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_deep_formula_refused_with_value_error(entry):
+    run = _ENTRY_POINTS[entry]
+    deep = _and_chain(max(1000, sys.getrecursionlimit()))
+    limit = f"up to the recursion limit of {sys.getrecursionlimit()}"
+    with pytest.raises(ValueError, match="formula nested too deeply") as exc:
+        run(deep)
+    assert limit in str(exc.value)
+    # deeper than parse accepts, still well within the walks
+    assert run(_and_chain(3 * MAX_PARSE_DEPTH // 2)) is not None

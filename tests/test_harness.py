@@ -4,7 +4,7 @@ import hashlib
 import itertools
 
 import pytest
-from conftest import SEED, random_poly
+from conftest import SEED, FreshConstants, random_poly
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,15 @@ from zinterp.algebra import (
 from zinterp.buchi import ge_p_check
 from zinterp.formula import (
     LANG_STAR,
+    And,
+    App,
+    Atom,
+    Const,
+    Exists,
+    Inst,
+    IntStructure,
+    Or,
+    PolyStructure,
     Var,
     _scan,
     bound_vars,
@@ -52,6 +61,7 @@ from zinterp.harness import (
 )
 from zinterp.interp import (
     InstRecord,
+    OpenFormula,
     _collect_names,
     _ordered_bound,
     _Translator,
@@ -611,3 +621,100 @@ _STAR_BODIES = st.recursive(
 def test_random_sentences_read_like_their_expansion(body, a, b, k):
     _check_against_expansion(f"(exists (a b) {body})", {"a": a, "b": b},
                              lambda names: names[k % len(names)])
+
+
+# -- the compiled evaluator of an Inst, call by call against its expansion --------
+
+class Recording:
+    """A structure with each constant, function and relation call logged,
+    arguments included."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def constant(self, name):
+        self.calls.append(("constant", name))
+        return self.inner.constant(name)
+
+    def function(self, name, args):
+        self.calls.append(("function", name, tuple(args)))
+        return self.inner.function(name, args)
+
+    def relation(self, name, args):
+        self.calls.append(("relation", name, tuple(args)))
+        return self.inner.relation(name, args)
+
+
+def _recorded(run, phi, env, p, inner):
+    """(outcome, calls) of run(phi, env, p, structure) over a recording
+    structure."""
+    ring = Recording(inner)
+    try:
+        outcome = ("ok", run(phi, env, p, ring))
+    except ValueError as exc:
+        outcome = ("ValueError", str(exc))
+    return outcome, ring.calls
+
+
+def _same_calls(run, phi, env, p, make):
+    """The formula and its expansion: same outcome, same calls in the same
+    order, over a fresh structure each."""
+    got = _recorded(run, phi, env, p, make())
+    assert got == _recorded(run, expand(phi), env, p, make())
+    return got[0]
+
+
+@pytest.mark.parametrize("sentence, ints", E2E_BATCH)
+def test_compiled_instances_make_the_calls_of_their_expansion(
+        sentence, ints, rng):
+    interp = pell_interpretation()
+    out = translate_with_trace(interp, parse(sentence, LANG_STAR))[0]
+    cases = [(17, PolyStructure), (19, PolyStructure), (5, FreshConstants)]
+    for p, make in cases:
+        witness = e2e_verify(sentence, ints, p).witness
+        if witness is None:  # the integer witness misses a variable
+            continue
+        name = rng.choice(sorted(witness))
+        bumped = {**witness, name: witness[name] + Poly.one(p)}
+        for env in (witness, bumped):
+            _same_calls(check_sat, out, env, p, lambda: make(p))
+
+
+class Median(IntStructure):
+    """The integers with a 3-ary median function."""
+
+    def function(self, name, args):
+        if name == "mid":
+            return sorted(args)[1]
+        return super().function(name, args)
+
+
+def test_compiled_instance_of_any_arity_and_structure():
+    a, b, c, w = Var("a"), Var("b"), Var("c"), Var("w")
+    mid = App("mid", (a, b, c))
+    # the or's second part reads t, which the integers lack
+    of = OpenFormula(("a", "b", "c"), Exists(("w",), And((
+        Atom("=", (mid, w)),
+        Or((Atom("=", (w, a)),
+            Atom("=", (Const("t"), App("+", (w, Const("1"))))))),
+        Atom("|", (App("mid", (c, App("+", (w, Const("0"))), a)), mid)),
+    ))))
+    outcomes = []
+    for names in (("x", "y", "z"), ("x", "y", "x")):
+        phi = Exists(("x", "y", "z", "w#1"), Inst(of, names, "#1"))
+        for values in ((2, 5, 2, 2), (1, 1, 7, 1), (1, 4, 7, 4),
+                       (1, 4, 7, 5), (0, 0, 0, 0)):
+            env = dict(zip(("x", "y", "z", "w#1"), values))
+            outcomes.append(_same_calls(check_sat, phi, env, 3,
+                                        lambda: Median(3)))
+    assert ("ok", True) in outcomes and ("ok", False) in outcomes
+    assert ("ValueError", "no constant 't' over the integers") in outcomes
+    # an argument the evaluation reaches but env lacks; none is bound here
+    flat = OpenFormula(("a", "b"), And((Atom("=", (a, Const("1"))),
+                                        Atom("=", (b, Const("0"))))))
+    inst = Inst(flat, ("x", "y"), "")
+    assert _same_calls(eval_qf, inst, {"x": 1}, 3, lambda: Median(3)) \
+        == ("ValueError", "unassigned variable 'y'")
+    assert _same_calls(eval_qf, inst, {"x": 0}, 3, lambda: Median(3)) \
+        == ("ok", False)
