@@ -25,14 +25,22 @@ longer operand's leading coefficient survives.  Build those tuples from
 lists, ``tuple([...])``, not from generator expressions: on long vectors the
 generator form is slower and was seen to raise peak memory.
 
-Over a prime field two kernels use the structure of F_p.  Multiplication of
-large operands is Kronecker substitution: each coefficient vector is packed
-into one big integer through an ``array`` of 1-, 2-, 4- or 8-byte slots, wide
-enough that no convolution sum carries into the next slot, Python's bignum
-multiply does the convolution, and the product is read back through a
-``memoryview`` cast (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", JSC 44, 2009).  Slots wider than 8 bytes
-fall back to per-coefficient byte packing.  Packing has a fixed cost of a few
+Over a prime field the kernels reduce mod p with ``bytes.translate`` on
+byte lanes, not one Python ``%`` per coefficient.  For p <= 128, where
+2(p - 1) <= 255, a sum or difference of operands of length at least
+``_SUM_LANE_MIN_LEN`` packs them with ``bytes`` (negating the subtrahend by
+a table), adds them as big integers with no carry between bytes, and
+reduces with one translate; negation is one translate.  Multiplication of
+large operands is Kronecker substitution: each coefficient gets a slot of
+w bytes, wide enough that no convolution sum carries into the next slot,
+and Python's bignum multiply does the convolution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC 44,
+2009).  When w(p - 1) <= 255, lane k of the product (every w-th byte) is
+translated by v -> v * 256^k mod p, the w lanes are added with no carry,
+and one more translate reduces the sum.  Otherwise (always for p > 256)
+the product packs through an ``array`` of 1-, 2-, 4- or 8-byte slots and
+is reduced coefficient by coefficient, or through per-coefficient bytes
+for slots beyond 8 bytes.  Packing has a fixed cost of a few
 microseconds and schoolbook convolution costs one step per pair of
 coefficients, so operands whose length product is below
 ``_KRONECKER_MIN_PRODUCT`` use schoolbook, as do the integers; the tests
@@ -53,7 +61,20 @@ from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
-_KRONECKER_MIN_PRODUCT = 25  # operand length product from which packing wins
+# Operand length product from which packing wins.  With byte lanes (best of
+# 15, products 9-64): at p = 5 packing takes 1.4-1.8 us and wins from 9 on
+# (schoolbook 1.5 us at 9, 2.9 us at 25); at p = 17, two lanes, 2.9-3.6 us,
+# winning from 30-36 on (3.2 against 3.0 us at 25).  25 stays between them.
+_KRONECKER_MIN_PRODUCT = 25
+
+# Largest p with 2(p - 1) <= 255: a sum of two residues fits in one byte, so
+# sums and differences add packed bytes with no carry (see _byte_sum).
+_SUM_LANE_MAX_P = 128
+# Longer-operand length from which that byte route wins.  Its set-up costs
+# more than a short list comprehension (at length 8, p = 17: a sum 1.8
+# against 1.5 us, a difference 2.2 against 1.5 us); from about 24 on, at
+# p = 5 and 17, it is the faster for operands of equal length.
+_SUM_LANE_MIN_LEN = 24
 
 # (slot width in bytes, array type code), narrowest first.  Packing reads
 # slots as little-endian integers, so other byte orders take the byte path.
@@ -127,6 +148,21 @@ def kth_roots_mod(a: int, k: int, p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1024)
 def _kth_roots(a: int, k: int, p: int) -> tuple[int, ...]:
     return tuple([c for c in range(p) if pow(c, k, p) == a])
+
+
+@lru_cache(maxsize=None)
+def _lane(p: int, c: int) -> bytes:
+    """The bytes.translate table of byte v -> v*c mod p: c = 1 reduces a
+    byte, c = p - 1 negates a residue, c = 256^k mod p reduces byte k of a
+    little-endian slot."""
+    return bytes([v * c % p for v in range(256)])
+
+
+@lru_cache(maxsize=None)
+def _lanes(p: int, width: int) -> tuple[bytes, ...]:
+    """The tables of byte k = 0 .. width - 1 of a little-endian slot:
+    v -> v * 256^k mod p."""
+    return tuple([_lane(p, pow(256, k, p)) for k in range(width)])
 
 
 def _trimmed(cs: list[int]) -> tuple[int, ...]:
@@ -233,6 +269,8 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         p = self.modulus
+        if len(a) >= _SUM_LANE_MIN_LEN and 0 < p <= _SUM_LANE_MAX_P:
+            return _byte_sum(bytes(a), bytes(b), len(a) == len(b), p)
         if p:
             cs = [(x + y) % p for x, y in zip(a, b)]
         else:
@@ -246,6 +284,9 @@ class Poly:
 
     def __neg__(self):
         p = self.modulus
+        if 0 < p <= _SUM_LANE_MAX_P:
+            return Poly._raw(
+                tuple(bytes(self.coeffs).translate(_lane(p, p - 1))), p)
         if p:
             return Poly._raw(tuple([-c % p for c in self.coeffs]), p)
         return Poly._raw(tuple([-c for c in self.coeffs]), p)
@@ -256,6 +297,10 @@ class Poly:
             return other
         a, b = self.coeffs, other.coeffs
         p = self.modulus
+        if ((len(a) >= _SUM_LANE_MIN_LEN or len(b) >= _SUM_LANE_MIN_LEN)
+                and 0 < p <= _SUM_LANE_MAX_P):
+            return _byte_sum(bytes(a), bytes(b).translate(_lane(p, p - 1)),
+                             len(a) == len(b), p)
         if p:
             cs = [(x - y) % p for x, y in zip(a, b)]
         else:
@@ -284,7 +329,7 @@ class Poly:
         if not p:
             return Poly._raw(tuple(_schoolbook_mul(a, b)), p)
         if len(a) * len(b) >= _KRONECKER_MIN_PRODUCT:
-            return Poly._raw(tuple(_kronecker_mul(a, b, p)), p)
+            return Poly._raw(_kronecker_mul(a, b, p), p)
         return Poly._raw(tuple([c % p for c in _schoolbook_mul(a, b)]), p)
 
     __rmul__ = __mul__
@@ -365,17 +410,50 @@ def _schoolbook_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return res
 
 
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
+def _byte_sum(a: bytes, b: bytes, trim: bool, p: int) -> Poly:
+    """The polynomial with coefficients a + b over F_p, p <= _SUM_LANE_MAX_P,
+    given one residue per byte: as 2(p - 1) <= 255 no byte sum carries, so
+    one big-integer addition adds them all.  Trailing zeros are trimmed
+    when trim is set (operands of equal length)."""
+    s = (int.from_bytes(a, "little") + int.from_bytes(b, "little")).to_bytes(
+        max(len(a), len(b)), "little").translate(_lane(p, 1))
+    return Poly._raw(tuple(s.rstrip(b"\0") if trim else s), p)
+
+
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...],
+                   p: int) -> tuple[int, ...]:
     # slot width chosen so convolution sums never carry between slots
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = max(1, (bound.bit_length() + 7) // 8)
     n = len(a) + len(b) - 1
+    if width * (p - 1) <= 255:
+        # Byte lanes: slot i is sum_k raw[i*width + k] * 256^k, so it is
+        # congruent mod p to the sum over k of lane k translated by
+        # v -> v * 256^k mod p.  Each translated lane is below p, so the
+        # width lane sums are at most width * (p - 1) <= 255: adding the
+        # lanes as integers never carries, and one last translate reduces.
+        if width == 1:
+            apack, bpack = bytes(a), bytes(b)
+        else:
+            apack = bytearray(width * len(a))
+            apack[::width] = bytes(a)
+            bpack = bytearray(width * len(b))
+            bpack[::width] = bytes(b)
+        raw = (int.from_bytes(apack, "little")
+               * int.from_bytes(bpack, "little")).to_bytes(width * n, "little")
+        lanes = _lanes(p, width)
+        if width > 1:
+            acc = 0
+            for k, lane in enumerate(lanes):
+                acc += int.from_bytes(raw[k::width].translate(lane), "little")
+            raw = acc.to_bytes(n, "little")
+        return tuple(raw.translate(lanes[0]))
     for slot, code in _SLOTS:
         if slot >= width:
             abig = int.from_bytes(array(code, a).tobytes(), "little")
             bbig = int.from_bytes(array(code, b).tobytes(), "little")
             raw = (abig * bbig).to_bytes(slot * n, "little")
-            return [c % p for c in memoryview(raw).cast(code)]
+            return tuple([c % p for c in memoryview(raw).cast(code)])
     abig = int.from_bytes(
         b"".join(c.to_bytes(width, "little") for c in a), "little"
     )
@@ -383,10 +461,10 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
         b"".join(c.to_bytes(width, "little") for c in b), "little"
     )
     raw = (abig * bbig).to_bytes(width * n, "little")
-    return [
+    return tuple([
         int.from_bytes(raw[i * width : (i + 1) * width], "little") % p
         for i in range(n)
-    ]
+    ])
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:

@@ -683,6 +683,7 @@ def free_vars(phi: Formula) -> set:
     return _scan(phi)[0]
 
 
+@_depth_limited
 def bound_vars(phi: Formula) -> set:
     return set(_scan(phi)[1])
 

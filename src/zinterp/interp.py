@@ -50,6 +50,7 @@ from .formula import (
     TRUE,
     Term,
     Var,
+    _depth_limited,
     _evaluator,
     _scan,
     _template_source,
@@ -805,6 +806,7 @@ def _collect_names(phi: Formula) -> set:
     return names
 
 
+@_depth_limited
 def translate_with_trace(interp: Interpretation, phi: Formula):
     """Translate a closed source sentence into a glue of Inst nodes, one per
     library instantiation (expand gives the plain tree); also return the

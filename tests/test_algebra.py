@@ -19,6 +19,7 @@ from zinterp.algebra import (
     poly_divrem,
     poly_extgcd,
     poly_shift,
+    _SUM_LANE_MIN_LEN,
     _kronecker_mul,
     _schoolbook_mul,
 )
@@ -164,7 +165,7 @@ def test_kronecker_equals_schoolbook(rng):
             a = tuple(rng.randrange(p) for _ in range(rng.randint(1, 80)))
             b = tuple(rng.randrange(p) for _ in range(rng.randint(1, 80)))
             school = [c % p for c in _schoolbook_mul(a, b)]
-            assert _kronecker_mul(a, b, p) == school
+            assert list(_kronecker_mul(a, b, p)) == school
 
 
 # (p, shortest, longest operand): slots of 1, 2, 4 and 8 bytes, then one
@@ -186,7 +187,128 @@ def test_kronecker_slot_widths(rng):
             ))
         for a, b in cases:
             school = [c % p for c in _schoolbook_mul(a, b)]
-            assert _kronecker_mul(a, b, p) == school, (p, len(a), len(b))
+            assert list(_kronecker_mul(a, b, p)) == school, (p, len(a), len(b))
+
+
+# -- byte-lane kernels against per-coefficient references --------------------
+
+def _ref_trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_sum(a, b, p, sign=1):
+    """a + sign*b over F_p, one coefficient at a time."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref_trim([(x + sign * y) % p for x, y in zip(a, b)])
+
+
+def _ref_mul(a, b, p):
+    """a*b over F_p through slots one byte wider than any convolution sum,
+    each slot read and reduced on its own."""
+    if not a or not b:
+        return ()
+    w = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
+    n = len(a) + len(b) - 1
+
+    def pack(cs):
+        return int.from_bytes(
+            b"".join(c.to_bytes(w, "little") for c in cs), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(w * n, "little")
+    return _ref_trim([int.from_bytes(raw[i * w:(i + 1) * w], "little") % p
+                      for i in range(n)])
+
+
+def _lane_width(p, shortest):
+    """The product slot width in bytes for operands at least this long."""
+    return max(1, (((p - 1) ** 2 * shortest).bit_length() + 7) // 8)
+
+
+# Sums take byte lanes up to p = 127 (2(p - 1) <= 255), 131 falls back.
+_SUM_PRIMES = [2, 3, 5, 17, 127, 131, 257, 65537, 2**31 - 1]
+
+# (p, shortest, longest operand, slot width, lanes?): small primes at their
+# slot widths; per slot width, the largest prime whose products take the
+# lanes (width * (p - 1) <= 255) and the next prime, whose products of that
+# width fall back to the array path; then primes too large for any lane.
+_LANE_EDGES = [
+    (2, 1, 200, 1, True), (2, 256, 600, 2, True), (3, 1, 80, 1, True),
+    (5, 1, 80, 1, True), (17, 257, 400, 3, True),
+    (13, 1, 40, 1, True), (17, 1, 40, 2, True),
+    (127, 1, 4, 2, True), (131, 1, 3, 2, False),
+    (83, 10, 60, 3, True), (89, 9, 60, 3, False),
+    (61, 4661, 4700, 4, True), (67, 3852, 3900, 4, False),
+    (257, 1, 50, 3, False), (65537, 1, 50, 5, False),
+    (2**31 - 1, 8, 40, 9, False),
+]
+
+
+def test_lane_edges_have_the_widths_they_name():
+    for p, lo, _, width, lanes in _LANE_EDGES:
+        assert _lane_width(p, lo) == width, (p, lo)
+        assert (width * (p - 1) <= 255) == lanes, p
+
+
+def _lane_cases(rng, p, lo, hi, count):
+    top = (p - 1,) * hi
+    cases = [(top, top), (top[:lo], top), (top, top[:lo])]
+    for _ in range(count):
+        # canonical operands: the last coefficient is nonzero
+        cases.append(tuple(
+            tuple([rng.randrange(p) for _ in range(rng.randint(lo, hi) - 1)]
+                  + [rng.randrange(1, p)])
+            for _ in range(2)
+        ))
+    return cases
+
+
+def test_lane_products_match_reference(rng):
+    for p, lo, hi, _, _ in _LANE_EDGES:
+        for a, b in _lane_cases(rng, p, lo, hi, 2 if lo > 1000 else 12):
+            ref = _ref_mul(a, b, p)
+            got = _kronecker_mul(a, b, p)
+            assert type(got) is tuple and got == ref, (p, len(a), len(b))
+            product = (Poly(a, p) * Poly(b, p)).coeffs
+            assert product == ref, (p, len(a), len(b))
+
+
+def test_lane_products_of_constants_at_the_width_two_edge():
+    # Every product of two nonzero constants at 127 (lanes) and 131 (array):
+    # some slots at 131 have two translated lanes adding past 255.
+    for p in (127, 131):
+        for x in range(1, p):
+            for y in range(1, p):
+                assert _kronecker_mul((x,), (y,), p) == (x * y % p,), (p, x, y)
+
+
+def test_lane_sums_match_reference(rng):
+    # lengths on both sides of the byte route's minimum
+    n = _SUM_LANE_MIN_LEN
+    for p in _SUM_PRIMES:
+        top = [p - 1] * 2 * n
+        cases = [(top, top), (top, top[:7]), (top[:7], top), ([], top),
+                 (top[:n - 1], top[:n - 1]), (top[:n], top[:n])]
+        for _ in range(30):
+            a = [rng.randrange(p) for _ in range(rng.randint(0, 3 * n))]
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 3 * n))]
+            # -a with its k lowest coefficients redrawn: a + c cancels
+            # from the top down, to zero when k = 0
+            k = rng.randint(0, len(a))
+            c = [rng.randrange(p) for _ in range(k)] + [-x % p for x in a[k:]]
+            cases += [(a, b), (a, c), (a, a), (a, a[:k] + b[k:len(a)])]
+        for a, b in cases:
+            fa, fb = Poly(a, p), Poly(b, p)
+            a, b = fa.coeffs, fb.coeffs
+            assert (fa + fb).coeffs == _ref_sum(a, b, p), (p, a, b)
+            assert (fa - fb).coeffs == _ref_sum(a, b, p, -1), (p, a, b)
+            assert (-fa).coeffs == _ref_sum((), a, p, -1), (p, a)
+            assert (fa * fb).coeffs == _ref_mul(a, b, p), (p, a, b)
+            for r in (fa + fb, fa - fb, -fa):
+                assert type(r.coeffs) is tuple
+                assert all(type(x) is int for x in r.coeffs)
 
 
 def test_mul_threshold_crossing(rng):

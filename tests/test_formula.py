@@ -825,6 +825,7 @@ _ENTRY_POINTS = {
     "check_sat": lambda phi: check_sat(phi, {}, 5),
     "eval_qf": lambda phi: eval_qf(phi, {}, 5),
     "free_vars": free_vars,
+    "bound_vars": bound_vars,
     "print_formula": print_formula,
     "expand": expand,
 }

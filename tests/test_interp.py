@@ -1082,3 +1082,43 @@ def test_evaluators_compile_without_a_memory_peak():
     )
     assert probe.returncode == 0, probe.stderr
     assert int(probe.stdout) < 1024
+
+
+# -- translation of formulas nested near the recursion limit -----------------
+
+_TRANSLATE_NEAR_LIMIT = """
+import sys
+from zinterp.formula import And, Atom, Const, Exists, Var
+from zinterp.interp import pell_interpretation, translate
+
+interp = pell_interpretation()
+for depth in map(int, sys.argv[1:]):
+    phi = Atom("=", (Var("x"), Const("1")))
+    for _ in range(depth):
+        phi = And((phi,))
+    try:
+        translate(interp, Exists(("x",), phi))
+        print(depth, "translated")
+    except ValueError as exc:
+        print(depth, "refused" if "nested too deeply" in str(exc) else exc)
+    except RecursionError:
+        print(depth, "RecursionError")
+"""
+
+
+def test_translate_near_the_recursion_limit_ends_in_value_error():
+    """An and-chain under one exists that passes the closedness scan but is
+    too deep for the translator's own walk is refused like the scan's
+    overflow.  Run from a plain script, so the depths are those of a
+    caller at the top of the stack: 990 once overflowed the translator."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = subprocess.run(
+        [sys.executable, "-c", _TRANSLATE_NEAR_LIMIT, "985", "990", "995"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert probe.returncode == 0, probe.stderr
+    outcome = dict(line.split(" ", 1) for line in probe.stdout.splitlines())
+    assert outcome["985"] == "translated"
+    assert outcome["990"] in ("translated", "refused")
+    assert outcome["995"] == "refused"
