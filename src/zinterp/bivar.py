@@ -230,21 +230,6 @@ def from_hyperbola(f: BiTrunc) -> BiTrunc:
     return _linear_subst(f, (1, 1), (1, -1))
 
 
-def negate_second(f: BiTrunc) -> BiTrunc:
-    """u -> -u.  In hyperbola coordinates this is exactly the z/w swap."""
-    return BiTrunc(
-        f.p, f.bound,
-        tuple((m, n, c if n % 2 == 0 else -c) for m, n, c in f.entries),
-        f.exact,
-    )
-
-
-def swap_vars(f: BiTrunc) -> BiTrunc:
-    return BiTrunc(
-        f.p, f.bound, tuple((n, m, c) for m, n, c in f.entries), f.exact
-    )
-
-
 # -- text format --------------------------------------------------------------
 
 _BIFACTOR_RE = re.compile(r"^(?:(\d+)|([A-Za-z]\w*)(?:\^(\d+))?)$")

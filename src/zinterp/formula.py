@@ -10,9 +10,9 @@ an ordinary relation symbol with registered semantics, not a negation.
 Nodes are slots dataclasses, a half to a third as costly to build as frozen
 ones, with the same == and hash.  They stay immutable by convention: no code
 assigns a field of a built node, because one node may sit in many formulas
-(TRUE, interp's T_CONST, ONE and ZERO, and the ground subterms of
-instantiation templates such as (* t t)).  So an instance of a library
-formula may share ground subterms with other instances.
+(TRUE, interp's T_CONST, ONE and ZERO).  An instance of a library formula
+(interp's OpenFormula.template) builds every node afresh but shares the
+body's Const leaves and the argument terms it was given.
 
 Terms and formulas are written as s-expressions:
 
@@ -92,7 +92,8 @@ class Inst:
     """The library formula of (interp's OpenFormula) with the variable
     names[i] for its i-th parameter and each bound name b renamed to b +
     mark, unexpanded: printer and scan read of per instance, and the
-    evaluator runs of.evaluate, compiled once per library formula."""
+    evaluator runs of.evaluate, compiled once per library formula.  body
+    substitutes into of.body on each read (of.template)."""
 
     of: object
     names: tuple
@@ -176,7 +177,7 @@ LANG_D = Lang(
 # -- parsing ---------------------------------------------------------------------
 
 # Deepest parenthesis nesting parse accepts, formulas and terms together.
-# Every walk recurses once per level: under the default recursion limit, an
+# Every walk but walk() recurses once per level: under the default limit, an
 # and chain under one exists translates up to 983 levels deep, and prints
 # and scans (free_vars) up to 994 and 993.  Library formulas and translated
 # sentences stay under 20 levels.
@@ -601,12 +602,16 @@ def check_sat(phi: Formula, witness: Mapping, p: int, structure=None) -> bool:
 # -- utilities --------------------------------------------------------------------
 
 def walk(phi: Formula):
-    yield phi
-    if isinstance(phi, (And, Or)):
-        for f in phi.parts:
-            yield from walk(f)
-    elif isinstance(phi, (Exists, Inst)):
-        yield from walk(phi.body)
+    """Every node of phi in preorder, lazily, off an explicit stack, so any
+    nesting depth is walked."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack += reversed(node.parts)
+        elif isinstance(node, (Exists, Inst)):
+            stack.append(node.body)
 
 
 def _expand(phi: Formula) -> Formula:
@@ -688,56 +693,22 @@ def bound_vars(phi: Formula) -> set:
     return set(_scan(phi)[1])
 
 
-def _template_source(params: tuple, body: Formula, bound: tuple) -> tuple:
-    """Source of build(a, m), body's instantiation template (interp's
-    OpenFormula.template), and its constants.  Each bound name and its Var
-    are built once per call, every other node gets one local (so equal
-    subterms are built once and nesting stays flat), and each subterm or
-    atom without a variable is a constant k<j> shared by all instances.
-    Names enter the source only through repr."""
-    leaf = {p: f"a[{i}]" for i, p in enumerate(params)}
-    slot = {n: f"b{j}" for j, n in enumerate(bound)}
-    lines = ["def build(a, m):"]
-    for j, name in enumerate(bound):
-        leaf[name] = f"v{j}"
-        lines += [f"    b{j} = {name!r} + m", f"    v{j} = Var(b{j})"]
-    lines.append(f"    new = ({''.join(b + ', ' for b in slot.values())})")
-    if params and bound:
-        lines.append("    guard(new, *a)")
-    consts = []
-    built = {}
-
-    def const(node) -> str:
-        consts.append(node)
-        return f"k{len(consts) - 1}"
-
-    def emit(node):
-        """The name holding node's instance, or None if node is ground."""
-        tp = type(node)
-        if tp is Var or tp is Const:
-            return leaf[node.name] if tp is Var else None
-        kids = (node.body,) if tp is Exists else \
-            node.parts if tp is And or tp is Or else node.args
-        refs = []
-        for kid in kids:
-            refs.append(emit(kid))
-        if tp is not Exists and refs.count(None) == len(refs):
-            return None
-        refs = [r or const(k) for k, r in zip(kids, refs)]
-        if tp is Exists:
-            names = "".join(slot[n] + ", " for n in node.names)
-            expr = f"Exists(({names}), {refs[0]})"
-        else:
-            head = "" if tp is And or tp is Or else \
-                repr(node.fn if tp is App else node.rel) + ", "
-            expr = f"{tp.__name__}({head}({''.join(r + ', ' for r in refs)}))"
-        if expr not in built:
-            built[expr] = f"n{len(built)}"
-            lines.append(f"    {built[expr]} = {expr}")
-        return built[expr]
-
-    lines.append(f"    return {emit(body) or const(body)}, new")
-    return "\n".join(lines) + "\n", consts
+def _substitute(phi, sub: Mapping):
+    """phi (a formula or term without Inst nodes) with sub[n] for each Var
+    named n in sub, and each bound name n renamed to sub[n].name, so sub
+    maps every bound name of phi to a Var."""
+    tp = type(phi)
+    if tp is Var:
+        return sub.get(phi.name, phi)
+    if tp is Const:
+        return phi
+    if tp is App or tp is Atom:
+        return tp(phi.fn if tp is App else phi.rel,
+                  tuple([_substitute(a, sub) for a in phi.args]))
+    if tp is And or tp is Or:
+        return tp(tuple([_substitute(f, sub) for f in phi.parts]))
+    return Exists(tuple([sub[n].name for n in phi.names]),
+                  _substitute(phi.body, sub))
 
 
 def _unassigned(name: str):

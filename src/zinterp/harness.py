@@ -33,7 +33,6 @@ from .algebra import (
     frob_pow,
     poly_divrem,
 )
-from .buchi import ge_p_check
 from .formula import (
     Exists,
     Formula,
@@ -312,27 +311,6 @@ def is_positive_power_of_t(f: Poly) -> bool:
     if not isinstance(d, int) or d < 1:
         return False
     return f.coeffs[-1] == 1 and not any(f.coeffs[:-1])
-
-
-def semantic_check(relation: str, args, p: int):
-    """Ground-truth decision with no formula evaluation.
-
-    Polynomial relations: "F" and "P" (the two power sets), "ge_p"
-    (f = g^(p^r)), "theta_decode" (pair to integer, or None).  Integer
-    relations act on decoded values: "+" is the ternary graph check, the
-    rest ("=", "!=", "|", "|*", "|_p", "T") follow the integer structure.
-    """
-    if relation == "F":
-        return is_frob_power_of_t(args[0], p)
-    if relation == "P":
-        return is_positive_power_of_t(args[0])
-    if relation == "ge_p":
-        return ge_p_check(args[0], args[1], p) is not None
-    if relation == "theta_decode":
-        return decode_pair(args[0], args[1])
-    if relation == "+":
-        return args[0] + args[1] == args[2]
-    return IntStructure(p).relation(relation, tuple(args))
 
 
 # -- end-to-end verification ---------------------------------------------------------

@@ -53,7 +53,7 @@ from .formula import (
     _depth_limited,
     _evaluator,
     _scan,
-    _template_source,
+    _substitute,
     expand,
     free_vars,
     parse,
@@ -432,6 +432,7 @@ class OpenFormula:
     bound: tuple = field(init=False, repr=False, compare=False)
     free: frozenset = field(init=False, repr=False, compare=False)
 
+    @_depth_limited
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter name")
@@ -452,20 +453,17 @@ class OpenFormula:
     def arity(self) -> int:
         return len(self.params)
 
-    @cached_property
-    def template(self):
-        """The one instantiation routine, compiled on first use.
-        template(args, mark) is the body with the terms args (in parameter
-        order) for the parameters and each bound name renamed to name +
-        mark, paired with the renamed names in binder order.  The
+    def template(self, args: tuple, mark: str) -> tuple:
+        """The one instantiation routine: the body with the terms args (in
+        parameter order) for the parameters and each bound name renamed to
+        name + mark, paired with the renamed names in binder order.  The
         invariants above make capture avoidance needless, except for an
         argument that mentions a renamed name, which is refused."""
-        source, consts = _template_source(self.params, self.body, self.bound)
-        scope = {"Var": Var, "App": App, "Atom": Atom, "And": And, "Or": Or,
-                 "Exists": Exists, "guard": _guard_bound_names}
-        scope.update((f"k{j}", c) for j, c in enumerate(consts))
-        exec(compile(source, "<instantiation template>", "exec"), scope)
-        return scope["build"]
+        new = tuple([b + mark for b in self.bound])
+        _guard_bound_names(new, *args)
+        sub = dict(zip(self.params, args))
+        sub.update((b, Var(n)) for b, n in zip(self.bound, new))
+        return _substitute(self.body, sub), new
 
     @cached_property
     def evaluate(self):
@@ -828,6 +826,7 @@ def translate(interp: Interpretation, phi: Formula) -> Formula:
     return out
 
 
+@_depth_limited
 def translate_open(interp: Interpretation, of: OpenFormula) -> OpenFormula:
     """Translate a formula with free parameters: each parameter expands to
     a tuple, relativized to the domain.  Used by compose."""

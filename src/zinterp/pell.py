@@ -470,13 +470,19 @@ def pell_enumerate_oracle(p: int, max_y_degree: int,
             f"degree bound on y must be nonnegative, got {max_y_degree}"
         )
     mode = _infer_mode(p, mode)
-    cases = p ** (max_y_degree + 1)
-    if mode == MODE_CHAR2:
-        cases *= p ** (max_y_degree + 2)
-    if cases > ORACLE_CASE_LIMIT:
-        raise FeasibilityError(
-            f"{cases} candidate pairs exceed the sweep limit {ORACLE_CASE_LIMIT}"
-        )
+    # The sweep meets p^(D+1) y (times p^(D+2) x in char 2), and the conic
+    # sieve's tables take about p^3 steps; the larger count is multiplied
+    # up only as far as the limit, since the power may have millions of digits
+    factors = (2 * max_y_degree + 3 if mode == MODE_CHAR2
+               else max(max_y_degree + 1, 3))
+    cases = 1
+    for _ in range(factors):
+        cases *= p
+        if cases > ORACLE_CASE_LIMIT:
+            raise FeasibilityError(
+                f"degree bound {max_y_degree} at p = {p} exceeds the sweep "
+                f"limit of {ORACLE_CASE_LIMIT} candidates"
+            )
     _check_modulus(p)
     sweep = _oracle_char2 if mode == MODE_CHAR2 else _oracle_conic
     return frozenset(sweep(p, max_y_degree))

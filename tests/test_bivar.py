@@ -9,9 +9,7 @@ from zinterp.bivar import (
     format_bipoly,
     from_hyperbola,
     kernel_factor,
-    negate_second,
     parse_bipoly,
-    swap_vars,
     to_hyperbola,
 )
 from zinterp.valued import series_mul
@@ -228,6 +226,21 @@ def test_hyperbola_roundtrip_random(rng):
         assert from_hyperbola(to_hyperbola(f)).as_dict() == f.as_dict()
         assert to_hyperbola(from_hyperbola(f)).as_dict() == f.as_dict()
         assert to_hyperbola(f).bound == 8 and to_hyperbola(f).exact
+
+
+def negate_second(f: BiTrunc) -> BiTrunc:
+    """u -> -u.  In hyperbola coordinates this is exactly the z/w swap."""
+    return BiTrunc(
+        f.p, f.bound,
+        tuple((m, n, c if n % 2 == 0 else -c) for m, n, c in f.entries),
+        f.exact,
+    )
+
+
+def swap_vars(f: BiTrunc) -> BiTrunc:
+    return BiTrunc(
+        f.p, f.bound, tuple((n, m, c) for m, n, c in f.entries), f.exact
+    )
 
 
 def test_negating_second_variable_swaps_hyperbola_coords(rng):

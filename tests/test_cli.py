@@ -1,6 +1,9 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _Late(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise _Late inside the block once it has run for seconds."""
+    def late(signum, frame):
+        raise _Late(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestPellCommands:
@@ -80,6 +102,17 @@ class TestPellCommands:
         assert out == "#RESULT pell-oracle status=error code=2\n"
         assert "degree bound on y must be nonnegative, got -1" in err
 
+
+    # The cap is decided before p^(D+1), a number of about D digits, is formed.
+    @pytest.mark.parametrize("spelling", [("pell", "oracle"), ("oracle", "pell")])
+    @pytest.mark.parametrize("p", ["2", "3", "5"])
+    @pytest.mark.parametrize("bound", ["1000000", "100000000"])
+    def test_oracle_huge_degree_bound_exits_3(self, capsys, spelling, p, bound):
+        with _deadline(10):
+            code, out, err = run(capsys, *spelling, "-p", p, "-D", bound)
+        assert code == 3
+        assert out == "#RESULT pell-oracle status=error code=3\n"
+        assert f"degree bound {bound} at p = {p} exceeds the sweep limit" in err
 
     @pytest.mark.parametrize("argv", [
         ("pell", "gen", "-n", "1", "-p", "2"),
@@ -552,3 +585,92 @@ class TestDemoAndUsage:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert probe.stdout == "[]\n"
+
+
+# -- fuzzed command lines ---------------------------------------------------------
+
+# One valid command line per command, spelling and bivar/synth variant.
+_FUZZ_BASES = (
+    ("pell", "gen", "-n", "3", "-p", "5"),
+    ("pell", "verify", "-x", "4*t^3 + 2*t", "-y", "4*t^2 + 4", "-p", "5"),
+    ("pell", "oracle", "-p", "3", "-D", "1"),
+    ("oracle", "pell", "-p", "2", "-D", "1"),
+    ("newton", "hull", "--series", "{0: 1, 1: q^2, 2: q} @ p=5 Q=10"),
+    ("newton", "theta", "-p", "5", "--n-max", "4", "--q-prec", "20"),
+    ("newton", "monomial", "--series", "{3: q^0} @ p=5 Q=10"),
+    ("bivar", "collapse", "--poly", "t*u - 1", "-p", "5", "-D", "6"),
+    ("bivar", "kernel", "--poly", "t*u - 1", "-p", "5", "-D", "6"),
+    ("bivar", "hyperbola", "--poly", "t^2*u + 1", "-p", "5", "-D", "6"),
+    ("bivar", "hyperbola", "--poly", "t*u", "-p", "2", "-D", "6", "--inverse"),
+    ("buchi", "gen", "-v", "t", "-r", "1", "-M", "5", "-p", "5"),
+    ("buchi", "oracle", "-d", "0", "-p", "5"),
+    ("oracle", "buchi", "-d", "0", "-p", "3"),
+    ("compile", "--interp", "pell", "--sentence", "(exists (n) (= n 0))"),
+    ("check", "--formula", "(exists (x) (= (* x x) (* t t)))", "-p", "5"),
+    ("synth", "--family", "theta", "-n", "3", "-p", "5"),
+    ("synth", "--family", "beta", "--base", "t + 1", "-r", "1", "-p", "3"),
+    ("e2e", "--sentence", "(exists (a b) (|* a b))", "--witness", "a=1,b=17",
+     "-p", "17"),
+)
+_NUMERIC_FLAGS = ("-n", "-p", "-D", "-d", "-r", "-M", "-k", "--n-max",
+                  "--q-prec")
+# The F_p kernels leave their byte-lane paths between these primes.
+_BYTE_LANE_EDGES = ("127", "128", "131", "251", "256", "257")
+_HUGE = ("1000000", "100000000", "-100000000", str(10 ** 30))
+_ODD_NUMBERS = ("0", "1", "2", "4", "-1", "x", "", "1e3")
+_ODD_TEXT = ("t^", "t^100000000", "(", ")", "", "t*u*v", "1/0", "t^-1",
+             "{0: q} @ p=4 Q=3", "(exists (x) (= x))",
+             "a=10000000000000000000000", "[1,2,", "\u00fc")
+
+
+def _fuzzed_argvs(rng, count: int) -> list:
+    """Each base with each numeric value replaced by each huge value (and
+    each -p value by each byte-lane edge), then count bases with one to
+    three random edits: a value replaced, a token dropped or a flag put in."""
+    out = []
+    for base in _FUZZ_BASES:
+        for i, tok in enumerate(base):
+            if tok in _NUMERIC_FLAGS:
+                for v in _HUGE + (_BYTE_LANE_EDGES if tok == "-p" else ()):
+                    out.append(base[:i + 1] + (v,) + base[i + 2:])
+    for _ in range(count):
+        argv = list(rng.choice(_FUZZ_BASES))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(argv))
+            edit = rng.randrange(4)
+            flag = argv[i - 1] if i else ""
+            if edit == 0 and flag in _NUMERIC_FLAGS:
+                argv[i] = rng.choice(_BYTE_LANE_EDGES + _HUGE + _ODD_NUMBERS)
+            elif edit == 1 and flag.startswith("-"):
+                argv[i] = rng.choice(_ODD_TEXT)
+            elif edit == 2:
+                del argv[i]
+            else:
+                argv.insert(i, rng.choice(_NUMERIC_FLAGS + ("--inverse", "--lang")))
+        out.append(tuple(argv))
+    return out
+
+
+def test_fuzzed_command_lines_exit_with_a_code_and_a_result_line(capsys, rng):
+    """A few hundred mutated command lines, run in this process, each under a
+    5 s alarm: every one exits 0-3 with no traceback, and exits 2 and 3 print
+    their #RESULT error line."""
+    faults = []
+    for argv in _fuzzed_argvs(rng, 200):
+        try:
+            with _deadline(5):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+        except Exception as exc:
+            capsys.readouterr()
+            faults.append((argv, f"{type(exc).__name__}: {exc}"[:200]))
+            continue
+        out, err = capsys.readouterr()
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            faults.append((argv, code, err[-200:]))
+        elif code in (2, 3) and not re.search(
+                rf"^#RESULT \S+ status=error code={code}$", out, re.M):
+            faults.append((argv, code, "no #RESULT error line"))
+    assert not faults

@@ -38,7 +38,12 @@ from zinterp.formula import (
     term_vars,
     walk,
 )
-from zinterp.interp import _ordered_bound
+from zinterp.interp import (
+    OpenFormula,
+    _ordered_bound,
+    pell_interpretation,
+    translate_open,
+)
 from zinterp.pell import pell_pair
 
 from conftest import SEED, FreshConstants
@@ -828,6 +833,8 @@ _ENTRY_POINTS = {
     "bound_vars": bound_vars,
     "print_formula": print_formula,
     "expand": expand,
+    "translate_open": lambda phi: translate_open(pell_interpretation(),
+                                                 OpenFormula((), phi)),
 }
 
 
@@ -841,3 +848,9 @@ def test_deep_formula_refused_with_value_error(entry):
     assert limit in str(exc.value)
     # deeper than parse accepts, still well within the walks
     assert run(_and_chain(3 * MAX_PARSE_DEPTH // 2)) is not None
+
+
+def test_walk_reaches_any_depth():
+    nodes = list(walk(_and_chain(5000)))
+    assert len(nodes) == 5001
+    assert all(outer.parts[0] is inner for outer, inner in zip(nodes, nodes[1:]))

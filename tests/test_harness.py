@@ -52,7 +52,6 @@ from zinterp.harness import (
     is_frob_power_of_t,
     is_positive_power_of_t,
     relation_instance,
-    semantic_check,
     synth_frob_power,
     synth_ge_p,
     synth_nonzero,
@@ -283,32 +282,38 @@ class TestPowerSets:
 
 
 class TestSemanticCheck:
+    """The ground truth the formula families are checked against: integer
+    relations in the integer structure, the polynomial ones decided from
+    coefficients or the Frobenius certificate, with no formula evaluation."""
+
     def test_power_divisibility_integers(self):
-        assert semantic_check("|*", (3, 51), 17)
-        assert not semantic_check("|*", (3, 6), 17)
-        assert semantic_check("|*", (3, -51), 17)
-        assert semantic_check("|_p", (51, 3), 17)
-        assert semantic_check("T", (2,), 17)
-        assert not semantic_check("T", (-1,), 17)
+        ints = IntStructure(17)
+        assert ints.relation("|*", (3, 51))
+        assert not ints.relation("|*", (3, 6))
+        assert ints.relation("|*", (3, -51))
+        assert ints.relation("|_p", (51, 3))
+        assert ints.relation("T", (2,))
+        assert not ints.relation("T", (-1,))
 
     def test_plain_integer_relations(self):
-        assert semantic_check("+", (1, 1, 2), 17)
-        assert not semantic_check("+", (1, 1, 3), 17)
-        assert semantic_check("|", (3, 6), 17)
-        assert semantic_check("!=", (0, 1), 17)
+        ints = IntStructure(17)
+        assert ints.function("+", (1, 1)) == 2
+        assert ints.function("+", (1, 1)) != 3
+        assert ints.relation("|", (3, 6))
+        assert ints.relation("!=", (0, 1))
 
     def test_polynomial_relations(self):
         p = 5
-        assert semantic_check("F", (Poly.monomial(1, 25, p),), p)
-        assert not semantic_check("F", (Poly.monomial(1, 10, p),), p)
-        assert semantic_check("P", (Poly.monomial(1, 4, p),), p)
+        assert is_frob_power_of_t(Poly.monomial(1, 25, p), p)
+        assert not is_frob_power_of_t(Poly.monomial(1, 10, p), p)
+        assert is_positive_power_of_t(Poly.monomial(1, 4, p))
         g = Poly((1, 1), p)
-        assert semantic_check("ge_p", (g * g * g * g * g, g), p)
-        assert not semantic_check("ge_p", (g * g, g), p)
+        assert ge_p_check(g * g * g * g * g, g, p) is not None
+        assert ge_p_check(g * g, g, p) is None
 
     def test_decode(self):
         pair = pell_pair(7, 17)
-        assert semantic_check("theta_decode", (pair.x, pair.y), 17) == 7
+        assert decode_pair(pair.x, pair.y) == 7
 
 
 class TestWitnessType:

@@ -336,6 +336,13 @@ def test_oracle_p5_d0_frozen():
     ]
 
 
+def test_oracle_cap_counts_the_sieve_tables():
+    # p^3 > 10^7 table steps at any degree: p = 509, D = 0 once took 19 s
+    for p, max_deg in ((223, 0), (257, 1), (509, 0)):
+        with pytest.raises(FeasibilityError, match=f"at p = {p} exceeds"):
+            pell_enumerate_oracle(p, max_deg)
+
+
 def test_oracle_char2_frozen():
     got = pell_enumerate_oracle(2, 2)
     expected = set()
