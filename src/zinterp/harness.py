@@ -7,10 +7,11 @@ semantic checker that decides the intended relation directly, with no
 formula evaluation.  Tests drive both against check_sat to confirm that
 the formulas define exactly what they should at desk scale.
 
-Binder order comes from interp.py alone.  A synthesizer returns its values
-in the binder order of the family's closed sentence, and _bind pairs them
-with the bound names read off that sentence, refusing a count mismatch.
-Adding a family takes one FAMILIES entry and one synthesizer.
+Family sentences and pair-encoded clauses are checked as Insts of their
+interp.OpenFormula, so check_sat runs its compiled evaluator and
+OpenFormula.bound is the one binder order: a synthesizer returns its values
+in that order, and _bind pairs them with those names, refusing a count
+mismatch.  Adding a family takes one FAMILIES entry and one synthesizer.
 
 e2e_verify ties the pipeline together: it translates a closed sentence of
 the star language through the standard pair encoding, converts an integer
@@ -35,7 +36,7 @@ from .algebra import (
 )
 from .formula import (
     Exists,
-    Formula,
+    Inst,
     IntStructure,
     LANG_STAR,
     Var,
@@ -45,10 +46,9 @@ from .formula import (
 )
 from .interp import (
     GE_P_CHAIN_LENGTH,
-    _ordered_bound,
+    OpenFormula,
     frob_powers_of_t,
     ge_p_full,
-    instantiate,
     nonzero,
     pell_domain,
     pell_interpretation,
@@ -88,14 +88,15 @@ class Witness:
 
 
 @lru_cache(maxsize=None)
-def family_formula(family: str) -> Formula:
-    """The closed sentence a family witness is checked against, built once
-    per family (formulas are immutable)."""
+def family_formula(family: str) -> Inst:
+    """The closed sentence a family witness is checked against, as the Inst
+    of a parameterless OpenFormula, built once per family: .of.bound is its
+    binder order, and check_sat runs .of.evaluate, compiled on first use."""
     if family not in FAMILIES:
         raise ValueError(
             f"unknown family {family!r}; choose from {tuple(FAMILIES)}"
         )
-    return FAMILIES[family]()
+    return Inst(OpenFormula((), FAMILIES[family]()), (), "")
 
 
 def _bind(what: str, names: tuple, values) -> dict:
@@ -108,12 +109,6 @@ def _bind(what: str, names: tuple, values) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _family_binders(family: str) -> tuple:
-    """Bound names of a family's sentence in binder order, built once."""
-    return _ordered_bound(family_formula(family))
-
-
-@lru_cache(maxsize=None)
 def _interpretation():
     """The standard pair interpretation, built once; this module only reads
     it."""
@@ -121,20 +116,19 @@ def _interpretation():
 
 
 def _witness(family: str, p: int, values: list) -> Witness:
-    return Witness(family, p, _bind(family, _family_binders(family), values))
+    return Witness(family, p,
+                   _bind(family, family_formula(family).of.bound, values))
 
 
 def check_witness(w: Witness) -> bool:
     """Exact-coverage check followed by satisfaction."""
     phi = family_formula(w.family)
-    need = set(_family_binders(w.family))
+    need = set(phi.of.bound)
     got = set(w.assignment)
     if need != got:
-        missing = sorted(need - got)
-        extra = sorted(got - need)
         raise ValueError(
-            f"assignment must cover exactly the bound variables; "
-            f"missing {missing}, extra {extra}"
+            "assignment must cover exactly the bound variables; "
+            f"missing {sorted(need - got)}, extra {sorted(got - need)}"
         )
     return check_sat(phi, w.assignment, w.p)
 
@@ -403,29 +397,27 @@ def relation_instance(kind: str, ints, p: int):
 
     kind is a star-language symbol or "domain"; ints are the integers the
     clause speaks about, operands first and function value last.  Returns
-    (truth, formula, witness): truth is the direct semantic verdict, and
-    the witness covers every bound variable of the formula whenever the
-    clause is true (placeholder zeros otherwise).
+    (truth, formula, witness): truth is the direct semantic verdict, the
+    formula the Inst of kind's OpenFormula on the coordinates m<i>.1, m<i>.2
+    under one exists, and the witness covers every bound variable of the
+    formula whenever the clause is true (placeholder zeros otherwise).
     """
     interp = _interpretation()
     of = interp.domain if kind == "domain" else interp.symbols[kind]
     pairs, quot = _pairs(ints, p)
-    coords = []
     witness = {}
     for i, m in enumerate(ints):
-        base = f"m{i}"
-        coords.extend((f"{base}.1", f"{base}.2"))
-        witness[f"{base}.1"] = pairs[m].x
-        witness[f"{base}.2"] = pairs[m].y
+        witness[f"m{i}.1"], witness[f"m{i}.2"] = pairs[m].x, pairs[m].y
     if 2 * len(ints) != len(of.params):
         raise ValueError(
             f"symbol {kind!r} speaks about {len(of.params) // 2} integers, "
             f"got {len(ints)}"
         )
-    body, names = instantiate(of, tuple(coords))
-    ok, values = _clause_values(kind, list(ints), p, pairs, quot, len(names))
-    witness.update(_bind(kind, names, values))
-    return ok, Exists(tuple(coords), body), witness
+    coords = tuple(witness)
+    ok, values = _clause_values(kind, list(ints), p, pairs, quot,
+                                len(of.bound))
+    witness.update(_bind(kind, of.bound, values))
+    return ok, Exists(coords, Inst(of, coords, "")), witness
 
 
 def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:

@@ -92,11 +92,6 @@ def _eq(a, b) -> Formula:
     return Atom("=", (_v(a), _v(b)))
 
 
-def _ordered_bound(phi: Formula) -> tuple:
-    """Bound variable names in binder order (top-down, left to right)."""
-    return tuple(_scan(phi)[1])
-
-
 def _guard_bound_names(names, *args) -> None:
     incoming = set()
     for a in args:
@@ -454,11 +449,16 @@ class OpenFormula:
         return len(self.params)
 
     def template(self, args: tuple, mark: str) -> tuple:
-        """The one instantiation routine: the body with the terms args (in
-        parameter order) for the parameters and each bound name renamed to
-        name + mark, paired with the renamed names in binder order.  The
-        invariants above make capture avoidance needless, except for an
-        argument that mentions a renamed name, which is refused."""
+        """The one instantiation routine: the body with the terms args, one
+        per parameter in parameter order, for the parameters and each bound
+        name renamed to name + mark, paired with the renamed names in binder
+        order.  The invariants above make capture avoidance needless, except
+        for an argument that mentions a renamed name, which is refused, as
+        is a wrong number of arguments."""
+        if len(args) != len(self.params):
+            raise ValueError(
+                f"expected {len(self.params)} arguments, got {len(args)}"
+            )
         new = tuple([b + mark for b in self.bound])
         _guard_bound_names(new, *args)
         sub = dict(zip(self.params, args))
@@ -481,18 +481,6 @@ class OpenFormula:
         text = print_formula(self.template(holes, '"m"')[0])
         text = text.replace("{", "{{").replace("}", "}}")
         return re.sub(r'"(\d+|m)"', r"{\1}", text)
-
-
-def instantiate(of: OpenFormula, args, tag=None) -> tuple:
-    """Substitute arguments for the parameters; return the instance and its
-    bound names in binder order.  With a tag, bound names get a #tag suffix,
-    keeping instantiations witness-disjoint."""
-    if len(args) != len(of.params):
-        raise ValueError(
-            f"expected {len(of.params)} arguments, got {len(args)}"
-        )
-    return of.template(tuple([_v(a) for a in args]),
-                       "" if tag is None else f"#{tag}")
 
 
 class Interpretation:

@@ -53,7 +53,9 @@ STEP_LIMIT = 64
 # products are schoolbook: pell_pair(n, 0) takes 0.16 s at n = 1000 and
 # 1.7 s at n = 2000 (2-core Xeon, CPython 3.11).
 INTEGER_INDEX_LIMIT = 1000
-ORACLE_CASE_LIMIT = 10 ** 7
+# The oracle's cap on the steps _oracle_work counts, about 0.14 us each on
+# the same machine, so a sweep at the cap runs for about 1.4 s.
+ORACLE_WORK_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -451,6 +453,29 @@ def _oracle_char2(p: int, max_deg: int) -> list:
     return found
 
 
+def _oracle_work(p: int, max_deg: int, mode: str) -> float:
+    """The steps pell_enumerate_oracle(p, max_deg) takes, estimated.  Char
+    2: 4 (D + 2) per y, to solve for x.  Conic (see _oracle_conic): size *
+    (p + lasts) per sieve point of size p or p^2 for the tables, lasts + 10
+    per point and tail prefix for the lookups, and 20 (D + 2) per root
+    extraction of a y, which passes each point with chance (p + 1) / 2p.
+    A bound past 64 is estimated at 64, and p past 215 by the tables alone,
+    both over the cap already, so no huge power is formed."""
+    d = min(max_deg, 64)
+    if mode == MODE_CHAR2:
+        return 2 ** (d + 1) * 4 * (d + 2)
+    lasts, rational = (p if d else 1), p - 2
+    tables = rational * p * (p + lasts)
+    if tables > ORACLE_WORK_LIMIT:
+        return tables
+    extension = min(max((p ** (d + 1) - 1).bit_length() - rational, 0),
+                    p * (p - 1) // 2)
+    points = rational + extension
+    return (tables + extension * p * p * (p + lasts)
+            + p ** max(d - 1, 0) * points * (lasts + 10)
+            + p ** (d + 1) * ((p + 1) / (2 * p)) ** points * 20 * (d + 2))
+
+
 def pell_enumerate_oracle(p: int, max_y_degree: int,
                           mode: Optional[str] = None) -> frozenset:
     """Every solution pair with deg y <= max_y_degree, by brute force.
@@ -470,19 +495,11 @@ def pell_enumerate_oracle(p: int, max_y_degree: int,
             f"degree bound on y must be nonnegative, got {max_y_degree}"
         )
     mode = _infer_mode(p, mode)
-    # The sweep meets p^(D+1) y (times p^(D+2) x in char 2), and the conic
-    # sieve's tables take about p^3 steps; the larger count is multiplied
-    # up only as far as the limit, since the power may have millions of digits
-    factors = (2 * max_y_degree + 3 if mode == MODE_CHAR2
-               else max(max_y_degree + 1, 3))
-    cases = 1
-    for _ in range(factors):
-        cases *= p
-        if cases > ORACLE_CASE_LIMIT:
-            raise FeasibilityError(
-                f"degree bound {max_y_degree} at p = {p} exceeds the sweep "
-                f"limit of {ORACLE_CASE_LIMIT} candidates"
-            )
+    if _oracle_work(p, max_y_degree, mode) > ORACLE_WORK_LIMIT:
+        raise FeasibilityError(
+            f"degree bound {max_y_degree} at p = {p} exceeds the sweep "
+            f"limit of {ORACLE_WORK_LIMIT} steps"
+        )
     _check_modulus(p)
     sweep = _oracle_char2 if mode == MODE_CHAR2 else _oracle_conic
     return frozenset(sweep(p, max_y_degree))

@@ -449,12 +449,12 @@ def norm_one_monomial(h: LaurentTrunc) -> tuple[int, int]:
 
 
 def format_series(h: LaurentTrunc) -> str:
-    """``{n: coeff, ...} @ p=P Q=N [open=lo|hi|both]`` with q-expansions."""
-    items = []
-    for i, c in enumerate(h.coeffs):
-        if c.is_exact_zero():
-            continue
-        items.append(f"{h.n_min + i}: {c.format()}")
+    """``{n: coeff, ...} @ p=P Q=N [open=lo|hi|both]`` with q-expansions;
+    exact zeros are left out, except at an open end, which its entry marks."""
+    last = len(h.coeffs) - 1
+    items = [f"{h.n_min + i}: {c.format()}" for i, c in enumerate(h.coeffs)
+             if not c.is_exact_zero() or (i == 0 and not h.lo_exact)
+             or (i == last and not h.hi_exact)]
     body = "{" + ", ".join(items) + "}"
     tail = ""
     if not h.lo_exact and not h.hi_exact:
@@ -467,6 +467,7 @@ def format_series(h: LaurentTrunc) -> str:
 
 
 def parse_series(text: str) -> LaurentTrunc:
+    """The series format_series prints; ``{}`` with closed tails is zero."""
     body, _, meta = text.partition("@")
     body = body.strip()
     if not (body.startswith("{") and body.endswith("}")):
@@ -494,6 +495,7 @@ def parse_series(text: str) -> LaurentTrunc:
                 data[expo] = ValCoeff((), p, q_prec, exact=False)
             else:
                 data[expo] = ValCoeff.make(coeff, p, q_prec)
-    if not data:
+    if not data and not (lo_exact and hi_exact):
         raise ValueError("series has no entries")
-    return LaurentTrunc.from_dict(data, p, q_prec, lo_exact, hi_exact)
+    return LaurentTrunc.from_dict(data, p, q_prec, lo_exact, hi_exact,
+                                  None if data else (0, 0))

@@ -7,11 +7,19 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from zinterp.algebra import Poly
 from zinterp.formula import PolyStructure
 
 SEED = int(os.environ.get("ZINTERP_TEST_SEED", "20260819"))
+
+# One Hypothesis profile for the suite: each property test draws the examples
+# its source (or its @seed) fixes, with no example database carried between
+# runs, so two runs test the same examples; no deadline, as timings are noisy.
+settings.register_profile("zinterp", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("zinterp")
 
 
 def pytest_report_header(config):

@@ -507,3 +507,20 @@ def test_parse_format_roundtrip(rng):
             f = random_poly(rng, p, 7)
             assert parse_poly(format_poly(f), p) == f
             assert parse_poly(str(list(f.coeffs)) if f.coeffs else "[]", p) == f
+
+
+# -- polynomial text round-trips (property-based) ---------------------------------
+
+
+@st.composite
+def _text_polys(draw):
+    """A polynomial over F_p, p in {0, 2, 3, 17, 257}, signed over Z."""
+    p = draw(st.sampled_from((0, 2, 3, 17, 257)))
+    lo, hi = (-300, 300) if p == 0 else (0, p - 1)
+    return Poly(draw(st.lists(st.integers(lo, hi), max_size=10)), p)
+
+
+@settings(max_examples=300)
+@given(f=_text_polys(), var=st.sampled_from(("t", "q", "x1")))
+def test_poly_text_round_trips(f, var):
+    assert parse_poly(format_poly(f, var), f.modulus, var) == f

@@ -47,9 +47,9 @@ def test_tracer_sizes_instances_through_their_body():
     # The tracer counts the atoms of each translated sentence by walking
     # into the body of every node that has no parts; an Inst's body must
     # be its expansion, so the count is the expanded sentence's.
-    from zinterp.formula import LANG_STAR, Atom, Inst, expand, parse, walk
-    from zinterp.interp import (
-        _ordered_bound, instantiate, pell_interpretation, translate_with_trace)
+    from zinterp.formula import (
+        LANG_STAR, Atom, Inst, Var, _scan, expand, parse, walk)
+    from zinterp.interp import pell_interpretation, translate_with_trace
 
     spans = _load_spans()
     phi = parse("(exists (a b c) (and (= (+ a b) c) (| a c) (!= a b)"
@@ -67,8 +67,9 @@ def test_tracer_sizes_instances_through_their_body():
     assert sorted(int(node.mark[1:]) for node in insts) == sorted(records)
     for node in insts:
         rec = records[int(node.mark[1:])]
-        assert node.body == instantiate(node.of, node.names, rec.tag)[0]
-        assert _ordered_bound(node.body) == rec.bound
+        args = tuple(Var(n) for n in node.names)
+        assert node.body == node.of.template(args, f"#{rec.tag}")[0]
+        assert tuple(_scan(node.body)[1]) == rec.bound
     plain = expand(out)
     assert spans._count_atoms(out, Atom) == \
         sum(isinstance(node, Atom) for node in walk(plain)) > len(insts)

@@ -1,6 +1,8 @@
 """Tests for bivariate truncations, collapse, kernel factors, hyperbola maps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zinterp.bivar import (
     BiTrunc,
@@ -308,3 +310,22 @@ def test_format_parse_roundtrip(rng):
         assert parse_bipoly(text, p, 5).as_dict() == f.as_dict()
     assert format_bipoly(BiTrunc.zero(5, 2)) == "0"
     assert format_bipoly(parse_bipoly("t*u - 1", 5, 2)) == "t*u + 4"
+
+
+# -- text round-trips (property-based) ----------------------------------------------
+
+
+@st.composite
+def _text_bipolys(draw):
+    p = draw(st.sampled_from((2, 3, 5, 17, 257)))
+    bound = draw(st.integers(0, 6))
+    terms = draw(st.lists(st.tuples(st.integers(0, bound), st.integers(0, bound),
+                                    st.integers(0, p - 1)), max_size=8))
+    return BiTrunc.from_dict({(m, n): c for m, n, c in terms if m + n <= bound},
+                             p, bound)
+
+
+@settings(max_examples=300)
+@given(f=_text_bipolys(), names=st.sampled_from((("t", "u"), ("z", "w1"))))
+def test_bipoly_text_round_trips(f, names):
+    assert parse_bipoly(format_bipoly(f, names), f.p, f.bound, names) == f

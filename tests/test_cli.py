@@ -114,6 +114,16 @@ class TestPellCommands:
         assert out == "#RESULT pell-oracle status=error code=3\n"
         assert f"degree bound {bound} at p = {p} exceeds the sweep limit" in err
 
+    # The cap estimates the sweep's work; these once ran for 3.8 to 32.5 s.
+    @pytest.mark.parametrize("spelling", [("pell", "oracle"), ("oracle", "pell")])
+    @pytest.mark.parametrize("p, bound", [("3", "11"), ("5", "9"), ("3", "13")])
+    def test_oracle_slow_sweep_exits_3(self, capsys, spelling, p, bound):
+        with _deadline(1):
+            code, out, err = run(capsys, *spelling, "-p", p, "-D", bound)
+        assert code == 3
+        assert out == "#RESULT pell-oracle status=error code=3\n"
+        assert f"degree bound {bound} at p = {p} exceeds the sweep limit" in err
+
     @pytest.mark.parametrize("argv", [
         ("pell", "gen", "-n", "1", "-p", "2"),
         ("pell", "verify", "-x", "0", "-y", "1", "-p", "2"),

@@ -27,6 +27,7 @@ from zinterp.formula import (
     Or,
     PolyStructure,
     Var,
+    _scan,
     bound_vars,
     check_sat,
     eval_qf,
@@ -40,7 +41,6 @@ from zinterp.formula import (
 )
 from zinterp.interp import (
     OpenFormula,
-    _ordered_bound,
     pell_interpretation,
     translate_open,
 )
@@ -626,7 +626,7 @@ def test_term_walks_match_reference(term):
 def test_formula_walks_match_reference(phi):
     assert free_vars(phi) == ref_free_vars(phi)
     assert bound_vars(phi) == ref_bound_vars(phi)
-    assert _ordered_bound(phi) == tuple(
+    assert tuple(_scan(phi)[1]) == tuple(
         n for node in ref_walk(phi) if isinstance(node, Exists)
         for n in node.names)
     text = print_formula(phi)

@@ -16,6 +16,7 @@ from zinterp.algebra import (
     poly_divrem,
     poly_extgcd,
 )
+from zinterp import formula
 from zinterp.buchi import ge_p_check
 from zinterp.formula import (
     LANG_STAR,
@@ -62,13 +63,13 @@ from zinterp.interp import (
     InstRecord,
     OpenFormula,
     _collect_names,
-    _ordered_bound,
     _Translator,
     nonzero,
     pell_interpretation,
     translate_with_trace,
 )
 from zinterp.pell import (
+    STEP_LIMIT,
     pell_enumerate_oracle,
     pell_pair,
     pell_pairs_with_quotients,
@@ -344,7 +345,7 @@ class TestWitnessType:
         for family in FAMILIES:
             w = samples[family]()
             assert w.family == family
-            want = _ordered_bound(family_formula(family))
+            want = tuple(_scan(family_formula(family))[1])
             assert tuple(w.assignment) == want, family
             assert check_witness(w), family
 
@@ -723,3 +724,214 @@ def test_compiled_instance_of_any_arity_and_structure():
         == ("ValueError", "unassigned variable 'y'")
     assert _same_calls(eval_qf, inst, {"x": 0}, 3, lambda: Median(3)) \
         == ("ok", False)
+
+
+# -- library formulas as Insts of their OpenFormula, against their expansion ------
+#
+# family_formula and relation_instance hand check_sat the Inst of a library
+# formula, which runs its compiled evaluator; expand gives the plain tree
+# that the generic walk reads.
+
+_FAMILY_SAMPLES = {
+    "nu": lambda p: synth_nonzero(Poly((2, 0, 1), p), p),
+    "beta": lambda p: synth_ge_p(Poly((1, 1), p), 1, p),
+    "phi": lambda p: synth_frob_power(1, p),
+    "psi": lambda p: synth_positive_power(3, 1, p),
+    "theta": lambda p: synth_pair(-3, p),
+}
+
+
+def _clause_cases(p):
+    """(kind, integers, truth) for every kind of the pair interpretation and
+    the domain, true and false."""
+    return [
+        ("domain", (5,), True), ("domain", (-3,), True),
+        ("0", (0,), True), ("0", (2,), False),
+        ("1", (1,), True), ("1", (0,), False),
+        ("+", (3, 4, 7), True), ("+", (1, 1, 3), False),
+        ("=", (6, 6), True), ("=", (2, 5), False),
+        ("|", (3, 12), True), ("|", (0, 0), True), ("|", (3, 7), False),
+        ("|*", (3, -3 * p), True), ("|*", (2, 6), False),
+        ("!=", (2, 5), True), ("!=", (4, 4), False),
+    ]
+
+
+def _reads_like_its_expansion(phi, witness, p, names) -> list:
+    """check_sat on phi and on expand(phi) agree on the witness and on each
+    copy with one of names bumped by 1, and refuse alike when names[0] is
+    missing; returns the verdicts, the witness's first."""
+    plain = expand(phi)
+    verdicts = []
+    for name in (None, *names):
+        env = witness if name is None else {
+            **witness, name: witness[name] + Poly.one(p)}
+        verdicts.append(check_sat(phi, env, p))
+        assert verdicts[-1] == check_sat(plain, env, p), name
+    dropped = {n: v for n, v in witness.items() if n != names[0]}
+    refusal = _outcome(lambda: check_sat(phi, dropped, p))
+    assert refusal.startswith("ValueError: witness does not assign")
+    assert refusal == _outcome(lambda: check_sat(plain, dropped, p))
+    return verdicts
+
+
+@pytest.mark.parametrize("p", [5, 17, 19])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_inst_reads_like_its_expansion(family, p):
+    phi = family_formula(family)
+    assert isinstance(phi, Inst) and phi.of.params == ()
+    w = _FAMILY_SAMPLES[family](p)
+    assert tuple(w.assignment) == phi.of.bound
+    verdicts = _reads_like_its_expansion(phi, w.assignment, p,
+                                         phi.of.bound)
+    assert verdicts[0] and not all(verdicts)
+
+
+@pytest.mark.parametrize("p", [5, 17, 19])
+def test_clause_inst_reads_like_its_expansion(p):
+    interp = pell_interpretation()
+    assert {k for k, _, _ in _clause_cases(p)} == {"domain", *interp.symbols}
+    for kind, ints, truth in _clause_cases(p):
+        ok, phi, witness = relation_instance(kind, ints, p)
+        assert ok == truth, (kind, ints)
+        assert isinstance(phi.body, Inst) and phi.body.names == phi.names
+        verdicts = _reads_like_its_expansion(phi, witness, p, sorted(witness))
+        assert verdicts[0] == truth, (kind, ints)
+
+
+def test_library_formulas_skip_the_generic_term_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the generic term walk ran")
+
+    monkeypatch.setattr(formula, "_eval_terms", refuse)
+    for family, make in _FAMILY_SAMPLES.items():
+        assert check_witness(make(17)), family
+    for kind, ints, truth in _clause_cases(17):
+        if truth:
+            _, phi, witness = relation_instance(kind, ints, 17)
+            assert check_sat(phi, witness, 17), kind
+    with pytest.raises(AssertionError, match="generic term walk"):
+        check_sat(expand(phi), witness, 17)
+
+
+# -- differential e2e across primes: the interpretation is uniform in p ------------
+#
+# Random closed star sentences with integer witnesses, decided by a test-local
+# integer evaluator; at every odd prime up to 23 the translated sentence must
+# verify exactly when the integer sentence holds, and read the same.
+
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+_D_LEAVES = st.sampled_from(("a", "b", "c", "d", "0", "1"))
+_D_TERMS = st.recursive(_D_LEAVES, lambda sub: st.tuples(
+    st.just("+"), sub, sub), max_leaves=3)
+_D_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(("=", "|", "|*", "!=")), _D_TERMS, _D_TERMS),
+    st.tuples(st.just("|*"), *[st.sampled_from(("a", "b", "c"))] * 2),
+)
+_D_BODIES = st.recursive(_D_ATOMS, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(("and", "or")),
+              st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    st.tuples(st.just("exists"), sub),
+), max_leaves=5)
+
+
+def _render(node, scope: dict, fresh: list) -> str:
+    """Star-language text of a generated node; each exists binds d afresh,
+    as d1, d2, ..., and a d outside every exists reads as a."""
+    if isinstance(node, str):
+        return scope.get(node, node)
+    head = node[0]
+    if head == "exists":
+        fresh.append(f"d{len(fresh) + 1}")
+        inner = _render(node[1], {**scope, "d": fresh[-1]}, fresh)
+        return f"(exists ({fresh[-1]}) {inner})"
+    if head in ("and", "or"):
+        return f"({head} {' '.join(_render(f, scope, fresh) for f in node[1])})"
+    return f"({head} {_render(node[1], scope, fresh)} " \
+           f"{_render(node[2], scope, fresh)})"
+
+
+def _p_power_multiple(a: int, b: int, p: int) -> bool:
+    """b = +-(p^r) a for some r >= 0."""
+    if a == 0:
+        return b == 0
+    while abs(b) > abs(a) and b % p == 0:
+        b //= p
+    return abs(b) == abs(a)
+
+
+def _int_truth(node, env: dict, p: int, scope: dict, fresh):
+    """The generated node over the integers, its variables read from env
+    and renamed as _render renamed them, fresh yielding the exists names in
+    order; the |* relation is taken at p."""
+    if isinstance(node, str):
+        return int(node) if node in ("0", "1") else env[scope.get(node, node)]
+    head = node[0]
+    if head == "+":
+        return sum(_int_truth(t, env, p, scope, fresh) for t in node[1:])
+    if head == "exists":
+        return _int_truth(node[1], env, p, {**scope, "d": next(fresh)}, fresh)
+    if head in ("and", "or"):
+        # every part is read, so each exists takes its name in order
+        parts = [_int_truth(f, env, p, scope, fresh) for f in node[1]]
+        return all(parts) if head == "and" else any(parts)
+    a = _int_truth(node[1], env, p, scope, fresh)
+    b = _int_truth(node[2], env, p, scope, fresh)
+    if head == "=":
+        return a == b
+    if head == "!=":
+        return a != b
+    if head == "|":
+        return b == 0 if a == 0 else b % a == 0
+    return _p_power_multiple(a, b, p)
+
+
+def _first_star_pair(node):
+    """The arguments of the first |* atom between two of a, b and c, or
+    None."""
+    head = node[0]
+    if head == "|*" and node[1] != node[2] and {node[1], node[2]} <= {
+            "a", "b", "c"}:
+        return node[1], node[2]
+    if head in ("and", "or", "exists"):
+        for f in (node[1] if head != "exists" else (node[1],)):
+            pair = _first_star_pair(f)
+            if pair:
+                return pair
+    return None
+
+
+# Values on both sides of the one-walk limit of the pair synthesis.
+_D_VALUES = st.one_of(
+    st.integers(-4, 4),
+    st.integers(STEP_LIMIT - 2, STEP_LIMIT + 2).flatmap(
+        lambda n: st.sampled_from((n, -n))),
+)
+
+
+@seed(SEED)
+@settings(max_examples=100)
+@given(body=_D_BODIES, values=st.lists(_D_VALUES, min_size=9, max_size=9),
+       star=st.tuples(st.booleans(), st.sampled_from(_ODD_PRIMES),
+                      st.integers(0, 2), st.sampled_from((1, -1))))
+def test_e2e_agrees_with_the_integers_at_every_odd_prime(body, values, star):
+    fresh = []
+    sentence = f"(exists (a b c) {_render(body, {'d': 'a'}, fresh)})"
+    names = ("a", "b", "c", *fresh)
+    env = {name: values[i % len(values)] for i, name in enumerate(names)}
+    pair = _first_star_pair(body)
+    use, q, r, sign = star
+    if use and pair:
+        # a |* witness m = +-(q^r) n, which random values rarely give
+        x, y = pair
+        while r and abs(env[x]) * q ** r > 2000:
+            r -= 1
+        env[y] = sign * q ** r * env[x]
+    texts = set()
+    for p in _ODD_PRIMES:
+        truth = _int_truth(body, env, p, {"d": "a"}, iter(fresh))
+        report = e2e_verify(sentence, env, p)
+        assert not report.error, (sentence, env, p)
+        assert report.ok == truth, (sentence, env, p)
+        texts.add(report.formula_text)
+    assert len(texts) == 1

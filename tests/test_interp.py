@@ -26,6 +26,7 @@ from zinterp.formula import (
     PolyStructure,
     TRUE,
     Var,
+    _scan,
     bound_vars,
     check_sat,
     expand,
@@ -37,7 +38,6 @@ from zinterp.interp import (
     InstRecord,
     Interpretation,
     OpenFormula,
-    _ordered_bound,
     add_graph,
     char_at_least,
     char_is,
@@ -53,7 +53,6 @@ from zinterp.interp import (
     ge_p_chain,
     ge_p_full,
     identity_interpretation,
-    instantiate,
     load_bundle,
     nonzero,
     nonzero_difference,
@@ -346,26 +345,34 @@ class TestOpenFormula:
 
     def test_instantiate_tags_bound_names(self):
         of = OpenFormula(("x", "y"), pell_domain())
-        phi, bound = instantiate(of, ("a", "b"), tag=7)
+        phi, bound = of.template((Var("a"), Var("b")), "#7")
         assert isinstance(phi, Exists)
         assert phi.names == bound == ("z#7",)
         assert free_vars(phi) == {"a", "b"}
 
     def test_instantiate_accepts_terms(self):
         of = OpenFormula(("x", "y"), conic_atom("x", "y"))
-        phi, _ = instantiate(of, (App("*", (Var("a"), Var("a"))), Var("b")))
+        phi, _ = of.template((App("*", (Var("a"), Var("a"))), Var("b")), "")
         assert free_vars(phi) == {"a", "b"}
 
     def test_instantiate_arity_mismatch(self):
         of = OpenFormula(("x", "y"), conic_atom("x", "y"))
         with pytest.raises(ValueError):
-            instantiate(of, ("a",))
+            of.template((Var("a"),), "")
+
+    def test_template_refuses_a_wrong_argument_count(self):
+        # Too few arguments would leave a parameter free in the instance.
+        of = OpenFormula(("x", "y"), conic_atom("x", "y"))
+        for args in ((Var("a"),), (Var("a"), Var("b"), Var("c"))):
+            with pytest.raises(ValueError, match=(
+                    f"expected 2 arguments, got {len(args)}")):
+                of.template(args, "#1")
 
     def test_instantiate_refuses_captured_argument(self):
         of = OpenFormula(("x", "y"), pell_domain())
         with pytest.raises(ValueError, match="collide"):
-            instantiate(of, ("z", "b"))
-        phi, bound = instantiate(of, ("z", "b"), tag=1)
+            of.template((Var("z"), Var("b")), "")
+        phi, bound = of.template((Var("z"), Var("b")), "#1")
         assert bound == ("z#1",) and free_vars(phi) == {"z", "b"}
 
 
@@ -859,7 +866,7 @@ def ref_dispatch_body(branches, pick):
     full_dim = max(interp.dim for _, interp in branches)
     alternatives = []
     for idx, (guard, interp) in enumerate(branches, start=1):
-        guard = ref_template(guard, _ordered_bound(guard), f"!g{idx}",
+        guard = ref_template(guard, tuple(_scan(guard)[1]), f"!g{idx}",
                                  {})[0]
         of, dim = pick(interp), interp.dim
         mapping = {}
@@ -951,7 +958,7 @@ def test_template_covers_every_library_formula():
         mark = f"#{idx}"
         got = of.template(args, mark)
         assert got == ref_template(of.body, of.bound, mark, mapping)
-        assert instantiate(of, args, idx) == got
+        assert of.template(args, f"#{idx}") == got
         assert free_vars(got[0]) <= {a.name for a in args}
 
 
@@ -962,7 +969,7 @@ def test_template_refusal_text_matches_reference():
         of.body, of.bound, "", dict(zip(of.params, args))))
     assert want.startswith("argument variables ['z'] collide")
     assert _outcome(lambda: of.template(args, "")) == want
-    assert _outcome(lambda: instantiate(of, args)) == want
+    assert _outcome(lambda: of.template(args, "")) == want
 
 
 # -- injection: names reach the generated source only as string literals ---------
@@ -990,7 +997,7 @@ def test_template_quotes_every_name(tmp_path):
     for of in [J.domain, *J.symbols.values()]:
         assert all("'" in n and "\\" in n and "!#" in n for n in of.bound)
         args = tuple(Var(f"a'{i}\\") for i in range(len(of.params)))
-        got = instantiate(of, args, "'+m+'\\")
+        got = of.template(args, "#'+m+'\\")
         want = ref_template(of.body, of.bound, "#'+m+'\\",
                                 dict(zip(of.params, args)))
         assert got == want
@@ -1028,13 +1035,15 @@ def test_evaluator_quotes_every_name(tmp_path):
 
 _EVALUATOR_PEAK = """
 import resource
+from zinterp.harness import FAMILIES, family_formula
 from zinterp.interp import pell_interpretation
 
 def peak_kb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 interp = pell_interpretation()
-library = [interp.domain, *interp.symbols.values()]
+library = [interp.domain, *interp.symbols.values(),
+           *(family_formula(family).of for family in FAMILIES)]
 for of in library:
     of.template
 before = peak_kb()
@@ -1046,8 +1055,9 @@ print(peak_kb() - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KB")
 def test_evaluators_compile_without_a_memory_peak():
-    """Every library evaluator compiled in a fresh process raises its peak
-    RSS by under 1 MB beyond the templates'.  Each group of atoms is
+    """Every library evaluator, the pair interpretation's and the synthesis
+    families', compiled in a fresh process raises its peak RSS by under
+    1 MB beyond the templates'.  Each group of atoms is
     compiled on its own; |*'s 59 atoms compiled as one function make the
     compiler peak at 5.1 MB under tracemalloc."""
     src = str(Path(__file__).resolve().parents[1] / "src")

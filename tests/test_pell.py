@@ -343,6 +343,21 @@ def test_oracle_cap_counts_the_sieve_tables():
             pell_enumerate_oracle(p, max_deg)
 
 
+def test_oracle_cap_counts_the_work():
+    # Inside the old candidate cap, these swept for 3.8, 7.3 and 32.5 s.
+    for p, max_deg in ((3, 11), (5, 9), (3, 13)):
+        with pytest.raises(FeasibilityError, match=f"at p = {p} exceeds"):
+            pell_enumerate_oracle(p, max_deg)
+    # The cases the acceptance criteria and the tests sweep stay inside.
+    for p, max_deg in ((3, 4), (5, 5), (7, 4), (2, 4), (3, 10), (211, 0)):
+        mode = pell._infer_mode(p, None)
+        assert pell._oracle_work(p, max_deg, mode) <= pell.ORACLE_WORK_LIMIT
+    for p in (2, 3, 5, 17):
+        mode = pell._infer_mode(p, None)
+        works = [pell._oracle_work(p, d, mode) for d in range(70)]
+        assert works == sorted(works)
+
+
 def test_oracle_char2_frozen():
     got = pell_enumerate_oracle(2, 2)
     expected = set()

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zinterp.algebra import Poly
 from zinterp.valued import (
@@ -292,3 +294,59 @@ def test_parse_series_errors():
                 "{0: 1, 0: 2} @ p=5 Q=3"]:
         with pytest.raises(ValueError):
             parse_series(bad)
+
+
+# -- series text round-trips (property-based) -------------------------------------
+
+
+@st.composite
+def _text_series(draw):
+    """A window of exact zeros, zeros at precision and q-expansions that may
+    run past Q (so are known modulo q^Q only), with either tail open."""
+    p = draw(st.sampled_from((2, 3, 5, 17)))
+    q_prec = draw(st.integers(1, 4))
+    coeff = st.one_of(
+        st.just(ValCoeff((), p, q_prec, exact=True)),
+        st.just(ValCoeff((), p, q_prec, exact=False)),
+        st.lists(st.integers(0, p - 1), max_size=q_prec + 2).map(
+            lambda cs: ValCoeff.make(cs, p, q_prec)),
+    )
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=5))
+    return LaurentTrunc(draw(st.integers(-3, 3)), tuple(coeffs), p, q_prec,
+                        draw(st.booleans()), draw(st.booleans()))
+
+
+def _known(h, n):
+    """What h says about exponent n: its expansion modulo q^Q and whether a
+    zero is exact, or that n lies beyond an open end."""
+    try:
+        c = h.coeff(n)
+    except PrecisionError:
+        return "unknown"
+    return c.qcoeffs, c.is_exact_zero()
+
+
+@settings(max_examples=300)
+@given(h=_text_series())
+def test_series_text_round_trips(h):
+    # The text has no mark for a truncated nonzero coefficient, so one reads
+    # back exact; its expansion modulo q^Q is kept.
+    g = parse_series(format_series(h))
+    assert (g.p, g.q_prec, g.lo_exact, g.hi_exact) == (
+        h.p, h.q_prec, h.lo_exact, h.hi_exact)
+    for n in range(h.n_min - 2, h.n_max + 3):
+        assert _known(g, n) == _known(h, n), n
+
+
+def test_series_text_keeps_open_ends_and_the_zero_series():
+    zero = ValCoeff((), 2, 4, exact=True)
+    h = LaurentTrunc(1, (ValCoeff.make("q^2 + 1", 2, 4), zero, zero), 2, 4,
+                     hi_exact=False)
+    assert format_series(h) == "{1: q^2 + 1, 3: 0} @ p=2 Q=4 open=hi"
+    assert parse_series(format_series(h)).coeff(2).is_exact_zero()
+    g = parse_series("{} @ p=5 Q=1")
+    assert all(g.coeff(n).is_exact_zero() for n in range(-3, 4))
+    assert format_series(g) == "{} @ p=5 Q=1"
+    for tail in ("lo", "hi", "both"):
+        with pytest.raises(ValueError, match="no entries"):
+            parse_series(f"{{}} @ p=5 Q=1 open={tail}")
