@@ -1,11 +1,16 @@
 """Exact univariate polynomial arithmetic over prime fields and the integers.
 
-A polynomial is a dense, ascending tuple of coefficients: ``coeffs[i]`` is the
-coefficient of ``t^i``, the zero polynomial is the empty tuple, and the leading
+A polynomial is a dense, ascending sequence of coefficients: ``coeffs[i]`` is
+the coefficient of ``t^i``, the zero polynomial is empty, and the leading
 coefficient of a nonzero polynomial is always nonzero.  The coefficient ring is
 selected by the ``modulus`` attribute: a prime ``p`` gives the field of ``p``
 elements with coefficients stored reduced to ``range(p)``, and ``0`` gives the
 ring of integers with arbitrary Python ints.
+
+The storage, ``Poly.data``, is ``bytes``, one residue per byte, for
+2 <= p <= 251 and a tuple of ints otherwise; ``coeffs`` builds a tuple from
+it on each read, so code in this package reads ``data``.  Bytes of residues
+compare and sort as tuples of the same ints do.
 
 The degree of the zero polynomial is the sentinel ``NEG_INFINITY`` (never -1),
 so degree comparisons behave correctly without special-casing.
@@ -13,38 +18,37 @@ so degree comparisons behave correctly without special-casing.
 Everything here is exact; there are no floats anywhere in this package's core.
 
 ``Poly(coeffs, modulus)`` checks the modulus and reduces and trims whatever
-it is given; every caller outside this module goes through it.  The ring
-operations, whose results are canonical by construction, return through the
-trusted constructor ``Poly._raw(coeffs, p)`` instead.  Its contract: coeffs
-is a tuple, each entry in ``range(p)`` when p is a prime (any int when p is
-0), with no trailing zero, and p is already a valid modulus; nothing is
-checked.  A product is never trimmed, since the product of two leading
-coefficients is nonzero over a field and over Z; a sum or difference is
-trimmed only when both operands have the same length, since otherwise the
-longer operand's leading coefficient survives.  Build those tuples from
-lists, ``tuple([...])``, not from generator expressions: on long vectors the
-generator form is slower and was seen to raise peak memory.
+it is given.  The ring operations, whose results are canonical by
+construction, return through the trusted constructor ``Poly._raw(data, p)``
+instead.  Its contract: data is the storage of p (``_stored``), each entry
+in ``range(p)`` when p is a prime (any int when p is 0), with no trailing
+zero, and p is already a valid modulus; nothing is checked.  A product is
+never trimmed, since the product of two leading coefficients is nonzero
+over a field and over Z; a sum or difference is trimmed only when both
+operands have the same length, since otherwise the longer operand's
+leading coefficient survives.  Build tuples and bytes from lists, not from
+generator expressions: on long vectors the generator form is slower and
+was seen to raise peak memory.
 
-Over a prime field the kernels reduce mod p with ``bytes.translate`` on
-byte lanes, not one Python ``%`` per coefficient.  For p <= 128, where
-2(p - 1) <= 255, a sum or difference of operands of length at least
-``_SUM_LANE_MIN_LEN`` packs them with ``bytes`` (negating the subtrahend by
-a table), adds them as big integers with no carry between bytes, and
-reduces with one translate; negation is one translate.  Multiplication of
-large operands is Kronecker substitution: each coefficient gets a slot of
-w bytes, wide enough that no convolution sum carries into the next slot,
-and Python's bignum multiply does the convolution (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", JSC 44,
-2009).  When w(p - 1) <= 255, lane k of the product (every w-th byte) is
+Over a prime field the kernels work on the bytes storage as it is and
+reduce mod p with ``bytes.translate``, not one Python ``%`` per
+coefficient.  For p <= 128, where 2(p - 1) <= 255, a sum or difference
+adds the two storages as big integers with no carry between bytes
+(negating the subtrahend by a table) and reduces with one translate;
+negation is one translate for every p <= 251.  Multiplication is
+Kronecker substitution: each coefficient gets a slot of w bytes, wide
+enough that no convolution sum carries into the next slot, and Python's
+bignum multiply does the convolution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 44, 2009).
+When w(p - 1) <= 255, lane k of the product (every w-th byte) is
 translated by v -> v * 256^k mod p, the w lanes are added with no carry,
-and one more translate reduces the sum.  Otherwise (always for p > 256)
-the product packs through an ``array`` of 1-, 2-, 4- or 8-byte slots and
-is reduced coefficient by coefficient, or through per-coefficient bytes
-for slots beyond 8 bytes.  Packing has a fixed cost of a few
-microseconds and schoolbook convolution costs one step per pair of
-coefficients, so operands whose length product is below
-``_KRONECKER_MIN_PRODUCT`` use schoolbook, as do the integers; the tests
-also use it as the reference.
+and one more translate reduces the sum.  Otherwise (always for p > 128)
+the product is read through an ``array`` of 1-, 2-, 4- or 8-byte slots
+and reduced coefficient by coefficient, or through per-coefficient bytes
+beyond 8 bytes.  Below ``_KRONECKER_MIN_PRODUCT`` (the length product;
+``_KRONECKER_MIN_PRODUCT_SMALL_P`` for p <= 7) the fixed cost of the
+substitution loses to schoolbook convolution, which the integers always
+take and the tests use as the reference.
 Composition with a linear inner polynomial is a Taylor shift done with
 additions only, one base-p digit of the exponent at a time, since
 (t + b)^(p^k) = t^(p^k) + b over F_p (von zur Gathen and Gerhard, "Fast
@@ -61,20 +65,20 @@ from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
-# Operand length product from which packing wins.  With byte lanes (best of
-# 15, products 9-64): at p = 5 packing takes 1.4-1.8 us and wins from 9 on
-# (schoolbook 1.5 us at 9, 2.9 us at 25); at p = 17, two lanes, 2.9-3.6 us,
-# winning from 30-36 on (3.2 against 3.0 us at 25).  25 stays between them.
+# Operand length products from which Kronecker substitution beats schoolbook
+# (best of 15, products 2-64).  One-byte slots need no packing: it wins from
+# 4 on at p = 5 and 7 (2x2 at p = 5: 2.6 against 2.8 us; 8x8: 1.5 against
+# 6.0 us), and for p <= 7 every slot below 25 is one byte, as (p-1)^2 * 4 <=
+# 255.  Two lanes, as at p = 17, cost about 3 us: it wins from about 25 on
+# (5x5: 5.0 against 5.3 us; 3x3: 3.0 against 2.1 us).
 _KRONECKER_MIN_PRODUCT = 25
+_KRONECKER_MIN_PRODUCT_SMALL_P = 4
 
 # Largest p with 2(p - 1) <= 255: a sum of two residues fits in one byte, so
-# sums and differences add packed bytes with no carry (see _byte_sum).
+# sums and differences add the bytes storages with no carry.
 _SUM_LANE_MAX_P = 128
-# Longer-operand length from which that byte route wins.  Its set-up costs
-# more than a short list comprehension (at length 8, p = 17: a sum 1.8
-# against 1.5 us, a difference 2.2 against 1.5 us); from about 24 on, at
-# p = 5 and 17, it is the faster for operands of equal length.
-_SUM_LANE_MIN_LEN = 24
+# Largest prime whose residues fit in one byte: the moduli stored as bytes.
+_BYTES_MAX_P = 251
 
 # (slot width in bytes, array type code), narrowest first.  Packing reads
 # slots as little-endian integers, so other byte orders take the byte path.
@@ -165,11 +169,31 @@ def _lanes(p: int, width: int) -> tuple[bytes, ...]:
     return tuple([_lane(p, pow(256, k, p)) for k in range(width)])
 
 
-def _trimmed(cs: list[int]) -> tuple[int, ...]:
-    """cs as a tuple without its trailing zeros (cs is shortened in place)."""
+class _Tables(dict):
+    """p -> _lane(p, c mod p), made on first use; a read costs a third of a
+    call to _lane.  _REDUCE reduces a byte, _NEGATE negates a residue."""
+
+    def __init__(self, c: int):
+        self.c = c
+
+    def __missing__(self, p: int) -> bytes:
+        table = self[p] = _lane(p, self.c % p)
+        return table
+
+
+_REDUCE, _NEGATE = _Tables(1), _Tables(-1)
+
+
+def _stored(cs, p: int):
+    """Canonical coefficients (any iterable of ints) as the storage of p."""
+    return bytes(cs) if 0 < p <= _BYTES_MAX_P else tuple(cs)
+
+
+def _trimmed(cs: list[int], p: int):
+    """cs without its trailing zeros (shortened in place), stored for p."""
     while cs and not cs[-1]:
         cs.pop()
-    return tuple(cs)
+    return _stored(cs, p)
 
 
 class Poly:
@@ -179,20 +203,31 @@ class Poly:
     constant polynomials with the same modulus.
     """
 
-    __slots__ = ("coeffs", "modulus")
+    __slots__ = ("data", "modulus")
 
     def __init__(self, coeffs: Iterable[int] = (), modulus: int = 0):
         _check_modulus(modulus)
-        cs = [c % modulus for c in coeffs] if modulus else list(coeffs)
-        _set_coeffs(self, _trimmed(cs))
+        if 0 < modulus <= _BYTES_MAX_P:
+            if type(coeffs) is not list and type(coeffs) is not tuple:
+                coeffs = list(coeffs)
+            try:
+                # entries in range(256), the usual case: one translate
+                data = bytes(coeffs).translate(_REDUCE[modulus])
+            except (TypeError, ValueError):
+                data = bytes([c % modulus for c in coeffs])
+            data = data.rstrip(b"\0")
+        else:
+            data = _trimmed([c % modulus for c in coeffs] if modulus
+                            else list(coeffs), modulus)
+        _set_data(self, data)
         _set_modulus(self, modulus)
 
     @staticmethod
-    def _raw(coeffs: tuple[int, ...], p: int) -> "Poly":
-        """A polynomial from coefficients already in canonical form, with no
-        checks: see the module docstring for the contract."""
+    def _raw(data, p: int) -> "Poly":
+        """A polynomial from its canonical storage, with no checks: see the
+        module docstring for the contract."""
         f = object.__new__(Poly)
-        _set_coeffs(f, coeffs)
+        _set_data(f, data)
         _set_modulus(f, p)
         return f
 
@@ -226,23 +261,29 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients as a tuple of ints, whatever the storage."""
+        data = self.data
+        return data if type(data) is tuple else tuple(data)
+
+    @property
     def degree(self):
         """Degree, with NEG_INFINITY (not -1) for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.data) - 1 if self.data else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.data
 
     def leading_coeff(self) -> int:
-        if not self.coeffs:
+        if not self.data:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.data[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.data) and self.data[-1] == 1
 
     def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return self.data[k] if 0 <= k < len(self.data) else 0
 
     def _same_ring(self, other: "Poly") -> None:
         if self.modulus != other.modulus:
@@ -265,55 +306,40 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        a, b = self.coeffs, other.coeffs
+        a, b = self.data, other.data
         if len(a) < len(b):
             a, b = b, a
         p = self.modulus
-        if len(a) >= _SUM_LANE_MIN_LEN and 0 < p <= _SUM_LANE_MAX_P:
-            return _byte_sum(bytes(a), bytes(b), len(a) == len(b), p)
-        if p:
-            cs = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            cs = [x + y for x, y in zip(a, b)]
-        if len(a) == len(b):
-            return Poly._raw(_trimmed(cs), p)
+        if 0 < p <= _SUM_LANE_MAX_P:
+            # no byte of the sum carries, as 2(p - 1) <= 255
+            s = (int.from_bytes(a, "little") + int.from_bytes(b, "little")
+                 ).to_bytes(len(a), "little").translate(_REDUCE[p])
+            return Poly._raw(s.rstrip(b"\0") if len(a) == len(b) else s, p)
+        cs = [(x + y) % p if p else x + y for x, y in zip(a, b)]
         cs += a[len(b):]
-        return Poly._raw(tuple(cs), p)
+        return Poly._raw(_trimmed(cs, p), p)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.modulus
-        if 0 < p <= _SUM_LANE_MAX_P:
-            return Poly._raw(
-                tuple(bytes(self.coeffs).translate(_lane(p, p - 1))), p)
-        if p:
-            return Poly._raw(tuple([-c % p for c in self.coeffs]), p)
-        return Poly._raw(tuple([-c for c in self.coeffs]), p)
+        if 0 < p <= _BYTES_MAX_P:
+            return Poly._raw(self.data.translate(_NEGATE[p]), p)
+        return Poly._raw(tuple([-c % p if p else -c for c in self.data]), p)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        a, b = self.coeffs, other.coeffs
+        a, b = self.data, other.data
         p = self.modulus
-        if ((len(a) >= _SUM_LANE_MIN_LEN or len(b) >= _SUM_LANE_MIN_LEN)
-                and 0 < p <= _SUM_LANE_MAX_P):
-            return _byte_sum(bytes(a), bytes(b).translate(_lane(p, p - 1)),
-                             len(a) == len(b), p)
-        if p:
-            cs = [(x - y) % p for x, y in zip(a, b)]
-        else:
-            cs = [x - y for x, y in zip(a, b)]
-        if len(a) == len(b):
-            return Poly._raw(_trimmed(cs), p)
-        if len(a) > len(b):
-            cs += a[len(b):]
-        elif p:
-            cs += [-c % p for c in b[len(a):]]
-        else:
-            cs += [-c for c in b[len(a):]]
-        return Poly._raw(tuple(cs), p)
+        if not 0 < p <= _SUM_LANE_MAX_P:
+            return self + -other
+        # a plus the negated b, as in __add__
+        s = (int.from_bytes(a, "little")
+             + int.from_bytes(b.translate(_NEGATE[p]), "little")
+             ).to_bytes(max(len(a), len(b)), "little").translate(_REDUCE[p])
+        return Poly._raw(s.rstrip(b"\0") if len(a) == len(b) else s, p)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -322,15 +348,17 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        a, b = self.coeffs, other.coeffs
+        a, b = self.data, other.data
         p = self.modulus
         if not a or not b:
-            return Poly._raw((), p)
+            return Poly._raw(a[:0], p)  # the empty storage of p
         if not p:
             return Poly._raw(tuple(_schoolbook_mul(a, b)), p)
-        if len(a) * len(b) >= _KRONECKER_MIN_PRODUCT:
+        if len(a) * len(b) >= (_KRONECKER_MIN_PRODUCT_SMALL_P if p <= 7
+                               else _KRONECKER_MIN_PRODUCT):
             return Poly._raw(_kronecker_mul(a, b, p), p)
-        return Poly._raw(tuple([c % p for c in _schoolbook_mul(a, b)]), p)
+        cs = [c % p for c in _schoolbook_mul(a, b)]
+        return Poly._raw(bytes(cs) if p <= _BYTES_MAX_P else tuple(cs), p)
 
     __rmul__ = __mul__
 
@@ -344,7 +372,7 @@ class Poly:
         if p and e >= p:
             high = frob_pow(self ** (e // p), 1)
             return high * self ** (e % p) if e % p else high
-        result = Poly._raw((1,), self.modulus)
+        result = Poly._raw(_stored((1,), p), p)
         base = self
         while e:
             if e & 1:
@@ -371,10 +399,10 @@ class Poly:
             other = Poly((other,), self.modulus)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
+        return self.modulus == other.modulus and self.data == other.data
 
     def __hash__(self):
-        return hash((self.coeffs, self.modulus))
+        return hash((self.data, self.modulus))
 
     # -- evaluation and composition ----------------------------------------
 
@@ -382,7 +410,7 @@ class Poly:
         """Value at the scalar x (reduced when the modulus is a prime)."""
         acc = 0
         p = self.modulus
-        for c in reversed(self.coeffs):
+        for c in reversed(self.data):
             acc = acc * x + c
             if p:
                 acc %= p
@@ -392,12 +420,12 @@ class Poly:
         return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self.coeffs)!r}, {self.modulus})"
+        return f"Poly({list(self.data)!r}, {self.modulus})"
 
 
 # The slots' own setters, which skip the immutability guard in __setattr__
 # at half the cost of object.__setattr__.
-_set_coeffs = Poly.coeffs.__set__
+_set_data = Poly.data.__set__
 _set_modulus = Poly.modulus.__set__
 
 
@@ -410,18 +438,17 @@ def _schoolbook_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return res
 
 
-def _byte_sum(a: bytes, b: bytes, trim: bool, p: int) -> Poly:
-    """The polynomial with coefficients a + b over F_p, p <= _SUM_LANE_MAX_P,
-    given one residue per byte: as 2(p - 1) <= 255 no byte sum carries, so
-    one big-integer addition adds them all.  Trailing zeros are trimmed
-    when trim is set (operands of equal length)."""
-    s = (int.from_bytes(a, "little") + int.from_bytes(b, "little")).to_bytes(
-        max(len(a), len(b)), "little").translate(_lane(p, 1))
-    return Poly._raw(tuple(s.rstrip(b"\0") if trim else s), p)
+def _spread(cs, width: int) -> int:
+    """Residues below 256 as one little-endian integer, one per width bytes."""
+    if width == 1:
+        return int.from_bytes(cs, "little")
+    buf = bytearray(width * len(cs))
+    buf[::width] = cs
+    return int.from_bytes(buf, "little")
 
 
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...],
-                   p: int) -> tuple[int, ...]:
+def _kronecker_mul(a, b, p: int):
+    """The storage of a*b over F_p, from two nonempty storages (or tuples)."""
     # slot width chosen so convolution sums never carry between slots
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = max(1, (bound.bit_length() + 7) // 8)
@@ -432,28 +459,24 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...],
         # v -> v * 256^k mod p.  Each translated lane is below p, so the
         # width lane sums are at most width * (p - 1) <= 255: adding the
         # lanes as integers never carries, and one last translate reduces.
-        if width == 1:
-            apack, bpack = bytes(a), bytes(b)
-        else:
-            apack = bytearray(width * len(a))
-            apack[::width] = bytes(a)
-            bpack = bytearray(width * len(b))
-            bpack[::width] = bytes(b)
-        raw = (int.from_bytes(apack, "little")
-               * int.from_bytes(bpack, "little")).to_bytes(width * n, "little")
+        raw = (_spread(a, width) * _spread(b, width)).to_bytes(
+            width * n, "little")
         lanes = _lanes(p, width)
         if width > 1:
             acc = 0
             for k, lane in enumerate(lanes):
                 acc += int.from_bytes(raw[k::width].translate(lane), "little")
             raw = acc.to_bytes(n, "little")
-        return tuple(raw.translate(lanes[0]))
+        return raw.translate(lanes[0])
     for slot, code in _SLOTS:
         if slot >= width:
-            abig = int.from_bytes(array(code, a).tobytes(), "little")
-            bbig = int.from_bytes(array(code, b).tobytes(), "little")
+            if p <= _BYTES_MAX_P:
+                abig, bbig = _spread(a, slot), _spread(b, slot)
+            else:
+                abig = int.from_bytes(array(code, a).tobytes(), "little")
+                bbig = int.from_bytes(array(code, b).tobytes(), "little")
             raw = (abig * bbig).to_bytes(slot * n, "little")
-            return tuple([c % p for c in memoryview(raw).cast(code)])
+            return _stored([c % p for c in memoryview(raw).cast(code)], p)
     abig = int.from_bytes(
         b"".join(c.to_bytes(width, "little") for c in a), "little"
     )
@@ -461,10 +484,10 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...],
         b"".join(c.to_bytes(width, "little") for c in b), "little"
     )
     raw = (abig * bbig).to_bytes(width * n, "little")
-    return tuple([
+    return _stored([
         int.from_bytes(raw[i * width : (i + 1) * width], "little") % p
         for i in range(n)
-    ])
+    ], p)
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -485,12 +508,12 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         inv = lb
     else:
         raise ValueError("integer division requires a monic (unit-lead) divisor")
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
+    rem = list(a.data)
+    bcs = b.data
+    db = len(bcs) - 1
     if len(rem) <= db:
         return Poly.zero(p), a
     quot = [0] * (len(rem) - db)
-    bcs = b.coeffs
     for i in range(len(rem) - db - 1, -1, -1):
         c = rem[i + db]
         if c:
@@ -500,7 +523,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
                 rem[i + j] -= q * bc
                 if p:
                     rem[i + j] %= p
-    return Poly._raw(tuple(quot), p), Poly._raw(_trimmed(rem[:db]), p)
+    return Poly._raw(_stored(quot, p), p), Poly._raw(_trimmed(rem[:db], p), p)
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
@@ -547,17 +570,17 @@ def poly_compose(f: Poly, g: Poly) -> Poly:
     """
     f._same_ring(g)
     p = f.modulus
-    if p and len(g.coeffs) == 2:
-        b, a = g.coeffs
-        cs = _taylor_shift(list(f.coeffs), b, p)
+    if p and len(g.data) == 2:
+        b, a = g.data
+        cs = _taylor_shift(list(f.data), b, p)
         if a != 1:
             scale = 1
             for i, c in enumerate(cs):
                 cs[i] = c * scale % p
                 scale = scale * a % p
-        return Poly._raw(_trimmed(cs), p)
+        return Poly._raw(_trimmed(cs, p), p)
     acc = Poly.zero(p)
-    for c in reversed(f.coeffs):
+    for c in reversed(f.data):
         acc = acc * g + c
     return acc
 
@@ -625,10 +648,11 @@ def frob_pow(f: Poly, r: int) -> Poly:
         raise ValueError("negative Frobenius exponent")
     if r == 0 or f.is_zero():
         return f
-    q = f.modulus**r
-    cs = [0] * ((len(f.coeffs) - 1) * q + 1)
-    cs[::q] = f.coeffs
-    return Poly._raw(tuple(cs), f.modulus)
+    p, data = f.modulus, f.data
+    n = (len(data) - 1) * p**r + 1
+    cs = bytearray(n) if type(data) is bytes else [0] * n
+    cs[::p**r] = data
+    return Poly._raw(_stored(cs, p), p)
 
 
 # -- text format ------------------------------------------------------------
@@ -704,8 +728,9 @@ def format_poly(f: Poly, var: str = "t") -> str:
     if f.is_zero():
         return "0"
     parts: list[str] = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
+    cs = f.data
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
         neg = c < 0

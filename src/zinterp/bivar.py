@@ -202,7 +202,7 @@ def _linear_subst(
     acc: dict[tuple[int, int], int] = {}
     for m, n, coeff in f.entries:
         image = Poly((b, a), p) ** m * Poly((d, c), p) ** n
-        for j, cj in enumerate(image.coeffs):
+        for j, cj in enumerate(image.data):
             if cj:
                 key = (j, m + n - j)
                 acc[key] = acc.get(key, 0) + coeff * cj

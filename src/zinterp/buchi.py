@@ -32,6 +32,7 @@ from .algebra import (
     FeasibilityError,
     Poly,
     _frob_scale,
+    _stored,
     _trimmed,
     frob_pow,
     kth_roots_mod,
@@ -54,22 +55,19 @@ class BuchiSeq:
         return len(self.terms)
 
 
-def _next_term(prev: tuple[int, ...], cur: tuple[int, ...],
-               p: int) -> tuple[int, ...]:
-    """Coefficients of 2*cur - prev + 2 over F_p, from canonical coefficient
-    tuples: the term after prev, cur in a sequence whose second differences
-    are 2."""
-    n = max(len(prev), len(cur), 1)
-    prev += (0,) * (n - len(prev))
-    cur += (0,) * (n - len(cur))
-    cs = [(y + y - x) % p for x, y in zip(prev, cur)]
+def _next_term(prev, cur, p: int):
+    """The storage of 2*cur - prev + 2 over F_p, from canonical storages
+    (see algebra): the term after prev, cur in a sequence whose second
+    differences are 2."""
+    cs = [(y + y - x) % p
+          for x, y in itertools.zip_longest(prev, cur, fillvalue=0)] or [0]
     cs[0] = (cs[0] + 2) % p
-    return _trimmed(cs)
+    return _trimmed(cs, p)
 
 
 def second_differences_equal_two(terms: tuple[Poly, ...], p: int) -> bool:
     return all(
-        c.coeffs == _next_term(a.coeffs, b.coeffs, p)
+        c.data == _next_term(a.data, b.data, p)
         for a, b, c in zip(terms, terms[1:], terms[2:])
     )
 
@@ -134,7 +132,7 @@ def ge_p_check(f: Poly, g: Poly, p: Optional[int] = None) -> Optional[int]:
     return r if r > 0 and frob_pow(g, r) == f else None
 
 
-def _square_root_descent(coeffs: tuple[int, ...], lc: int, p: int) -> list[int]:
+def _square_root_descent(coeffs, lc: int, p: int) -> list[int]:
     """The s = sum g_i t^i with leading coefficient lc whose square matches
     the top half of the coefficients of f = coeffs, deg f = 2m.
 
@@ -177,7 +175,7 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
         raise ValueError("root index must be positive")
     if k % p == 0:
         raise ValueError(f"root index {k} is divisible by the characteristic")
-    if not f.coeffs:
+    if not f.data:
         return Poly.zero(p)
     df = f.degree
     lcs = kth_roots_mod(f.leading_coeff(), k, p)
@@ -185,7 +183,7 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
         return None
     lc, m = lcs[0], df // k
     if k == 2:
-        cand = Poly._raw(tuple(_square_root_descent(f.coeffs, lc, p)), p)
+        cand = Poly._raw(_stored(_square_root_descent(f.data, lc, p), p), p)
         return cand if cand * cand == f else None
     g = [0] * (m + 1)
     g[m] = lc
@@ -205,7 +203,7 @@ def square_root_poly(u: Poly) -> Optional[Poly]:
     if p == 0 or p == 2:
         raise ValueError("square roots are extracted over F_p with p odd")
     s = poly_kth_root(u, 2)
-    if s is None or not s.coeffs:
+    if s is None or not s.data:
         return s
     if s.leading_coeff() > (p - 1) // 2:
         s = -s
@@ -246,7 +244,7 @@ def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int) -> bool:
     """Are all of u_3..u_length squares, where u_{n+2} = 2u_{n+1} - u_n + 2?
     Stops at the first non-square and keeps no terms, as the seeds (u1, u2)
     fix them all.  The oracle needs it only for unmatched survivors."""
-    prev, cur = u1.coeffs, u2.coeffs
+    prev, cur = u1.data, u2.data
     for _ in range(length - 2):
         prev, cur = cur, _next_term(prev, cur, p)
         if square_root_poly(Poly._raw(cur, p)) is None:
@@ -273,7 +271,7 @@ def _match_family(u1: Poly, u2: Poly, p: int) -> Optional[tuple[Poly, int]]:
     d1 = u1.degree
     if not isinstance(d1, int) or d1 == 0:
         return None
-    dc = (u2 - u1 - Poly.const(3, p)).coeffs
+    dc = (u2 - u1 - Poly.const(3, p)).data
     half = pow(2, -1, p)
     r, q = 0, 1
     while q < d1:
@@ -286,7 +284,7 @@ def _match_family(u1: Poly, u2: Poly, p: int) -> Optional[tuple[Poly, int]]:
                     v.append(c)
                 else:
                     v.append((c - v[i // q]) % p)
-            v = Poly(tuple(v), p)
+            v = Poly(v, p)
             if buchi_generate(v, r, 2, p).terms == (u1, u2):
                 return v, r
         r, q = r + 1, q * p
@@ -362,11 +360,11 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
             low = survivors & -survivors
             survivors ^= low
             u1, u2 = squares[i], squares[low.bit_length() - 1]
-            key = (u1.coeffs, u2.coeffs)
+            key = (u1.data, u2.data)
             if key in seen:
                 continue
             seen.add(key)
-            if len(u1.coeffs) <= 1 and len(u2.coeffs) <= 1:
+            if len(u1.data) <= 1 and len(u2.data) <= 1:
                 constants += 1
                 continue
             match = _match_family(u1, u2, p)

@@ -148,7 +148,7 @@ def cmd_pell_verify(args) -> int:
 def cmd_pell_oracle(args) -> int:
     found = pell_enumerate_oracle(args.p, args.D)
     expected = pell_family(args.p, args.D)
-    for x, y in sorted(found, key=lambda s: (s[1].coeffs, s[0].coeffs)):
+    for x, y in sorted(found, key=lambda s: (s[1].data, s[0].data)):
         print(f"x = {format_poly(x)}, y = {format_poly(y)}")
     match = found == frozenset(expected)
     print(f"solutions: {len(found)}")

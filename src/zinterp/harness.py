@@ -1,11 +1,10 @@
 """Witness synthesis, semantic ground truth, and end-to-end verification.
 
-Every formula family in the library is backed here by two independent
-things: a synthesizer that builds an explicit witness from the defining
-data (an integer index, a target polynomial, a Frobenius exponent), and a
-semantic checker that decides the intended relation directly, with no
-formula evaluation.  Tests drive both against check_sat to confirm that
-the formulas define exactly what they should at desk scale.
+Every formula family in the library is backed here by a synthesizer that
+builds an explicit witness from the defining data (an integer index, a
+target polynomial, a Frobenius exponent).  The tests decide each family's
+set directly, with no formula evaluation, and drive both against check_sat
+to confirm that the formulas define exactly what they should at desk scale.
 
 Family sentences and pair-encoded clauses are checked as Insts of their
 interp.OpenFormula, so check_sat runs its compiled evaluator and
@@ -31,6 +30,7 @@ from .algebra import (
     SYNTH_DEGREE_CAP,
     Poly,
     _frob_scale,
+    _stored,
     frob_pow,
     poly_divrem,
 )
@@ -214,7 +214,7 @@ def _ge_p_values(g: Poly, r: int, p: int) -> list:
     two related elements, in binder order: the conic point (u, v), then the
     three chains (GE_P_CHAIN_LENGTH sequence terms and a quotient each) for
     bases t, t*g, and g.  The largest has degree about deg(t*g) * p^r."""
-    q = _frob_scale(p, r, max(len(g.coeffs), 1))
+    q = _frob_scale(p, r, max(len(g.data), 1))
     t = Poly.gen(p)
     one = Poly.one(p)
     out = [Poly.monomial(1, q, p), (t * t - one) ** ((q - 1) // 2)]
@@ -259,7 +259,7 @@ def synth_frob_power(r: int, p: int) -> Witness:
     return _witness("phi", p, [
         x,
         Poly((-1, 0, 1), p) ** ((q - 1) // 2),
-        Poly._raw((1,) * q, p),
+        Poly._raw(_stored((1,) * q, p), p),
         x + 1,
         Poly((0, 2, 1), p) ** ((q - 1) // 2),
         Poly.monomial(1, q - 1, p),
@@ -282,29 +282,6 @@ def synth_positive_power(k: int, r: int, p: int) -> Witness:
         Poly.monomial(1, k - 1, p),
         _offset_quotient(f, p),
     ])
-
-
-# -- semantic ground truth ----------------------------------------------------------
-
-def is_frob_power_of_t(f: Poly, p: int) -> bool:
-    """Membership in {t^(p^r) : r >= 0}, decided from the coefficients."""
-    d = f.degree
-    if not isinstance(d, int) or d < 1:
-        return False
-    coeffs = f.coeffs
-    if coeffs[-1] != 1 or any(coeffs[:-1]):
-        return False
-    while d > 1 and d % p == 0:
-        d //= p
-    return d == 1
-
-
-def is_positive_power_of_t(f: Poly) -> bool:
-    """Membership in {t^k : k >= 1}: a monic monomial of positive degree."""
-    d = f.degree
-    if not isinstance(d, int) or d < 1:
-        return False
-    return f.coeffs[-1] == 1 and not any(f.coeffs[:-1])
 
 
 # -- end-to-end verification ---------------------------------------------------------

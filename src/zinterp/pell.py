@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
-                      frob_pow)
+                      _stored, frob_pow)
 from .buchi import square_root_poly
 
 MODE_CONIC = "char-ne-2"
@@ -99,7 +99,9 @@ def _raw_negate(pair, mode, t):
 
 def _times_t(f: Poly) -> Poly:
     """t f, by shifting the coefficients."""
-    return Poly._raw((0,) + f.coeffs, f.modulus) if f.coeffs else f
+    data = f.data
+    zero = b"\0" if type(data) is bytes else (0,)
+    return Poly._raw(zero + data, f.modulus) if data else f
 
 
 def _steps(pair, mode: str):
@@ -190,12 +192,12 @@ def _offset_quotient(x: Poly, p: int) -> Poly:
     """The z with x = 1 + (t-1)z; requires x(1) = 1.  The coefficient of
     t^i in (t-1)z is z_(i-1) - z_i, so z_k sums the coefficients of x above
     t^k, and the constant term x_0 - z_0 = 1 asks x(1) = 1."""
-    cs = x.coeffs
+    cs = x.data
     z = list(itertools.accumulate(reversed(cs[1:])))[::-1]
     total = sum(cs)
     if (total % p if p else total) != 1:
         raise ValueError("no quotient: the argument is not 1 at t = 1")
-    return Poly._raw(tuple([c % p for c in z]) if p else tuple(z), p)
+    return Poly._raw(_stored([c % p for c in z] if p else z, p), p)
 
 
 def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
@@ -289,7 +291,7 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     if not pell_verify(x, y, mode):
         raise ValueError("not a solution of the Pell equation")
     if mode == MODE_CHAR2:
-        if not y.coeffs:
+        if not y.data:
             return 0
         n_abs = (y.degree if isinstance(y.degree, int) else 0) + 1
         for cand_n in (n_abs, -n_abs):
@@ -297,7 +299,7 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
             if cand.x == x and cand.y == y:
                 return cand_n
         return None
-    if not y.coeffs:
+    if not y.data:
         return 0 if x == Poly.one(p) else None
     if x.evaluate(1) != 1:
         return None
@@ -319,15 +321,11 @@ def _conic_solutions_for_y(y: Poly, p: int):
     w_(i-2) - w_i, plus 1 at i = 0; for w != 0 the top two are those of
     t^2 w, so u needs no trimming.
     """
-    w = (y * y).coeffs
-    if w:
-        shifted = (0, 0) + w
-        cs = [(x - c) % p for x, c in zip(shifted, w)]
-        cs += shifted[len(w):]
-        cs[0] = (cs[0] + 1) % p
-        u = Poly._raw(tuple(cs), p)
-    else:
-        u = Poly._raw((1,), p)
+    w = (y * y).data
+    cs = [(x - c) % p for x, c in itertools.zip_longest(
+        (0, 0, *w), w, fillvalue=0)] if w else [0]
+    cs[0] = (cs[0] + 1) % p
+    u = Poly._raw(_stored(cs, p), p)
     s = square_root_poly(u)
     if s is None:
         return []

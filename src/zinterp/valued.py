@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
-                      format_poly, parse_exponent, parse_poly)
+                      _stored, format_poly, parse_exponent, parse_poly)
 
 
 class PrecisionError(ValueError):
@@ -96,8 +96,8 @@ class ValCoeff:
                         self.p, prec, exact)
 
     def _poly(self) -> Poly:
-        # qcoeffs are reduced and trimmed, so they are already canonical.
-        return Poly._raw(self.qcoeffs, self.p)
+        # qcoeffs are reduced and trimmed: only the storage type changes.
+        return Poly._raw(_stored(self.qcoeffs, self.p), self.p)
 
     def __add__(self, other: "ValCoeff") -> "ValCoeff":
         if self.p != other.p:
@@ -342,12 +342,14 @@ def lower_hull(points: Iterable[tuple[int, int]]) -> NewtonPolygon:
 def newton_polygon(h: LaurentTrunc) -> NewtonPolygon:
     """Hull of the stored window's visible support.
 
-    Raises on a series with no visible support (zero, or zero at precision).
-    Use hull_uncertainty to learn which masked exponents could still cut
-    the hull at this precision.
+    Raises ValueError on the exact zero series, PrecisionError on one zero
+    only at precision.  Use hull_uncertainty to learn which masked exponents
+    could still cut the hull at this precision.
     """
     pts = h.support()
     if not pts:
+        if h.lo_exact and h.hi_exact and not h.unknown_exponents():
+            raise ValueError("the series is zero, so it has no Newton polygon")
         raise PrecisionError("series has no visible support at this precision")
     return lower_hull(pts)
 

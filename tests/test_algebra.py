@@ -19,7 +19,6 @@ from zinterp.algebra import (
     poly_divrem,
     poly_extgcd,
     poly_shift,
-    _SUM_LANE_MIN_LEN,
     _kronecker_mul,
     _schoolbook_mul,
 )
@@ -270,7 +269,8 @@ def test_lane_products_match_reference(rng):
         for a, b in _lane_cases(rng, p, lo, hi, 2 if lo > 1000 else 12):
             ref = _ref_mul(a, b, p)
             got = _kronecker_mul(a, b, p)
-            assert type(got) is tuple and got == ref, (p, len(a), len(b))
+            assert type(got) is (bytes if p <= 251 else tuple), p
+            assert tuple(got) == ref, (p, len(a), len(b))
             product = (Poly(a, p) * Poly(b, p)).coeffs
             assert product == ref, (p, len(a), len(b))
 
@@ -281,12 +281,13 @@ def test_lane_products_of_constants_at_the_width_two_edge():
     for p in (127, 131):
         for x in range(1, p):
             for y in range(1, p):
-                assert _kronecker_mul((x,), (y,), p) == (x * y % p,), (p, x, y)
+                got = _kronecker_mul((x,), (y,), p)
+                assert tuple(got) == (x * y % p,), (p, x, y)
 
 
 def test_lane_sums_match_reference(rng):
-    # lengths on both sides of the byte route's minimum
-    n = _SUM_LANE_MIN_LEN
+    # short and long operands: lengths 0, 7, 23, 24, 48 and random up to 72
+    n = 24
     for p in _SUM_PRIMES:
         top = [p - 1] * 2 * n
         cases = [(top, top), (top, top[:7]), (top[:7], top), ([], top),
@@ -396,6 +397,146 @@ def test_results_are_canonical(case, e):
             results.append(poly_compose(c, b))
     for r in results:
         _assert_canonical(r, p)
+
+
+# -- storage: every operation against per-coefficient references ------------
+
+# Moduli on both sides of each storage and kernel edge: bytes up to 251, the
+# sum lanes up to 127 (131 adds per coefficient), tuples for 257 and Z.
+_STORAGE_PRIMES = [2, 3, 17, 127, 131, 251, 257, 0]
+# Operand lengths on both sides of _KRONECKER_MIN_PRODUCT (25) and, at
+# p <= 7, of _KRONECKER_MIN_PRODUCT_SMALL_P (4).
+_PRODUCT_SHAPES = [(1, 1), (1, 3), (2, 2), (1, 4), (3, 8), (4, 6), (5, 5),
+                   (1, 24), (1, 25), (2, 13), (6, 7), (20, 31)]
+
+
+def _ref_trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_red(cs, p):
+    return _ref_trimmed([c % p for c in cs] if p else cs)
+
+
+def _ref_add(a, b, p, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref_red([x + sign * y for x, y in zip(a, b)], p)
+
+
+def _ref_conv(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_red(out, p)
+
+
+def _ref_divmod(a, b, p):
+    """Long division one coefficient at a time (b's lead a unit)."""
+    rem, lead = list(a), b[-1]
+    inv = pow(lead, -1, p) if p else lead
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q = rem[i + len(b) - 1] * inv
+        quot[i] = q % p if p else q
+        for j, y in enumerate(b):
+            rem[i + j] -= quot[i] * y
+    return _ref_red(quot, p), _ref_red(rem[:len(b) - 1], p)
+
+
+def _ref_compose(f, g, p):
+    acc = ()
+    for c in reversed(f):
+        acc = _ref_add(_ref_conv(acc, g, p), (c,), p)
+    return acc
+
+
+def _storage_of(cs, p):
+    return bytes(cs) if 2 <= p <= 251 else tuple(cs)
+
+
+def _check_result(r, ref, p, what):
+    """r is canonical for p, reads as ref, and equals and hashes like the
+    same polynomial built by Poly(...) and by Poly._raw(...)."""
+    assert r.modulus == p, what
+    assert type(r.data) is (bytes if 2 <= p <= 251 else tuple), (p, what)
+    assert not r.data or r.data[-1] != 0, (p, what)
+    assert type(r.coeffs) is tuple, (p, what)
+    assert all(type(c) is int for c in r.coeffs), (p, what)
+    assert r.coeffs == ref, (p, what, r.coeffs, ref)
+    built, raw = Poly(list(ref), p), Poly._raw(_storage_of(ref, p), p)
+    assert r == built and built == raw and raw == r, (p, what)
+    assert hash(r) == hash(built) == hash(raw), (p, what)
+
+
+def _random_coeffs(rng, p, n):
+    if not n:
+        return []
+    if not p:
+        return [rng.randint(-9, 9) for _ in range(n - 1)] + [rng.choice((-1, 1))]
+    return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+
+
+@pytest.mark.parametrize("p", _STORAGE_PRIMES)
+def test_storage_matches_reference_at_every_edge(rng, p):
+    shapes = _PRODUCT_SHAPES + [(0, 3), (3, 0), (0, 0)]
+    shapes += [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(12)]
+    for n, m in shapes:
+        a, b = _random_coeffs(rng, p, n), _random_coeffs(rng, p, m)
+        # the top of c cancels against a's, so a + c trims from the top
+        k = rng.randint(0, n)
+        c = _random_coeffs(rng, p, k) + [-x for x in a[k:]]
+        fa, fb, fc = Poly(a, p), Poly(b, p), Poly(c, p)
+        ra, rb, rc = _ref_red(a, p), _ref_red(b, p), _ref_red(c, p)
+        for f, ref in ((fa, ra), (fb, rb), (fc, rc)):
+            _check_result(f, ref, p, "Poly(...)")
+        checks = [
+            (fa + fb, _ref_add(ra, rb, p), "+"),
+            (fa + fc, _ref_add(ra, rc, p), "+ cancelling"),
+            (fa - fb, _ref_add(ra, rb, p, -1), "-"),
+            (fb - fa, _ref_add(rb, ra, p, -1), "- reversed"),
+            (fa - fa, (), "- itself"),
+            (-fa, _ref_add((), ra, p, -1), "unary -"),
+            (fa * fb, _ref_conv(ra, rb, p), "*"),
+            (fb * fa, _ref_conv(rb, ra, p), "* reversed"),
+            (fa + 1, _ref_add(ra, (1,), p), "+ int"),
+            (2 * fa, _ref_conv((2,), ra, p), "int *"),
+        ]
+        if m <= 12:
+            acc = (1,)
+            for e in range(4):
+                checks.append((fb ** e, acc, f"** {e}"))
+                acc = _ref_conv(acc, rb, p)
+        if rb:
+            q, r = divmod(fa, fb)
+            rq, rr = _ref_divmod(ra, rb, p)
+            checks += [(q, rq, "divmod quotient"), (r, rr, "divmod remainder")]
+        if n <= 20:
+            for inner in (_random_coeffs(rng, p, 2), _random_coeffs(rng, p, 3)):
+                g = Poly(inner, p)
+                checks.append((poly_compose(fa, g),
+                               _ref_compose(ra, _ref_red(inner, p), p),
+                               f"compose with {len(inner)} coefficients"))
+        if p:
+            for r in (1, 2) if p ** 2 * n <= 20000 else (1,):
+                q = p ** r
+                spread = [0] * ((len(ra) - 1) * q + 1) if ra else []
+                spread[::q] = ra
+                checks.append((frob_pow(fa, r), tuple(spread), f"frob_pow {r}"))
+            if p <= 17 and m <= 3:
+                acc = (1,)
+                for _ in range(p + 1):
+                    acc = _ref_conv(acc, rb, p)
+                checks.append((fb ** (p + 1), acc, f"** {p + 1}"))
+        for result, ref, what in checks:
+            _check_result(result, ref, p, what)
+        assert (fa == fb) == (ra == rb) and (fa != fb) == (ra != rb)
 
 
 def test_compose_is_hom(rng):

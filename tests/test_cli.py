@@ -173,6 +173,18 @@ class TestNewtonCommands:
         assert out == "#RESULT newton-hull status=error code=2\n"
         assert "exponent 100000000000 is above the cap 100000" in err
 
+    def test_hull_of_the_zero_series_exits_2(self, capsys):
+        code, out, err = run(capsys, "newton", "hull", "--series", "{} @ p=5 Q=1")
+        assert code == 2
+        assert out == "#RESULT newton-hull status=error code=2\n"
+        assert "the series is zero" in err
+        # zero only at precision is a precision limit, not an input error
+        code, out, err = run(
+            capsys, "newton", "hull", "--series", "{0: 0?} @ p=5 Q=1")
+        assert code == 3
+        assert out == "#RESULT newton-hull status=error code=3\n"
+        assert "no visible support at this precision" in err
+
     @pytest.mark.parametrize("n_max, q_prec", [
         ("100000000", "10"),  # n_max itself
         ("100000", "1000000000000"),  # the largest q-exponent, q^(n^2)

@@ -50,8 +50,6 @@ from zinterp.harness import (
     decode_pair,
     e2e_verify,
     family_formula,
-    is_frob_power_of_t,
-    is_positive_power_of_t,
     relation_instance,
     synth_frob_power,
     synth_ge_p,
@@ -74,6 +72,29 @@ from zinterp.pell import (
     pell_pair,
     pell_pairs_with_quotients,
 )
+
+
+# -- ground truth for the power-set families, decided from the coefficients --
+
+def is_frob_power_of_t(f: Poly, p: int) -> bool:
+    """Membership in {t^(p^r) : r >= 0}."""
+    d = f.degree
+    if not isinstance(d, int) or d < 1:
+        return False
+    coeffs = f.coeffs
+    if coeffs[-1] != 1 or any(coeffs[:-1]):
+        return False
+    while d > 1 and d % p == 0:
+        d //= p
+    return d == 1
+
+
+def is_positive_power_of_t(f: Poly) -> bool:
+    """Membership in {t^k : k >= 1}: a monic monomial of positive degree."""
+    d = f.degree
+    if not isinstance(d, int) or d < 1:
+        return False
+    return f.coeffs[-1] == 1 and not any(f.coeffs[:-1])
 
 
 class TestPairFamily:

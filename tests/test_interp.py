@@ -1044,8 +1044,6 @@ def peak_kb():
 interp = pell_interpretation()
 library = [interp.domain, *interp.symbols.values(),
            *(family_formula(family).of for family in FAMILIES)]
-for of in library:
-    of.template
 before = peak_kb()
 for of in library:
     of.evaluate
@@ -1057,7 +1055,7 @@ print(peak_kb() - before)
 def test_evaluators_compile_without_a_memory_peak():
     """Every library evaluator, the pair interpretation's and the synthesis
     families', compiled in a fresh process raises its peak RSS by under
-    1 MB beyond the templates'.  Each group of atoms is
+    1 MB beyond building the library.  Each group of atoms is
     compiled on its own; |*'s 59 atoms compiled as one function make the
     compiler peak at 5.1 MB under tracemalloc."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -166,9 +166,17 @@ def test_lower_hull_collinear_dropped():
 
 
 def test_newton_polygon_zero_series_errors():
+    # exactly zero: a plain ValueError that names the zero series
     z = LaurentTrunc.from_dict({}, 5, 4, window=(0, 2))
-    with pytest.raises(PrecisionError):
+    with pytest.raises(ValueError, match="series is zero") as err:
         newton_polygon(z)
+    assert not isinstance(err.value, PrecisionError)
+    # zero only at precision, or only inside the window: PrecisionError
+    masked = LaurentTrunc.from_dict({1: "0?"}, 5, 4, window=(0, 2))
+    open_tail = LaurentTrunc.from_dict({}, 5, 4, window=(0, 2), hi_exact=False)
+    for h in (masked, open_tail):
+        with pytest.raises(PrecisionError, match="no visible support"):
+            newton_polygon(h)
 
 
 def test_polygon_validation():
