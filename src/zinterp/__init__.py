@@ -35,7 +35,6 @@ from .formula import (
 from .harness import (
     Witness,
     check_witness,
-    decode_pair,
     e2e_verify,
     family_formula,
     relation_instance,
@@ -101,7 +100,6 @@ __all__ = [
     "print_formula",
     "Witness",
     "check_witness",
-    "decode_pair",
     "e2e_verify",
     "family_formula",
     "relation_instance",

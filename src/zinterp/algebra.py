@@ -10,7 +10,10 @@ ring of integers with arbitrary Python ints.
 The storage, ``Poly.data``, is ``bytes``, one residue per byte, for
 2 <= p <= 251 and a tuple of ints otherwise; ``coeffs`` builds a tuple from
 it on each read, so code in this package reads ``data``.  Bytes of residues
-compare and sort as tuples of the same ints do.
+compare and sort as tuples of the same ints do.  The storage format is
+private to this module, with ``_raw``, ``_stored`` and ``_trimmed``: other
+modules build a polynomial with ``Poly(...)``, the ring operations,
+``frob_pow`` or ``times_t``, and may read ``data`` as a sequence of ints.
 
 The degree of the zero polynomial is the sentinel ``NEG_INFINITY`` (never -1),
 so degree comparisons behave correctly without special-casing.
@@ -653,6 +656,13 @@ def frob_pow(f: Poly, r: int) -> Poly:
     cs = bytearray(n) if type(data) is bytes else [0] * n
     cs[::p**r] = data
     return Poly._raw(_stored(cs, p), p)
+
+
+def times_t(f: Poly) -> Poly:
+    """t f, by shifting the coefficients."""
+    data = f.data
+    zero = b"\0" if type(data) is bytes else (0,)
+    return Poly._raw(zero + data, f.modulus) if data else f
 
 
 # -- text format ------------------------------------------------------------

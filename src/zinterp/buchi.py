@@ -32,8 +32,6 @@ from .algebra import (
     FeasibilityError,
     Poly,
     _frob_scale,
-    _stored,
-    _trimmed,
     frob_pow,
     kth_roots_mod,
 )
@@ -55,21 +53,9 @@ class BuchiSeq:
         return len(self.terms)
 
 
-def _next_term(prev, cur, p: int):
-    """The storage of 2*cur - prev + 2 over F_p, from canonical storages
-    (see algebra): the term after prev, cur in a sequence whose second
-    differences are 2."""
-    cs = [(y + y - x) % p
-          for x, y in itertools.zip_longest(prev, cur, fillvalue=0)] or [0]
-    cs[0] = (cs[0] + 2) % p
-    return _trimmed(cs, p)
-
-
 def second_differences_equal_two(terms: tuple[Poly, ...], p: int) -> bool:
-    return all(
-        c.data == _next_term(a.data, b.data, p)
-        for a, b, c in zip(terms, terms[1:], terms[2:])
-    )
+    return all(c == b + b - a + 2
+               for a, b, c in zip(terms, terms[1:], terms[2:]))
 
 
 def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
@@ -183,7 +169,7 @@ def poly_kth_root(f: Poly, k: int) -> Optional[Poly]:
         return None
     lc, m = lcs[0], df // k
     if k == 2:
-        cand = Poly._raw(_stored(_square_root_descent(f.data, lc, p), p), p)
+        cand = Poly(_square_root_descent(f.data, lc, p), p)
         return cand if cand * cand == f else None
     g = [0] * (m + 1)
     g[m] = lc
@@ -244,10 +230,10 @@ def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int) -> bool:
     """Are all of u_3..u_length squares, where u_{n+2} = 2u_{n+1} - u_n + 2?
     Stops at the first non-square and keeps no terms, as the seeds (u1, u2)
     fix them all.  The oracle needs it only for unmatched survivors."""
-    prev, cur = u1.data, u2.data
+    prev, cur = u1, u2
     for _ in range(length - 2):
-        prev, cur = cur, _next_term(prev, cur, p)
-        if square_root_poly(Poly._raw(cur, p)) is None:
+        prev, cur = cur, cur + cur - prev + 2
+        if square_root_poly(cur) is None:
             return False
     return True
 

@@ -30,7 +30,6 @@ from .algebra import (
     SYNTH_DEGREE_CAP,
     Poly,
     _frob_scale,
-    _stored,
     frob_pow,
     poly_divrem,
 )
@@ -57,7 +56,6 @@ from .interp import (
 )
 from .pell import (
     _offset_quotient,
-    pell_index_recognize,
     pell_pairs_with_quotients,
 )
 
@@ -204,11 +202,6 @@ def synth_pair(n: int, p: int) -> Witness:
     return _witness("theta", p, [pairs[n].x, pairs[n].y, quot[n]])
 
 
-def decode_pair(x: Poly, y: Poly) -> Optional[int]:
-    """The integer encoded by (x, y), or None; raises off the conic."""
-    return pell_index_recognize(x, y)
-
-
 def _ge_p_values(g: Poly, r: int, p: int) -> list:
     """Values for the full power certificate's bound variables beyond the
     two related elements, in binder order: the conic point (u, v), then the
@@ -259,7 +252,7 @@ def synth_frob_power(r: int, p: int) -> Witness:
     return _witness("phi", p, [
         x,
         Poly((-1, 0, 1), p) ** ((q - 1) // 2),
-        Poly._raw(_stored((1,) * q, p), p),
+        Poly((1,) * q, p),
         x + 1,
         Poly((0, 2, 1), p) ** ((q - 1) // 2),
         Poly.monomial(1, q - 1, p),

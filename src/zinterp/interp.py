@@ -780,8 +780,7 @@ class _Translator:
         )
 
 
-def _collect_names(phi: Formula) -> set:
-    names = set().union(*_scan(phi))
+def _collect_names(names: set) -> set:
     for name in names:
         for mark in RESERVED_MARKS:
             if mark in name:
@@ -797,11 +796,11 @@ def translate_with_trace(interp: Interpretation, phi: Formula):
     """Translate a closed source sentence into a glue of Inst nodes, one per
     library instantiation (expand gives the plain tree); also return the
     trace recording every tuple and instantiation, for witness synthesis."""
-    stray = free_vars(phi)
+    stray, bound = _scan(phi)
     if stray:
         raise ValueError(f"sentence is not closed; free: {sorted(stray)}")
     _check_formula_lang(phi, interp.source_lang, "translate input")
-    tr = _Translator(interp, _collect_names(phi))
+    tr = _Translator(interp, _collect_names(set(bound)))
     core = tr.go(phi, {})
     out = tr.hoist_constants(core)
     if free_vars(out):
@@ -819,7 +818,8 @@ def translate_open(interp: Interpretation, of: OpenFormula) -> OpenFormula:
     """Translate a formula with free parameters: each parameter expands to
     a tuple, relativized to the domain.  Used by compose."""
     _check_formula_lang(of.body, interp.source_lang, "translate_open input")
-    tr = _Translator(interp, _collect_names(of.body) | set(of.params))
+    names = _collect_names(set().union(*_scan(of.body)))
+    tr = _Translator(interp, names | set(of.params))
     env = {}
     params = []
     parts = []

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
-                      _stored, frob_pow)
+                      frob_pow, times_t)
 from .buchi import square_root_poly
 
 MODE_CONIC = "char-ne-2"
@@ -97,13 +97,6 @@ def _raw_negate(pair, mode, t):
     return (x, -y)
 
 
-def _times_t(f: Poly) -> Poly:
-    """t f, by shifting the coefficients."""
-    data = f.data
-    zero = b"\0" if type(data) is bytes else (0,)
-    return Poly._raw(zero + data, f.modulus) if data else f
-
-
 def _steps(pair, mode: str):
     """pair, then pair times the fundamental unit again and again: the one
     step walk behind pell_pair and pell_pairs_with_quotients.  A conic step
@@ -112,11 +105,11 @@ def _steps(pair, mode: str):
     if mode == MODE_CHAR2:
         while True:
             yield x, y
-            x, y = y, x + _times_t(y)
+            x, y = y, x + times_t(y)
     while True:
         yield x, y
-        y_next = x + _times_t(y)
-        x, y = _times_t(y_next) - y, y_next
+        y_next = x + times_t(y)
+        x, y = times_t(y_next) - y, y_next
 
 
 def _pair_by_digits(n_abs: int, p: int, mode: str):
@@ -143,7 +136,7 @@ def _pair_by_digits(n_abs: int, p: int, mode: str):
     if not p:
         lift = lambda a: _raw_add_conic(a, a, t2m1)
     elif mode == MODE_CHAR2:
-        lift = lambda a: (frob_pow(a[0] + a[1], 1), _times_t(frob_pow(a[1], 1)))
+        lift = lambda a: (frob_pow(a[0] + a[1], 1), times_t(frob_pow(a[1], 1)))
     else:
         c = t2m1 ** ((p - 1) // 2)
         lift = lambda a: (frob_pow(a[0], 1), frob_pow(a[1], 1) * c)
@@ -197,7 +190,7 @@ def _offset_quotient(x: Poly, p: int) -> Poly:
     total = sum(cs)
     if (total % p if p else total) != 1:
         raise ValueError("no quotient: the argument is not 1 at t = 1")
-    return Poly._raw(_stored([c % p for c in z] if p else z, p), p)
+    return Poly(z, p)
 
 
 def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
@@ -205,13 +198,10 @@ def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
     each distinct n in ns, conic form.
 
     Indices up to STEP_LIMIT in absolute value are read off one step walk
-    to the largest of them, with z_0 = 0 and
-    z_(n+1) = 1 + t z_n + (t+1) y_n, from x_(n+1) = t x_n + (t^2 - 1) y_n
-    (shifts and additions only, like the walk).
-    Larger ones are built by base-p digits (see _pair_by_digits) and z is
-    read off x (see _offset_quotient).  n and -n share the objects x and z;
-    indices refused by pell_pair raise FeasibilityError before anything is
-    built.
+    to the largest of them, larger ones are built by base-p digits (see
+    _pair_by_digits), and every z is read off its x (see _offset_quotient).
+    n and -n share the objects x and z; indices refused by pell_pair raise
+    FeasibilityError before anything is built.
     """
     _check_modulus(p)
     if _infer_mode(p, None) != MODE_CONIC:
@@ -222,24 +212,20 @@ def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
         by_abs.setdefault(abs(n), []).append(n)
     pairs, quot = {}, {}
 
-    def record(k, x, y, z):
+    def record(k, x, y):
+        z = _offset_quotient(x, p)
         for n in by_abs[k]:
             pairs[n] = PellPair(n, x, -y if n < 0 else y, MODE_CONIC)
             quot[n] = z
 
     top = max((k for k in by_abs if k <= STEP_LIMIT), default=-1)
-    one = Poly.one(p)
-    z = Poly.zero(p)
-    steps = itertools.islice(_steps((one, z), MODE_CONIC), top + 1)
-    for k, (x, y) in enumerate(steps):
+    steps = _steps((Poly.one(p), Poly.zero(p)), MODE_CONIC)
+    for k, (x, y) in enumerate(itertools.islice(steps, top + 1)):
         if k in by_abs:
-            record(k, x, y, z)
-        if k < top:
-            z = one + y + _times_t(z + y)
+            record(k, x, y)
     for k in by_abs:
         if k > STEP_LIMIT:
-            x, y = _pair_by_digits(k, p, MODE_CONIC)
-            record(k, x, y, _offset_quotient(x, p))
+            record(k, *_pair_by_digits(k, p, MODE_CONIC))
     return pairs, quot
 
 
@@ -318,14 +304,13 @@ def _conic_solutions_for_y(y: Poly, p: int):
     """The pairs (+-s, y) with s^2 = 1 + (t^2 - 1) y^2, over F_p, p odd.
 
     With w = y^2, the coefficient of t^i in u = t^2 w - w + 1 is
-    w_(i-2) - w_i, plus 1 at i = 0; for w != 0 the top two are those of
-    t^2 w, so u needs no trimming.
+    w_(i-2) - w_i, plus 1 at i = 0.
     """
     w = (y * y).data
-    cs = [(x - c) % p for x, c in itertools.zip_longest(
+    cs = [x - c for x, c in itertools.zip_longest(
         (0, 0, *w), w, fillvalue=0)] if w else [0]
-    cs[0] = (cs[0] + 1) % p
-    u = Poly._raw(_stored(cs, p), p)
+    cs[0] += 1
+    u = Poly(cs, p)
     s = square_root_poly(u)
     if s is None:
         return []

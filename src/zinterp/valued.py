@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
-                      _stored, format_poly, parse_exponent, parse_poly)
+                      format_poly, parse_exponent, parse_poly)
 
 
 class PrecisionError(ValueError):
@@ -96,8 +96,7 @@ class ValCoeff:
                         self.p, prec, exact)
 
     def _poly(self) -> Poly:
-        # qcoeffs are reduced and trimmed: only the storage type changes.
-        return Poly._raw(_stored(self.qcoeffs, self.p), self.p)
+        return Poly(self.qcoeffs, self.p)
 
     def __add__(self, other: "ValCoeff") -> "ValCoeff":
         if self.p != other.p:

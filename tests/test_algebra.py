@@ -1,11 +1,14 @@
 """Polynomial core: frozen examples, random cross-checks, ring axioms."""
 
+import ast
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zinterp
 from zinterp.algebra import (
     NEG_INFINITY,
     Poly,
@@ -19,6 +22,7 @@ from zinterp.algebra import (
     poly_divrem,
     poly_extgcd,
     poly_shift,
+    times_t,
     _kronecker_mul,
     _schoolbook_mul,
 )
@@ -507,6 +511,7 @@ def test_storage_matches_reference_at_every_edge(rng, p):
             (fb * fa, _ref_conv(rb, ra, p), "* reversed"),
             (fa + 1, _ref_add(ra, (1,), p), "+ int"),
             (2 * fa, _ref_conv((2,), ra, p), "int *"),
+            (times_t(fa), (0,) + ra if ra else (), "times_t"),
         ]
         if m <= 12:
             acc = (1,)
@@ -537,6 +542,24 @@ def test_storage_matches_reference_at_every_edge(rng, p):
         for result, ref, what in checks:
             _check_result(result, ref, p, what)
         assert (fa == fb) == (ra == rb) and (fa != fb) == (ra != rb)
+
+
+def test_storage_is_built_in_algebra_alone():
+    """No module but algebra.py builds a polynomial's storage: none imports
+    _stored or _trimmed, or reads Poly._raw."""
+    private = {"_stored", "_trimmed"}
+    for path in sorted(Path(zinterp.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & private, where
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in private, where
+                assert not (node.attr == "_raw"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "Poly"), where
 
 
 def test_compose_is_hom(rng):

@@ -514,6 +514,19 @@ def _second_differences_reference(terms, p):
     )
 
 
+def _second_differences_by_lists(terms, p):
+    """The same test on coefficient lists: u_(n+2) - 2 u_(n+1) + u_n
+    reduced mod p is the constant 2."""
+    cs = [list(u.coeffs) for u in terms]
+    for a, b, c in zip(cs, cs[1:], cs[2:]):
+        n = max(len(a), len(b), len(c), 1)
+        a, b, c = (v + [0] * (n - len(v)) for v in (a, b, c))
+        d = [(z - 2 * y + x) % p for x, y, z in zip(a, b, c)]
+        if d != [2] + [0] * (n - 1):
+            return False
+    return True
+
+
 def _seed_pairs(rng, p):
     """Zero, constants, random squares, random non-squares and the seeds
     of generated families."""
@@ -552,7 +565,7 @@ def test_extension_recurrence_matches_reference(rng, monkeypatch, p):
         assert all(t == Poly(list(t.coeffs), p) for t in tested)
 
 
-@pytest.mark.parametrize("p", [5, 17])
+@pytest.mark.parametrize("p", [3, 5, 17, 257])
 def test_second_differences_matches_reference(rng, p):
     cases = []
     for u1, u2 in _seed_pairs(rng, p):
@@ -565,6 +578,7 @@ def test_second_differences_matches_reference(rng, p):
         cases.append((u1, u2, u1 + u2))
         cases.append((u1, u2, u2 + u2 - u1 + 2))
     for terms in cases:
-        assert (second_differences_equal_two(terms, p)
-                == _second_differences_reference(terms, p)), terms
+        got = second_differences_equal_two(terms, p)
+        assert got == _second_differences_reference(terms, p), terms
+        assert got == _second_differences_by_lists(terms, p), terms
     assert any(second_differences_equal_two(t, p) for t in cases)

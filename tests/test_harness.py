@@ -47,7 +47,6 @@ from zinterp.harness import (
     _nonzero_values,
     _strip_factor,
     check_witness,
-    decode_pair,
     e2e_verify,
     family_formula,
     relation_instance,
@@ -69,6 +68,7 @@ from zinterp.interp import (
 from zinterp.pell import (
     STEP_LIMIT,
     pell_enumerate_oracle,
+    pell_index_recognize,
     pell_pair,
     pell_pairs_with_quotients,
 )
@@ -122,12 +122,12 @@ class TestPairFamily:
         for p in (17, 19):
             for n in range(-50, 51):
                 w = synth_pair(n, p).assignment
-                assert decode_pair(w["x"], w["y"]) == n
+                assert pell_index_recognize(w["x"], w["y"]) == n
 
     def test_decode_rejects_off_conic(self):
         p = 17
         with pytest.raises(ValueError):
-            decode_pair(Poly.gen(p), Poly.gen(p))
+            pell_index_recognize(Poly.gen(p), Poly.gen(p))
 
 
 class TestNonzeroFamily:
@@ -335,7 +335,7 @@ class TestSemanticCheck:
 
     def test_decode(self):
         pair = pell_pair(7, 17)
-        assert decode_pair(pair.x, pair.y) == 7
+        assert pell_index_recognize(pair.x, pair.y) == 7
 
 
 class TestWitnessType:
@@ -488,7 +488,7 @@ class TestDomainSoundness:
             _, rem = poly_divrem(x - one, tm1)
             if not rem.is_zero():
                 continue
-            n = decode_pair(x, y)
+            n = pell_index_recognize(x, y)
             assert n is not None
             decoded.add(n)
         assert decoded == set(range(-4, 5))
@@ -581,7 +581,8 @@ class _ExpandingTranslator(_Translator):
 
 
 def ref_translate(interp, phi):
-    tr = _ExpandingTranslator(interp, _collect_names(phi))
+    names = _collect_names(set().union(*_scan(phi)))
+    tr = _ExpandingTranslator(interp, names)
     return tr.hoist_constants(tr.go(phi, {})), tr.trace()
 
 

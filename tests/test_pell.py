@@ -186,14 +186,16 @@ def test_offset_quotient_matches_division(rng, p):
     assert refused >= 10
 
 
-@pytest.mark.parametrize("p", [3, 17])
+@pytest.mark.parametrize("p", [0, 3, 17])
 def test_one_walk_matches_pell_pair_and_division(p):
     ms = range(-70, 71)  # past STEP_LIMIT, so both paths are read off
     pairs, quot = pell_pairs_with_quotients(list(ms) + [5, -5], p)
     assert set(pairs) == set(quot) == set(ms)
+    t = Poly.gen(p)
     for m in ms:
         assert pairs[m] == pell_pair(m, p)
         assert quot[m] == _offset_quotient(pell_pair(m, p).x, p)
+        assert pairs[m].x == 1 + (t - 1) * quot[m]
         # n and -n share their objects, which check_sat's memo keys on
         assert pairs[m].x is pairs[-m].x and quot[m] is quot[-m]
     assert pell_pairs_with_quotients([], p) == ({}, {})
