@@ -22,7 +22,7 @@ print()
 f = Poly.monomial(1, p, p) + Poly.one(p)
 g = Poly.gen(p) + Poly.one(p)
 print(f"power-of-Frobenius check: {format_poly(f)} = ({format_poly(g)})^(p^r)?")
-print("  r =", ge_p_check(f, g, p))
+print("  r =", ge_p_check(f, g))
 
 print()
 print("seed sweep, constant seeds only (degree bound 0)")

@@ -53,7 +53,7 @@ class BuchiSeq:
         return len(self.terms)
 
 
-def second_differences_equal_two(terms: tuple[Poly, ...], p: int) -> bool:
+def second_differences_equal_two(terms: tuple[Poly, ...]) -> bool:
     return all(c == b + b - a + 2
                for a, b, c in zip(terms, terms[1:], terms[2:]))
 
@@ -85,19 +85,19 @@ def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
         base = Poly.const(n, p) + v
         terms.append(frob_pow(base, r) * base)
     terms = tuple(terms)
-    return BuchiSeq(terms, p, second_differences_equal_two(terms, p))
+    return BuchiSeq(terms, p, second_differences_equal_two(terms))
 
 
-def ge_p_check(f: Poly, g: Poly, p: Optional[int] = None) -> Optional[int]:
-    """Least r >= 0 with f = g^(p^r), or None if no such r exists.
+def ge_p_check(f: Poly, g: Poly) -> Optional[int]:
+    """Least r >= 0 with f = g^(p^r), p the modulus f and g share, or None
+    if no such r exists.
 
     Over F_p the p-th power map fixes constants, so for deg g = 0 the answer
     is 0 or nothing; for deg g >= 1 the degree ratio pins down the only
     candidate r, which is then checked exactly.
     """
-    if p is None:
-        p = f.modulus
-    if f.modulus != p or g.modulus != p:
+    p = f.modulus
+    if g.modulus != p:
         raise ValueError("moduli disagree")
     if p == 0:
         raise ValueError("Frobenius-power order needs a prime modulus")
@@ -226,7 +226,7 @@ class BuchiOracleReport:
         return tuple(f for f in self.retained if not f.matched)
 
 
-def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int) -> bool:
+def _extend_all_squares(u1: Poly, u2: Poly, length: int) -> bool:
     """Are all of u_3..u_length squares, where u_{n+2} = 2u_{n+1} - u_n + 2?
     Stops at the first non-square and keeps no terms, as the seeds (u1, u2)
     fix them all.  The oracle needs it only for unmatched survivors."""
@@ -238,7 +238,7 @@ def _extend_all_squares(u1: Poly, u2: Poly, length: int, p: int) -> bool:
     return True
 
 
-def _match_family(u1: Poly, u2: Poly, p: int) -> Optional[tuple[Poly, int]]:
+def _match_family(u1: Poly, u2: Poly) -> Optional[tuple[Poly, int]]:
     """Find (v, r) with u_n = (n + v)^(p^r + 1) for the sequence u_{n+2} =
     2u_{n+1} - u_n + 2 seeded by (u1, u2), if any (p odd).
 
@@ -254,7 +254,7 @@ def _match_family(u1: Poly, u2: Poly, p: int) -> Optional[tuple[Poly, int]]:
     recurrence is fixed by its first two terms; so the candidate matches the
     whole sequence exactly when buchi_generate(v, r, 2, p) gives (u1, u2).
     """
-    d1 = u1.degree
+    p, d1 = u1.modulus, u1.degree
     if not isinstance(d1, int) or d1 == 0:
         return None
     dc = (u2 - u1 - Poly.const(3, p)).data
@@ -353,8 +353,8 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
             if len(u1.data) <= 1 and len(u2.data) <= 1:
                 constants += 1
                 continue
-            match = _match_family(u1, u2, p)
-            if match is None and not _extend_all_squares(u1, u2, p, p):
+            match = _match_family(u1, u2)
+            if match is None and not _extend_all_squares(u1, u2, p):
                 continue
             v, r = match or (None, None)
             families[key] = BuchiFamily(u1, u2, v, r)

@@ -201,22 +201,16 @@ def _depth_limited(fn):
     return limited
 
 
-_TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
+# Every character but whitespace starts a token; a lone '"' is one that has
+# no closing quote.
+_TOKEN_RE = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+|"')
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"unreadable character {ch!r} at position {pos}")
-        tokens.append((m.group(0), pos))
-        pos = m.end()
+    tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for tok, pos in tokens:
+        if tok == '"':
+            raise ValueError(f"unreadable character {tok!r} at position {pos}")
     return tokens
 
 
@@ -420,9 +414,7 @@ class PolyStructure:
             "!=": lambda a, b: a != b,
         }
         if p != 0:
-            self._relations["|*"] = (
-                lambda a, b: ge_p_check(b, a, p) is not None
-            )
+            self._relations["|*"] = lambda a, b: ge_p_check(b, a) is not None
 
     def register_relation(self, name: str, fn: Callable) -> None:
         self._relations[name] = fn

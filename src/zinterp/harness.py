@@ -191,13 +191,13 @@ def _nonzero_values(f: Poly, p: int) -> list:
 
 def synth_nonzero(f: Poly, p: int) -> Witness:
     """Witness certifying f != 0."""
+    if p == 0:
+        raise ValueError("the nonzero witness needs a prime modulus, got p = 0")
     return _witness("nu", p, [f] + _nonzero_values(f, p))
 
 
 def synth_pair(n: int, p: int) -> Witness:
     """Domain witness (x, y, z) for the pair encoding the integer n."""
-    if p == 2:
-        raise ValueError("the pair domain uses the conic form; p must be odd")
     pairs, quot = pell_pairs_with_quotients((n,), p)
     return _witness("theta", p, [pairs[n].x, pairs[n].y, quot[n]])
 
@@ -265,15 +265,15 @@ def synth_positive_power(k: int, r: int, p: int) -> Witness:
     Requires 1 <= k <= p^r so the quotient t^(p^r - k) exists.  The
     Frobenius-power witness for t^(p^r) fills the nested certificate.
     """
+    inner = list(synth_frob_power(r, p).assignment.values())
     q = _frob_scale(p, r)
     if not 1 <= k <= q:
         raise ValueError(f"k must satisfy 1 <= k <= {q}")
-    inner = list(synth_frob_power(r, p).assignment.values())
     f = Poly.monomial(1, k, p)
     return _witness("psi", p, [f] + inner + [
         Poly.monomial(1, q - k, p),
         Poly.monomial(1, k - 1, p),
-        _offset_quotient(f, p),
+        _offset_quotient(f),
     ])
 
 

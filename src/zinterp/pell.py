@@ -11,7 +11,8 @@ solution family up to sign.  In characteristic 2 that conic degenerates and
 the right form is X^2 + t X Y + Y^2 = 1: with a root alpha of
 Z^2 = t Z + 1, multiplying x + y alpha by alpha gives y + (x + t y) alpha,
 and by alpha^(-1) = t + alpha gives (t x + y) + x alpha, the two char-2
-step directions.
+step directions.  The modulus picks the form: p = 2 gets the char-2 conic,
+every other p the first one, and no function takes a separate form option.
 
 Large indices use the Frobenius, additive and fixing F_p: (x + y s)^p =
 x(t^p) + y(t^p) (t^2 - 1)^((p-1)/2) s, and (x + y alpha)^2 = x^2 + y^2 +
@@ -45,9 +46,6 @@ from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
                       frob_pow, times_t)
 from .buchi import square_root_poly
 
-MODE_CONIC = "char-ne-2"
-MODE_CHAR2 = "char2"
-
 STEP_LIMIT = 64
 # The index cap over Z[t], where coefficients have about 1.27 n bits and
 # products are schoolbook: pell_pair(n, 0) takes 0.16 s at n = 1000 and
@@ -65,23 +63,10 @@ class PellPair:
     n: int
     x: Poly
     y: Poly
-    mode: str
 
     @property
     def p(self) -> int:
         return self.x.modulus
-
-
-def _infer_mode(p: int, mode: Optional[str]) -> str:
-    if mode is None:
-        return MODE_CHAR2 if p == 2 else MODE_CONIC
-    if mode not in (MODE_CONIC, MODE_CHAR2):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_CHAR2 and p != 2:
-        raise ValueError("char2 mode needs modulus 2")
-    if mode == MODE_CONIC and p == 2:
-        raise ValueError("the conic form degenerates at modulus 2")
-    return mode
 
 
 def _raw_add_conic(a, b, t2m1):
@@ -90,19 +75,12 @@ def _raw_add_conic(a, b, t2m1):
     return (xa * xb + t2m1 * (ya * yb), xa * yb + xb * ya)
 
 
-def _raw_negate(pair, mode, t):
-    x, y = pair
-    if mode == MODE_CHAR2:
-        return (x + t * y, y)
-    return (x, -y)
-
-
-def _steps(pair, mode: str):
+def _steps(pair):
     """pair, then pair times the fundamental unit again and again: the one
     step walk behind pell_pair and pell_pairs_with_quotients.  A conic step
     is y' = x + t y, x' = t y' - y, so it takes shifts and additions only."""
     x, y = pair
-    if mode == MODE_CHAR2:
+    if x.modulus == 2:
         while True:
             yield x, y
             x, y = y, x + times_t(y)
@@ -112,7 +90,7 @@ def _steps(pair, mode: str):
         x, y = times_t(y_next) - y, y_next
 
 
-def _pair_by_digits(n_abs: int, p: int, mode: str):
+def _pair_by_digits(n_abs: int, p: int):
     """(x_n, y_n), n = n_abs, by Horner over the base-p digits of n (see the
     module docstring): lift the pair of the leading digits to its p-th power
     and multiply by the pair of the next digit d, by d steps when d <= 2,
@@ -127,7 +105,7 @@ def _pair_by_digits(n_abs: int, p: int, mode: str):
     while n_abs >= (p or 2):
         n_abs, d = divmod(n_abs, p or 2)
         digits.append(d)
-    small = list(itertools.islice(_steps((Poly.one(p), Poly.zero(p)), mode),
+    small = list(itertools.islice(_steps((Poly.one(p), Poly.zero(p))),
                                   max(digits + [n_abs]) + 1))
     acc = small[n_abs]
     if not digits:
@@ -135,14 +113,14 @@ def _pair_by_digits(n_abs: int, p: int, mode: str):
     t2m1 = Poly((-1, 0, 1), p)
     if not p:
         lift = lambda a: _raw_add_conic(a, a, t2m1)
-    elif mode == MODE_CHAR2:
+    elif p == 2:
         lift = lambda a: (frob_pow(a[0] + a[1], 1), times_t(frob_pow(a[1], 1)))
     else:
         c = t2m1 ** ((p - 1) // 2)
         lift = lambda a: (frob_pow(a[0], 1), frob_pow(a[1], 1) * c)
     for d in reversed(digits):
         if d <= 2:
-            acc = next(itertools.islice(_steps(lift(acc), mode), d, None))
+            acc = next(itertools.islice(_steps(lift(acc)), d, None))
         else:
             x, y = frob_pow(acc[0], 1), frob_pow(acc[1], 1)
             xd, yd = small[d]
@@ -150,8 +128,8 @@ def _pair_by_digits(n_abs: int, p: int, mode: str):
     return acc
 
 
-def _pair_by_steps(n_abs: int, p: int, mode: str):
-    walk = _steps((Poly.one(p), Poly.zero(p)), mode)
+def _pair_by_steps(n_abs: int, p: int):
+    walk = _steps((Poly.one(p), Poly.zero(p)))
     return next(itertools.islice(walk, n_abs, None))
 
 
@@ -164,7 +142,7 @@ def _check_index(n: int, p: int) -> None:
         )
 
 
-def pell_pair(n: int, p: int, mode: Optional[str] = None) -> PellPair:
+def pell_pair(n: int, p: int) -> PellPair:
     """The index-n solution pair over F_p[t] (or Z[t] when p = 0).
 
     Index 0 is (1, 0) and index 1 the fundamental pair; negative indices
@@ -173,19 +151,18 @@ def pell_pair(n: int, p: int, mode: Optional[str] = None) -> PellPair:
     FeasibilityError.
     """
     _check_modulus(p)
-    mode = _infer_mode(p, mode)
     _check_index(n, p)
-    pair = _pair_by_digits(abs(n), p, mode)
+    x, y = _pair_by_digits(abs(n), p)
     if n < 0:
-        pair = _raw_negate(pair, mode, Poly.gen(p))
-    return PellPair(n, pair[0], pair[1], mode)
+        x, y = (x + times_t(y), y) if p == 2 else (x, -y)
+    return PellPair(n, x, y)
 
 
-def _offset_quotient(x: Poly, p: int) -> Poly:
+def _offset_quotient(x: Poly) -> Poly:
     """The z with x = 1 + (t-1)z; requires x(1) = 1.  The coefficient of
     t^i in (t-1)z is z_(i-1) - z_i, so z_k sums the coefficients of x above
     t^k, and the constant term x_0 - z_0 = 1 asks x(1) = 1."""
-    cs = x.data
+    p, cs = x.modulus, x.data
     z = list(itertools.accumulate(reversed(cs[1:])))[::-1]
     total = sum(cs)
     if (total % p if p else total) != 1:
@@ -204,8 +181,8 @@ def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
     FeasibilityError before anything is built.
     """
     _check_modulus(p)
-    if _infer_mode(p, None) != MODE_CONIC:
-        raise ValueError("offset quotients need the conic form; p must be odd")
+    if p == 2:
+        raise ValueError("the pair domain uses the conic form; p must be odd")
     by_abs = {}
     for n in set(ns):
         _check_index(n, p)
@@ -213,31 +190,31 @@ def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
     pairs, quot = {}, {}
 
     def record(k, x, y):
-        z = _offset_quotient(x, p)
+        z = _offset_quotient(x)
         for n in by_abs[k]:
-            pairs[n] = PellPair(n, x, -y if n < 0 else y, MODE_CONIC)
+            pairs[n] = PellPair(n, x, -y if n < 0 else y)
             quot[n] = z
 
     top = max((k for k in by_abs if k <= STEP_LIMIT), default=-1)
-    steps = _steps((Poly.one(p), Poly.zero(p)), MODE_CONIC)
+    steps = _steps((Poly.one(p), Poly.zero(p)))
     for k, (x, y) in enumerate(itertools.islice(steps, top + 1)):
         if k in by_abs:
             record(k, x, y)
     for k in by_abs:
         if k > STEP_LIMIT:
-            record(k, *_pair_by_digits(k, p, MODE_CONIC))
+            record(k, *_pair_by_digits(k, p))
     return pairs, quot
 
 
-def pell_verify(x: Poly, y: Poly, mode: Optional[str] = None) -> bool:
-    """Exact check of the defining equation for (x, y)."""
+def pell_verify(x: Poly, y: Poly) -> bool:
+    """Exact check of the defining equation for (x, y): the char-2 form at
+    modulus 2, the conic otherwise."""
     if x.modulus != y.modulus:
         raise ValueError("moduli disagree")
     p = x.modulus
-    mode = _infer_mode(p, mode)
     t = Poly.gen(p)
     one = Poly.one(p)
-    if mode == MODE_CHAR2:
+    if p == 2:
         return x * x + t * x * y + y * y == one
     return x * x - (t * t - one) * (y * y) == one
 
@@ -250,7 +227,7 @@ def pell_add(a: PellPair, b: PellPair) -> PellPair:
 
     Stated for the conic form only.
     """
-    if a.mode != MODE_CONIC or b.mode != MODE_CONIC:
+    if a.p == 2 or b.p == 2:
         raise ValueError("index addition is defined for the conic form only")
     if a.p != b.p:
         raise ValueError("moduli disagree")
@@ -258,7 +235,7 @@ def pell_add(a: PellPair, b: PellPair) -> PellPair:
     t = Poly.gen(p)
     t2m1 = t * t - Poly.one(p)
     x, y = _raw_add_conic((a.x, a.y), (b.x, b.y), t2m1)
-    return PellPair(a.n + b.n, x, y, MODE_CONIC)
+    return PellPair(a.n + b.n, x, y)
 
 
 def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
@@ -273,15 +250,14 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     if x.modulus != y.modulus:
         raise ValueError("moduli disagree")
     p = x.modulus
-    mode = _infer_mode(p, None)
-    if not pell_verify(x, y, mode):
+    if not pell_verify(x, y):
         raise ValueError("not a solution of the Pell equation")
-    if mode == MODE_CHAR2:
+    if p == 2:
         if not y.data:
             return 0
-        n_abs = (y.degree if isinstance(y.degree, int) else 0) + 1
+        n_abs = y.degree + 1
         for cand_n in (n_abs, -n_abs):
-            cand = pell_pair(cand_n, p, mode)
+            cand = pell_pair(cand_n, p)
             if cand.x == x and cand.y == y:
                 return cand_n
         return None
@@ -290,7 +266,7 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     if x.evaluate(1) != 1:
         return None
     n_abs = x.degree
-    cand = pell_pair(n_abs, p, mode)
+    cand = pell_pair(n_abs, p)
     if cand.x != x:
         return None
     if cand.y == y:
@@ -300,13 +276,13 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     return None
 
 
-def _conic_solutions_for_y(y: Poly, p: int):
+def _conic_solutions_for_y(y: Poly):
     """The pairs (+-s, y) with s^2 = 1 + (t^2 - 1) y^2, over F_p, p odd.
 
     With w = y^2, the coefficient of t^i in u = t^2 w - w + 1 is
     w_(i-2) - w_i, plus 1 at i = 0.
     """
-    w = (y * y).data
+    p, w = y.modulus, (y * y).data
     cs = [x - c for x, c in itertools.zip_longest(
         (0, 0, *w), w, fillvalue=0)] if w else [0]
     cs[0] += 1
@@ -381,7 +357,7 @@ def _oracle_conic(p: int, max_deg: int) -> list:
                 bits &= bits - 1
                 # when D = 0, last is a 0 that Poly trims
                 y = Poly((c0,) + prefix + (last,), p)
-                found.extend(_conic_solutions_for_y(y, p))
+                found.extend(_conic_solutions_for_y(y))
     return found
 
 
@@ -436,7 +412,7 @@ def _oracle_char2(p: int, max_deg: int) -> list:
     return found
 
 
-def _oracle_work(p: int, max_deg: int, mode: str) -> float:
+def _oracle_work(p: int, max_deg: int) -> float:
     """The steps pell_enumerate_oracle(p, max_deg) takes, estimated.  Char
     2: 4 (D + 2) per y, to solve for x.  Conic (see _oracle_conic): size *
     (p + lasts) per sieve point of size p or p^2 for the tables, lasts + 10
@@ -445,7 +421,7 @@ def _oracle_work(p: int, max_deg: int, mode: str) -> float:
     A bound past 64 is estimated at 64, and p past 215 by the tables alone,
     both over the cap already, so no huge power is formed."""
     d = min(max_deg, 64)
-    if mode == MODE_CHAR2:
+    if p == 2:
         return 2 ** (d + 1) * 4 * (d + 2)
     lasts, rational = (p if d else 1), p - 2
     tables = rational * p * (p + lasts)
@@ -459,8 +435,7 @@ def _oracle_work(p: int, max_deg: int, mode: str) -> float:
             + p ** (d + 1) * ((p + 1) / (2 * p)) ** points * 20 * (d + 2))
 
 
-def pell_enumerate_oracle(p: int, max_y_degree: int,
-                          mode: Optional[str] = None) -> frozenset:
+def pell_enumerate_oracle(p: int, max_y_degree: int) -> frozenset:
     """Every solution pair with deg y <= max_y_degree, by brute force.
 
     Conic form: sweep y and test 1 + (t^2 - 1) y^2 for a polynomial square
@@ -477,28 +452,27 @@ def pell_enumerate_oracle(p: int, max_y_degree: int,
         raise ValueError(
             f"degree bound on y must be nonnegative, got {max_y_degree}"
         )
-    mode = _infer_mode(p, mode)
-    if _oracle_work(p, max_y_degree, mode) > ORACLE_WORK_LIMIT:
+    _check_modulus(p)
+    if _oracle_work(p, max_y_degree) > ORACLE_WORK_LIMIT:
         raise FeasibilityError(
             f"degree bound {max_y_degree} at p = {p} exceeds the sweep "
             f"limit of {ORACLE_WORK_LIMIT} steps"
         )
-    _check_modulus(p)
-    sweep = _oracle_char2 if mode == MODE_CHAR2 else _oracle_conic
+    sweep = _oracle_char2 if p == 2 else _oracle_conic
     return frozenset(sweep(p, max_y_degree))
 
 
-def pell_family(p: int, max_y_degree: int, mode: Optional[str] = None) -> set:
+def pell_family(p: int, max_y_degree: int) -> set:
     """Every solution with deg y <= max_y_degree, generated from the indexed
     pairs: (+-x_n, y_n) in the conic form, (x_n, y_n) in char 2, over all
     indices n.  The set pell_enumerate_oracle must return."""
     expected = set()
     for n in itertools.count():
-        pos = pell_pair(n, p, mode)
+        pos = pell_pair(n, p)
         if pos.y.degree > max_y_degree:
             return expected
-        neg = pell_pair(-n, p, mode)
+        neg = pell_pair(-n, p)
         for pair in (pos, neg):
             expected.add((pair.x, pair.y))
-            if pair.mode != MODE_CHAR2:
+            if p != 2:
                 expected.add((-pair.x, pair.y))

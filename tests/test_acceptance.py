@@ -31,7 +31,7 @@ from zinterp.interp import (
     pell_interpretation,
     translate_with_trace,
 )
-from zinterp.pell import MODE_CHAR2, pell_add, pell_enumerate_oracle, pell_pair
+from zinterp.pell import pell_add, pell_enumerate_oracle, pell_pair
 from zinterp.valued import (
     LaurentTrunc,
     ValCoeff,
@@ -89,17 +89,17 @@ def test_criterion_1_pell_identity_suite(capsys):
     _report(capsys, 1, "pell identity suite |m|,|n|<=30 over 5 primes", elapsed, 60.0)
 
 
-def _expected_family(p, max_y_degree, mode=None):
+def _expected_family(p, max_y_degree):
     expected = set()
     n = 0
     while True:
-        pos = pell_pair(n, p, mode)
+        pos = pell_pair(n, p)
         if pos.y.degree > max_y_degree:
             return expected
-        neg = pell_pair(-n, p, mode)
+        neg = pell_pair(-n, p)
         for pair in (pos, neg):
             expected.add((pair.x, pair.y))
-            if pair.mode != MODE_CHAR2:
+            if p != 2:
                 expected.add((-pair.x, pair.y))
         n += 1
 

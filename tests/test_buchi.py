@@ -53,7 +53,7 @@ def test_second_difference_identity_grid(rng):
                 v = random_poly(rng, p, 3)
                 seq = buchi_generate(v, r, 17, p)
                 assert seq.valid
-                assert second_differences_equal_two(seq.terms, p)
+                assert second_differences_equal_two(seq.terms)
 
 
 def test_generate_rejects_bad_inputs():
@@ -305,13 +305,13 @@ def _record_survivors(monkeypatch):
     exact extension."""
     matched, extended = [], []
 
-    def match(u1, u2, p):
+    def match(u1, u2):
         matched.append((u1.coeffs, u2.coeffs))
-        return _match_family(u1, u2, p)
+        return _match_family(u1, u2)
 
-    def extend(u1, u2, length, p):
+    def extend(u1, u2, length):
         extended.append((u1.coeffs, u2.coeffs))
-        return _extend_all_squares(u1, u2, length, p)
+        return _extend_all_squares(u1, u2, length)
 
     monkeypatch.setattr(buchi, "_match_family", match)
     monkeypatch.setattr(buchi, "_extend_all_squares", extend)
@@ -407,7 +407,7 @@ def test_oracle_extends_what_the_matcher_cannot_explain(monkeypatch):
     # With no family matched, every non-constant survivor goes through the
     # exact extension, passes it, and is retained flagged.
     _, extended = _record_survivors(monkeypatch)
-    monkeypatch.setattr(buchi, "_match_family", lambda u1, u2, p: None)
+    monkeypatch.setattr(buchi, "_match_family", lambda u1, u2: None)
     report = buchi_search_oracle(17, 1)
     assert len(extended) == len(report.retained) == len(report.flagged) == 272
     assert report.constant_families == 17
@@ -428,10 +428,10 @@ def test_no_false_rejects_on_seeded_positives(rng):
         count += 1
         seq = buchi_generate(v, r, 17, 17)
         u1, u2 = seq.terms[:2]
-        assert _extend_all_squares(u1, u2, 17, 17)
+        assert _extend_all_squares(u1, u2, 17)
         assert tuple(_extend_all_squares_reference(u1, u2, 17, 17)) \
             == seq.terms
-        assert _match_family(u1, u2, 17) == (v, r)
+        assert _match_family(u1, u2) == (v, r)
 
 
 def _match_family_by_roots(terms, p):
@@ -472,7 +472,7 @@ def test_match_family_equals_root_and_unit_matcher(rng):
             c = Poly.const(rng.randint(2, p - 1) ** 2, p)
             u1, u2 = c * u1, c * u2
         terms = _extend_reference(u1, u2, rng.randint(2, p), p)
-        match = _match_family(u1, u2, p)
+        match = _match_family(u1, u2)
         assert match == _match_family_by_roots(terms, p), (p, r, v, kind)
         if kind == "real" and v.degree >= 1:
             assert match == (v, r)
@@ -483,7 +483,7 @@ def test_match_family_equals_root_and_unit_matcher(rng):
 
 def test_sequence_type_flags_invalid():
     bad = BuchiSeq((Poly.one(17), Poly.one(17), Poly.one(17)), 17, False)
-    assert not second_differences_equal_two(bad.terms, 17)
+    assert not second_differences_equal_two(bad.terms)
 
 
 # -- coefficient-level loops against their Poly-level originals -----------------
@@ -545,7 +545,7 @@ def _seed_pairs(rng, p):
 @pytest.mark.parametrize("p", [5, 17])
 def test_extend_all_squares_matches_reference(rng, p):
     for u1, u2 in _seed_pairs(rng, p):
-        assert (_extend_all_squares(u1, u2, p, p)
+        assert (_extend_all_squares(u1, u2, p)
                 == (_extend_all_squares_reference(u1, u2, p, p) is not None)
                 ), (u1, u2)
 
@@ -560,7 +560,7 @@ def test_extension_recurrence_matches_reference(rng, monkeypatch, p):
                         lambda u: tested.append(u) or u)
     for u1, u2 in _seed_pairs(rng, p):
         tested.clear()
-        assert _extend_all_squares(u1, u2, 6, p)
+        assert _extend_all_squares(u1, u2, 6)
         assert tested == _extend_reference(u1, u2, 6, p)[2:], (u1, u2)
         assert all(t == Poly(list(t.coeffs), p) for t in tested)
 
@@ -578,7 +578,7 @@ def test_second_differences_matches_reference(rng, p):
         cases.append((u1, u2, u1 + u2))
         cases.append((u1, u2, u2 + u2 - u1 + 2))
     for terms in cases:
-        got = second_differences_equal_two(terms, p)
+        got = second_differences_equal_two(terms)
         assert got == _second_differences_reference(terms, p), terms
         assert got == _second_differences_by_lists(terms, p), terms
-    assert any(second_differences_equal_two(t, p) for t in cases)
+    assert any(second_differences_equal_two(t) for t in cases)

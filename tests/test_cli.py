@@ -124,6 +124,14 @@ class TestPellCommands:
         assert out == "#RESULT pell-oracle status=error code=3\n"
         assert f"degree bound {bound} at p = {p} exceeds the sweep limit" in err
 
+    # The modulus is checked before the sweep's work is estimated.
+    @pytest.mark.parametrize("spelling", [("pell", "oracle"), ("oracle", "pell")])
+    def test_oracle_composite_modulus_exits_2(self, capsys, spelling):
+        code, out, err = run(capsys, *spelling, "-p", "1000", "-D", "0")
+        assert code == 2
+        assert out == "#RESULT pell-oracle status=error code=2\n"
+        assert "modulus must be 0 (integers) or a prime, got 1000" in err
+
     @pytest.mark.parametrize("argv", [
         ("pell", "gen", "-n", "1", "-p", "2"),
         ("pell", "verify", "-x", "0", "-y", "1", "-p", "2"),
@@ -446,6 +454,21 @@ class TestSynthCommand:
             code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             assert "status=ok" in out
+
+    def test_nonzero_refuses_the_integers_by_name(self, capsys):
+        code, out, err = run(capsys, "synth", "--family", "nu",
+                             "--target", "t", "-p", "0")
+        assert code == 2
+        assert out == "#RESULT synth status=error code=2\n"
+        assert err == ("error: the nonzero witness needs a prime modulus, "
+                       "got p = 0\n")
+
+    def test_positive_power_checks_the_characteristic_first(self, capsys):
+        code, out, err = run(capsys, "synth", "--family", "psi",
+                             "-k", "1", "-r", "1", "-p", "0")
+        assert code == 2
+        assert out == "#RESULT synth status=error code=2\n"
+        assert err == "error: odd characteristic required\n"
 
     def test_missing_family_argument(self, capsys):
         code, _, err = run(capsys, "synth", "--family", "nu", "-p", "5")

@@ -1,0 +1,152 @@
+"""Stdout and exit code of a fixed list of command lines, pinned by sha256.
+
+Each line of cli_digest.txt reads `<exit code> <sha256 of stdout> <argv>`,
+the argv as JSON.  Command lines run in this process through cli.main; an
+argv that names a demos/ script runs that script in a fresh process.  The
+list covers pell gen, verify and oracle (both spellings) at p = 0, 2, 3, 5
+and 17, buchi gen and oracle, synth for every family, e2e, demo and the
+demos.  An intended output change rewrites the file with
+
+    PYTHONPATH=src python tests/test_cli_digest.py > tests/cli_digest.txt
+
+and names the lines that moved in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from zinterp.algebra import format_poly
+from zinterp.cli import main
+from zinterp.pell import pell_pair
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST_FILE = Path(__file__).with_name("cli_digest.txt")
+
+
+def _pell_argvs() -> list:
+    out = []
+    for p in (0, 2, 3, 5, 17):
+        for n in (-100, -7, -3, -1, 0, 1, 2, 5, 12, 70, 100):
+            out.append(("pell", "gen", "-n", str(n), "-p", str(p)))
+        for n in (-4, 0, 3, 9):
+            pair = pell_pair(n, p)
+            x, y = format_poly(pair.x), format_poly(pair.y)
+            out.append(("pell", "verify", "-x", x, "-y", y, "-p", str(p)))
+            out.append(("pell", "verify", "-x", format_poly(-pair.x),
+                        "-y", y, "-p", str(p)))
+        out.append(("pell", "verify", "-x", "t", "-y", "t", "-p", str(p)))
+        bounds = {0: (0,), 2: (-1, 0, 1, 2, 4, 100000000),
+                  3: (-1, 0, 1, 2, 4, 13), 5: (0, 1, 3, 9), 17: (0, 1, 10)}
+        for d in bounds[p]:
+            for spelling in (("pell", "oracle"), ("oracle", "pell")):
+                out.append((*spelling, "-p", str(p), "-D", str(d)))
+    for p in ("1000", "4", "1"):
+        for spelling in (("pell", "oracle"), ("oracle", "pell")):
+            out.append((*spelling, "-p", p, "-D", "0"))
+    return out
+
+
+def _buchi_argvs() -> list:
+    out = [
+        ("buchi", "gen", "-v", "t", "-r", "1", "-M", "5", "-p", "5"),
+        ("buchi", "gen", "-v", "t^2 + 1", "-r", "2", "-M", "4", "-p", "3"),
+        ("buchi", "gen", "-v", "t", "-r", "0", "-M", "6", "-p", "17"),
+        ("buchi", "gen", "-v", "2*t + 3", "-r", "1", "-M", "3", "-p", "17"),
+        ("buchi", "gen", "-v", "t", "-r", "1", "-M", "3", "-p", "2"),
+        ("buchi", "gen", "-v", "t", "-r", "1", "-M", "3", "-p", "0"),
+    ]
+    for d, p in (("0", "17"), ("1", "17"), ("-1", "17"), ("0", "5")):
+        for spelling in (("buchi", "oracle"), ("oracle", "buchi")):
+            out.append((*spelling, "-d", d, "-p", p))
+    return out
+
+
+def _synth_argvs() -> list:
+    out = []
+    for p in ("0", "2", "3", "5", "17"):
+        out += [
+            ("synth", "--family", "nu", "--target", "t", "-p", p),
+            ("synth", "--family", "nu", "--target", "t^3 + t + 1", "-p", p),
+            ("synth", "--family", "beta", "--base", "t + 1", "-r", "1",
+             "-p", p),
+            ("synth", "--family", "phi", "-r", "0", "-p", p),
+            ("synth", "--family", "phi", "-r", "2", "-p", p),
+            ("synth", "--family", "psi", "-k", "1", "-r", "1", "-p", p),
+            ("synth", "--family", "psi", "-k", "2", "-r", "1", "-p", p),
+            ("synth", "--family", "theta", "-n", "-4", "-p", p),
+            ("synth", "--family", "theta", "-n", "3", "-p", p),
+        ]
+    return out
+
+
+def _e2e_argvs() -> list:
+    out = []
+    for sentence, witness in (
+        ("(exists (n) (= (+ 1 1) n))", "n=2"),
+        ("(exists (n) (= (+ 1 1) n))", "n=3"),
+        ("(exists (n) (and (| 1 n) (!= n 0)))", "n=3"),
+        ("(exists (a b) (|* a b))", "a=1,b=17"),
+        ("(exists (n m) (and (= (+ n n) m) (| n m) (!= m 1)))", "n=2,m=4"),
+        ("(exists (n) (= (* n n) 6))", "n=2"),
+    ):
+        for p in ("2", "3", "5", "17", "19"):
+            out.append(("e2e", "--sentence", sentence, "--witness", witness,
+                        "-p", p))
+    return out
+
+
+def argvs() -> list:
+    """The command lines the digest file pins, in its order."""
+    demos = sorted(f"demos/{path.name}" for path in (ROOT / "demos").glob("*.py"))
+    return (_pell_argvs() + _buchi_argvs() + _synth_argvs() + _e2e_argvs()
+            + [("demo",)] + [(name,) for name in demos])
+
+
+def run_argv(argv) -> tuple[int, bytes]:
+    """(exit code, stdout bytes) of one pinned command line."""
+    if argv[0].startswith("demos/"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / argv[0])], capture_output=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        return proc.returncode, proc.stdout
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode()
+
+
+def _pinned() -> list:
+    lines = DIGEST_FILE.read_text().splitlines()
+    return [(json.loads(argv), int(code), digest)
+            for code, digest, argv in (ln.split(" ", 2) for ln in lines)]
+
+
+def test_digest_file_lists_the_command_lines():
+    assert [tuple(argv) for argv, _, _ in _pinned()] == argvs()
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    pytest.param(*line, id=" ".join(line[0])) for line in _pinned()])
+def test_stdout_matches_digest(argv, code, digest):
+    got_code, out = run_argv(argv)
+    assert (got_code, hashlib.sha256(out).hexdigest()) == (code, digest), \
+        out.decode(errors="replace")[-2000:]
+
+
+if __name__ == "__main__":
+    for argv in argvs():
+        code, out = run_argv(argv)
+        print(code, hashlib.sha256(out).hexdigest(), json.dumps(argv))

@@ -100,8 +100,12 @@ def test_parse_errors_carry_positions():
         parse("(= (+ x) 1)", LANG_RING)
     with pytest.raises(ValueError, match="unexpected end"):
         parse("(and (= x 1)", LANG_RING)
-    with pytest.raises(ValueError, match="unreadable"):
+    with pytest.raises(ValueError,
+                       match="^unreadable character '\"' at position 5$"):
         parse('(rel "| x 1)', LANG_STAR)
+    with pytest.raises(ValueError,
+                       match="^unreadable character '\"' at position 8$"):
+        parse('(= "a"  " x)', LANG_STAR)
 
 
 def test_parse_rejects_symbols_as_variables():

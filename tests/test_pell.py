@@ -9,8 +9,6 @@ from zinterp import pell
 from zinterp.algebra import FeasibilityError, Poly, format_poly, poly_divrem
 from zinterp.pell import (
     INTEGER_INDEX_LIMIT,
-    MODE_CHAR2,
-    MODE_CONIC,
     PellPair,
     STEP_LIMIT,
     SYNTH_DEGREE_CAP,
@@ -29,8 +27,8 @@ from zinterp.pell import (
 from conftest import random_poly
 
 
-def pair_tuple(n, p, mode=None):
-    pr = pell_pair(n, p, mode)
+def pair_tuple(n, p):
+    pr = pell_pair(n, p)
     return (format_poly(pr.x), format_poly(pr.y))
 
 
@@ -91,34 +89,27 @@ def test_degree_formulas():
         assert pell_pair(-n, 2).x.degree == n
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        pell_pair(1, 2, MODE_CONIC)
-    with pytest.raises(ValueError):
-        pell_pair(1, 5, MODE_CHAR2)
-    with pytest.raises(ValueError):
-        pell_pair(1, 5, "weird")
+def test_pell_pair_refuses_a_composite_modulus():
     with pytest.raises(ValueError):
         pell_pair(1, 6)
 
 
 def test_digits_match_stepwise_at_digit_boundaries():
-    for p, mode in ((2, MODE_CHAR2), (3, MODE_CONIC), (5, MODE_CONIC)):
+    for p in (2, 3, 5):
         ns = {100, 137}
         for k in (1, 2, 3):
             ns |= {p ** k - 1, p ** k, p ** k + 1}
         for n in sorted(ns):
-            assert _pair_by_digits(n, p, mode) == _pair_by_steps(n, p, mode), (
-                p, n)
+            assert _pair_by_digits(n, p) == _pair_by_steps(n, p), (p, n)
 
 
-def _doubling_reference(n_abs, p, mode):
+def _doubling_reference(n_abs, p):
     """The index-n_abs pair by binary doubling through the bilinear
     index-addition laws, independent of the Frobenius: the construction
     pell_pair used before the base-p digits."""
     t = Poly.gen(p)
     one = Poly.one(p)
-    if mode == MODE_CHAR2:
+    if p == 2:
         def add(a, b):
             yy = a[1] * b[1]
             return (a[0] * b[0] + yy, a[0] * b[1] + b[0] * a[1] + t * yy)
@@ -143,17 +134,16 @@ def test_digits_match_binary_doubling(p):
     """pell_pair at n = m p^r (m 2^r over Z[t]) against doubling, and every
     pair on the curve: the digit path's lift and digit products are checked
     by arithmetic they do not share."""
-    mode = MODE_CHAR2 if p == 2 else MODE_CONIC
     t = Poly.gen(p)
     for r in (0, 1, 2):
         for m in range(31):
             n = m * (p or 2) ** r
-            x, y = _doubling_reference(n, p, mode)
-            neg = (x + t * y, y) if mode == MODE_CHAR2 else (x, -y)
+            x, y = _doubling_reference(n, p)
+            neg = (x + t * y, y) if p == 2 else (x, -y)
             for k, want in ((n, (x, y)), (-n, neg)):
                 got = pell_pair(k, p)
                 assert (got.x, got.y) == want, (p, k)
-                assert pell_verify(got.x, got.y, mode), (p, k)
+                assert pell_verify(got.x, got.y), (p, k)
 
 
 def test_integer_index_limit():
@@ -178,11 +168,11 @@ def test_offset_quotient_matches_division(rng, p):
     for x in xs:
         q, rem = poly_divrem(x - Poly.one(p), t1)
         if rem.is_zero():
-            assert _offset_quotient(x, p) == q
+            assert _offset_quotient(x) == q
         else:
             refused += 1
             with pytest.raises(ValueError, match="not 1 at t = 1"):
-                _offset_quotient(x, p)
+                _offset_quotient(x)
     assert refused >= 10
 
 
@@ -194,7 +184,7 @@ def test_one_walk_matches_pell_pair_and_division(p):
     t = Poly.gen(p)
     for m in ms:
         assert pairs[m] == pell_pair(m, p)
-        assert quot[m] == _offset_quotient(pell_pair(m, p).x, p)
+        assert quot[m] == _offset_quotient(pell_pair(m, p).x)
         assert pairs[m].x == 1 + (t - 1) * quot[m]
         # n and -n share their objects, which check_sat's memo keys on
         assert pairs[m].x is pairs[-m].x and quot[m] is quot[-m]
@@ -233,7 +223,7 @@ def test_verify_generated_pairs():
             assert pell_verify(pr.x, pr.y)
     for n in range(-50, 51):
         pr = pell_pair(n, 2)
-        assert pell_verify(pr.x, pr.y, MODE_CHAR2)
+        assert pell_verify(pr.x, pr.y)
 
 
 def test_verify_modulus_mismatch():
@@ -274,8 +264,22 @@ def test_add_rejects_char2_and_mixed():
     a = pell_pair(1, 2)
     with pytest.raises(ValueError):
         pell_add(a, a)
+    for pair in ((a, pell_pair(1, 3)), (pell_pair(1, 3), a)):
+        with pytest.raises(ValueError, match="conic form only"):
+            pell_add(*pair)
     with pytest.raises(ValueError):
         pell_add(pell_pair(1, 3), pell_pair(1, 5))
+
+
+def test_modulus_two_is_the_only_form_switch():
+    # The offset quotients refuse the char-2 form with the text the CLI
+    # prints, and the oracle refuses a composite modulus before it estimates
+    # the sweep, however small.
+    with pytest.raises(ValueError, match="the pair domain uses the conic form"):
+        pell_pairs_with_quotients([1], 2)
+    for p in (1000, 4):
+        with pytest.raises(ValueError, match=f"or a prime, got {p}"):
+            pell_enumerate_oracle(p, 0)
 
 
 # -- index recognition ---------------------------------------------------------------
@@ -352,11 +356,9 @@ def test_oracle_cap_counts_the_work():
             pell_enumerate_oracle(p, max_deg)
     # The cases the acceptance criteria and the tests sweep stay inside.
     for p, max_deg in ((3, 4), (5, 5), (7, 4), (2, 4), (3, 10), (211, 0)):
-        mode = pell._infer_mode(p, None)
-        assert pell._oracle_work(p, max_deg, mode) <= pell.ORACLE_WORK_LIMIT
+        assert pell._oracle_work(p, max_deg) <= pell.ORACLE_WORK_LIMIT
     for p in (2, 3, 5, 17):
-        mode = pell._infer_mode(p, None)
-        works = [pell._oracle_work(p, d, mode) for d in range(70)]
+        works = [pell._oracle_work(p, d) for d in range(70)]
         assert works == sorted(works)
 
 
@@ -375,7 +377,7 @@ def _unsieved_oracle(p, max_deg):
     the exact square-root test, as the oracle did before the sieve."""
     found = set()
     for coeffs in itertools.product(range(p), repeat=max_deg + 1):
-        found.update(_conic_solutions_for_y(Poly(coeffs, p), p))
+        found.update(_conic_solutions_for_y(Poly(coeffs, p)))
     return frozenset(found)
 
 
@@ -408,9 +410,9 @@ def test_oracle_sieve_passes_exactly_the_square_valued_ys(
     # ceil((max_deg + 1) log2 p) points with a^2 != 1 in all.
     reached = []
 
-    def recording(y, q):
+    def recording(y):
         reached.append(y)
-        return _conic_solutions_for_y(y, q)
+        return _conic_solutions_for_y(y)
 
     monkeypatch.setattr(pell, "_conic_solutions_for_y", recording)
     pell_enumerate_oracle(p, max_deg)
@@ -481,7 +483,7 @@ def test_oracle_feasibility_guard():
 def test_pair_type_fields():
     pr = pell_pair(4, 7)
     assert isinstance(pr, PellPair)
-    assert pr.p == 7 and pr.mode == MODE_CONIC and pr.n == 4
+    assert pr.p == 7 and pr.n == 4
 
 
 # -- the conic oracle's coefficient loop against its Poly-level original ---------
@@ -495,7 +497,7 @@ def test_conic_candidate_matches_reference(rng, monkeypatch, p):
     ys = [Poly.zero(p), one, Poly.const(p - 1, p), t]
     ys += [random_poly(rng, p, rng.randint(0, 6)) for _ in range(60)]
     for y in ys:
-        assert _conic_solutions_for_y(y, p) == []
+        assert _conic_solutions_for_y(y) == []
         u = seen.pop()
         assert u == one + t2m1 * (y * y), y
         assert u.coeffs == Poly(list(u.coeffs), p).coeffs
@@ -504,7 +506,7 @@ def test_conic_candidate_matches_reference(rng, monkeypatch, p):
 def test_conic_candidate_solutions():
     p = 5
     pair = pell_pair(3, p)
-    sols = _conic_solutions_for_y(pair.y, p)
+    sols = _conic_solutions_for_y(pair.y)
     assert {x for x, _ in sols} == {pair.x, -pair.x}
     assert all(y == pair.y for _, y in sols)
-    assert _conic_solutions_for_y(Poly.gen(p), p) == []
+    assert _conic_solutions_for_y(Poly.gen(p)) == []
