@@ -38,7 +38,6 @@ from .formula import (
     Inst,
     IntStructure,
     LANG_STAR,
-    Var,
     check_sat,
     parse,
     print_formula,
@@ -68,10 +67,10 @@ from .pell import (
 
 # Family name -> builder of the closed sentence its witnesses satisfy.
 FAMILIES = {
-    "nu": lambda: Exists(("x",), nonzero("x")),
-    "beta": lambda: Exists(("x", "y"), ge_p_full(Var("x"), Var("y"))),
-    "phi": lambda: Exists(("f",), frob_powers_of_t("f")),
-    "psi": lambda: Exists(("f",), positive_powers_of_t("f")),
+    "nu": lambda: Exists(("x",), nonzero()),
+    "beta": lambda: Exists(("x", "y"), Exists(("u", "v"), ge_p_full())),
+    "phi": lambda: Exists(("f",), frob_powers_of_t()),
+    "psi": lambda: Exists(("f",), positive_powers_of_t()),
     "theta": lambda: Exists(("x", "y"), pell_domain()),
 }
 
@@ -132,14 +131,6 @@ def check_witness(w: Witness) -> bool:
 
 
 # -- elementary helpers ------------------------------------------------------------
-
-def _pairs(ms, p: int) -> tuple[dict, dict]:
-    """pell_pair(m, p) and its offset quotient z (x = 1 + (t-1)z) for each
-    distinct m, from one Pell walk (pell_pairs_with_quotients)."""
-    if p < 3:
-        raise ValueError("the pair domain uses the conic form; p must be odd")
-    return pell_pairs_with_quotients(ms, p)
-
 
 def _strip_factor(f: Poly, d: Poly) -> tuple:
     """(k, g) with f = d^k * g and d not dividing g."""
@@ -314,8 +305,8 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
                    count: int) -> tuple:
     """(semantic truth, bound values in binder order) for one clause of
     the standard pair interpretation with count bound names; pairs and quot
-    come from _pairs.  Binders with no witness, in a false clause or an
-    untaken disjunct, get zeros."""
+    come from pell_pairs_with_quotients.  Binders with no witness, in a
+    false clause or an untaken disjunct, get zeros."""
     zero = Poly.zero(p)
     ints = IntStructure(p)
 
@@ -362,6 +353,13 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
     raise ValueError(f"no clause synthesis for symbol {kind!r}")
 
 
+def _refuse_the_integers(p: int) -> None:
+    """The clause witnesses of != and |* live over F_p, so p = 0 is refused
+    by name; pell_pairs_with_quotients refuses p = 2 and composite p."""
+    if p == 0:
+        raise ValueError("the clause witnesses need a prime modulus, got 0")
+
+
 def relation_instance(kind: str, ints, p: int):
     """One pair-encoded clause as a closed formula plus a full witness.
 
@@ -373,16 +371,19 @@ def relation_instance(kind: str, ints, p: int):
     formula whenever the clause is true (placeholder zeros otherwise).
     """
     interp = _interpretation()
-    of = interp.domain if kind == "domain" else interp.symbols[kind]
-    pairs, quot = _pairs(ints, p)
-    witness = {}
-    for i, m in enumerate(ints):
-        witness[f"m{i}.1"], witness[f"m{i}.2"] = pairs[m].x, pairs[m].y
+    of = interp.domain if kind == "domain" else interp.symbols.get(kind)
+    if of is None:
+        raise ValueError(f"no clause synthesis for symbol {kind!r}")
     if 2 * len(ints) != len(of.params):
         raise ValueError(
             f"symbol {kind!r} speaks about {len(of.params) // 2} integers, "
             f"got {len(ints)}"
         )
+    _refuse_the_integers(p)
+    pairs, quot = pell_pairs_with_quotients(ints, p)
+    witness = {}
+    for i, m in enumerate(ints):
+        witness[f"m{i}.1"], witness[f"m{i}.2"] = pairs[m].x, pairs[m].y
     coords = tuple(witness)
     ok, values = _clause_values(kind, list(ints), p, pairs, quot,
                                 len(of.bound))
@@ -400,6 +401,7 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     clauses may read as failed while the sentence still verifies; the
     overall flag is the satisfaction check of the full translated sentence.
     """
+    _refuse_the_integers(p)
     phi = parse(sentence, LANG_STAR) if isinstance(sentence, str) else sentence
     text = print_formula(phi)
     out, trace = translate_with_trace(_interpretation(), phi)
@@ -433,7 +435,7 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
             formula_text=formula_text,
         )
 
-    pairs, quot = _pairs(values.values(), p)
+    pairs, quot = pell_pairs_with_quotients(values.values(), p)
     witness = {}
     for base, m in values.items():
         witness[f"{base}.1"] = pairs[m].x

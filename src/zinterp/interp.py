@@ -16,7 +16,13 @@ and inequality, a positive nonzero test, chain formulas certifying f = g^(p^r)
 through square sequences, definitions of the sets {t^(p^r)} and {t^k : k >= 1},
 and the characteristic guards.  All target formulas stay inside the language
 {0, 1, t, +, *, =}: subtraction is eliminated by moving terms across the
-equality, never by a minus sign.
+equality, never by a minus sign.  Library formulas have fixed names: a
+builder takes no arguments and its free names are its parameters (x, y for
+the domain, x, y, u, v for a binary graph), and one library formula enters
+another only through OpenFormula.template, which renames its bound names by
+a mark (the domain at (u, v) with mark "2" binds z2).  The atom helpers
+conic_atom and unit_offset_atom bind nothing and take the terms they relate;
+the guards char_is and char_at_least take a count.
 
 Naming scheme for generated variables: a source variable n becomes the tuple
 n.1 ... n.dim; intermediate tuples are w1, w2, ...; the shared tuple for a
@@ -130,204 +136,173 @@ def unit_offset_atom(x, z) -> Formula:
     return _eq(_add(x, z), _add(ONE, _mul(T_CONST, z)))
 
 
-def pell_domain(x="x", y="y", z="z") -> Formula:
+def _at(of: OpenFormula, args: tuple, mark: str) -> Formula:
+    """The instance of the library formula of at args (names or terms),
+    built by OpenFormula.template with its bound names marked."""
+    return of.template(tuple(map(_v, args)), mark)[0]
+
+
+def pell_domain() -> Formula:
     """The domain formula: (x, y) solves the conic and x is 1 mod t-1."""
-    _guard_bound_names((z,), x, y)
-    body = And((conic_atom(x, y), unit_offset_atom(x, Var(z))))
-    return Exists((z,), body)
+    body = And((conic_atom("x", "y"), unit_offset_atom("x", "z")))
+    return Exists(("z",), body)
 
 
-def zero_pair(x="x", y="y") -> Formula:
-    return And((_eq(x, ONE), _eq(y, ZERO)))
+def _domains() -> tuple:
+    """The domain at (x, y) and at (u, v), its bound z renamed z1 and z2."""
+    domain = OpenFormula(("x", "y"), pell_domain())
+    return _at(domain, ("x", "y"), "1"), _at(domain, ("u", "v"), "2")
 
 
-def one_pair(x="x", y="y") -> Formula:
-    return And((_eq(x, T_CONST), _eq(y, ONE)))
+def zero_pair() -> Formula:
+    return And((_eq("x", ONE), _eq("y", ZERO)))
 
 
-def add_graph(x="x", y="y", u="u", v="v", f="f", g="g") -> Formula:
+def one_pair() -> Formula:
+    return And((_eq("x", T_CONST), _eq("y", ONE)))
+
+
+def add_graph() -> Formula:
     """Graph of addition on encoded integers.
 
     f = xu + (t^2-1)yv becomes f + yv = xu + t^2*(yv); g = xv + yu is
     already subtraction-free.
     """
     sum_x = _eq(
-        _add(f, _mul(y, v)),
-        _add(_mul(x, u), _mul(_mul(T_CONST, T_CONST), _mul(y, v))),
+        _add("f", _mul("y", "v")),
+        _add(_mul("x", "u"), _mul(_mul(T_CONST, T_CONST), _mul("y", "v"))),
     )
-    sum_y = _eq(g, _add(_mul(x, v), _mul(y, u)))
-    return And((
-        pell_domain(x, y, "z1"),
-        pell_domain(u, v, "z2"),
-        sum_x,
-        sum_y,
-    ))
+    sum_y = _eq("g", _add(_mul("x", "v"), _mul("y", "u")))
+    return And((*_domains(), sum_x, sum_y))
 
 
-def divides_graph(x="x", y="y", u="u", v="v") -> Formula:
+def divides_graph() -> Formula:
     """Graph of divisibility on encoded integers: v = yz for some z."""
-    _guard_bound_names(("z", "z1", "z2"), x, y, u, v)
-    body = And((
-        pell_domain(x, y, "z1"),
-        pell_domain(u, v, "z2"),
-        _eq(v, _mul(y, Var("z"))),
-    ))
-    return Exists(("z",), body)
+    return Exists(("z",), And((*_domains(), _eq("v", _mul("y", "z")))))
 
 
-def nonzero(x="x", suffix="") -> Formula:
+def nonzero() -> Formula:
     """Positive test for x != 0: (ta+1)((t-1)b+1) = xc for some a, b, c.
 
     Written without subtraction as (ta+1)(tb+1) = xc + (ta+1)b.
     """
-    a, b, c = f"a{suffix}", f"b{suffix}", f"c{suffix}"
-    _guard_bound_names((a, b, c), x)
-    ta1 = _add(_mul(T_CONST, Var(a)), ONE)
-    tb1 = _add(_mul(T_CONST, Var(b)), ONE)
-    body = _eq(
-        _mul(ta1, tb1),
-        _add(_mul(x, Var(c)), _mul(ta1, Var(b))),
-    )
-    return Exists((a, b, c), body)
+    ta1 = _add(_mul(T_CONST, "a"), ONE)
+    tb1 = _add(_mul(T_CONST, "b"), ONE)
+    body = _eq(_mul(ta1, tb1), _add(_mul("x", "c"), _mul(ta1, "b")))
+    return Exists(("a", "b", "c"), body)
 
 
-def nonzero_difference(x, u, suffix="") -> Formula:
+def nonzero_difference() -> Formula:
     """Positive test for x != u, the nonzero test applied to x - u.
 
     (ta+1)((t-1)b+1) = (x-u)c becomes (ta+1)(tb+1) + uc = xc + (ta+1)b.
     """
-    a, b, c = f"a{suffix}", f"b{suffix}", f"c{suffix}"
-    _guard_bound_names((a, b, c), x, u)
-    ta1 = _add(_mul(T_CONST, Var(a)), ONE)
-    tb1 = _add(_mul(T_CONST, Var(b)), ONE)
+    ta1 = _add(_mul(T_CONST, "a"), ONE)
+    tb1 = _add(_mul(T_CONST, "b"), ONE)
     body = _eq(
-        _add(_mul(ta1, tb1), _mul(u, Var(c))),
-        _add(_mul(x, Var(c)), _mul(ta1, Var(b))),
+        _add(_mul(ta1, tb1), _mul("u", "c")),
+        _add(_mul("x", "c"), _mul(ta1, "b")),
     )
-    return Exists((a, b, c), body)
+    return Exists(("a", "b", "c"), body)
 
 
-def ge_p_chain(x, y, suffix="") -> Formula:
+def ge_p_chain() -> Formula:
     """Chain certificate for x = y^(p^r) when x or y is non-constant.
 
     GE_P_CHAIN_LENGTH terms u_n with second difference 2 (u_{n+2} - 2u_{n+1}
     + u_n = 2, written u_{n+2} + u_n = 1+1 + u_{n+1}+u_{n+1}), pinned by
     xy = u_1, x + y = u_2 - u_1 - 1 (written x+y+u_1+1 = u_2), and y | x.
     """
-    x = _v(x)
-    y = _v(y)
-    us = tuple(f"u{n}{suffix}" for n in range(1, GE_P_CHAIN_LENGTH + 1))
-    z = f"z{suffix}"
-    _guard_bound_names(us + (z,), x, y)
+    us = tuple(f"u{n}" for n in range(1, GE_P_CHAIN_LENGTH + 1))
     two = _add(ONE, ONE)
-    parts = []
-    for n in range(GE_P_CHAIN_LENGTH - 2):
-        lhs = _add(Var(us[n + 2]), Var(us[n]))
-        rhs = _add(two, _add(Var(us[n + 1]), Var(us[n + 1])))
-        parts.append(_eq(lhs, rhs))
-    parts.append(_eq(_mul(x, y), Var(us[0])))
-    parts.append(_eq(_add(_add(_add(x, y), Var(us[0])), ONE), Var(us[1])))
-    parts.append(_eq(x, _mul(y, Var(z))))
-    return Exists(us + (z,), And(tuple(parts)))
+    parts = [
+        _eq(_add(us[n + 2], us[n]), _add(two, _add(us[n + 1], us[n + 1])))
+        for n in range(GE_P_CHAIN_LENGTH - 2)
+    ]
+    parts.append(_eq(_mul("x", "y"), us[0]))
+    parts.append(_eq(_add(_add(_add("x", "y"), us[0]), ONE), us[1]))
+    parts.append(_eq("x", _mul("y", "z")))
+    return Exists(us + ("z",), And(tuple(parts)))
 
 
-def ge_p_full(x, y, u="u", v="v", suffix="") -> Formula:
+def ge_p_full() -> Formula:
     """Full certificate for x = y^(p^r), valid for constants too.
 
-    Adjoins a conic point (u, v) and three chain certificates: u against t,
-    ux against ty, and x against y.
+    The conic point (u, v), which the caller binds, and three chain
+    certificates: u against t, ux against ty, and x against y.
     """
-    x = _v(x)
-    y = _v(y)
-    _guard_bound_names((u, v), x, y)
-    parts = (
-        conic_atom(Var(u), Var(v)),
-        ge_p_chain(Var(u), T_CONST, suffix="a" + suffix),
-        ge_p_chain(_mul(Var(u), x), _mul(T_CONST, y), suffix="b" + suffix),
-        ge_p_chain(x, y, suffix="c" + suffix),
-    )
-    return Exists((u, v), And(parts))
+    chain = OpenFormula(("x", "y"), ge_p_chain())
+    return And((
+        conic_atom("u", "v"),
+        _at(chain, ("u", T_CONST), "a"),
+        _at(chain, (_mul("u", "x"), _mul(T_CONST, "y")), "b"),
+        _at(chain, ("x", "y"), "c"),
+    ))
 
 
-def frob_divides_graph(x="x", y="y", u="u", v="v") -> Formula:
+def frob_divides_graph() -> Formula:
     """Graph of the power-divisibility relation on encoded integers.
 
     Holds for encoded (m, n) when n = (+-p^r) m, certified by the first
     coordinate of the second pair being a p-power of the first pair's.
     """
+    ge_p = OpenFormula(("x", "y", "u", "v"), ge_p_full())
     return And((
-        pell_domain(x, y, "z1"),
-        pell_domain(u, v, "z2"),
-        ge_p_full(Var(u), Var(x), u="u0", v="v0"),
+        *_domains(),
+        Exists(("u0", "v0"), _at(ge_p, ("u", "x", "u0", "v0"), "")),
     ))
 
 
-def equal_graph(x="x", y="y", u="u", v="v") -> Formula:
-    return And((
-        pell_domain(x, y, "z1"),
-        pell_domain(u, v, "z2"),
-        _eq(x, u),
-        _eq(y, v),
-    ))
+def equal_graph() -> Formula:
+    return And((*_domains(), _eq("x", "u"), _eq("y", "v")))
 
 
-def unequal_graph(x="x", y="y", u="u", v="v") -> Formula:
+def unequal_graph() -> Formula:
     """Graph of inequality: some coordinate differs, witnessed positively."""
-    differ = Or((
-        nonzero_difference(_v(x), _v(u), suffix="1"),
-        nonzero_difference(_v(y), _v(v), suffix="2"),
-    ))
+    differ = OpenFormula(("x", "u"), nonzero_difference())
     return And((
-        pell_domain(x, y, "z1"),
-        pell_domain(u, v, "z2"),
-        differ,
+        *_domains(),
+        Or((_at(differ, ("x", "u"), "1"), _at(differ, ("y", "v"), "2"))),
     ))
 
 
-def frob_powers_of_t(f="f", suffix="") -> Formula:
-    """Defines {t^(p^r) : r >= 0} among polynomials (odd characteristic).
+def frob_powers_of_t() -> Formula:
+    """Defines {t^(p^r) : r >= 0} among polynomials f (odd characteristic).
 
     f lies on the conic with x-congruence, and f+1 lies on the shifted
     conic with its own congruence u = 1 + tg.
     """
-    y, h, u, v, g = (name + suffix for name in ("y", "h", "u", "v", "g"))
-    _guard_bound_names((y, h, u, v, g), f)
     parts = (
-        conic_atom(_v(f), Var(y)),
-        unit_offset_atom(_v(f), Var(h)),
-        conic_atom(Var(u), Var(v), shifted=True),
-        _eq(u, _add(ONE, _mul(T_CONST, Var(g)))),
-        _eq(u, _add(_v(f), ONE)),
+        conic_atom("f", "y"),
+        unit_offset_atom("f", "h"),
+        conic_atom("u", "v", shifted=True),
+        _eq("u", _add(ONE, _mul(T_CONST, "g"))),
+        _eq("u", _add("f", ONE)),
     )
-    return Exists((y, h, u, v, g), And(parts))
+    return Exists(("y", "h", "u", "v", "g"), And(parts))
 
 
-def positive_powers_of_t(f="f") -> Formula:
+def positive_powers_of_t() -> Formula:
     """Defines {t^k : k >= 1}: f divides some t^(p^r), t divides f, and
     f is 1 at t = 1.  Divisibility a | b is spelled out as a quotient."""
-    _guard_bound_names(("h", "w1", "w2", "w3"), f)
-    div_f_h = Exists(("w1",), _eq("h", _mul(f, Var("w1"))))
-    div_t_f = Exists(("w2",), _eq(f, _mul(T_CONST, Var("w2"))))
-    div_offset = Exists(("w3",), unit_offset_atom(_v(f), Var("w3")))
-    body = And((
-        frob_powers_of_t(Var("h"), suffix="0"),
-        div_f_h,
-        div_t_f,
-        div_offset,
-    ))
-    return Exists(("h",), body)
+    powers = OpenFormula(("f",), frob_powers_of_t())
+    return Exists(("h",), And((
+        _at(powers, ("h",), "0"),
+        Exists(("w1",), _eq("h", _mul("f", "w1"))),
+        Exists(("w2",), _eq("f", _mul(T_CONST, "w2"))),
+        Exists(("w3",), unit_offset_atom("f", "w3")),
+    )))
 
 
-def sym_frob_divides(x="x", y="y") -> Formula:
+def sym_frob_divides() -> Formula:
     """Symmetrized power divisibility over the star language."""
-    x = _v(x)
-    y = _v(y)
+    x, y = Var("x"), Var("y")
     return Or((Atom("|*", (x, y)), Atom("|*", (y, x))))
 
 
-def outside_units(x="x") -> Formula:
+def outside_units() -> Formula:
     """x is not -1, 0, or 1, over the star language."""
-    x = _v(x)
+    x = Var("x")
     return And((
         Atom("!=", (_add(x, ONE), ZERO)),
         Atom("!=", (x, ZERO)),
@@ -588,8 +563,8 @@ def divisibility_in_star() -> Interpretation:
         ),
         "=": OpenFormula(("x", "y"), _eq(Var("x"), Var("y"))),
         "|": OpenFormula(("x", "y"), Atom("|", (Var("x"), Var("y")))),
-        "|_p": OpenFormula(("x", "y"), sym_frob_divides("x", "y")),
-        "T": OpenFormula(("x",), outside_units("x")),
+        "|_p": OpenFormula(("x", "y"), sym_frob_divides()),
+        "T": OpenFormula(("x",), outside_units()),
     }
     domain = OpenFormula(("x",), TRUE)
     return Interpretation(
@@ -633,7 +608,6 @@ class _Translator:
         self.counter = 0
         self.fresh_counter = 0
         self.const_bases = {}
-        self.const_order = []
         self.variables = []
         self.fresh = []
         self.instantiations = []
@@ -666,7 +640,6 @@ class _Translator:
             base += "_"
         self.assigned.add(base)
         self.const_bases[cname] = base
-        self.const_order.append(cname)
         return base
 
     def inst(self, kind: str, of: OpenFormula, names: tuple) -> Formula:
@@ -757,24 +730,20 @@ class _Translator:
         return Exists(tuple(names), And(tuple(parts)))
 
     def hoist_constants(self, core: Formula) -> Formula:
-        if not self.const_order:
+        if not self.const_bases:
             return core
         names = []
         parts = []
-        for cname in self.const_order:
-            base = self.const_bases[cname]
+        for cname, base in self.const_bases.items():
             names.extend(self.tuple_names(base))
             parts.extend(self.domain_parts(base))
             parts.append(self.symbol_inst(cname, self.tuple_names(base)))
         return Exists(tuple(names), And(tuple(parts) + (core,)))
 
     def trace(self) -> TranslationTrace:
-        constants = tuple(
-            (c, self.const_bases[c]) for c in self.const_order
-        )
         return TranslationTrace(
             tuple(self.variables),
-            constants,
+            tuple(self.const_bases.items()),
             tuple(self.fresh),
             tuple(self.instantiations),
         )

@@ -541,6 +541,16 @@ class TestE2ECommand:
         assert out == "#RESULT e2e status=error code=2\n"
         assert "the pair domain uses the conic form; p must be odd" in err
 
+    def test_the_integers_are_refused_by_name(self, capsys):
+        code, out, err = run(
+            capsys, "e2e", "--sentence", "(exists (n) (= n 1))",
+            "--witness", "n=1", "-p", "0",
+        )
+        assert code == 2
+        assert out == "#RESULT e2e status=error code=2\n"
+        assert err == ("error: the clause witnesses need a prime modulus, "
+                       "got 0\n")
+
     def test_byte_identical_runs(self, capsys):
         argv = (
             "e2e", "--sentence", "(exists (n) (= (+ 1 1) n))",

@@ -4,8 +4,11 @@ Each line of cli_digest.txt reads `<exit code> <sha256 of stdout> <argv>`,
 the argv as JSON.  Command lines run in this process through cli.main; an
 argv that names a demos/ script runs that script in a fresh process.  The
 list covers pell gen, verify and oracle (both spellings) at p = 0, 2, 3, 5
-and 17, buchi gen and oracle, synth for every family, e2e, demo and the
-demos.  An intended output change rewrites the file with
+and 17, buchi gen and oracle, synth for every family, e2e, compile through
+both built-in interpretations on sentences using every symbol of their
+source languages, check, newton and bivar, pell gen and verify, synth and
+e2e at the primes 7, 19, 131, 251 and 257, demo and the demos.  An
+intended output change rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_digest.py > tests/cli_digest.txt
 
@@ -103,11 +106,115 @@ def _e2e_argvs() -> list:
     return out
 
 
+# Every star symbol (0, 1, +, =, |, |*, !=) and every divisibility symbol
+# (0, 1, +, =, |, |_p, T) occurs in some sentence below.
+_STAR_SENTENCES = (
+    "(exists (n) (= n 0))",
+    "(exists (n m) (and (= (+ n 1) m) (| n m) (|* n m) (!= m 0)))",
+    "(exists (a b) (or (= (+ a (+ b 1)) 0) (and (|* a b) (= a b))))",
+    "(exists (n) (and (= n n) (!= n 1)))",
+)
+_DIVISIBILITY_SENTENCES = (
+    "(exists (x y) (and (= (+ x 1) y) (| x y) (|_p x y) (T y) (= x 0)))",
+    "(exists (x) (or (T (+ x x)) (|_p 1 x)))",
+)
+
+
+def _compile_argvs() -> list:
+    out = [("compile", "--interp", "pell", "--sentence", s)
+           for s in _STAR_SENTENCES]
+    out += [("compile", "--interp", "divisibility", "--sentence", s)
+            for s in _DIVISIBILITY_SENTENCES]
+    out += [
+        ("compile", "--interp", "pell", "--sentence", "(= n 0)"),
+        ("compile", "--interp", "pell", "--sentence", "(exists (n) (|_p n n))"),
+        ("compile", "--interp", "divisibility", "--sentence",
+         "(exists (n) (|* n n))"),
+        ("compile", "--interp", "pell"),
+    ]
+    return out
+
+
+def _check_argvs() -> list:
+    out = []
+    for p in ("7", "19", "131", "251", "257"):
+        out += [
+            ("check", "--formula", "(= (+ 1 1) 0)", "-p", p),
+            ("check", "--formula",
+             "(= (* (+ t 1) (+ t 1)) (+ (* t t) (+ (+ t t) 1)))", "-p", p),
+            ("check", "--formula", "(exists (x) (= (* x x) (* t t)))",
+             "--witness", "x = t", "-p", p),
+            ("check", "--formula", "(exists (x y) (= (* x y) (+ t 1)))",
+             "--witness", "x = t + 1\ny = 1", "-p", p),
+            ("check", "--lang", "star", "--formula", "(exists (x y) (|* x y))",
+             "--witness", f"x = t\ny = t^{p}", "-p", p),
+            ("check", "--formula", "(exists (x) (= x t))", "-p", p),
+        ]
+    return out
+
+
+def _newton_bivar_argvs() -> list:
+    out = []
+    for p in ("7", "19"):
+        out.append(("newton", "theta", "-p", p, "--n-max", "4",
+                    "--q-prec", "12"))
+    out += [
+        ("newton", "hull", "--series", "{0: 1, 1: q^2, 2: q} @ p=5 Q=10"),
+        ("newton", "hull", "--series", "{0: 1, 2: q^3, 5: q^0} @ p=7 Q=6"),
+        ("newton", "hull", "--series", "{} @ p=5 Q=1"),
+        ("newton", "monomial", "--series", "{3: q^0} @ p=5 Q=10"),
+        ("newton", "monomial", "--series", "{3: q^0, 4: q} @ p=19 Q=10"),
+    ]
+    for p in ("5", "7", "19"):
+        out += [
+            ("bivar", "collapse", "--poly", "t*u - 1", "-p", p, "-D", "6"),
+            ("bivar", "collapse", "--poly", "t^2 + u^2 + t*u", "-p", p,
+             "-D", "5"),
+            ("bivar", "kernel", "--poly", "t^2*u - t", "-p", p, "-D", "3"),
+            ("bivar", "kernel", "--poly", "t + 1", "-p", p, "-D", "3"),
+            ("bivar", "hyperbola", "--poly", "t^2*u + 1", "-p", p, "-D", "6"),
+            ("bivar", "hyperbola", "--poly", "t*u", "-p", p, "-D", "6",
+             "--inverse"),
+        ]
+    return out
+
+
+def _wide_prime_argvs() -> list:
+    out = []
+    for p in ("7", "19", "131", "251", "257"):
+        for n in (-9, 0, 1, 5, 70):
+            out.append(("pell", "gen", "-n", str(n), "-p", p))
+        pair = pell_pair(3, int(p))
+        x, y = format_poly(pair.x), format_poly(pair.y)
+        out += [
+            ("pell", "verify", "-x", x, "-y", y, "-p", p),
+            ("pell", "verify", "-x", format_poly(-pair.x), "-y", y, "-p", p),
+            ("synth", "--family", "nu", "--target", "t^3 + t + 1", "-p", p),
+            ("synth", "--family", "beta", "--base", "t + 1", "-r", "1",
+             "-p", p),
+            ("synth", "--family", "phi", "-r", "1", "-p", p),
+            ("synth", "--family", "psi", "-k", "2", "-r", "1", "-p", p),
+            ("synth", "--family", "theta", "-n", "-4", "-p", p),
+        ]
+    for p in ("0", "7", "131", "251", "257"):
+        out += [
+            ("e2e", "--sentence", "(exists (n) (= (+ 1 1) n))",
+             "--witness", "n=2", "-p", p),
+            ("e2e", "--sentence",
+             "(exists (n m) (and (= (+ n n) m) (| n m) (!= m 1)))",
+             "--witness", "n=2,m=4", "-p", p),
+            ("e2e", "--sentence", "(exists (a b) (|* a b))",
+             "--witness", "a=2,b=-2", "-p", p),
+        ]
+    return out
+
+
 def argvs() -> list:
     """The command lines the digest file pins, in its order."""
     demos = sorted(f"demos/{path.name}" for path in (ROOT / "demos").glob("*.py"))
     return (_pell_argvs() + _buchi_argvs() + _synth_argvs() + _e2e_argvs()
-            + [("demo",)] + [(name,) for name in demos])
+            + _compile_argvs() + _check_argvs() + _newton_bivar_argvs()
+            + _wide_prime_argvs() + [("demo",)] + [(name,) for name in demos])
 
 
 def run_argv(argv) -> tuple[int, bytes]:

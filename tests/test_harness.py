@@ -150,7 +150,7 @@ class TestNonzeroFamily:
             synth_nonzero(Poly.zero(5), 5)
 
     def test_random_targets_all_verify(self, rng):
-        matrix = nonzero("x").body
+        matrix = nonzero().body
         for p in (2, 5, 17):
             for _ in range(100):
                 f = random_poly(rng, p, 8, nonzero=True)
@@ -180,7 +180,7 @@ class TestNonzeroFamily:
                 assert _nonzero_values(f, p) == ref_values(f, p)
 
     def test_soundness_random_samples(self, rng):
-        matrix = nonzero("x").body
+        matrix = nonzero().body
         for p in (5, 17):
             for _ in range(200):
                 assignment = {
@@ -200,7 +200,7 @@ class TestNonzeroFamily:
         on the full bounded grid.
         """
         p = 5
-        matrix = nonzero("x").body
+        matrix = nonzero().body
         zero = Poly.zero(p)
         polys = [Poly((c0, c1), p) for c0 in range(p) for c1 in range(p)]
         for a, b, c in itertools.product(polys, repeat=3):
@@ -404,6 +404,17 @@ class TestRelationInstance:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             relation_instance("+", (1, 2), 17)
+
+    def test_refusals_come_before_any_pair_is_built(self):
+        # An index past the degree cap would raise FeasibilityError if the
+        # pairs were built first.
+        with pytest.raises(ValueError, match="speaks about 3 integers, got 2"):
+            relation_instance("+", (10**6, 1), 17)
+        for kind in ("<", "|_p"):
+            with pytest.raises(ValueError, match=f"symbol {kind!r}$"):
+                relation_instance(kind, (10**6, 1), 17)
+        with pytest.raises(ValueError, match="prime modulus, got 0$"):
+            relation_instance("domain", (10**6,), 0)
 
 
 class TestEndToEnd:

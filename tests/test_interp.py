@@ -1,5 +1,7 @@
 """Tests for formula builders, interpretations, translation, and bundles."""
 
+import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -34,6 +36,7 @@ from zinterp.formula import (
     parse,
     print_formula,
 )
+from zinterp.harness import FAMILIES, family_formula
 from zinterp.interp import (
     InstRecord,
     Interpretation,
@@ -162,7 +165,7 @@ class TestBuilders:
         assert check_sat(phi, witness, p)
 
     def test_nonzero_text(self):
-        text = print_formula(nonzero("x"))
+        text = print_formula(nonzero())
         assert text == (
             "(exists (a b c) (= (* (+ (* t a) 1) (+ (* t b) 1)) "
             "(+ (* x c) (* (+ (* t a) 1) b))))"
@@ -170,7 +173,7 @@ class TestBuilders:
 
     def test_nonzero_satisfied_for_t(self):
         p = 5
-        phi = Exists(("x",), nonzero("x"))
+        phi = Exists(("x",), nonzero())
         witness = {
             "x": Poly.gen(p), "a": Poly.zero(p),
             "b": Poly.one(p), "c": Poly.one(p),
@@ -179,7 +182,7 @@ class TestBuilders:
 
     def test_nonzero_fails_for_zero(self, rng):
         p = 5
-        phi = Exists(("x",), nonzero("x"))
+        phi = Exists(("x",), nonzero())
         for _ in range(25):
             witness = {
                 "x": Poly.zero(p),
@@ -190,7 +193,7 @@ class TestBuilders:
             assert not check_sat(phi, witness, p)
 
     def test_nonzero_difference_text(self):
-        text = print_formula(nonzero_difference("x", "u"))
+        text = print_formula(nonzero_difference())
         assert text == (
             "(exists (a b c) (= (+ (* (+ (* t a) 1) (+ (* t b) 1)) (* u c)) "
             "(+ (* x c) (* (+ (* t a) 1) b))))"
@@ -203,14 +206,16 @@ class TestBuilders:
 
     def test_collision_guard(self):
         with pytest.raises(ValueError):
-            pell_domain("z", "y")
+            OpenFormula(("x", "y"), pell_domain()).template(
+                (Var("z"), Var("y")), "")
         with pytest.raises(ValueError):
-            nonzero("a")
+            OpenFormula(("x",), nonzero()).template((Var("a"),), "")
         with pytest.raises(ValueError):
-            ge_p_chain(Var("u3"), "y")
+            OpenFormula(("x", "y"), ge_p_chain()).template(
+                (Var("u3"), Var("y")), "")
 
     def test_ge_p_chain_shape(self):
-        phi = ge_p_chain("x", "y")
+        phi = ge_p_chain()
         assert isinstance(phi, Exists)
         assert phi.names == tuple(f"u{n}" for n in range(1, 18)) + ("z",)
         parts = phi.body.parts
@@ -222,7 +227,7 @@ class TestBuilders:
         assert print_formula(parts[17]) == "(= x (* y z))"
 
     def test_ge_p_full_shape(self):
-        phi = ge_p_full(Var("x"), Var("y"))
+        phi = Exists(("u", "v"), ge_p_full())
         assert isinstance(phi, Exists)
         assert phi.names == ("u", "v")
         parts = phi.body.parts
@@ -241,14 +246,14 @@ class TestBuilders:
         assert inner.names == ("u0", "v0")
 
     def test_frob_powers_shape(self):
-        phi = frob_powers_of_t("f")
+        phi = frob_powers_of_t()
         assert phi.names == ("y", "h", "u", "v", "g")
         parts = phi.body.parts
         assert print_formula(parts[3]) == "(= u (+ 1 (* t g)))"
         assert print_formula(parts[4]) == "(= u (+ f 1))"
 
     def test_positive_powers_shape(self):
-        phi = positive_powers_of_t("f")
+        phi = positive_powers_of_t()
         assert phi.names == ("h",)
         parts = phi.body.parts
         assert parts[0].names == ("y0", "h0", "u0", "v0", "g0")
@@ -302,15 +307,7 @@ class TestBuilders:
                 "equal", "unequal", "nonzero", "ge_p_chain", "ge_p",
                 "frob_powers_of_t", "positive_powers_of_t"]
         for name in in_t:
-            builder = lib[name]
-            if name == "ge_p_chain":
-                phi = builder("x", "y")
-            elif name == "ge_p":
-                phi = builder(Var("x"), Var("y"))
-            elif name == "nonzero":
-                phi = builder("x")
-            else:
-                phi = builder()
+            phi = lib[name]()
             closed = Exists(tuple(sorted(free_vars(phi))), phi)
             text = print_formula(closed)
             assert print_formula(parse(text, LANG_T)) == text
@@ -331,7 +328,7 @@ class TestOpenFormula:
             OpenFormula(("x", "x"), Atom("=", (Var("x"), Const("0"))))
 
     def test_bound_reuse(self):
-        body = And((nonzero("x"), nonzero("x")))
+        body = And((nonzero(), nonzero()))
         with pytest.raises(ValueError):
             OpenFormula(("x",), body)
 
@@ -413,7 +410,10 @@ class TestInterpretation:
         symbols = dict(I.symbols)
         symbols["="] = OpenFormula(
             ("x", "y", "u", "v"),
-            And((sym_frob_divides("x", "u"), sym_frob_divides("y", "v"))),
+            And(tuple(
+                OpenFormula(("x", "y"), sym_frob_divides()).template(
+                    (Var(a), Var(b)), "")[0]
+                for a, b in (("x", "u"), ("y", "v")))),
         )
         with pytest.raises(ValueError):
             Interpretation("broken", LANG_STAR, LANG_T, 2, I.domain, symbols)
@@ -789,6 +789,79 @@ class TestBundles:
         assert print_formula(J.symbols["|_p"].body) == \
             print_formula(I.symbols["|_p"].body)
         assert J.domain.body == TRUE
+
+
+# sha256 of the parameters, the bound names in binder order and the printed
+# body of every library formula.  Witness synthesis returns its values in
+# binder order and the CLI prints these texts, so a change to either is a
+# change of output and must rewrite this table on purpose.
+LIBRARY_DIGESTS = {
+    "family nu":
+        "5060f93b1532329e7c733749fe2ce52ae9aa6a255c17ed99a56b2eee99a18726",
+    "family beta":
+        "e6a24734ceb5e2c40eb3165a692c36ba96dd965db948136efbc6d055d712f8ea",
+    "family phi":
+        "998071d2c4a0122f19ae7e23134dbf740c5c1f9c6ce944681a9ed614afcf74d1",
+    "family psi":
+        "b385fbb33ed1e46f87d977056858b409c3bcaa2eb50f55ff77a99abbe43bb713",
+    "family theta":
+        "5467a72e7796420a66b5e2f08fcc447ea0beab7a1acbfaffb00e1560a7b16f2c",
+    "pell-pairs domain":
+        "02c264e68db4105bba40d392d82c091ef65f7f08ad899f4608f72406fb3ce565",
+    "pell-pairs 0":
+        "2ffdd71a9e876d93ff4c1f9f37fc5864e1a19e2d8444e66242d5c57905a99d03",
+    "pell-pairs 1":
+        "85b1d4b947a95507245956de462f9774d5a86b8a909473b44b5ede184d67fa52",
+    "pell-pairs +":
+        "49ba3bd7914abd8d5a93d6df7c2b785128697a8947f65bcd8966de36235e0e81",
+    "pell-pairs =":
+        "80e91032e55a8f29a4161b2740b36b5ec543624a0b8f5e3dd44f43d1e6414526",
+    "pell-pairs |":
+        "9f02b9151219931d6e31f2585bc0c80b767cf6591bd93c7a6ba54e5b8c845e74",
+    "pell-pairs |*":
+        "1c02508b771821414cdd3ab3969ddd4b526a8d14909da1edc4bd816dfa964fd2",
+    "pell-pairs !=":
+        "84400b872ae1a7ce93d08b282420ef1cdd0275c65f359a4f11e24feec0ea2a21",
+    "divisibility-to-star domain":
+        "d929758b12152c5668ef9cda1ffa8851e2b2b9d7229733975d897efc5c72d1fc",
+    "divisibility-to-star 0":
+        "f6dce138a35fe02257541f392d489ccef7b2b3dc7bfaefb30d3b2e48c28dad06",
+    "divisibility-to-star 1":
+        "854d6b0b2ab25d758770794a8bfd82cdd5bf61c4b70f8a681944f934237259f2",
+    "divisibility-to-star +":
+        "75c92c9f644de917b014531a4efb3a587ac2b4016bf6985fc90ca10e494c37e6",
+    "divisibility-to-star =":
+        "0aa15b2a1f94cfc9d4de419c9247b4d899fabe75a1e37d327473e0fc0a44c41e",
+    "divisibility-to-star |":
+        "f8f2a94eaaa1d66da480f66cec2d0ac60c8df8ac70682fb5d128802fbbc19400",
+    "divisibility-to-star |_p":
+        "4611d7072621b503beb793898114d7258431d3dedb6e6ac9815a0d2549dacf3e",
+    "divisibility-to-star T":
+        "2fecaaf3e334301fa27baa25fd3023b361a2794e8bb94bd4099dd9c2de7c0d31",
+}
+
+
+def test_library_formulas_keep_their_text_and_binder_order():
+    got = {f"family {f}": family_formula(f).of for f in FAMILIES}
+    for interp in (pell_interpretation(), divisibility_in_star()):
+        got[f"{interp.name} domain"] = interp.domain
+        got.update((f"{interp.name} {s}", of)
+                   for s, of in interp.symbols.items())
+    digests = {
+        name: hashlib.sha256("\n".join((
+            " ".join(of.params), " ".join(of.bound), print_formula(of.body),
+        )).encode()).hexdigest()
+        for name, of in got.items()
+    }
+    assert digests == LIBRARY_DIGESTS
+
+
+def test_library_builders_take_no_names():
+    # Library formulas have fixed names; one enters another only through
+    # OpenFormula.template.  The guards take a count, not a name.
+    for name, builder in formula_library().items():
+        if name not in ("char_is", "char_at_least"):
+            assert not inspect.signature(builder).parameters, name
 
 
 def test_translated_sum_agrees_with_pell_arithmetic():
