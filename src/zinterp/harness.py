@@ -304,7 +304,8 @@ def _frob_exponent(a: int, b: int, p: int) -> int:
 def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
                    count: int) -> tuple:
     """(semantic truth, bound values in binder order) for one clause of
-    the standard pair interpretation with count bound names; pairs and quot
+    the standard pair interpretation with count bound names; kind is
+    "domain" or a symbol of the pair interpretation, and pairs and quot
     come from pell_pairs_with_quotients.  Binders with no witness, in a
     false clause or an untaken disjunct, get zeros."""
     zero = Poly.zero(p)
@@ -350,7 +351,6 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
             cert = _nonzero_values(pairs[a].y - pairs[b].y, p)
             return a != b, head + [zero] * len(cert) + cert
         return a != b, padded(head)
-    raise ValueError(f"no clause synthesis for symbol {kind!r}")
 
 
 def _refuse_the_integers(p: int) -> None:

@@ -106,7 +106,7 @@ def _guard_bound_names(names, *args) -> None:
     if clash:
         raise ValueError(
             f"argument variables {sorted(clash)} collide with bound names; "
-            "pass a different suffix"
+            "pass a different mark"
         )
 
 

@@ -28,7 +28,10 @@ u(alpha) = 1 + (alpha^2 - 1) y(alpha)^2, which depends on the constant
 coefficient c0 of y only through c0 + tail(alpha), tail = y - c0.  Every
 element of F_p is a square in F_(p^2), so F_p points are tested against the
 squares of F_p; and u has coefficients in F_p, so u(alpha^p) = u(alpha)^p
-and one point of each conjugate pair decides for both.
+and one point of each conjugate pair decides for both.  The sweep ANDs
+the points' verdicts on all y that share a tail prefix c1..c(D-1) at once:
+each prefix gets one packed int per point, a bit for each pair (c0, cD),
+and each point is one lookup and one AND per prefix (see _oracle_conic).
 
 The char-2 oracle solves for x instead of sweeping it: over F_2 the map
 x -> x^2 + t y x is linear, because Frobenius is additive, and its kernel
@@ -306,10 +309,15 @@ def _oracle_conic(p: int, max_deg: int) -> list:
     false y of the p^(max_deg + 1).
 
     The tail splits into a prefix c1..c(D-1) and a last coefficient cD.  Per
-    point and prefix value w, a table row gives, for each cD, the bitset of
-    the c0 whose value u(alpha) = 1 + (alpha^2 - 1)(c0 + w + cD alpha^D)^2
-    is a square or zero; each tail costs one lookup per point, and only the
-    y in the AND of its rows go through root extraction.
+    point and prefix value w, a table row is one int whose bit cD p + c0 is
+    set when u(alpha) = 1 + (alpha^2 - 1)(c0 + w + cD alpha^D)^2 is a
+    square or zero.  Per point, the value w = A + B i of every prefix, in
+    itertools.product order, is built one coefficient at a time as the
+    integer A + m B with A, B summed unreduced (m exceeds both), and one
+    table of size m^2 reduces it to its row; so a point costs one lookup
+    and one AND per prefix, each a map over all prefixes at once.  Only the
+    y in the AND of all rows go through root extraction: by prefix, then
+    cD, then c0, read off each set bit k as divmod(k, p) = (cD, c0).
     """
     n = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
 
@@ -326,7 +334,10 @@ def _oracle_conic(p: int, max_deg: int) -> list:
     points = ([(alpha, p, set(squared[:p])) for alpha in rational]
               + [(alpha, p * p, set(squared)) for alpha in extension])
     lasts = range(p) if max_deg else (0,)
-    tables = []
+    width = max(max_deg - 1, 0)
+    m = width * (p - 1) + 1
+    mod_p = [a % p + p * (b % p) for b in range(m) for a in range(m)]
+    survivors = [(1 << p * len(lasts)) - 1] * p ** width
     for alpha, size, squares in points:
         pows = [(1, 0)]
         for _ in range(max_deg):
@@ -339,25 +350,28 @@ def _oracle_conic(p: int, max_deg: int) -> list:
                      if square_at[(a + c) % p + p * b])
                  for a, b in field[:size]]
         br, bi = pows[max_deg]
-        rows = [[masks[(a + c * br) % p + p * ((b + c * bi) % p)]
-                 for c in lasts]
+        rows = [sum(masks[(a + c * br) % p + p * ((b + c * bi) % p)] << c * p
+                    for c in lasts)
                 for a, b in field[:size]]
-        tables.append((rows, [w[0] for w in pows[1:max_deg]],
-                       [w[1] for w in pows[1:max_deg]]))
+        index = [0]
+        for r, i in pows[1:max_deg]:
+            grown = [0] * (len(index) * p)
+            for c in range(p):
+                grown[c::p] = map((c * r % p + m * (c * i % p)).__add__, index)
+            index = grown
+        survivors = list(map(operator.and_, survivors,
+                             map(rows.__getitem__,
+                                 map(mod_p.__getitem__, index))))
     found = []
-    for prefix in itertools.product(range(p), repeat=max(max_deg - 1, 0)):
-        survivors = [(1 << p) - 1] * len(lasts)
-        for rows, re_pows, im_pows in tables:
-            a = sum(map(operator.mul, prefix, re_pows)) % p
-            b = sum(map(operator.mul, prefix, im_pows)) % p
-            survivors = list(map(operator.and_, survivors, rows[a + p * b]))
-        for last, bits in zip(lasts, survivors):
-            while bits:
-                c0 = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                # when D = 0, last is a 0 that Poly trims
-                y = Poly((c0,) + prefix + (last,), p)
-                found.extend(_conic_solutions_for_y(y))
+    prefixes = itertools.product(range(p), repeat=width)
+    for prefix, bits in itertools.compress(zip(prefixes, survivors), survivors):
+        while bits:
+            k = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            last, c0 = divmod(k, p)
+            # when D = 0, last is a 0 that Poly trims
+            y = Poly((c0,) + prefix + (last,), p)
+            found.extend(_conic_solutions_for_y(y))
     return found
 
 
@@ -419,7 +433,10 @@ def _oracle_work(p: int, max_deg: int) -> float:
     per point and tail prefix for the lookups, and 20 (D + 2) per root
     extraction of a y, which passes each point with chance (p + 1) / 2p.
     A bound past 64 is estimated at 64, and p past 215 by the tables alone,
-    both over the cap already, so no huge power is formed."""
+    both over the cap already, so no huge power is formed.  The lookup term
+    overcounts, since the sieve takes a point's lookups for all prefixes in
+    one C-level map; it is kept so that the cap refuses the same inputs as
+    when each lookup was a Python step."""
     d = min(max_deg, 64)
     if p == 2:
         return 2 ** (d + 1) * 4 * (d + 2)

@@ -915,7 +915,7 @@ def ref_template(phi, bound, mark, mapping):
     if clash:
         raise ValueError(
             f"argument variables {sorted(clash)} collide with bound names; "
-            "pass a different suffix"
+            "pass a different mark"
         )
     names = dict(zip(bound, new))
     sub = {old: Var(n) for old, n in names.items()}

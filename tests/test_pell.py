@@ -18,6 +18,7 @@ from zinterp.pell import (
     _pair_by_steps,
     pell_add,
     pell_enumerate_oracle,
+    pell_family,
     pell_index_recognize,
     pell_pair,
     pell_pairs_with_quotients,
@@ -362,6 +363,15 @@ def test_oracle_cap_counts_the_work():
         assert works == sorted(works)
 
 
+@pytest.mark.parametrize("p, max_deg", [(5, 7), (7, 6), (11, 5), (13, 4),
+                                        (17, 4), (19, 4)])
+def test_oracle_at_the_cap_edge_equals_the_family(p, max_deg):
+    # the largest bound the cap admits at p, and one past it
+    assert pell_enumerate_oracle(p, max_deg) == pell_family(p, max_deg)
+    with pytest.raises(FeasibilityError, match=f"at p = {p} exceeds"):
+        pell_enumerate_oracle(p, max_deg + 1)
+
+
 def test_oracle_char2_frozen():
     got = pell_enumerate_oracle(2, 2)
     expected = set()
@@ -382,8 +392,11 @@ def _unsieved_oracle(p, max_deg):
 
 
 @pytest.mark.parametrize("p, max_deg",
-                         [(3, 3), (5, 3), (7, 2), (11, 1), (3, 4), (5, 4)])
+                         [(3, 0), (13, 0), (5, 1), (13, 1), (3, 3), (5, 3),
+                          (7, 2), (7, 3), (11, 1), (3, 4), (5, 4)])
 def test_oracle_equals_unsieved_reference(p, max_deg):
+    # D = 0 has no tail prefix and (13, 0) no extension point; (7, 3) has
+    # a prefix of two coefficients and (3, 4), (5, 4) of three.
     assert pell_enumerate_oracle(p, max_deg) == _unsieved_oracle(p, max_deg)
 
 
@@ -400,7 +413,8 @@ def _fp2(p):
     return mul, {mul(x, x) for x in field}
 
 
-@pytest.mark.parametrize("p, max_deg", [(3, 2), (5, 3), (7, 2), (11, 1)])
+@pytest.mark.parametrize("p, max_deg", [(5, 0), (3, 2), (5, 3), (7, 2),
+                                        (7, 3), (11, 1), (13, 1)])
 def test_oracle_sieve_passes_exactly_the_square_valued_ys(
         monkeypatch, p, max_deg):
     # y reaches the exact square-root test iff u = 1 + (t^2 - 1) y^2 takes a
