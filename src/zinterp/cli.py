@@ -89,6 +89,15 @@ def _read_text_arg(value: str) -> str:
     return value
 
 
+def _add_witness_entry(witness: dict, name: str, value) -> None:
+    """Record one witness entry, refusing an empty or a repeated name."""
+    if not name:
+        raise ValueError("witness entry has an empty name")
+    if name in witness:
+        raise ValueError(f"witness names {name!r} more than once")
+    witness[name] = value
+
+
 def _parse_poly_witness(text: str, p: int) -> dict:
     """Witness files: one ``name = polynomial`` per line, # comments allowed."""
     witness = {}
@@ -99,7 +108,8 @@ def _parse_poly_witness(text: str, p: int) -> dict:
         name, sep, poly_text = line.partition("=")
         if not sep:
             raise ValueError(f"witness line {lineno} is not 'name = poly': {raw!r}")
-        witness[name.strip()] = parse_poly(poly_text.strip(), p)
+        _add_witness_entry(witness, name.strip(),
+                           parse_poly(poly_text.strip(), p))
     return witness
 
 
@@ -110,7 +120,7 @@ def _parse_int_witness(text: str) -> dict:
         name, sep, value = chunk.partition("=")
         if not sep:
             raise ValueError(f"witness entry is not 'name=int': {chunk!r}")
-        witness[name.strip()] = int(value)
+        _add_witness_entry(witness, name, int(value))
     return witness
 
 

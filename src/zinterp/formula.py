@@ -462,15 +462,16 @@ class IntStructure:
             return args[0] * args[1]
         raise ValueError(f"no function {name!r} over the integers")
 
-    def _p_power_divides(self, a: int, b: int) -> bool:
+    def p_power_exponent(self, a: int, b: int) -> Optional[int]:
+        """The r >= 0 with |b| = p^r |a|, or None if there is none; a = b = 0
+        gives 0."""
         if a == 0:
-            return b == 0
-        q, scale = abs(a), abs(b)
-        while q <= scale:
-            if q == scale:
-                return True
+            return 0 if b == 0 else None
+        q, scale, r = abs(a), abs(b), 0
+        while q < scale:
             q *= self.p
-        return False
+            r += 1
+        return r if q == scale else None
 
     def relation(self, name: str, args) -> bool:
         if name == "=":
@@ -481,10 +482,10 @@ class IntStructure:
             a, b = args
             return b == 0 if a == 0 else b % a == 0
         if name == "|*":
-            return self._p_power_divides(args[0], args[1])
+            return self.p_power_exponent(args[0], args[1]) is not None
         if name == "|_p":
-            return (self._p_power_divides(args[0], args[1])
-                    or self._p_power_divides(args[1], args[0]))
+            return (self.p_power_exponent(args[0], args[1]) is not None
+                    or self.p_power_exponent(args[1], args[0]) is not None)
         if name == "T":
             return args[0] not in (-1, 0, 1)
         raise ValueError(f"relation {name!r} has no registered semantics")

@@ -52,6 +52,7 @@ from .interp import (
     pell_interpretation,
     positive_powers_of_t,
     translate_with_trace,
+    tuple_names,
 )
 from .pell import (
     _offset_quotient,
@@ -289,68 +290,51 @@ class E2EReport:
     witness: Optional[dict] = field(default=None, repr=False)
 
 
-def _frob_exponent(a: int, b: int, p: int) -> int:
-    """The r with |b| = p^r |a|, for arguments already known related."""
-    if a == 0:
-        return 0
-    r = 0
-    scale = abs(a)
-    while scale < abs(b):
-        scale *= p
-        r += 1
-    return r
-
-
 def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
-                   count: int) -> tuple:
-    """(semantic truth, bound values in binder order) for one clause of
-    the standard pair interpretation with count bound names; kind is
-    "domain" or a symbol of the pair interpretation, and pairs and quot
+                   names: tuple) -> tuple:
+    """(semantic truth, bound name -> value) for one clause of the standard
+    pair interpretation whose bound names, in binder order, are names; kind
+    is "domain" or a symbol of the pair interpretation, and pairs and quot
     come from pell_pairs_with_quotients.  Binders with no witness, in a
     false clause or an untaken disjunct, get zeros."""
     zero = Poly.zero(p)
     ints = IntStructure(p)
 
     def padded(values):
-        return values + [zero] * (count - len(values))
+        return values + [zero] * (len(names) - len(values))
 
     if kind == "domain":
-        return True, [quot[ms[0]]]
-    if kind == "0":
-        return ms[0] == 0, []
-    if kind == "1":
-        return ms[0] == 1, []
-    if kind == "+":
-        return ms[0] + ms[1] == ms[2], [quot[ms[0]], quot[ms[1]]]
-    if kind == "=":
-        return ms[0] == ms[1], [quot[ms[0]], quot[ms[1]]]
-    if kind == "|":
+        ok, values = True, [quot[ms[0]]]
+    elif kind in ("0", "1"):
+        ok, values = ms[0] == int(kind), []
+    elif kind == "+":
+        ok, values = ms[0] + ms[1] == ms[2], [quot[ms[0]], quot[ms[1]]]
+    elif kind == "=":
+        ok, values = ms[0] == ms[1], [quot[ms[0]], quot[ms[1]]]
+    elif kind == "|":
         a, b = ms
-        ok = ints.relation("|", (a, b))
-        z = zero
+        ok, z = ints.relation("|", (a, b)), zero
         if ok and a != 0:
             z, rem = poly_divrem(pairs[b].y, pairs[a].y)
             if not rem.is_zero():
-                return False, [zero, quot[a], quot[b]]
-        return ok, [z, quot[a], quot[b]]
-    if kind == "|*":
+                ok, z = False, zero
+        values = [z, quot[a], quot[b]]
+    elif kind == "|*":
         a, b = ms
-        ok = ints.relation("|*", (a, b))
-        head = [quot[a], quot[b]]
-        if not ok:
-            return ok, padded(head)
-        r = _frob_exponent(a, b, p)
-        return ok, head + _ge_p_values(pairs[a].x, r, p)
-    if kind == "!=":
+        r = ints.p_power_exponent(a, b)
+        ok, values = r is not None, [quot[a], quot[b]]
+        values = (values + _ge_p_values(pairs[a].x, r, p) if ok
+                  else padded(values))
+    else:  # "!="
         a, b = ms
-        head = [quot[a], quot[b]]
+        ok, values = a != b, [quot[a], quot[b]]
         if pairs[a].x != pairs[b].x:
-            cert = _nonzero_values(pairs[a].x - pairs[b].x, p)
-            return a != b, padded(head + cert)
-        if pairs[a].y != pairs[b].y:
+            values += _nonzero_values(pairs[a].x - pairs[b].x, p)
+        elif pairs[a].y != pairs[b].y:
             cert = _nonzero_values(pairs[a].y - pairs[b].y, p)
-            return a != b, head + [zero] * len(cert) + cert
-        return a != b, padded(head)
+            values += [zero] * len(cert) + cert
+        values = padded(values)
+    return ok, _bind(kind, names, values)
 
 
 def _refuse_the_integers(p: int) -> None:
@@ -383,11 +367,11 @@ def relation_instance(kind: str, ints, p: int):
     pairs, quot = pell_pairs_with_quotients(ints, p)
     witness = {}
     for i, m in enumerate(ints):
-        witness[f"m{i}.1"], witness[f"m{i}.2"] = pairs[m].x, pairs[m].y
+        witness.update(zip(tuple_names(f"m{i}", interp.dim),
+                           (pairs[m].x, pairs[m].y)))
     coords = tuple(witness)
-    ok, values = _clause_values(kind, list(ints), p, pairs, quot,
-                                len(of.bound))
-    witness.update(_bind(kind, of.bound, values))
+    ok, bound = _clause_values(kind, list(ints), p, pairs, quot, of.bound)
+    witness.update(bound)
     return ok, Exists(coords, Inst(of, coords, "")), witness
 
 
@@ -395,6 +379,12 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     """Translate a closed star-language sentence through the standard pair
     interpretation, build the polynomial witness from an integer witness
     (one integer per source variable), and check satisfaction.
+
+    Source variables take the witness's integers and constants their own.
+    A fresh tuple is the last base of one function record, emitted after
+    its arguments' records, so one pass derives it: for a function symbol's
+    record whose last base has no value yet, that value is the function of
+    the other bases' values.
 
     The report carries one line per instantiated clause with its semantic
     truth value.  Under a source-level disjunction the untaken branch's
@@ -404,7 +394,8 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     _refuse_the_integers(p)
     phi = parse(sentence, LANG_STAR) if isinstance(sentence, str) else sentence
     text = print_formula(phi)
-    out, trace = translate_with_trace(_interpretation(), phi)
+    interp = _interpretation()
+    out, trace = translate_with_trace(interp, phi)
     formula_text = print_formula(out)
 
     values = {}
@@ -421,34 +412,24 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
         )
     for src, base in trace.variables:
         values[base] = int(int_witness[src])
+    ints = IntStructure(p)
     for rec in trace.instantiations:
-        if rec.kind == "+":
-            bases = [rec.args[i].rsplit(".", 1)[0] for i in (0, 2, 4)]
-            if (bases[2] not in values and bases[0] in values
-                    and bases[1] in values):
-                values[bases[2]] = values[bases[0]] + values[bases[1]]
-    underived = [b for b, _ in trace.fresh if b not in values]
-    if underived:
-        return E2EReport(
-            text, p, False,
-            error=f"could not derive values for {underived}",
-            formula_text=formula_text,
-        )
+        *args, last = rec.bases
+        if (interp.source_lang.function_arity(rec.kind) is not None
+                and last not in values):
+            values[last] = ints.function(rec.kind, [values[b] for b in args])
 
     pairs, quot = pell_pairs_with_quotients(values.values(), p)
     witness = {}
     for base, m in values.items():
-        witness[f"{base}.1"] = pairs[m].x
-        witness[f"{base}.2"] = pairs[m].y
+        witness.update(zip(tuple_names(base, interp.dim),
+                           (pairs[m].x, pairs[m].y)))
 
     clauses = []
     for rec in trace.instantiations:
-        bases = [rec.args[i].rsplit(".", 1)[0] for i in range(0, len(rec.args), 2)]
-        ms = [values[b] for b in bases]
-        ok, bound_values = _clause_values(
-            rec.kind, ms, p, pairs, quot, len(rec.bound)
-        )
-        witness.update(_bind(rec.kind, rec.bound, bound_values))
+        ms = [values[b] for b in rec.bases]
+        ok, bound = _clause_values(rec.kind, ms, p, pairs, quot, rec.bound)
+        witness.update(bound)
         clauses.append(ClauseReport(rec.kind, tuple(ms), ok))
 
     overall = check_sat(out, witness, p)

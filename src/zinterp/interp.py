@@ -24,11 +24,13 @@ a mark (the domain at (u, v) with mark "2" binds z2).  The atom helpers
 conic_atom and unit_offset_atom bind nothing and take the terms they relate;
 the guards char_is and char_at_least take a count.
 
-Naming scheme for generated variables: a source variable n becomes the tuple
-n.1 ... n.dim; intermediate tuples are w1, w2, ...; the shared tuple for a
-constant c is named c<c>; bound variables of an instantiated library formula
-get a #k suffix, one fresh k per instantiation.  All counters are local to a
-single translate call, so identical inputs give identical outputs.
+Naming scheme for generated variables: a source variable n gets the tuple
+base n, with coordinates n.1 ... n.dim; intermediate tuples are w1, w2, ...;
+the shared tuple for a constant c is named c<c>; bound variables of an
+instantiated library formula get a #k suffix, one fresh k per
+instantiation.  Trace records name tuple bases; only tuple_names spells
+coordinate names.  Counters are local to a translate call, so identical
+inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -577,12 +579,17 @@ def divisibility_in_star() -> Interpretation:
 RESERVED_MARKS = (".", "#", "'")
 
 
+def tuple_names(base: str, dim: int) -> tuple:
+    """The coordinate names of the dim-tuple with the given base."""
+    return tuple([f"{base}.{i}" for i in range(1, dim + 1)])
+
+
 @dataclass(frozen=True)
 class InstRecord:
     """One library-formula instantiation inside a translation."""
 
     kind: str      # "domain" or a source symbol name
-    args: tuple    # flat target coordinate names, element-major
+    bases: tuple   # tuple bases of the source elements related, in order
     tag: int
     bound: tuple   # bound names after the #tag rename, binder order
 
@@ -613,7 +620,7 @@ class _Translator:
         self.instantiations = []
 
     def tuple_names(self, base: str) -> tuple:
-        return tuple(f"{base}.{i}" for i in range(1, self.interp.dim + 1))
+        return tuple_names(base, self.interp.dim)
 
     def var_base(self, name: str) -> str:
         base = name
@@ -642,29 +649,27 @@ class _Translator:
         self.const_bases[cname] = base
         return base
 
-    def inst(self, kind: str, of: OpenFormula, names: tuple) -> Formula:
+    def inst(self, kind: str, of: OpenFormula, bases: tuple) -> Formula:
+        """of instantiated at the coordinates of bases, recorded by base."""
         self.counter += 1
         mark = f"#{self.counter}"
+        names = tuple([n for base in bases for n in self.tuple_names(base)])
         bound = tuple([b + mark for b in of.bound])
         _guard_bound_names(bound, *names)
-        self.instantiations.append(InstRecord(kind, names, self.counter, bound))
+        self.instantiations.append(InstRecord(kind, bases, self.counter, bound))
         return Inst(of, names, mark)
 
     def domain_parts(self, base: str) -> list:
         if self.interp.domain.body == TRUE:
             return []
-        return [self.inst("domain", self.interp.domain,
-                          self.tuple_names(base))]
+        return [self.inst("domain", self.interp.domain, (base,))]
 
-    def symbol_inst(self, sym: str, names: tuple) -> Formula:
-        return self.inst(sym, self.interp.symbols[sym], names)
+    def symbol_inst(self, sym: str, bases: tuple) -> Formula:
+        return self.inst(sym, self.interp.symbols[sym], bases)
 
-    def coords(self, terms, env, parts, local) -> tuple:
-        """The coordinate names of terms, each flattened in turn."""
-        names = []
-        for t in terms:
-            names.extend(self.tuple_names(self.flatten(t, env, parts, local)))
-        return tuple(names)
+    def term_bases(self, terms, env, parts, local) -> tuple:
+        """The tuple bases of terms, each flattened in turn."""
+        return tuple([self.flatten(t, env, parts, local) for t in terms])
 
     def flatten(self, term: Term, env, parts, local) -> str:
         """Reduce a term to a tuple base, innermost first, appending the
@@ -673,11 +678,11 @@ class _Translator:
             return env[term.name]
         if isinstance(term, Const):
             return self.const_base(term.name)
-        args = self.coords(term.args, env, parts, local)
+        args = self.term_bases(term.args, env, parts, local)
         w = self.fresh_base(print_term(term))
         local.append(w)
         parts.extend(self.domain_parts(w))
-        parts.append(self.symbol_inst(term.fn, args + self.tuple_names(w)))
+        parts.append(self.symbol_inst(term.fn, args + (w,)))
         return w
 
     def wrap(self, parts, local) -> Formula:
@@ -690,12 +695,12 @@ class _Translator:
     def graph_equals(self, term: Term, var: Var, env) -> Formula:
         """Equality between a variable and a constant or application: the
         top symbol's formula writes straight into the variable's tuple."""
-        target = self.tuple_names(env[var.name])
+        target = env[var.name]
         if isinstance(term, Const):
-            return self.symbol_inst(term.name, target)
+            return self.symbol_inst(term.name, (target,))
         parts, local = [], []
-        args = self.coords(term.args, env, parts, local)
-        parts.append(self.symbol_inst(term.fn, args + target))
+        args = self.term_bases(term.args, env, parts, local)
+        parts.append(self.symbol_inst(term.fn, args + (target,)))
         return self.wrap(parts, local)
 
     def atom(self, node: Atom, env) -> Formula:
@@ -706,8 +711,8 @@ class _Translator:
             if isinstance(b, Var) and not isinstance(a, Var):
                 return self.graph_equals(a, b, env)
         parts, local = [], []
-        names = self.coords(node.args, env, parts, local)
-        parts.append(self.symbol_inst(node.rel, names))
+        bases = self.term_bases(node.args, env, parts, local)
+        parts.append(self.symbol_inst(node.rel, bases))
         return self.wrap(parts, local)
 
     def go(self, phi: Formula, env) -> Formula:
@@ -737,7 +742,7 @@ class _Translator:
         for cname, base in self.const_bases.items():
             names.extend(self.tuple_names(base))
             parts.extend(self.domain_parts(base))
-            parts.append(self.symbol_inst(cname, self.tuple_names(base)))
+            parts.append(self.symbol_inst(cname, (base,)))
         return Exists(tuple(names), And(tuple(parts) + (core,)))
 
     def trace(self) -> TranslationTrace:

@@ -415,6 +415,21 @@ class TestCheckCommand:
         assert code == 0
         assert "verified" in out
 
+    @pytest.mark.parametrize("text, message", [
+        ("x = t\nx = 1\n", "error: witness names 'x' more than once\n"),
+        ("x = t\n = 1\n", "error: witness entry has an empty name\n"),
+    ], ids=["repeated", "empty"])
+    def test_witness_file_names_each_variable_once(self, capsys, tmp_path,
+                                                   text, message):
+        witness = tmp_path / "w.txt"
+        witness.write_text(text)
+        code, out, err = run(
+            capsys, "check", "--formula", "(exists (x) (= x t))",
+            "--witness", str(witness), "-p", "5",
+        )
+        assert (code, out, err) == (
+            2, "#RESULT check status=error code=2\n", message)
+
     @pytest.mark.parametrize("text", [
         "(and " * 1200 + "(= 0 0)" + ")" * 1200,
         "(= " + "(+ 1 " * 1200 + "0" + ")" * 1200 + " 0)",
@@ -531,6 +546,18 @@ class TestE2ECommand:
             "--witness", "m=2", "-p", "17",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("witness, message", [
+        ("n=3, n=2", "error: witness names 'n' more than once\n"),
+        ("=2", "error: witness entry has an empty name\n"),
+    ], ids=["repeated", "empty"])
+    def test_witness_names_each_variable_once(self, capsys, witness, message):
+        code, out, err = run(
+            capsys, "e2e", "--sentence", "(exists (n) (= (+ 1 1) n))",
+            "--witness", witness, "-p", "17",
+        )
+        assert (code, out, err) == (
+            2, "#RESULT e2e status=error code=2\n", message)
 
     def test_char_two_is_usage_error(self, capsys):
         code, out, err = run(

@@ -4,10 +4,12 @@ Each line of cli_digest.txt reads `<exit code> <sha256 of stdout> <argv>`,
 the argv as JSON.  Command lines run in this process through cli.main; an
 argv that names a demos/ script runs that script in a fresh process.  The
 list covers pell gen, verify and oracle (both spellings) at p = 0, 2, 3, 5
-and 17, buchi gen and oracle, synth for every family, e2e, compile through
-both built-in interpretations on sentences using every symbol of their
-source languages, check, newton and bivar, pell gen and verify, synth and
-e2e at the primes 7, 19, 131, 251 and 257, demo and the demos.  An
+and 17, buchi gen and oracle, synth for every family, e2e, e2e at 7 and 19
+on sentences whose fresh tuples hold sums (on both sides of =, inside |, |*
+and !=, nested, of constants only, and under a shadowed variable), compile
+through both built-in interpretations on sentences using every symbol of
+their source languages, check, newton and bivar, pell gen and verify, synth
+and e2e at the primes 7, 19, 131, 251 and 257, demo and the demos.  An
 intended output change rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_digest.py > tests/cli_digest.txt
@@ -103,7 +105,27 @@ def _e2e_argvs() -> list:
         for p in ("2", "3", "5", "17", "19"):
             out.append(("e2e", "--sentence", sentence, "--witness", witness,
                         "-p", p))
+    for sentence, witness in _DERIVED_SENTENCES:
+        for p in ("7", "19"):
+            out.append(("e2e", "--sentence", sentence, "--witness", witness,
+                        "-p", p))
     return out
+
+
+# Sentences whose translation derives the integer of a fresh tuple (the
+# value of a sum) in every position a sum can take.
+_DERIVED_SENTENCES = (
+    ("(exists (a b) (= (+ a 1) (+ b b)))", "a=3,b=2"),
+    ("(exists (a b) (= (+ a 1) (+ b b)))", "a=2,b=2"),
+    ("(exists (a b) (| (+ a 1) (+ b a)))", "a=1,b=3"),
+    ("(exists (a b) (|* (+ a a) (+ b 1)))", "a=1,b=13"),
+    ("(exists (a b) (!= (+ a 1) (+ b b)))", "a=-3,b=2"),
+    ("(exists (a b c) (= c (+ (+ a b) (+ a 1))))", "a=1,b=2,c=5"),
+    ("(exists (a b) (| a (+ (+ a b) (+ b a))))", "a=2,b=-1"),
+    ("(exists (n) (= (+ (+ 1 1) 1) n))", "n=3"),
+    ("(exists (n) (and (= n n) (!= (+ 1 1) (+ 1 0))))", "n=0"),
+    ("(exists (n) (exists (n) (= n (+ 1 1))))", "n=2"),
+)
 
 
 # Every star symbol (0, 1, +, =, |, |*, !=) and every divisibility symbol

@@ -379,6 +379,10 @@ def test_int_structure_relations():
     assert not s.relation("|*", [51, 3])
     assert s.relation("|*", [0, 0])
     assert not s.relation("|*", [0, 5])
+    pairs = ((3, 51), (3, -867), (-3, 3), (0, 0), (3, 6), (51, 3), (0, 5),
+             (5, 0))
+    assert [s.p_power_exponent(a, b) for a, b in pairs] == \
+        [1, 2, 0, 0, None, None, None, None]
     assert s.relation("|_p", [51, 3])
     assert s.relation("|_p", [3, 51])
     assert not s.relation("|_p", [3, 6])

@@ -64,6 +64,7 @@ from zinterp.interp import (
     nonzero,
     pell_interpretation,
     translate_with_trace,
+    tuple_names,
 )
 from zinterp.pell import (
     STEP_LIMIT,
@@ -583,11 +584,12 @@ class _ExpandingTranslator(_Translator):
     """Reference translator: each library instance is expanded where it is
     emitted."""
 
-    def inst(self, kind, of, names):
+    def inst(self, kind, of, bases):
         self.counter += 1
+        names = [n for base in bases for n in self.tuple_names(base)]
         out, bound = of.template(tuple([Var(n) for n in names]),
                                  f"#{self.counter}")
-        self.instantiations.append(InstRecord(kind, names, self.counter, bound))
+        self.instantiations.append(InstRecord(kind, bases, self.counter, bound))
         return out
 
 
@@ -631,6 +633,26 @@ def _check_against_expansion(sentence, ints, pick):
 @pytest.mark.parametrize("sentence, ints", E2E_BATCH)
 def test_instances_read_like_their_expansion(sentence, ints, rng):
     _check_against_expansion(sentence, ints, rng.choice)
+
+
+@pytest.mark.parametrize("sentence, ints", E2E_BATCH)
+def test_records_name_the_coordinates_of_their_instances(sentence, ints):
+    interp = pell_interpretation()
+    out, trace = translate_with_trace(interp, parse(sentence, LANG_STAR))
+    records = {rec.tag: rec for rec in trace.instantiations}
+    stack, insts = [out], []
+    while stack:  # the glue above the instances; their bodies are plain
+        node = stack.pop()
+        if isinstance(node, Inst):
+            insts.append(node)
+        else:
+            stack.extend(node.parts if isinstance(node, (And, Or))
+                         else [node.body])
+    assert sorted(int(node.mark[1:]) for node in insts) == sorted(records)
+    for node in insts:
+        rec = records[int(node.mark[1:])]
+        assert node.names == tuple(
+            n for base in rec.bases for n in tuple_names(base, interp.dim))
 
 
 _STAR_LEAVES = st.sampled_from(("a", "b", "0", "1"))

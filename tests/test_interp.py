@@ -474,7 +474,7 @@ class TestTranslate:
         assert trace.intermediate_pairs == 0
         assert [r.kind for r in trace.instantiations] == ["domain", "0"]
         assert trace.instantiations[0] == InstRecord(
-            "domain", ("n.1", "n.2"), 1, ("z#1",)
+            "domain", ("n",), 1, ("z#1",)
         )
 
     def test_zero_sentence_satisfied(self):
@@ -552,7 +552,7 @@ class TestTranslate:
         out, trace = translate_with_trace(I, phi)
         kinds = [r.kind for r in trace.instantiations]
         assert kinds == ["domain", "domain", "="]
-        assert trace.instantiations[2].args == ("a.1", "a.2", "b.1", "b.2")
+        assert trace.instantiations[2].bases == ("a", "b")
 
     def test_deterministic(self):
         I = pell_interpretation()
