@@ -15,10 +15,14 @@ a generated one.
 The oracle sieves seeds before any root extraction, on two facts: a square
 in F_p[t] takes a square or zero value at every point a of F_p; and with
 u1 = s1^2, u2 = s2^2 the terms are u1 + (n - 1)(u2 - u1) + (n - 1)(n - 2),
-so u_n(a) depends only on the pair (s1(a), s2(a)): one p x p table serves
-every point.  The same formula shows that u1 and u2 fix the sequence, so
-the oracle reads everything off them; only a survivor that is neither
-constant nor a generated family gets the exact square test of u_3..u_p.
+so u_n(a) depends only on the pair (s1(a)^2, s2(a)^2): one table over the
+square classes of F_p serves every point.  The same formula shows that u1
+and u2 fix the sequence, so the oracle reads everything off them; only a
+survivor that is neither constant nor a generated family gets the exact
+square test of u_3..u_p.  As s and -s have the same square, the sweep
+takes one seed of each sign class, and a survivor matches the family
+(n + v)^(p^r + 1) exactly when v + v^(p^r) = u2 - u1 - 3 and
+(1 + v)(1 + v^(p^r)) = u1 (see _match_family).
 """
 
 from __future__ import annotations
@@ -215,6 +219,16 @@ class BuchiFamily:
 
 @dataclass(frozen=True)
 class BuchiOracleReport:
+    """What buchi_search_oracle(p, degree_bound) found.
+
+    seeds_scanned is the number of seed pairs (s1, s2) with deg s_i <=
+    degree_bound that the sweep covers, p^(2 (degree_bound + 1)): it runs
+    one seed of each sign class {s, -s}, and s and -s have the same square.
+    retained lists the non-constant families that stay square, sorted by
+    their seed squares (u1, u2), and constant_families counts the constant
+    ones.
+    """
+
     p: int
     degree_bound: int
     seeds_scanned: int
@@ -249,10 +263,16 @@ def _match_family(u1: Poly, u2: Poly) -> Optional[tuple[Poly, int]]:
     the map injective for odd p, so each r has one candidate, read off the
     first m + 1 coefficients of D.
 
-    Two terms decide.  The family obeys the same recurrence (its second
-    difference is 2, see the module docstring), and a sequence with that
-    recurrence is fixed by its first two terms; so the candidate matches the
-    whole sequence exactly when buchi_generate(v, r, 2, p) gives (u1, u2).
+    Two identities decide, with q = p^r: v + v^q = D and (1 + v)(1 + v^q) =
+    u1.  Frobenius fixes F_p, so (n + v)^q = n + v^q and the family's terms
+    are u_n = (n + v)(n + v^q) = n^2 + n (v + v^q) + v^(q+1); hence
+    u_2 = u_1 + (v + v^q) + 3 on the family.  If the family gives (u1, u2),
+    then u1 = (1 + v)(1 + v^q) and D = u2 - u1 - 3 = v + v^q; conversely
+    those two give u2 = u1 + D + 3 = (2 + v)(2 + v^q).  A sequence with the
+    recurrence is fixed by its first two terms, and the family obeys the
+    same recurrence (its second difference is 2, see the module
+    docstring), so the candidate matches the whole sequence exactly when
+    both identities hold.
     """
     p, d1 = u1.modulus, u1.degree
     if not isinstance(d1, int) or d1 == 0:
@@ -271,7 +291,8 @@ def _match_family(u1: Poly, u2: Poly) -> Optional[tuple[Poly, int]]:
                 else:
                     v.append((c - v[i // q]) % p)
             v = Poly(v, p)
-            if buchi_generate(v, r, 2, p).terms == (u1, u2):
+            w = v + 1  # (1 + v)^q = 1 + v^q
+            if (v + frob_pow(v, r)).data == dc and w * frob_pow(w, r) == u1:
                 return v, r
         r, q = r + 1, q * p
     return None
@@ -279,18 +300,27 @@ def _match_family(u1: Poly, u2: Poly) -> Optional[tuple[Poly, int]]:
 
 def _sieve_masks(values: list[list[int]], p: int) -> list[list[int]]:
     """masks[a][x]: the bitset of seed indices j for which u_3(a)..u_p(a)
-    are all squares or zero when s1(a) = x and s2(a) = values[j][a]."""
-    squares = {x * x % p for x in range(p)}
-    table = [[all((x * x + (n - 1) * (y * y - x * x) + (n - 1) * (n - 2)) % p
-                  in squares for n in range(3, p + 1)) for y in range(p)]
-             for x in range(p)]
-    at_value = [[0] * p for _ in range(p)]
+    are all squares or zero when s1(a) = x and s2(a) = values[j][a].
+
+    The terms at a depend on x^2 and y^2 only, so the table is filled over
+    the (p + 1)^2 / 4 pairs of square classes (X, Y) = (x^2, y^2), and each
+    point's seeds are grouped by the class of their value."""
+    square = [x * x % p for x in range(p)]
+    classes = set(square)
+    table = {(x, y): all((x + (n - 1) * (y - x) + (n - 1) * (n - 2)) % p
+                         in classes for n in range(3, p + 1))
+             for x in classes for y in classes}
+    at_class = [dict.fromkeys(classes, 0) for _ in range(p)]
     for j, point_values in enumerate(values):
-        for a, y in enumerate(point_values):
-            at_value[a][y] |= 1 << j
-    # The sets at_value[a][y] are disjoint over y, so their sum is their union.
-    return [[sum(at_a[y] for y in range(p) if table[x][y]) for x in range(p)]
-            for at_a in at_value]
+        for at_a, y in zip(at_class, point_values):
+            at_a[square[y]] |= 1 << j
+    masks = []
+    for at_a in at_class:
+        # The sets at_a[y] are disjoint over y, so their sum is their union.
+        by_class = {x: sum(at_a[y] for y in classes if table[x, y])
+                    for x in classes}
+        masks.append([by_class[x] for x in square])
+    return masks
 
 
 def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
@@ -310,9 +340,17 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
     the sieve table tested for n = 3..p, and a matched one's terms are
     ((n + v)^((p^r + 1)/2))^2.
 
+    Sign classes: s and -s have the same square, so s1 and s2 each run over
+    the zero seed and the seeds whose leading coefficient is in
+    1..(p-1)/2, (p^(d+1) + 1) / 2 of them (145 of 289 at d = 1).  Distinct
+    seeds of that set have distinct squares, so every surviving pair is a
+    new (u1, u2) and the keys, constant_families and retained are those of
+    the sweep over all seeds; seeds_scanned still counts the p^(2(d+1))
+    seed pairs covered.  A survivor is matched by two identities, not by
+    generating its family (see _match_family).
+
     Restricted to p = 17: it is the smallest modulus where the length-17
-    all-squares condition is the meaningful one.  Deduplication is by the
-    seed squares themselves, so sign choices of s1, s2 collapse.
+    all-squares condition is the meaningful one.
 
     Why SEARCH_DEGREE_CAP stays at 2: at p = 17 the sieve table's row for
     s1(a) = x is exactly {+-(x + 1), +-(x - 1)}, so at each of the 17
@@ -331,11 +369,12 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
         raise FeasibilityError(
             f"seed degree {d} exceeds the sweep cap {SEARCH_DEGREE_CAP}"
         )
-    seeds = [Poly(cs, p) for cs in itertools.product(range(p), repeat=d + 1)]
+    half = (p - 1) // 2
+    seeds = [Poly(cs, p) for cs in itertools.product(range(p), repeat=d + 1)
+             if next((c for c in reversed(cs) if c), 0) <= half]
     values = [[s.evaluate(a) for a in range(p)] for s in seeds]
     masks = _sieve_masks(values, p)
     squares = [s * s for s in seeds]
-    seen = set()
     constants = 0
     families = {}
     for i, point_values in enumerate(values):
@@ -346,10 +385,6 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
             low = survivors & -survivors
             survivors ^= low
             u1, u2 = squares[i], squares[low.bit_length() - 1]
-            key = (u1.data, u2.data)
-            if key in seen:
-                continue
-            seen.add(key)
             if len(u1.data) <= 1 and len(u2.data) <= 1:
                 constants += 1
                 continue
@@ -357,6 +392,6 @@ def buchi_search_oracle(p: int, d: int) -> BuchiOracleReport:
             if match is None and not _extend_all_squares(u1, u2, p):
                 continue
             v, r = match or (None, None)
-            families[key] = BuchiFamily(u1, u2, v, r)
+            families[u1.data, u2.data] = BuchiFamily(u1, u2, v, r)
     retained = tuple(families[k] for k in sorted(families))
-    return BuchiOracleReport(p, d, len(seeds) ** 2, retained, constants)
+    return BuchiOracleReport(p, d, p ** (2 * d + 2), retained, constants)

@@ -558,7 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e2e = top.add_parser("e2e", help="translate and verify clause by clause")
     e2e.add_argument("--sentence", required=True, help="sentence text or file")
-    e2e.add_argument("--witness", required=True, help="integer witness: 'n=2, m=3'")
+    e2e.add_argument("--witness", required=True,
+                     help="integer witness: 'n=2, m=3'; a binder that shadows "
+                          "n reads n' (its tuple base) when given, else n")
     e2e.add_argument("-p", type=int, required=True)
     e2e.set_defaults(handler=cmd_e2e)
 

@@ -381,6 +381,11 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     (one integer per source variable), and check satisfaction.
 
     Source variables take the witness's integers and constants their own.
+    A binder takes the entry named by its tuple base when there is one, and
+    its source name's entry otherwise: a binder that shadows n has the
+    base n' (as TranslationTrace.variables spells it), so
+    (exists (n) (and (= n 1) (exists (n) (= n (+ 1 1))))) verifies with
+    n=1, n'=2, while n=2 alone gives both binders 2.
     A fresh tuple is the last base of one function record, emitted after
     its arguments' records, so one pass derives it: for a function symbol's
     record whose last base has no value yet, that value is the function of
@@ -401,17 +406,17 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     values = {}
     for cname, base in trace.constants:
         values[base] = int(cname)
-    missing = sorted(
-        {src for src, _ in trace.variables} - set(int_witness)
-    )
+    keys = [(base if base in int_witness else src, base)
+            for src, base in trace.variables]
+    missing = sorted({key for key, _ in keys if key not in int_witness})
     if missing:
         return E2EReport(
             text, p, False,
             error=f"integer witness missing variables {missing}",
             formula_text=formula_text,
         )
-    for src, base in trace.variables:
-        values[base] = int(int_witness[src])
+    for key, base in keys:
+        values[base] = int(int_witness[key])
     ints = IntStructure(p)
     for rec in trace.instantiations:
         *args, last = rec.bases

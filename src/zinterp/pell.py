@@ -32,6 +32,10 @@ and one point of each conjugate pair decides for both.  The sweep ANDs
 the points' verdicts on all y that share a tail prefix c1..c(D-1) at once:
 each prefix gets one packed int per point, a bit for each pair (c0, cD),
 and each point is one lookup and one AND per prefix (see _oracle_conic).
+A point's table of packed ints is built by walks, not sums: shifting c0
+by one shifts the bits of the c0 mask by one, and adding alpha^D to the
+prefix value shifts the packed int by p bits; for alpha != 0 the orbits
+of that step have p elements, since p alpha^D = 0 (see _point_rows).
 
 The char-2 oracle solves for x instead of sweeping it: over F_2 the map
 x -> x^2 + t y x is linear, because Frobenius is additive, and its kernel
@@ -296,6 +300,58 @@ def _conic_solutions_for_y(y: Poly):
     return [(s, y), (-s, y)]
 
 
+def _point_rows(p: int, mul, squared: list, squares: set, alpha,
+                max_deg: int) -> list:
+    """The row table of the sieve point alpha (see _oracle_conic).
+
+    Entry a + p b, for v = a + b i, is the int whose bit cD p + c0 is set
+    when u(alpha) = 1 + g (v + c0 + cD alpha^D)^2 is a square or zero, with
+    g = alpha^2 - 1 and D = max_deg (one last, cD = 0, when D = 0).  The
+    field is F_p or F_(p^2), as squared lists z^2 for z = 0..p-1 or for
+    every z = a + b i by index a + p b; squares is the set of its square
+    values, each encoded as a + p b.  mul multiplies in F_(p^2).
+
+    mask(v), bit c set when 1 + g (v + c)^2 is a square or zero, walks
+    along a: mask(v + 1) = (mask(v) >> 1) | (square_at(v) << (p - 1)).  For
+    alpha != 0 the rows walk the orbits of v -> v + alpha^D, of p elements
+    each, as p alpha^D = 0: row(v + alpha^D) = (row(v) >> p) |
+    (mask(v) << (p - 1) p).  So a point costs about 3 size steps.  At
+    alpha = 0, alpha^D = 0 and each orbit has one element, whose row
+    repeats its mask p times.
+    """
+    size = len(squared)
+    g = mul(alpha, alpha)
+    g = ((g[0] - 1) % p, g[1])
+    square_at = [(v[0] + 1) % p + p * v[1] in squares
+                 for v in (mul(g, z2) for z2 in squared)]
+    masks, top = [], p - 1
+    for b in range(0, size, p):
+        mask = sum(square_at[b + c] << c for c in range(p))
+        for a in range(b, b + p):
+            masks.append(mask)
+            mask = mask >> 1 | square_at[a] << top
+    if not max_deg:
+        return masks
+    step = alpha
+    for _ in range(max_deg - 1):
+        step = mul(step, alpha)
+    if step == (0, 0):
+        spread = ((1 << p * p) - 1) // ((1 << p) - 1)  # bits 0, p, .., (p-1) p
+        return [mask * spread for mask in masks]
+    sr, si = step
+    # each orbit meets b = 0 once when si != 0, and a = 0 once otherwise
+    starts = ([(a, 0) for a in range(p)] if si
+              else [(0, b) for b in range(size // p)])
+    rows, top = [0] * size, (p - 1) * p
+    for a, b in starts:
+        orbit = [(a + c * sr) % p + p * ((b + c * si) % p) for c in range(p)]
+        row = sum(masks[k] << c * p for c, k in enumerate(orbit))
+        for k in orbit:
+            rows[k] = row
+            row = row >> p | masks[k] << top
+    return rows
+
+
 def _oracle_conic(p: int, max_deg: int) -> list:
     """All conic solutions with deg y <= max_deg, sweeping y = c0 + tail.
 
@@ -311,13 +367,16 @@ def _oracle_conic(p: int, max_deg: int) -> list:
     The tail splits into a prefix c1..c(D-1) and a last coefficient cD.  Per
     point and prefix value w, a table row is one int whose bit cD p + c0 is
     set when u(alpha) = 1 + (alpha^2 - 1)(c0 + w + cD alpha^D)^2 is a
-    square or zero.  Per point, the value w = A + B i of every prefix, in
-    itertools.product order, is built one coefficient at a time as the
-    integer A + m B with A, B summed unreduced (m exceeds both), and one
-    table of size m^2 reduces it to its row; so a point costs one lookup
-    and one AND per prefix, each a map over all prefixes at once.  Only the
-    y in the AND of all rows go through root extraction: by prefix, then
-    cD, then c0, read off each set bit k as divmod(k, p) = (cD, c0).
+    square or zero.  A point's rows are built in about 3 steps per row by
+    walking a and the orbits of v -> v + alpha^D (see _point_rows), with
+    each z^2 read from one table shared by all points.  Per point, the
+    value w = A + B i of every prefix, in itertools.product order, is built
+    one coefficient at a time as the integer A + m B with A, B summed
+    unreduced (m exceeds both), and one table of size m^2 reduces it to its
+    row; so a point costs one lookup and one AND per prefix, each a map
+    over all prefixes at once.  Only the y in the AND of all rows go
+    through root extraction: by prefix, then cD, then c0, read off each set
+    bit k as divmod(k, p) = (cD, c0).
     """
     n = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
 
@@ -330,35 +389,27 @@ def _oracle_conic(p: int, max_deg: int) -> list:
     extension = [(k % p, 1 + k // p)
                  for k in range(min(wanted, p * (p - 1) // 2))]
     field = [(a, b) for b in range(p if extension else 1) for a in range(p)]
-    squared = [a + p * b for a, b in (mul(x, x) for x in field)]
-    points = ([(alpha, p, set(squared[:p])) for alpha in rational]
-              + [(alpha, p * p, set(squared)) for alpha in extension])
-    lasts = range(p) if max_deg else (0,)
+    squared = [mul(z, z) for z in field]
+    fp_squared = squared[:p]
+    fp_squares = {a for a, _ in fp_squared}
+    fp2_squares = {a + p * b for a, b in squared}
+    points = ([(alpha, fp_squared, fp_squares) for alpha in rational]
+              + [(alpha, squared, fp2_squares) for alpha in extension])
+    lasts = p if max_deg else 1
     width = max(max_deg - 1, 0)
     m = width * (p - 1) + 1
     mod_p = [a % p + p * (b % p) for b in range(m) for a in range(m)]
-    survivors = [(1 << p * len(lasts)) - 1] * p ** width
-    for alpha, size, squares in points:
-        pows = [(1, 0)]
-        for _ in range(max_deg):
-            pows.append(mul(pows[-1], alpha))
-        g = mul(alpha, alpha)
-        g = ((g[0] - 1) % p, g[1])
-        square_at = [(v[0] + 1) % p + p * v[1] in squares
-                     for v in (mul(g, mul(z, z)) for z in field[:size])]
-        masks = [sum(1 << c for c in range(p)
-                     if square_at[(a + c) % p + p * b])
-                 for a, b in field[:size]]
-        br, bi = pows[max_deg]
-        rows = [sum(masks[(a + c * br) % p + p * ((b + c * bi) % p)] << c * p
-                    for c in lasts)
-                for a, b in field[:size]]
-        index = [0]
-        for r, i in pows[1:max_deg]:
+    survivors = [(1 << p * lasts) - 1] * p ** width
+    for alpha, point_squared, squares in points:
+        rows = _point_rows(p, mul, point_squared, squares, alpha, max_deg)
+        index, power = [0], alpha
+        for _ in range(width):
+            r, i = power
             grown = [0] * (len(index) * p)
             for c in range(p):
                 grown[c::p] = map((c * r % p + m * (c * i % p)).__add__, index)
             index = grown
+            power = mul(power, alpha)
         survivors = list(map(operator.and_, survivors,
                              map(rows.__getitem__,
                                  map(mod_p.__getitem__, index))))
@@ -433,10 +484,12 @@ def _oracle_work(p: int, max_deg: int) -> float:
     per point and tail prefix for the lookups, and 20 (D + 2) per root
     extraction of a y, which passes each point with chance (p + 1) / 2p.
     A bound past 64 is estimated at 64, and p past 215 by the tables alone,
-    both over the cap already, so no huge power is formed.  The lookup term
-    overcounts, since the sieve takes a point's lookups for all prefixes in
-    one C-level map; it is kept so that the cap refuses the same inputs as
-    when each lookup was a Python step."""
+    both over the cap already, so no huge power is formed.  Two terms
+    overcount and are kept so that the cap refuses the same inputs as when
+    each counted step was a Python step: the table term, since _point_rows
+    builds a point's rows by walks in about 3 size steps, not size * p; and
+    the lookup term, since the sieve takes a point's lookups for all
+    prefixes in one C-level map."""
     d = min(max_deg, 64)
     if p == 2:
         return 2 ** (d + 1) * 4 * (d + 2)

@@ -369,16 +369,23 @@ def test_sieve_table_rows_at_17():
 
 
 def test_oracle_generates_two_terms_per_family(monkeypatch):
+    # The oracle decides a match on the seeds alone: it never generates
+    # more than two terms of a family and never extends a matched survivor,
+    # and the first two terms of every family it matches are its seeds.
     lengths = []
 
     def recording(v, r, length, p):
         lengths.append(length)
         return buchi_generate(v, r, length, p)
 
+    _, extended = _record_survivors(monkeypatch)
     monkeypatch.setattr(buchi, "buchi_generate", recording)
     report = buchi_search_oracle(17, 1)
-    assert len(lengths) >= len(report.retained) == 272
-    assert set(lengths) == {2}
+    assert all(length <= 2 for length in lengths)
+    assert extended == []
+    assert len(report.retained) == 272
+    for fam in report.retained:
+        assert buchi_generate(fam.v, fam.r, 2, 17).terms == (fam.u1, fam.u2)
 
 
 def test_oracle_degree_two_sweep(monkeypatch):

@@ -559,6 +559,16 @@ class TestE2ECommand:
         assert (code, out, err) == (
             2, "#RESULT e2e status=error code=2\n", message)
 
+    def test_witness_names_a_shadowing_binder_by_its_base(self, capsys):
+        code, out, _ = run(
+            capsys, "e2e", "--sentence",
+            "(exists (n) (and (= n 1) (exists (n) (= n (+ 1 1)))))",
+            "--witness", "n=1, n'=2", "-p", "7",
+        )
+        assert code == 0
+        assert "#RESULT clause kind=+ values=1,1,2 status=ok" in out
+        assert out.endswith("verified\n#RESULT e2e p=7 clauses=6 status=ok\n")
+
     def test_char_two_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "e2e", "--sentence", "(exists (n) (= n 1))",

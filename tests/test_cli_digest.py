@@ -4,13 +4,15 @@ Each line of cli_digest.txt reads `<exit code> <sha256 of stdout> <argv>`,
 the argv as JSON.  Command lines run in this process through cli.main; an
 argv that names a demos/ script runs that script in a fresh process.  The
 list covers pell gen, verify and oracle (both spellings) at p = 0, 2, 3, 5
-and 17, buchi gen and oracle, synth for every family, e2e, e2e at 7 and 19
-on sentences whose fresh tuples hold sums (on both sides of =, inside |, |*
-and !=, nested, of constants only, and under a shadowed variable), compile
-through both built-in interpretations on sentences using every symbol of
-their source languages, check, newton and bivar, pell gen and verify, synth
-and e2e at the primes 7, 19, 131, 251 and 257, demo and the demos.  An
-intended output change rewrites the file with
+and 17, pell oracle (both spellings) at eight bounds at p = 7, 11, 13, 19
+and 23, buchi gen and oracle, up to d = 2 at p = 17, synth for every
+family, e2e, e2e at 7 and 19 on sentences whose fresh tuples hold sums (on
+both sides of =, inside |, |* and !=, nested, of constants only, and under
+a shadowed variable), compile through both built-in interpretations on
+sentences using every symbol of their source languages, check, newton and
+bivar, pell gen and verify, synth and e2e at the primes 7, 19, 131, 251
+and 257, demo and the demos.  An intended output change rewrites the file
+with
 
     PYTHONPATH=src python tests/test_cli_digest.py > tests/cli_digest.txt
 
@@ -56,7 +58,17 @@ def _pell_argvs() -> list:
     for p in ("1000", "4", "1"):
         for spelling in (("pell", "oracle"), ("oracle", "pell")):
             out.append((*spelling, "-p", p, "-D", "0"))
+    for p, d in _ORACLE_WIDE_PRIMES:
+        for spelling in (("pell", "oracle"), ("oracle", "pell")):
+            out.append((*spelling, "-p", p, "-D", d))
     return out
+
+
+# Pell oracle sweeps at further primes: (13, 1) and (23, 3) sieve at F_p
+# points alone, the others add F_(p^2) points, and (7, 6), (11, 5) and
+# (19, 4) come within a factor 2.5 of the work cap.
+_ORACLE_WIDE_PRIMES = (("7", "3"), ("7", "4"), ("7", "6"), ("11", "5"),
+                       ("13", "1"), ("13", "4"), ("19", "4"), ("23", "3"))
 
 
 def _buchi_argvs() -> list:
@@ -71,6 +83,7 @@ def _buchi_argvs() -> list:
     for d, p in (("0", "17"), ("1", "17"), ("-1", "17"), ("0", "5")):
         for spelling in (("buchi", "oracle"), ("oracle", "buchi")):
             out.append((*spelling, "-d", d, "-p", p))
+    out.append(("buchi", "oracle", "-d", "2", "-p", "17"))
     return out
 
 

@@ -482,6 +482,20 @@ class TestEndToEnd:
         )
         assert set(report.witness) == bound_vars(out)
 
+    def test_shadowing_binder_reads_its_tuple_base(self):
+        # The inner n has the tuple base n'; its entry is read under that
+        # name, and the source name n stands in when it is not given.
+        sentence = "(exists (n) (and (= n 1) (exists (n) (= n (+ 1 1)))))"
+        report = e2e_verify(sentence, {"n": 1, "n'": 2}, 7)
+        assert report.ok and report.error == ""
+        assert all(c.ok for c in report.clauses)
+        assert [c.values for c in report.clauses if c.kind == "+"] \
+            == [(1, 1, 2)]
+        for witness in ({"n": 1}, {"n": 2}):
+            assert not e2e_verify(sentence, witness, 7).ok
+        assert "missing variables ['n']" in \
+            e2e_verify(sentence, {"n'": 2}, 7).error
+
     def test_deterministic(self):
         a = e2e_verify("(exists (n) (= (+ 1 1) n))", {"n": 2}, 17)
         b = e2e_verify("(exists (n) (= (+ 1 1) n))", {"n": 2}, 17)

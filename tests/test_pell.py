@@ -456,6 +456,53 @@ def test_oracle_sieve_passes_exactly_the_square_valued_ys(
     assert set(reached) == set(expected)
 
 
+def _summed_rows(p, max_deg, alpha, mul, squares, size):
+    """One sieve point's row table by direct sums, as the sieve built it
+    before its walks: p terms per mask, p masks per row, and two products
+    per value 1 + (alpha^2 - 1) z^2."""
+    field = [(a, b) for b in range(size // p) for a in range(p)]
+    power = (1, 0)
+    for _ in range(max_deg):
+        power = mul(power, alpha)
+    g = mul(alpha, alpha)
+    g = ((g[0] - 1) % p, g[1])
+    square_at = [(v[0] + 1) % p + p * v[1] in squares
+                 for v in (mul(g, mul(z, z)) for z in field)]
+    masks = [sum(1 << c for c in range(p) if square_at[(a + c) % p + p * b])
+             for a, b in field]
+    br, bi = power
+    lasts = range(p) if max_deg else (0,)
+    return [sum(masks[(a + c * br) % p + p * ((b + c * bi) % p)] << c * p
+                for c in lasts)
+            for a, b in field]
+
+
+@pytest.mark.parametrize("p, max_deg", [(3, 0), (5, 1), (7, 4), (13, 1),
+                                        (5, 7)])
+def test_point_rows_equal_the_summed_tables(p, max_deg):
+    # At every sieve point the oracle uses, and at alpha = 0 over F_(p^2)
+    # too, the walked row table equals the one summed term by term.
+    # alpha = 0 is a sieve point at every odd p, as 0^2 != 1; its alpha^D
+    # is 0 for D >= 1, so its rows take the one-element-orbit branch.
+    mul, _ = _fp2(p)
+    field = [(a, b) for b in range(p) for a in range(p)]
+    squared = [mul(z, z) for z in field]
+    fp_squares = {a for a, _ in squared[:p]}
+    fp2_squares = {a + p * b for a, b in squared}
+    wanted = (p ** (max_deg + 1) - 1).bit_length() - (p - 2)
+    classes = [(a, b) for b in range(1, (p + 1) // 2) for a in range(p)]
+    points = [((a, 0), squared[:p], fp_squares)
+              for a in range(p) if (a * a - 1) % p]
+    points += [(alpha, squared, fp2_squares)
+               for alpha in classes[:max(wanted, 0)]]
+    assert points[0][0] == (0, 0)
+    points.append(((0, 0), squared, fp2_squares))
+    for alpha, point_squared, squares in points:
+        got = pell._point_rows(p, mul, point_squared, squares, alpha, max_deg)
+        assert got == _summed_rows(p, max_deg, alpha, mul, squares,
+                                   len(point_squared)), alpha
+
+
 def _brute_force_char2(max_deg):
     """The char-2 sweep over every x with deg x <= max_deg + 1, as the
     oracle did before it solved for x."""
