@@ -282,9 +282,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.data[-1]
 
-    def is_monic(self) -> bool:
-        return bool(self.data) and self.data[-1] == 1
-
     def coeff(self, k: int) -> int:
         return self.data[k] if 0 <= k < len(self.data) else 0
 

@@ -87,13 +87,6 @@ class BiTrunc:
     def coeff(self, m: int, n: int) -> int:
         return self.as_dict().get((m, n), 0)
 
-    def restrict(self, bound: int, exact: bool = False) -> "BiTrunc":
-        """Forget everything above a smaller degree bound."""
-        if bound > self.bound:
-            raise ValueError("cannot widen a truncation")
-        kept = tuple((m, n, c) for m, n, c in self.entries if m + n <= bound)
-        return BiTrunc(self.p, bound, kept, exact and self.exact)
-
     def __add__(self, other: "BiTrunc") -> "BiTrunc":
         if self.p != other.p:
             raise ValueError("mixed moduli")

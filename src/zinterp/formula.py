@@ -380,12 +380,6 @@ def _print_formula(phi, out: list) -> None:
     out.append(")")
 
 
-def print_term(term: Term) -> str:
-    out = []
-    _print_terms((term,), out)
-    return "".join(out)[1:]
-
-
 @_depth_limited
 def print_formula(phi: Formula) -> str:
     out = []
@@ -400,7 +394,6 @@ class PolyStructure:
 
     Relations: exact equality, divisibility (zero divides only zero),
     inequality, and |* where (|* g f) holds when f = g^(p^r) for some r.
-    Further relations can be registered as callbacks.
     """
 
     def __init__(self, p: int):
@@ -415,9 +408,6 @@ class PolyStructure:
         }
         if p != 0:
             self._relations["|*"] = lambda a, b: ge_p_check(b, a) is not None
-
-    def register_relation(self, name: str, fn: Callable) -> None:
-        self._relations[name] = fn
 
     def constant(self, name: str):
         value = self._constants.get(name)

@@ -15,9 +15,11 @@ mismatch.  Adding a family takes one FAMILIES entry and one synthesizer.
 e2e_verify ties the pipeline together: it translates a closed sentence of
 the star language through the standard pair encoding, converts an integer
 witness into polynomial values for every bound variable of the output, and
-reports pass or fail for each instantiated clause.  Synthesis failures are
-reported, never raised; only work past SYNTH_DEGREE_CAP raises
-FeasibilityError.
+reports pass or fail for each instantiated clause.  relation_instance does
+the same for one clause.  Both build their witnesses only through
+_clause_witness, from a map of tuple bases to integers and a list of clause
+records.  Synthesis failures are reported, never raised; only work past
+SYNTH_DEGREE_CAP raises FeasibilityError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .algebra import (
-    SYNTH_DEGREE_CAP,
     Poly,
     _frob_scale,
     frob_pow,
@@ -44,6 +45,7 @@ from .formula import (
 )
 from .interp import (
     GE_P_CHAIN_LENGTH,
+    InstRecord,
     OpenFormula,
     frob_powers_of_t,
     ge_p_full,
@@ -344,6 +346,24 @@ def _refuse_the_integers(p: int) -> None:
         raise ValueError("the clause witnesses need a prime modulus, got 0")
 
 
+def _clause_witness(values: Mapping, records, p: int) -> tuple:
+    """(witness, ClauseReports) for InstRecords of the standard pair
+    interpretation whose tuple bases values maps to integers: each base's
+    pair under tuple_names, then each clause's bound values."""
+    pairs, quot = pell_pairs_with_quotients(values.values(), p)
+    dim = _interpretation().dim
+    witness = {}
+    for base, m in values.items():
+        witness.update(zip(tuple_names(base, dim), (pairs[m].x, pairs[m].y)))
+    reports = []
+    for rec in records:
+        ms = [values[b] for b in rec.bases]
+        ok, bound = _clause_values(rec.kind, ms, p, pairs, quot, rec.bound)
+        witness.update(bound)
+        reports.append(ClauseReport(rec.kind, tuple(ms), ok))
+    return witness, tuple(reports)
+
+
 def relation_instance(kind: str, ints, p: int):
     """One pair-encoded clause as a closed formula plus a full witness.
 
@@ -353,6 +373,7 @@ def relation_instance(kind: str, ints, p: int):
     formula the Inst of kind's OpenFormula on the coordinates m<i>.1, m<i>.2
     under one exists, and the witness covers every bound variable of the
     formula whenever the clause is true (placeholder zeros otherwise).
+    The tuple bases m0, m1, ... and one record go to _clause_witness.
     """
     interp = _interpretation()
     of = interp.domain if kind == "domain" else interp.symbols.get(kind)
@@ -364,15 +385,11 @@ def relation_instance(kind: str, ints, p: int):
             f"got {len(ints)}"
         )
     _refuse_the_integers(p)
-    pairs, quot = pell_pairs_with_quotients(ints, p)
-    witness = {}
-    for i, m in enumerate(ints):
-        witness.update(zip(tuple_names(f"m{i}", interp.dim),
-                           (pairs[m].x, pairs[m].y)))
-    coords = tuple(witness)
-    ok, bound = _clause_values(kind, list(ints), p, pairs, quot, of.bound)
-    witness.update(bound)
-    return ok, Exists(coords, Inst(of, coords, "")), witness
+    bases = tuple(f"m{i}" for i in range(len(ints)))
+    witness, (report,) = _clause_witness(
+        dict(zip(bases, ints)), [InstRecord(kind, bases, 0, of.bound)], p)
+    coords = tuple(n for base in bases for n in tuple_names(base, interp.dim))
+    return report.ok, Exists(coords, Inst(of, coords, "")), witness
 
 
 def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
@@ -389,7 +406,8 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
     A fresh tuple is the last base of one function record, emitted after
     its arguments' records, so one pass derives it: for a function symbol's
     record whose last base has no value yet, that value is the function of
-    the other bases' values.
+    the other bases' values.  Those values and the trace's records go to
+    _clause_witness.
 
     The report carries one line per instantiated clause with its semantic
     truth value.  Under a source-level disjunction the untaken branch's
@@ -424,21 +442,8 @@ def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:
                 and last not in values):
             values[last] = ints.function(rec.kind, [values[b] for b in args])
 
-    pairs, quot = pell_pairs_with_quotients(values.values(), p)
-    witness = {}
-    for base, m in values.items():
-        witness.update(zip(tuple_names(base, interp.dim),
-                           (pairs[m].x, pairs[m].y)))
-
-    clauses = []
-    for rec in trace.instantiations:
-        ms = [values[b] for b in rec.bases]
-        ok, bound = _clause_values(rec.kind, ms, p, pairs, quot, rec.bound)
-        witness.update(bound)
-        clauses.append(ClauseReport(rec.kind, tuple(ms), ok))
-
-    overall = check_sat(out, witness, p)
+    witness, clauses = _clause_witness(values, trace.instantiations, p)
     return E2EReport(
-        text, p, overall, tuple(clauses),
+        text, p, check_sat(out, witness, p), clauses,
         formula_text=formula_text, witness=witness,
     )

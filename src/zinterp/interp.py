@@ -28,7 +28,10 @@ Naming scheme for generated variables: a source variable n gets the tuple
 base n, with coordinates n.1 ... n.dim; intermediate tuples are w1, w2, ...;
 the shared tuple for a constant c is named c<c>; bound variables of an
 instantiated library formula get a #k suffix, one fresh k per
-instantiation.  Trace records name tuple bases; only tuple_names spells
+instantiation.  The TranslationTrace of translate_with_trace gives the tuple
+base of each source variable and constant, and one InstRecord (kind, tuple
+bases, k, bound names) per instance in emission order; an intermediate tuple
+is only the last base of its function's record.  Only tuple_names spells
 coordinate names.  Counters are local to a translate call, so identical
 inputs give identical outputs.
 """
@@ -66,7 +69,6 @@ from .formula import (
     free_vars,
     parse,
     print_formula,
-    print_term,
     term_vars,
     walk,
 )
@@ -512,9 +514,6 @@ class Interpretation:
             return arity
         raise ValueError(f"{sym!r} is not a symbol of {lang.name}")
 
-    def element_count(self, sym: str) -> int:
-        return self._elements(self.source_lang, sym)
-
 
 def pell_interpretation() -> Interpretation:
     """The standard interpretation of the star-language integers inside
@@ -598,13 +597,7 @@ class InstRecord:
 class TranslationTrace:
     variables: tuple       # (source variable, tuple base)
     constants: tuple       # (constant symbol, tuple base)
-    fresh: tuple           # (tuple base, source term text)
     instantiations: tuple  # InstRecord, in emission order
-
-    @property
-    def intermediate_pairs(self) -> int:
-        """Tuples introduced beyond the source variables' own."""
-        return len(self.fresh) + len(self.constants)
 
 
 class _Translator:
@@ -616,7 +609,6 @@ class _Translator:
         self.fresh_counter = 0
         self.const_bases = {}
         self.variables = []
-        self.fresh = []
         self.instantiations = []
 
     def tuple_names(self, base: str) -> tuple:
@@ -630,13 +622,12 @@ class _Translator:
         self.variables.append((name, base))
         return base
 
-    def fresh_base(self, term_text: str) -> str:
+    def fresh_base(self) -> str:
         while True:
             self.fresh_counter += 1
             base = f"w{self.fresh_counter}"
             if base not in self.assigned and base not in self.source_names:
                 self.assigned.add(base)
-                self.fresh.append((base, term_text))
                 return base
 
     def const_base(self, cname: str) -> str:
@@ -679,7 +670,7 @@ class _Translator:
         if isinstance(term, Const):
             return self.const_base(term.name)
         args = self.term_bases(term.args, env, parts, local)
-        w = self.fresh_base(print_term(term))
+        w = self.fresh_base()
         local.append(w)
         parts.extend(self.domain_parts(w))
         parts.append(self.symbol_inst(term.fn, args + (w,)))
@@ -749,7 +740,6 @@ class _Translator:
         return TranslationTrace(
             tuple(self.variables),
             tuple(self.const_bases.items()),
-            tuple(self.fresh),
             tuple(self.instantiations),
         )
 

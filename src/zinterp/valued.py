@@ -305,11 +305,6 @@ class NewtonPolygon:
                 return v0 + Fraction(v1 - v0, n1 - n0) * (n - n0)
         return self.vertices[-1][1]
 
-    def min_form(self, s) -> Fraction:
-        """N(s) = min over vertices of (v + n*s)."""
-        s = Fraction(s)
-        return min(v + n * s for n, v in self.vertices)
-
     def reflect(self) -> "NewtonPolygon":
         return NewtonPolygon(tuple((-n, v) for n, v in reversed(self.vertices)))
 

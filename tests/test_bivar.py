@@ -72,16 +72,6 @@ def test_add_bound_rules():
     assert s.bound == 2 and not s.exact
 
 
-def test_restrict():
-    p = 5
-    f = parse_bipoly("t^3 + t*u + 1", p, 3)
-    g = f.restrict(2)
-    assert g.as_dict() == {(1, 1): 1, (0, 0): 1}
-    assert not g.exact
-    with pytest.raises(ValueError):
-        f.restrict(9)
-
-
 # -- collapse ------------------------------------------------------------------
 
 def test_collapse_kernel_generator_is_zero():

@@ -11,8 +11,11 @@ both sides of =, inside |, |* and !=, nested, of constants only, and under
 a shadowed variable), compile through both built-in interpretations on
 sentences using every symbol of their source languages, check, newton and
 bivar, pell gen and verify, synth and e2e at the primes 7, 19, 131, 251
-and 257, demo and the demos.  An intended output change rewrites the file
-with
+and 257, compile --export and --output and synth --formula-out, demo and
+the demos.  A command line that writes files runs in an empty temporary
+working directory under relative paths, and its digest field appends
+`+<path>:<sha256>` for each file it wrote, in path order.  An intended
+output change rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_digest.py > tests/cli_digest.txt
 
@@ -26,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -244,30 +248,58 @@ def _wide_prime_argvs() -> list:
     return out
 
 
+# Command lines that write files, each into its own temporary directory.
+_FILE_ARGVS = (
+    ("compile", "--interp", "pell", "--export", "bundle"),
+    ("compile", "--interp", "divisibility", "--export", "bundle"),
+    ("compile", "--interp", "pell", "--export", "bundle", "--sentence",
+     _STAR_SENTENCES[1]),
+    ("compile", "--interp", "pell", "--sentence", _STAR_SENTENCES[1],
+     "--output", "out.sexp"),
+    ("compile", "--interp", "divisibility", "--sentence",
+     _DIVISIBILITY_SENTENCES[0], "--output", "out.sexp"),
+    ("compile", "--interp", "pell", "--sentence", _STAR_SENTENCES[0],
+     "--output", "missing/out.sexp"),
+    ("synth", "--family", "phi", "-r", "1", "-p", "5",
+     "--formula-out", "phi.sexp"),
+    ("synth", "--family", "theta", "-n", "3", "-p", "7",
+     "--formula-out", "theta.sexp"),
+    ("synth", "--family", "beta", "--base", "t + 1", "-r", "1", "-p", "3",
+     "-o", "witness.txt", "--formula-out", "beta.sexp"),
+)
+
+
 def argvs() -> list:
     """The command lines the digest file pins, in its order."""
     demos = sorted(f"demos/{path.name}" for path in (ROOT / "demos").glob("*.py"))
     return (_pell_argvs() + _buchi_argvs() + _synth_argvs() + _e2e_argvs()
             + _compile_argvs() + _check_argvs() + _newton_bivar_argvs()
-            + _wide_prime_argvs() + [("demo",)] + [(name,) for name in demos])
+            + _wide_prime_argvs() + list(_FILE_ARGVS) + [("demo",)]
+            + [(name,) for name in demos])
 
 
-def run_argv(argv) -> tuple[int, bytes]:
-    """(exit code, stdout bytes) of one pinned command line."""
+def run_argv(argv) -> tuple[int, str]:
+    """(exit code, digest field) of one pinned command line."""
     if argv[0].startswith("demos/"):
         proc = subprocess.run(
             [sys.executable, str(ROOT / argv[0])], capture_output=True,
             timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
-        return proc.returncode, proc.stdout
+        return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue().encode()
+        written = sorted(path for path in Path().rglob("*") if path.is_file())
+        files = [f"+{path.as_posix()}:"
+                 f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
+                 for path in written]
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, digest + "".join(files)
 
 
 def _pinned() -> list:
@@ -283,12 +315,10 @@ def test_digest_file_lists_the_command_lines():
 @pytest.mark.parametrize("argv, code, digest", [
     pytest.param(*line, id=" ".join(line[0])) for line in _pinned()])
 def test_stdout_matches_digest(argv, code, digest):
-    got_code, out = run_argv(argv)
-    assert (got_code, hashlib.sha256(out).hexdigest()) == (code, digest), \
-        out.decode(errors="replace")[-2000:]
+    assert run_argv(argv) == (code, digest)
 
 
 if __name__ == "__main__":
     for argv in argvs():
-        code, out = run_argv(argv)
-        print(code, hashlib.sha256(out).hexdigest(), json.dumps(argv))
+        code, digest = run_argv(argv)
+        print(code, digest, json.dumps(argv))

@@ -35,7 +35,6 @@ from zinterp.formula import (
     free_vars,
     parse,
     print_formula,
-    print_term,
     term_vars,
     walk,
 )
@@ -351,16 +350,24 @@ def test_check_sat_nested_binders():
 
 # -- structures -------------------------------------------------------------------
 
-def test_poly_structure_constants_and_registration():
+def test_poly_structure_constants_and_a_further_relation():
     s = PolyStructure(5)
     assert s.constant("0") == Poly.zero(5)
     assert s.constant("1") == Poly.one(5)
     assert s.constant("t") == Poly.gen(5)
     with pytest.raises(ValueError):
         s.constant("2")
-    s.register_relation("T", lambda a: a.degree >= 1)
-    assert s.relation("T", [Poly.gen(5)])
-    assert not s.relation("T", [Poly.one(5)])
+
+    class WithT(PolyStructure):
+        def relation(self, name, args):
+            if name == "T":
+                return args[0].degree >= 1
+            return super().relation(name, args)
+
+    with_t = WithT(5)
+    assert eval_qf(Atom("T", (Const("t"),)), {}, 5, with_t)
+    assert not eval_qf(Atom("T", (Const("1"),)), {}, 5, with_t)
+    assert eval_qf(Atom("=", (Const("1"),) * 2), {}, 5, with_t)
 
 
 def test_poly_structure_char_zero_has_no_frobenius_relation():
@@ -411,7 +418,8 @@ def test_free_and_bound_variables():
     )
     assert free_vars(phi) == {"x", "y"}
     assert bound_vars(phi) == {"u", "v", "w"}
-    assert print_term(App("+", (Var("v"), Var("w")))) == "(+ v w)"
+    assert print_formula(Atom("T", (App("+", (Var("v"), Var("w"))),))) \
+        == "(T (+ v w))"
 
 
 def test_constructor_audit():
@@ -626,7 +634,7 @@ _DIFF = settings(max_examples=300, deadline=None, derandomize=True,
 @given(term=TERMS)
 def test_term_walks_match_reference(term):
     assert term_vars(term) == ref_term_vars(term)
-    assert print_term(term) == ref_print_term(term)
+    assert print_formula(Atom("T", (term,))) == f"(T {ref_print_term(term)})"
 
 
 @_DIFF
@@ -815,8 +823,9 @@ def test_walk_errors_match_reference():
             == ("TypeError", f"not a formula: {phi.parts[1]!r}")
     # applications and atoms without arguments
     for term in (App("+", ()), App("*", (App("+", ()), Var("x")))):
-        assert print_term(term) == ref_print_term(term)
-    assert print_term(App("+", ())) == "(+ )"
+        assert print_formula(Atom("T", (term,))) \
+            == ref_print_formula(Atom("T", (term,)))
+    assert print_formula(Atom("T", (App("+", ()),))) == "(T (+ ))"
     assert print_formula(Atom("T", ())) == ref_print_formula(Atom("T", ())) \
         == "(T)"
     # a non-formula node anywhere is refused by the name walks

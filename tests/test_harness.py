@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from zinterp.algebra import (
+    SYNTH_DEGREE_CAP,
     FeasibilityError,
     Poly,
     format_poly,
@@ -41,7 +42,6 @@ from zinterp.formula import (
 from zinterp.harness import (
     E2EReport,
     FAMILIES,
-    SYNTH_DEGREE_CAP,
     Witness,
     _bind,
     _nonzero_values,

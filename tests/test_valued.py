@@ -241,6 +241,11 @@ def test_hull_additivity_random(rng):
         )
 
 
+def _min_form(polygon, s) -> Fraction:
+    """N(s) = min over the polygon's vertices of (v + n*s)."""
+    return min(v + n * Fraction(s) for n, v in polygon.vertices)
+
+
 def test_min_form_additivity_sampled_slopes(rng):
     for _ in range(60):
         h = _random_series(rng, 5, 64, 20)
@@ -248,7 +253,7 @@ def test_min_form_additivity_sampled_slopes(rng):
         nh, ng = newton_polygon(h), newton_polygon(g)
         nprod = newton_polygon(series_mul(h, g))
         for s in (-1, 0, 1, Fraction(1, 2)):
-            assert nprod.min_form(s) == nh.min_form(s) + ng.min_form(s)
+            assert _min_form(nprod, s) == _min_form(nh, s) + _min_form(ng, s)
 
 
 def test_reflection_laws(rng):
@@ -257,7 +262,7 @@ def test_reflection_laws(rng):
         nh = newton_polygon(h)
         assert newton_polygon(reflect(h)) == nh.reflect()
         for s in (-2, 0, 3):
-            assert nh.reflect().min_form(s) == nh.min_form(-s)
+            assert _min_form(nh.reflect(), s) == _min_form(nh, -s)
 
 
 # -- norm-one monomial recognition ----------------------------------------------
