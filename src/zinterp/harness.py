@@ -278,7 +278,6 @@ class ClauseReport:
     kind: str
     values: tuple
     ok: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -315,11 +314,8 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
         ok, values = ms[0] == ms[1], [quot[ms[0]], quot[ms[1]]]
     elif kind == "|":
         a, b = ms
-        ok, z = ints.relation("|", (a, b)), zero
-        if ok and a != 0:
-            z, rem = poly_divrem(pairs[b].y, pairs[a].y)
-            if not rem.is_zero():
-                ok, z = False, zero
+        ok = ints.relation("|", (a, b))
+        z = poly_divrem(pairs[b].y, pairs[a].y)[0] if ok and a else zero
         values = [z, quot[a], quot[b]]
     elif kind == "|*":
         a, b = ms

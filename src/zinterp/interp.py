@@ -676,35 +676,33 @@ class _Translator:
         parts.append(self.symbol_inst(term.fn, args + (w,)))
         return w
 
-    def wrap(self, parts, local) -> Formula:
-        body = parts[0] if len(parts) == 1 else And(tuple(parts))
-        if not local:
-            return body
-        names = [n for base in local for n in self.tuple_names(base)]
+    def block(self, bases, parts) -> Formula:
+        """A tuple block: an Exists over the coordinates of bases, the
+        conjunction of parts its body."""
+        names = [n for base in bases for n in self.tuple_names(base)]
         return Exists(tuple(names), And(tuple(parts)))
 
-    def graph_equals(self, term: Term, var: Var, env) -> Formula:
-        """Equality between a variable and a constant or application: the
-        top symbol's formula writes straight into the variable's tuple."""
-        target = env[var.name]
-        if isinstance(term, Const):
-            return self.symbol_inst(term.name, (target,))
+    def apply(self, sym: str, terms, env, tail=()) -> Formula:
+        """sym's instance at the bases of terms, then of tail, in a block
+        over the intermediate tuples the terms introduce, if any."""
         parts, local = [], []
-        args = self.term_bases(term.args, env, parts, local)
-        parts.append(self.symbol_inst(term.fn, args + (target,)))
-        return self.wrap(parts, local)
+        bases = self.term_bases(terms, env, parts, local)
+        parts.append(self.symbol_inst(sym, bases + tail))
+        return self.block(local, parts) if local else parts[0]
 
     def atom(self, node: Atom, env) -> Formula:
+        """An atom as one symbol application.  Equality between a variable
+        and a constant or application is the top symbol's graph, written
+        straight into the variable's tuple."""
         if node.rel == "=":
             a, b = node.args
+            if isinstance(b, Var):
+                a, b = b, a
             if isinstance(a, Var) and not isinstance(b, Var):
-                return self.graph_equals(b, a, env)
-            if isinstance(b, Var) and not isinstance(a, Var):
-                return self.graph_equals(a, b, env)
-        parts, local = [], []
-        bases = self.term_bases(node.args, env, parts, local)
-        parts.append(self.symbol_inst(node.rel, bases))
-        return self.wrap(parts, local)
+                sym, args = ((b.name, ()) if isinstance(b, Const)
+                             else (b.fn, b.args))
+                return self.apply(sym, args, env, (env[a.name],))
+        return self.apply(node.rel, node.args, env)
 
     def go(self, phi: Formula, env) -> Formula:
         if isinstance(phi, Atom):
@@ -714,27 +712,19 @@ class _Translator:
             for f in phi.parts:
                 parts.append(self.go(f, env))
             return type(phi)(tuple(parts))
-        inner = dict(env)
-        names = []
-        parts = []
-        for n in phi.names:
-            base = self.var_base(n)
-            inner[n] = base
-            names.extend(self.tuple_names(base))
-            parts.extend(self.domain_parts(base))
-        parts.append(self.go(phi.body, inner))
-        return Exists(tuple(names), And(tuple(parts)))
+        bases = [self.var_base(n) for n in phi.names]
+        parts = [d for base in bases for d in self.domain_parts(base)]
+        parts.append(self.go(phi.body, {**env, **dict(zip(phi.names, bases))}))
+        return self.block(bases, parts)
 
     def hoist_constants(self, core: Formula) -> Formula:
         if not self.const_bases:
             return core
-        names = []
         parts = []
         for cname, base in self.const_bases.items():
-            names.extend(self.tuple_names(base))
             parts.extend(self.domain_parts(base))
             parts.append(self.symbol_inst(cname, (base,)))
-        return Exists(tuple(names), And(tuple(parts) + (core,)))
+        return self.block(self.const_bases.values(), parts + [core])
 
     def trace(self) -> TranslationTrace:
         return TranslationTrace(
@@ -784,17 +774,8 @@ def translate_open(interp: Interpretation, of: OpenFormula) -> OpenFormula:
     _check_formula_lang(of.body, interp.source_lang, "translate_open input")
     names = _collect_names(set().union(*_scan(of.body)))
     tr = _Translator(interp, names | set(of.params))
-    env = {}
-    params = []
-    parts = []
-    for pname in of.params:
-        base = tr.var_base(pname)
-        env[pname] = base
-        params.extend(tr.tuple_names(base))
-        parts.extend(tr.domain_parts(base))
-    parts.append(tr.go(of.body, env))
-    body = tr.hoist_constants(And(tuple(parts)))
-    return OpenFormula(tuple(params), expand(body))
+    block = tr.go(Exists(of.params, of.body), {})
+    return OpenFormula(block.names, expand(tr.hoist_constants(block.body)))
 
 
 def compose(first: Interpretation, second: Interpretation) -> Interpretation:

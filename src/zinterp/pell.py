@@ -249,37 +249,23 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     """The unique n with (x, y) = pell_pair(n), or None for the (-x_n, y_n)
     solutions that are not power pairs.
 
-    Conic form: deg x determines |n|; x(1) = 1 holds for every power pair
-    and fails on its negative, which settles the sign of x; the sign of n
-    comes from comparing y against both candidates.  Raises if (x, y) is
-    not a solution at all.
+    y_n has |n| coefficients in both forms, so (x, y) is compared with the
+    pairs of index |n| and -|n|.  Outside characteristic 2, x(1) = 1 holds
+    for every power pair and fails on its negative, which is refused before
+    any pair is built.  Raises if (x, y) is not a solution at all.
     """
     if x.modulus != y.modulus:
         raise ValueError("moduli disagree")
     p = x.modulus
     if not pell_verify(x, y):
         raise ValueError("not a solution of the Pell equation")
-    if p == 2:
-        if not y.data:
-            return 0
-        n_abs = y.degree + 1
-        for cand_n in (n_abs, -n_abs):
-            cand = pell_pair(cand_n, p)
-            if cand.x == x and cand.y == y:
-                return cand_n
+    if p != 2 and x.evaluate(1) != 1:
         return None
-    if not y.data:
-        return 0 if x == Poly.one(p) else None
-    if x.evaluate(1) != 1:
-        return None
-    n_abs = x.degree
-    cand = pell_pair(n_abs, p)
-    if cand.x != x:
-        return None
-    if cand.y == y:
-        return n_abs
-    if cand.y == -y:
-        return -n_abs
+    n_abs = len(y.data)
+    for n in (n_abs, -n_abs):
+        cand = pell_pair(n, p)
+        if cand.x == x and cand.y == y:
+            return n
     return None
 
 
@@ -316,8 +302,8 @@ def _point_rows(p: int, mul, squared: list, squares: set, alpha,
     alpha != 0 the rows walk the orbits of v -> v + alpha^D, of p elements
     each, as p alpha^D = 0: row(v + alpha^D) = (row(v) >> p) |
     (mask(v) << (p - 1) p).  So a point costs about 3 size steps.  At
-    alpha = 0, alpha^D = 0 and each orbit has one element, whose row
-    repeats its mask p times.
+    alpha = 0 every prefix value is 0, so the sieve reads row 0 only; the
+    walk along v -> v + 0 gives it its mask repeated p times.
     """
     size = len(squared)
     g = mul(alpha, alpha)
@@ -335,9 +321,6 @@ def _point_rows(p: int, mul, squared: list, squares: set, alpha,
     step = alpha
     for _ in range(max_deg - 1):
         step = mul(step, alpha)
-    if step == (0, 0):
-        spread = ((1 << p * p) - 1) // ((1 << p) - 1)  # bits 0, p, .., (p-1) p
-        return [mask * spread for mask in masks]
     sr, si = step
     # each orbit meets b = 0 once when si != 0, and a = 0 once otherwise
     starts = ([(a, 0) for a in range(p)] if si

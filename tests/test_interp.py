@@ -788,9 +788,11 @@ class TestBundles:
 
 
 # sha256 of the parameters, the bound names in binder order and the printed
-# body of every library formula.  Witness synthesis returns its values in
-# binder order and the CLI prints these texts, so a change to either is a
-# change of output and must rewrite this table on purpose.
+# body of every library formula, and of the translator's output for one open
+# formula, a dispatch and two compositions (criterion 8's among them).
+# Witness synthesis returns its values in binder order and the CLI prints
+# these texts, so a change to either is a change of output and must rewrite
+# this table on purpose.
 LIBRARY_DIGESTS = {
     "family nu":
         "5060f93b1532329e7c733749fe2ce52ae9aa6a255c17ed99a56b2eee99a18726",
@@ -834,12 +836,65 @@ LIBRARY_DIGESTS = {
         "4611d7072621b503beb793898114d7258431d3dedb6e6ac9815a0d2549dacf3e",
     "divisibility-to-star T":
         "2fecaaf3e334301fa27baa25fd3023b361a2794e8bb94bd4099dd9c2de7c0d31",
+    "translate_open m n":
+        "08f0e1659046b006c3535ee4f24f6ab31a35e1a451e8b2fdbc969635087d8965",
+    "dispatch(pell-pairs|pell-pairs) domain":
+        "6310fa3a24cb4d857f7edf7b2a6c7a73343b0217d839974280582c7a761dc499",
+    "dispatch(pell-pairs|pell-pairs) 0":
+        "52fbcc4df5de1009bbd93caac588d3793fc205bcfbc6458c73a79338019d845b",
+    "dispatch(pell-pairs|pell-pairs) 1":
+        "ecb1f23edbfd3ad353c17a9bbf7c37a8f23221737c2a6594b90e7273d368a64a",
+    "dispatch(pell-pairs|pell-pairs) +":
+        "14b3a8f6cc943106447b926f3786c768e99562e0990921e9f602baac9cacd820",
+    "dispatch(pell-pairs|pell-pairs) =":
+        "05417eeda59cb3ef7361533e9a929719f488738b630989f21c5e0bf7a96e10fa",
+    "dispatch(pell-pairs|pell-pairs) |":
+        "6aca27524cc76545414f381400fb0e43c03e7fba7ae1e4f47dbd92e651305cf4",
+    "dispatch(pell-pairs|pell-pairs) |*":
+        "a53718242faece69722d64d1f5407e7c7f27f9a8dc7f63f2526635ce23273692",
+    "dispatch(pell-pairs|pell-pairs) !=":
+        "2cb702eb6e8570e865038d7226ceed5fd09036e15e084b0580a27b0f04a197a9",
+    "compose(divisibility-to-star,pell-pairs) domain":
+        "6a7ceb337922093eb5a9b116a9c8599116a31eb854f73a85fe76e075cb6e59b6",
+    "compose(divisibility-to-star,pell-pairs) 0":
+        "79385f013c6570da3803167af44aeaa1fd5d882ecd211fce9dc1f7c8f5e86b8b",
+    "compose(divisibility-to-star,pell-pairs) 1":
+        "93b33e390377bb82e5abcbbf41cbef9dde47a6b0af7644d6fd13c23db9ecf06d",
+    "compose(divisibility-to-star,pell-pairs) +":
+        "e2ecb5df6bb7a8805c6142ca894fd6a5c887c7b29010c39b140600768c5be095",
+    "compose(divisibility-to-star,pell-pairs) =":
+        "320649fb4aaa7c56aae3ab4f255996771e7e9ed17534a613cff0d45756698db4",
+    "compose(divisibility-to-star,pell-pairs) |":
+        "ed1136c1cbd563edbb2fe79d1ee877cf78b9459752f628f09181b05a6bc1772f",
+    "compose(divisibility-to-star,pell-pairs) |_p":
+        "b33fb5676d81b32a9cb9a7a30b25a459b52821cbac0a9a1ae758fcc949bf7c2c",
+    "compose(divisibility-to-star,pell-pairs) T":
+        "7a568e29419b0f88b40d7885f104530e847fb8597b83a7937ba4f11542ba5618",
+    "compose(identity(star),pell-pairs) domain":
+        "058b5b1a0119f3538fc8a9129423954e8125b04fbb3379109f8a78082706c40b",
+    "compose(identity(star),pell-pairs) 0":
+        "6e6898456e118775264e8cfe9895ff90b1b7b57505e1794f8bf861b0e1c8d5ab",
+    "compose(identity(star),pell-pairs) 1":
+        "9dc23073272ff5cfb1b6d6dde494aee1bbfcc0728b4eb05726a097c9185864f4",
+    "compose(identity(star),pell-pairs) +":
+        "5ad1a2b50bf1a458bda7e05491f3212d52eac20855ee820cf12e68880e676a2b",
+    "compose(identity(star),pell-pairs) =":
+        "1a35e76a8c62af14ef8c06226b4e7c2ecb5abc81750d5bdfa114639431074be4",
+    "compose(identity(star),pell-pairs) |":
+        "2b6d118dc56785234bd5acbbf7527a1c9ef26d09335b316795a1e79bd1da64a9",
+    "compose(identity(star),pell-pairs) |*":
+        "05263fbe278b0bf746dbdbff88fc613cbaefb602ae02a7cf06009df9ca9a53a0",
+    "compose(identity(star),pell-pairs) !=":
+        "f8b1c37d15ab6ce689f9961aaeac78fa594ab978647acdeba5e7f8ef6d6ab5da",
 }
 
 
 def test_library_formulas_keep_their_text_and_binder_order():
     got = {f"family {f}": family_formula(f).of for f in FAMILIES}
-    for interp in (pell_interpretation(), divisibility_in_star()):
+    got["translate_open m n"] = _open_translation()
+    criterion_8 = compose(identity_interpretation(LANG_STAR),
+                          pell_interpretation())
+    for interp in _library_interpretations() + [criterion_8]:
         got[f"{interp.name} domain"] = interp.domain
         got.update((f"{interp.name} {s}", of)
                    for s, of in interp.symbols.items())
@@ -954,19 +1009,26 @@ def ref_dispatch_body(branches, pick):
     return Or(tuple(alternatives))
 
 
-def _library_open_formulas():
-    interps = [
+def _library_interpretations():
+    """The built-in interpretations, a two-branch dispatch of one and the
+    composition of both."""
+    return [
         pell_interpretation(),
         divisibility_in_star(),
         dispatch([(char_is(5), pell_interpretation()),
                   (char_at_least(7), pell_interpretation())]),
         compose(divisibility_in_star(), pell_interpretation()),
     ]
-    out = [translate_open(pell_interpretation(),
-                          OpenFormula(("m", "n"), parse(
-                              "(exists (k) (and (= (+ m k) n) (!= k 0)))",
-                              LANG_STAR)))]
-    for interp in interps:
+
+
+def _open_translation():
+    return translate_open(pell_interpretation(), OpenFormula(("m", "n"), parse(
+        "(exists (k) (and (= (+ m k) n) (!= k 0)))", LANG_STAR)))
+
+
+def _library_open_formulas():
+    out = [_open_translation()]
+    for interp in _library_interpretations():
         out.append(interp.domain)
         out.extend(interp.symbols[s] for s in sorted(interp.symbols))
     return out

@@ -77,6 +77,31 @@ def test_divisibility_holds_exactly_when_a_divides_b(p):
         assert _holds(divides, values, p) == truth, (a, b)
 
 
+INTEGER_RELATIONS = {
+    "0": lambda a: a == 0,
+    "1": lambda a: a == 1,
+    "=": lambda a, b: a == b,
+    "+": lambda a, b, c: a + b == c,
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("sym", sorted(INTEGER_RELATIONS))
+def test_symbol_holds_exactly_when_the_integer_relation_does(sym, p):
+    """The bound names, z1 and z2 of the operands' domains for = and +,
+    are forced to the offset quotients of the first two operands' x, so
+    one evaluation decides each index tuple."""
+    of = pell_interpretation().symbols[sym]
+    relation = INTEGER_RELATIONS[sym]
+    pairs = {n: pell_pair(n, p) for n in range(-4, 5)}
+    for ns in product(pairs, repeat=len(of.params) // 2):
+        values = dict(zip(of.params, (c for n in ns
+                                      for c in (pairs[n].x, pairs[n].y))))
+        values.update(zip(of.bound, (_offset_quotient(pairs[n].x)
+                                     for n in ns)))
+        assert _holds(of, values, p) == relation(*ns), ns
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_frobenius_powers_of_t_are_exactly_the_p_power_indices(p):
     """f = x_n for a Pell index n.  u = f + 1, g = f div t and
