@@ -38,11 +38,13 @@ reduce mod p with ``bytes.translate``, not one Python ``%`` per
 coefficient.  For p <= 128, where 2(p - 1) <= 255, a sum or difference
 adds the two storages as big integers with no carry between bytes
 (negating the subtrahend by a table) and reduces with one translate;
-negation is one translate for every p <= 251.  Multiplication is
-Kronecker substitution: each coefficient gets a slot of w bytes, wide
-enough that no convolution sum carries into the next slot, and Python's
-bignum multiply does the convolution (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", JSC 44, 2009).
+negation is one translate for every p <= 251, and so is a product with
+a one-coefficient operand c (by the table v -> v * c mod p).  Other
+products are Kronecker substitution: each coefficient gets a slot of w
+bytes, wide enough that no convolution sum carries into the next slot,
+and Python's bignum multiply does the convolution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC 44,
+2009).
 When w(p - 1) <= 255, lane k of the product (every w-th byte) is
 translated by v -> v * 256^k mod p, the w lanes are added with no carry,
 and one more translate reduces the sum.  Otherwise (always for p > 128)
@@ -161,7 +163,7 @@ def _kth_roots(a: int, k: int, p: int) -> tuple[int, ...]:
 def _lane(p: int, c: int) -> bytes:
     """The bytes.translate table of byte v -> v*c mod p: c = 1 reduces a
     byte, c = p - 1 negates a residue, c = 256^k mod p reduces byte k of a
-    little-endian slot."""
+    little-endian slot, and any other residue c multiplies by c."""
     return bytes([v * c % p for v in range(256)])
 
 
@@ -354,6 +356,12 @@ class Poly:
             return Poly._raw(a[:0], p)  # the empty storage of p
         if not p:
             return Poly._raw(tuple(_schoolbook_mul(a, b)), p)
+        if p <= _BYTES_MAX_P and (len(a) == 1 or len(b) == 1):
+            # a scalar times bytes storage: one translate, and over a prime
+            # field no product of nonzero residues is zero, so none to trim
+            if len(a) == 1:
+                a, b = b, a
+            return Poly._raw(a.translate(_lane(p, b[0])), p)
         if len(a) * len(b) >= (_KRONECKER_MIN_PRODUCT_SMALL_P if p <= 7
                                else _KRONECKER_MIN_PRODUCT):
             return Poly._raw(_kronecker_mul(a, b, p), p)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
 from .algebra import Poly, poly_divides
@@ -91,13 +91,20 @@ class Exists:
 class Inst:
     """The library formula of (interp's OpenFormula) with the variable
     names[i] for its i-th parameter and each bound name b renamed to b +
-    mark, unexpanded: printer and scan read of per instance, and the
-    evaluator runs of.evaluate, compiled once per library formula.  body
+    mark, unexpanded: the printer reads of per instance, and the evaluator
+    runs of.evaluate, compiled once per library formula.  bound holds the
+    renamed bound names in binder order, built once here; the scan and the
+    evaluator read them, and it takes no part in ==, hash or repr.  body
     substitutes into of.body on each read (of.template)."""
 
     of: object
     names: tuple
     mark: str
+    bound: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        mark = self.mark
+        self.bound = tuple([b + mark for b in self.of.bound])
 
     # The plain instance, built on each read.  bench/spans.py's atom count
     # walks through it, as into the body of any non-atom without parts.
@@ -535,7 +542,7 @@ def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
     if tp is Exists:
         return _eval(phi.body, env, structure, memo)
     if tp is Inst:
-        return phi.of.evaluate(env, phi.names, phi.mark, structure, memo)
+        return phi.of.evaluate(env, phi.names, phi.bound, structure, memo)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -643,8 +650,8 @@ def _scan_formula(phi: Formula, scope: set, free: set, bound: list) -> None:
         _scan_formula(phi.body, scope, free, bound)
         scope.difference_update(entered)
     elif tp is Inst:  # no argument mentions a renamed name (the guard)
-        of, mark = phi.of, phi.mark
-        bound.extend([b + mark for b in of.bound])
+        of = phi.of
+        bound.extend(phi.bound)
         free.update([n for p, n in zip(of.params, phi.names)
                      if p in of.free and n not in scope])
     else:
@@ -706,15 +713,15 @@ def _apply(memo: dict, key: tuple, function, name: str, args: list) -> tuple:
 
 
 def _group_source(name: str, atoms: list, kind, leaf: dict) -> str:
-    """Source of name(env, names, m, structure, memo): the atoms evaluated
-    in order as the parts of an And (kind), an Or, or alone (kind None, the
-    relation's value returned as is).  It makes the calls _eval makes on
-    their instance, in the same order: a variable is read from env at its
-    first use (leaf[name] is the expression of its key there), a constant
-    at each use, and an application goes through the memo.  A subterm
-    without a constant is evaluated once per group: an atom is reached
-    only after every earlier atom of the group, and a repeat would hit
-    the memo."""
+    """Source of name(env, names, bound, structure, memo): the atoms
+    evaluated in order as the parts of an And (kind), an Or, or alone (kind
+    None, the relation's value returned as is).  It makes the calls _eval
+    makes on their instance, in the same order: a variable is read from env
+    at its first use (leaf[name] is the expression of its key there), a
+    constant at each use, and an application goes through the memo.  A
+    subterm without a constant is evaluated once per group: an atom is
+    reached only after every earlier atom of the group, and a repeat would
+    hit the memo."""
     lines = []
     held = {}  # subterms without a constant -> the local holding the value
     uses = {"r = structure.relation"}
@@ -756,15 +763,16 @@ def _group_source(name: str, atoms: list, kind, leaf: dict) -> str:
             lines.append(f"    if {call}: return True")
     if kind is not None:
         lines.append(f"    return {kind is And}")
-    head = [f"def {name}(env, names, m, structure, memo):"]
+    head = [f"def {name}(env, names, bound, structure, memo):"]
     return "\n".join(head + ["    " + u for u in sorted(uses)] + lines) + "\n"
 
 
 def _evaluator(params: tuple, body: Formula, bound: tuple):
     """body's evaluator (interp's OpenFormula.evaluate), compiled: the
-    function evaluate(env, names, m, structure, memo), which is _eval of
-    the instance with the variable names[i] for parameter i and each bound
-    name b renamed to b + m, under env, without building it.  Each run of
+    function evaluate(env, names, bound, structure, memo), which is _eval of
+    the instance with the variable names[i] for parameter i and bound[j]
+    for the j-th of body's bound names (Inst.bound, the renamed names in
+    binder order), under env, without building it.  Each run of
     consecutive atoms in a conjunction or disjunction (an exists is
     transparent) is one group function, compiled on its own, and evaluate
     is the and/or skeleton over the group calls: under tracemalloc, the 59
@@ -772,7 +780,7 @@ def _evaluator(params: tuple, body: Formula, bound: tuple):
     the compiler peak at 5.1 MB, its largest group (18 atoms) at 1.5 MB.
     Names enter the source only through repr."""
     leaf = {p: f"names[{i}]" for i, p in enumerate(params)}
-    leaf.update((b, f"{b!r} + m") for b in bound)
+    leaf.update((b, f"bound[{j}]") for j, b in enumerate(bound))
     scope = {"unassigned": _unassigned, "apply": _apply}
     groups = []
 
@@ -781,7 +789,7 @@ def _evaluator(params: tuple, body: Formula, bound: tuple):
         groups.append(name)
         source = _group_source(name, atoms, kind, leaf)
         exec(compile(source, "<library evaluator>", "exec"), scope)
-        return f"{name}(env, names, m, structure, memo)"
+        return f"{name}(env, names, bound, structure, memo)"
 
     def skeleton(node) -> str:
         while type(node) is Exists:
@@ -808,7 +816,7 @@ def _evaluator(params: tuple, body: Formula, bound: tuple):
             return str(tp is And)
         return "(" + (" and " if tp is And else " or ").join(calls) + ")"
 
-    source = ("def evaluate(env, names, m, structure, memo):\n"
+    source = ("def evaluate(env, names, bound, structure, memo):\n"
               f"    return {skeleton(body)}\n")
     exec(compile(source, "<library evaluator>", "exec"), scope)
     return scope["evaluate"]

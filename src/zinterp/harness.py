@@ -133,36 +133,18 @@ def check_witness(w: Witness) -> bool:
     return check_sat(phi, w.assignment, w.p)
 
 
-# -- elementary helpers ------------------------------------------------------------
-
-def _strip_factor(f: Poly, d: Poly) -> tuple:
-    """(k, g) with f = d^k * g and d not dividing g."""
-    k = 0
-    g = f
-    while True:
-        q, r = poly_divrem(g, d)
-        if not r.is_zero() or q.is_zero():
-            return k, g
-        k += 1
-        g = q
-
-
 # -- per-family synthesis -----------------------------------------------------------
 
-def _bezout_linear(a: int, cof: Poly, p: int) -> tuple:
-    """(s, r) with (t - a) s + cof r = 1 and r a constant.
-
-    Against a linear factor the cofactor's part is the constant
-    r = cof(a)^-1, and then s = (1 - r cof) / (t - a) exactly: the unique
-    pair with deg r < 1 that poly_extgcd also returns.  cof(a) is the
-    remainder of cof by t - a, so a zero there is a common divisor.
-    """
-    c = cof.evaluate(a)
-    if not c:
-        raise ValueError("factor stripping left a common divisor")
-    r = Poly.const(pow(c, -1, p), p)
-    s, _ = poly_divrem(Poly.one(p) - r * cof, Poly((-a, 1), p))
-    return s, r
+def _by_linear(cs: list, x: int, p: int) -> tuple:
+    """(q, c) with cs = (t - x) q + c over F_p, by synthetic division: cs
+    and q are coefficient lists, constant first (cs nonempty), and c is the
+    value cs(x)."""
+    q = cs[1:]
+    c = cs[-1]
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c
+        c = (cs[i] + x * c) % p
+    return q, c
 
 
 def _nonzero_values(f: Poly, p: int) -> list:
@@ -170,17 +152,25 @@ def _nonzero_values(f: Poly, p: int) -> list:
 
     Factor f = t^alpha (t-1)^beta G with G coprime to t(t-1); then the two
     Bezout identities t*u + ((t-1)^beta G)*v = 1 and
-    (t-1)*s + (t^alpha G)*r = 1 give a = -u, b = -s, c = G*v*r.
+    (t-1)*s + (t^alpha G)*r = 1 give a = -u, b = -s, c = G*v*r.  Against a
+    linear factor t - x with cofactor h = (t - x) q + h(x), r = h(x)^-1 and
+    s = -r q solve (t - x) s + h r = 1: the unique pair with deg r < 1,
+    which poly_extgcd also returns.  t^alpha is f's run of zero low
+    coefficients; the rest is synthetic division.
     """
     if f.is_zero():
         raise ValueError("no witness: the target is zero")
-    t = Poly.gen(p)
-    tm1 = t - Poly.one(p)
-    alpha, g1 = _strip_factor(f, t)
-    beta, gamma = _strip_factor(g1, tm1)
-    u, v = _bezout_linear(0, tm1 ** beta * gamma, p)
-    s, r = _bezout_linear(1, t ** alpha * gamma, p)
-    return [-u, -s, gamma * v * r]
+    cs = list(f.data)
+    alpha = next(i for i, c in enumerate(cs) if c)
+    g1 = cs[alpha:]  # (t-1)^beta G, whose value at 0 is g1[0]
+    gamma, (q, c) = g1, _by_linear(g1, 1, p)
+    while not c:
+        gamma, (q, c) = q, _by_linear(q, 1, p)
+    q, c = _by_linear([0] * alpha + gamma, 1, p)
+    v, r = pow(g1[0], -1, p), pow(c, -1, p)
+    return [Poly([v * a % p for a in g1[1:]], p),
+            Poly([r * b % p for b in q], p),
+            Poly([v * r * g % p for g in gamma], p)]
 
 
 def synth_nonzero(f: Poly, p: int) -> Witness:
@@ -291,15 +281,14 @@ class E2EReport:
     witness: Optional[dict] = field(default=None, repr=False)
 
 
-def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
-                   names: tuple) -> tuple:
+def _clause_values(kind: str, ms: list, ints: IntStructure, zero: Poly,
+                   pairs: dict, quot: dict, names: tuple) -> tuple:
     """(semantic truth, bound name -> value) for one clause of the standard
     pair interpretation whose bound names, in binder order, are names; kind
-    is "domain" or a symbol of the pair interpretation, and pairs and quot
-    come from pell_pairs_with_quotients.  Binders with no witness, in a
-    false clause or an untaken disjunct, get zeros."""
-    zero = Poly.zero(p)
-    ints = IntStructure(p)
+    is "domain" or a symbol of the pair interpretation, ints and zero are
+    the integers and the zero of F_p, and pairs and quot come from
+    pell_pairs_with_quotients.  Binders with no witness, in a false clause
+    or an untaken disjunct, get zeros."""
 
     def padded(values):
         return values + [zero] * (len(names) - len(values))
@@ -321,15 +310,15 @@ def _clause_values(kind: str, ms: list, p: int, pairs: dict, quot: dict,
         a, b = ms
         r = ints.p_power_exponent(a, b)
         ok, values = r is not None, [quot[a], quot[b]]
-        values = (values + _ge_p_values(pairs[a].x, r, p) if ok
+        values = (values + _ge_p_values(pairs[a].x, r, ints.p) if ok
                   else padded(values))
     else:  # "!="
         a, b = ms
         ok, values = a != b, [quot[a], quot[b]]
         if pairs[a].x != pairs[b].x:
-            values += _nonzero_values(pairs[a].x - pairs[b].x, p)
+            values += _nonzero_values(pairs[a].x - pairs[b].x, ints.p)
         elif pairs[a].y != pairs[b].y:
-            cert = _nonzero_values(pairs[a].y - pairs[b].y, p)
+            cert = _nonzero_values(pairs[a].y - pairs[b].y, ints.p)
             values += [zero] * len(cert) + cert
         values = padded(values)
     return ok, _bind(kind, names, values)
@@ -351,10 +340,12 @@ def _clause_witness(values: Mapping, records, p: int) -> tuple:
     witness = {}
     for base, m in values.items():
         witness.update(zip(tuple_names(base, dim), (pairs[m].x, pairs[m].y)))
+    ints, zero = IntStructure(p), Poly.zero(p)
     reports = []
     for rec in records:
         ms = [values[b] for b in rec.bases]
-        ok, bound = _clause_values(rec.kind, ms, p, pairs, quot, rec.bound)
+        ok, bound = _clause_values(rec.kind, ms, ints, zero, pairs, quot,
+                                   rec.bound)
         witness.update(bound)
         reports.append(ClauseReport(rec.kind, tuple(ms), ok))
     return witness, tuple(reports)
@@ -382,10 +373,11 @@ def relation_instance(kind: str, ints, p: int):
         )
     _refuse_the_integers(p)
     bases = tuple(f"m{i}" for i in range(len(ints)))
-    witness, (report,) = _clause_witness(
-        dict(zip(bases, ints)), [InstRecord(kind, bases, 0, of.bound)], p)
     coords = tuple(n for base in bases for n in tuple_names(base, interp.dim))
-    return report.ok, Exists(coords, Inst(of, coords, "")), witness
+    inst = Inst(of, coords, "")
+    witness, (report,) = _clause_witness(
+        dict(zip(bases, ints)), [InstRecord(kind, bases, 0, inst.bound)], p)
+    return report.ok, Exists(coords, inst), witness
 
 
 def e2e_verify(sentence, int_witness: Mapping, p: int) -> E2EReport:

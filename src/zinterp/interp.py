@@ -102,11 +102,10 @@ def _eq(a, b) -> Formula:
     return Atom("=", (_v(a), _v(b)))
 
 
-def _guard_bound_names(names, *args) -> None:
-    incoming = set()
-    for a in args:
-        incoming |= {a} if isinstance(a, str) else term_vars(a)
-    clash = incoming & set(names)
+def _guard_bound_names(new, incoming) -> None:
+    """Refuse argument variables (the names incoming) that are among the
+    renamed bound names new."""
+    clash = set(new).intersection(incoming)
     if clash:
         raise ValueError(
             f"argument variables {sorted(clash)} collide with bound names; "
@@ -439,7 +438,7 @@ class OpenFormula:
                 f"expected {len(self.params)} arguments, got {len(args)}"
             )
         new = tuple([b + mark for b in self.bound])
-        _guard_bound_names(new, *args)
+        _guard_bound_names(new, set().union(*map(term_vars, args)))
         sub = dict(zip(self.params, args))
         sub.update((b, Var(n)) for b, n in zip(self.bound, new))
         return _substitute(self.body, sub), new
@@ -447,9 +446,10 @@ class OpenFormula:
     @cached_property
     def evaluate(self):
         """The evaluator of an instance, compiled on first use.
-        evaluate(env, names, mark, structure, memo) is the truth of the
-        instance template(names as Vars, mark) under env, with the calls of
-        formula._eval on it, in its order, made without building it."""
+        evaluate(env, names, bound, structure, memo) is the truth of the
+        instance template(names as Vars, mark) under env, where bound is
+        that instance's Inst.bound (the renamed bound names), with the calls
+        of formula._eval on it, in its order, made without building it."""
         return _evaluator(self.params, self.body, self.bound)
 
     @cached_property
@@ -608,11 +608,16 @@ class _Translator:
         self.counter = 0
         self.fresh_counter = 0
         self.const_bases = {}
+        self.coordinates = {}
         self.variables = []
         self.instantiations = []
 
     def tuple_names(self, base: str) -> tuple:
-        return tuple_names(base, self.interp.dim)
+        """base's coordinate names, spelled once per translation."""
+        names = self.coordinates.get(base)
+        if names is None:
+            names = self.coordinates[base] = tuple_names(base, self.interp.dim)
+        return names
 
     def var_base(self, name: str) -> str:
         base = name
@@ -643,12 +648,12 @@ class _Translator:
     def inst(self, kind: str, of: OpenFormula, bases: tuple) -> Formula:
         """of instantiated at the coordinates of bases, recorded by base."""
         self.counter += 1
-        mark = f"#{self.counter}"
         names = tuple([n for base in bases for n in self.tuple_names(base)])
-        bound = tuple([b + mark for b in of.bound])
-        _guard_bound_names(bound, *names)
-        self.instantiations.append(InstRecord(kind, bases, self.counter, bound))
-        return Inst(of, names, mark)
+        inst = Inst(of, names, f"#{self.counter}")
+        _guard_bound_names(inst.bound, names)
+        self.instantiations.append(
+            InstRecord(kind, bases, self.counter, inst.bound))
+        return inst
 
     def domain_parts(self, base: str) -> list:
         if self.interp.domain.body == TRUE:

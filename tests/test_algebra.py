@@ -487,6 +487,18 @@ def _random_coeffs(rng, p, n):
     return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
 
 
+@pytest.mark.parametrize("p", [2, 3, 17, 251])
+def test_scalar_products_match_schoolbook(rng, p):
+    # a one-coefficient operand, on either side, takes one translate
+    for n in (1, 2, 3, 30, 300):
+        for _ in range(8):
+            f = Poly(_random_coeffs(rng, p, n), p)
+            c = rng.randrange(1, p)
+            ref = tuple(x % p for x in _schoolbook_mul(f.coeffs, (c,)))
+            for r in (f * Poly((c,), p), Poly((c,), p) * f, f * c, c * f):
+                _check_result(r, ref, p, f"{n} coefficients times {c}")
+
+
 @pytest.mark.parametrize("p", _STORAGE_PRIMES)
 def test_storage_matches_reference_at_every_edge(rng, p):
     shapes = _PRODUCT_SHAPES + [(0, 3), (3, 0), (0, 0)]

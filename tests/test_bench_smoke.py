@@ -17,6 +17,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
+# Counts of the traced quick e2e run at seed 0 that depend only on what is
+# computed, not on how fast: the translated sentences' size, the relation
+# calls of check_sat and the clause reports.
+QUICK_E2E_COUNTS = {
+    "interp.out_atoms": 3716,
+    "interp.out_bound": 3102,
+    "interp.out_chars": 221622,
+    "formula.relation.calls": 1528,
+    "harness.clauses": 608,
+}
+
 
 @pytest.mark.parametrize("trace", (0, 1))
 @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
@@ -33,6 +44,10 @@ def test_quick_run_prints_every_metric(workload, trace):
     declared = SPEC["per_layer"] if trace else SPEC["end_to_end"]
     missing = [m["name"] for m in declared if m["name"] not in proc.stdout]
     assert not missing
+    if (workload, trace) == ("e2e", 1):
+        metrics = result["metrics"]
+        assert {name: metrics[name]["value"] for name in QUICK_E2E_COUNTS} \
+            == QUICK_E2E_COUNTS
 
 
 def _load_spans():

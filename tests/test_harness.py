@@ -36,8 +36,11 @@ from zinterp.formula import (
     check_sat,
     eval_qf,
     expand,
+    free_vars,
     parse,
     print_formula,
+    term_vars,
+    walk,
 )
 from zinterp.harness import (
     E2EReport,
@@ -45,7 +48,6 @@ from zinterp.harness import (
     Witness,
     _bind,
     _nonzero_values,
-    _strip_factor,
     check_witness,
     e2e_verify,
     family_formula,
@@ -160,19 +162,28 @@ class TestNonzeroFamily:
                 assert eval_qf(matrix, w.assignment, p)
 
     def test_closed_form_bezout_matches_extgcd(self, rng):
+        def strip_factor(f, d):
+            """(k, g) with f = d^k * g and d not dividing g."""
+            k = 0
+            while True:
+                q, r = poly_divrem(f, d)
+                if not r.is_zero() or q.is_zero():
+                    return k, f
+                k, f = k + 1, q
+
         def ref_values(f, p):
             t = Poly.gen(p)
             tm1 = t - Poly.one(p)
-            alpha, g1 = _strip_factor(f, t)
-            beta, gamma = _strip_factor(g1, tm1)
+            alpha, g1 = strip_factor(f, t)
+            beta, gamma = strip_factor(g1, tm1)
             gcd1, u, v = poly_extgcd(t, tm1 ** beta * gamma)
             gcd2, s, r = poly_extgcd(tm1, t ** alpha * gamma)
             assert gcd1 == gcd2 == Poly.one(p)
             return [-u, -s, gamma * v * r]
 
-        for p in (2, 3, 5, 17):
+        for p in (2, 3, 5, 17, 257):
             t = Poly.gen(p)
-            targets = [Poly.const(c, p) for c in range(1, p)]
+            targets = [Poly.const(c, p) for c in range(1, min(p, 20))]
             for _ in range(60):
                 g = random_poly(rng, p, rng.randrange(7), nonzero=True)
                 alpha, beta = rng.randrange(4), rng.randrange(4)
@@ -668,6 +679,48 @@ def test_records_name_the_coordinates_of_their_instances(sentence, ints):
         rec = records[int(node.mark[1:])]
         assert node.names == tuple(
             n for base in rec.bases for n in tuple_names(base, interp.dim))
+
+
+def _spelled_scan(phi):
+    """(free names, bound names in binder order) of phi, each instance's
+    renamed bound names spelled here as b + mark."""
+    free, bound = set(), []
+
+    def go(node, scope):
+        if isinstance(node, Inst):
+            of = node.of
+            bound.extend(b + node.mark for b in of.bound)
+            free.update(n for p, n in zip(of.params, node.names)
+                        if p in of.free and n not in scope)
+        elif isinstance(node, Atom):
+            free.update(n for a in node.args for n in term_vars(a)
+                        if n not in scope)
+        elif isinstance(node, (And, Or)):
+            for part in node.parts:
+                go(part, scope)
+        else:
+            bound.extend(node.names)
+            go(node.body, scope | set(node.names))
+
+    go(phi, frozenset())
+    return free, bound
+
+
+@pytest.mark.parametrize("sentence, ints", E2E_BATCH)
+def test_each_instance_spells_its_bound_names_once(sentence, ints):
+    # The record, the scan and the evaluator all read the one tuple the
+    # Inst built; the scan's names are those spelled out afresh.
+    out, trace = translate_with_trace(pell_interpretation(),
+                                      parse(sentence, LANG_STAR))
+    records = {f"#{rec.tag}": rec for rec in trace.instantiations}
+    insts = [node for node in walk(out) if isinstance(node, Inst)]
+    assert sorted(node.mark for node in insts) == sorted(records)
+    for node in insts:
+        assert records[node.mark].bound is node.bound
+    for phi in (out, out.body):  # closed, and open under the top binder
+        free, bound = _spelled_scan(phi)
+        assert _scan(phi) == (free, bound)
+        assert (free_vars(phi), bound_vars(phi)) == (free, set(bound))
 
 
 _STAR_LEAVES = st.sampled_from(("a", "b", "0", "1"))

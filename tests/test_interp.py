@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1157,9 +1158,11 @@ def test_evaluator_quotes_every_name(tmp_path):
             assert check_sat(Exists(renamed, inst), env, 5, ring) \
                 == check_sat(Exists(renamed, expand(inst)), env, 5, ring)
         assert check_sat(Exists(renamed, inst), env, 5, _Holds())
+        assert inst.bound == renamed[len(names):]
         del env[names[-1]]
-        with pytest.raises(ValueError, match="unassigned variable"):
-            of.evaluate(env, names, mark, _Holds(), {})
+        message = f"unassigned variable {re.escape(repr(names[-1]))}$"
+        with pytest.raises(ValueError, match=message):
+            of.evaluate(env, names, inst.bound, _Holds(), {})
 
 
 # -- memory: compiling the evaluators adds no peak ---------------------------------
