@@ -54,10 +54,6 @@ beyond 8 bytes.  Below ``_KRONECKER_MIN_PRODUCT`` (the length product;
 ``_KRONECKER_MIN_PRODUCT_SMALL_P`` for p <= 7) the fixed cost of the
 substitution loses to schoolbook convolution, which the integers always
 take and the tests use as the reference.
-Composition with a linear inner polynomial is a Taylor shift done with
-additions only, one base-p digit of the exponent at a time, since
-(t + b)^(p^k) = t^(p^k) + b over F_p (von zur Gathen and Gerhard, "Fast
-algorithms for Taylor shifts and certain difference equations", ISSAC 1997).
 """
 
 from __future__ import annotations
@@ -567,79 +563,16 @@ def poly_extgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def poly_compose(f: Poly, g: Poly) -> Poly:
-    """f(g(t)).
-
-    Over F_p with g = a*t + b, a != 0, this is a Taylor shift: f(t + b) by
-    additions only, one base-p digit at a time (see _taylor_shift), then
-    coefficient i scaled by a^i, in O(n p log_p n) field operations for n
-    coefficients (von zur Gathen and Gerhard, "Fast algorithms for Taylor
-    shifts and certain difference equations", ISSAC 1997).  Otherwise,
-    Horner's scheme in the polynomial ring.
-    """
+    """f(g(t)), by Horner's scheme in the polynomial ring."""
     f._same_ring(g)
-    p = f.modulus
-    if p and len(g.data) == 2:
-        b, a = g.data
-        cs = _taylor_shift(list(f.data), b, p)
-        if a != 1:
-            scale = 1
-            for i, c in enumerate(cs):
-                cs[i] = c * scale % p
-                scale = scale * a % p
-        return Poly._raw(_trimmed(cs, p), p)
-    acc = Poly.zero(p)
+    acc = Poly.zero(f.modulus)
     for c in reversed(f.data):
         acc = acc * g + c
     return acc
 
 
-def _taylor_shift(cs: list[int], b: int, p: int) -> list[int]:
-    """Turn the coefficient list cs of f, in place, into that of f(t + b)
-    over F_p, with trailing zeros left from padding.
-
-    As (t + b)^(p^k) = t^(p^k) + b^(p^k) = t^(p^k) + b, the shift acts on
-    each base-p digit of the exponent on its own.  On level m = p^k every
-    block of p*m coefficients is p chunks of m: the coefficients of T^0 ..
-    T^(p-1) with T = t^m.  The classic p-term shift T -> T + b, chunk_j +=
-    b * chunk_(j+1) over a triangle of index pairs, then needs additions
-    only.  The top level may have fewer than p chunks per block.
-    """
-    n = len(cs)
-    top = 1
-    while top * p < n:
-        top *= p
-    cs += [0] * (-n % top)
-    size = len(cs)
-    m = 1
-    while b and m < size:
-        chunks = min(p, size // m)
-        width = chunks * m
-        few_blocks = size // width <= m
-        for i in range(chunks - 1):
-            for j in range(chunks - 2, i - 1, -1):
-                lo, hi = j * m, (j + 1) * m
-                if few_blocks:
-                    # one contiguous slice per block
-                    for s in range(0, size, width):
-                        cs[s + lo : s + hi] = [
-                            (x + b * y) % p
-                            for x, y in zip(cs[s + lo : s + hi],
-                                            cs[s + hi : s + hi + m])
-                        ]
-                else:
-                    # one strided slice per offset within the chunk
-                    for r in range(m):
-                        cs[lo + r :: width] = [
-                            (x + b * y) % p
-                            for x, y in zip(cs[lo + r :: width],
-                                            cs[hi + r :: width])
-                        ]
-        m *= p
-    return cs
-
-
 def poly_shift(f: Poly) -> Poly:
-    """f(t+1): a Taylor shift over F_p (see poly_compose), Horner over Z."""
+    """f(t+1), by poly_compose."""
     return poly_compose(f, Poly((1, 1), f.modulus))
 
 

@@ -57,6 +57,7 @@ from .interp import (
     tuple_names,
 )
 from .pell import (
+    _by_t_minus_one,
     _offset_quotient,
     pell_pairs_with_quotients,
 )
@@ -135,18 +136,6 @@ def check_witness(w: Witness) -> bool:
 
 # -- per-family synthesis -----------------------------------------------------------
 
-def _by_linear(cs: list, x: int, p: int) -> tuple:
-    """(q, c) with cs = (t - x) q + c over F_p, by synthetic division: cs
-    and q are coefficient lists, constant first (cs nonempty), and c is the
-    value cs(x)."""
-    q = cs[1:]
-    c = cs[-1]
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = c
-        c = (cs[i] + x * c) % p
-    return q, c
-
-
 def _nonzero_values(f: Poly, p: int) -> list:
     """Values (a, b, c) of the nonzero certificate for f != 0.
 
@@ -156,17 +145,17 @@ def _nonzero_values(f: Poly, p: int) -> list:
     linear factor t - x with cofactor h = (t - x) q + h(x), r = h(x)^-1 and
     s = -r q solve (t - x) s + h r = 1: the unique pair with deg r < 1,
     which poly_extgcd also returns.  t^alpha is f's run of zero low
-    coefficients; the rest is synthetic division.
+    coefficients; beta and q come from _by_t_minus_one.
     """
     if f.is_zero():
         raise ValueError("no witness: the target is zero")
     cs = list(f.data)
     alpha = next(i for i, c in enumerate(cs) if c)
     g1 = cs[alpha:]  # (t-1)^beta G, whose value at 0 is g1[0]
-    gamma, (q, c) = g1, _by_linear(g1, 1, p)
-    while not c:
-        gamma, (q, c) = q, _by_linear(q, 1, p)
-    q, c = _by_linear([0] * alpha + gamma, 1, p)
+    gamma, (q, c) = g1, _by_t_minus_one(g1)
+    while not c % p:
+        gamma, (q, c) = q, _by_t_minus_one(q)
+    q, c = _by_t_minus_one([0] * alpha + gamma)
     v, r = pow(g1[0], -1, p), pow(c, -1, p)
     return [Poly([v * a % p for a in g1[1:]], p),
             Poly([r * b % p for b in q], p),

@@ -19,6 +19,8 @@ x(t^p) + y(t^p) (t^2 - 1)^((p-1)/2) s, and (x + y alpha)^2 = x^2 + y^2 +
 t y^2 alpha in char 2.  So the index is read by Horner over its base-p
 digits, each a p-th power lift (a coefficient spread and a product by a
 small factor) and a small power; Z[t] has no Frobenius and squares instead.
+A digit's pair comes from binary doubling in O(log p) products, so at a
+large p such as 65537, where a digit d can be near p, none takes d steps.
 
 The conic oracle sieves each y before root extraction, on two facts: a
 square in F_p[t] takes a square or zero value at every point a of F_p, and
@@ -76,12 +78,6 @@ class PellPair:
         return self.x.modulus
 
 
-def _raw_add_conic(a, b, t2m1):
-    xa, ya = a
-    xb, yb = b
-    return (xa * xb + t2m1 * (ya * yb), xa * yb + xb * ya)
-
-
 def _steps(pair):
     """pair, then pair times the fundamental unit again and again: the one
     step walk behind pell_pair and pell_pairs_with_quotients.  A conic step
@@ -97,6 +93,38 @@ def _steps(pair):
         x, y = times_t(y_next) - y, y_next
 
 
+def _walk(pair, k: int):
+    """pair times the fundamental unit k times, by k steps."""
+    return next(itertools.islice(_steps(pair), k, None))
+
+
+def _pair_by_bits(n_abs: int, p: int):
+    """(x_n, y_n), n = n_abs >= 1, in the conic form by Horner over the
+    binary digits of n, in O(log n) products: double, by x_(2m) = 2 x_m^2 - 1
+    and y_(2m) = 2 x_m y_m on the conic, then step once for a 1."""
+    one = Poly.one(p)
+    x, y = Poly.gen(p), one
+    for bit in bin(n_abs)[3:]:
+        xx, xy = x * x, x * y
+        x, y = xx + xx - one, xy + xy
+        if bit == "1":
+            y_next = x + times_t(y)
+            x, y = times_t(y_next) - y, y_next
+    return x, y
+
+
+def _lift_factor(p: int) -> Poly:
+    """c = (t^2 - 1)^m, m = (p-1)/2, the factor of the p-th power lift, in
+    O(p) from its binomial coefficients: t^(2k) has (-1)^(m-k) C(m, k), and
+    C(m, k+1) = C(m, k) (m - k) / (k + 1), where k + 1 < p is invertible."""
+    m = (p - 1) // 2
+    cs, b = [0] * (2 * m + 1), (-1) ** m
+    for k in range(m + 1):
+        cs[2 * k] = b
+        b = -b * (m - k) * pow(k + 1, -1, p) % p
+    return Poly(cs, p)
+
+
 def _pair_by_digits(n_abs: int, p: int):
     """(x_n, y_n), n = n_abs, by Horner over the base-p digits of n (see the
     module docstring): lift the pair of the leading digits to its p-th power
@@ -106,38 +134,33 @@ def _pair_by_digits(n_abs: int, p: int):
     41, 2-core Xeon, CPython 3.11, against steps for every d: p = 17,
     n = 1000 0.54 against 2.9 ms, p = 13, n = 2196 0.96 against 4.4 ms;
     against the law for every d: p = 3, n = 1000 0.32 against 0.70 ms.
-    Z[t] has binary digits and squares to lift; n < p is plain stepping.
+    The pairs of a leading digit above 2 and of each d > 2 come from
+    doubling, and so does the whole pair over Z[t], which has no Frobenius.
     """
+    unit = (Poly.one(p), Poly.zero(p))
+    if not p:
+        return _pair_by_bits(n_abs, p) if n_abs else unit
     digits = []
-    while n_abs >= (p or 2):
-        n_abs, d = divmod(n_abs, p or 2)
+    while n_abs >= p:
+        n_abs, d = divmod(n_abs, p)
         digits.append(d)
-    small = list(itertools.islice(_steps((Poly.one(p), Poly.zero(p))),
-                                  max(digits + [n_abs]) + 1))
-    acc = small[n_abs]
+    acc = _walk(unit, n_abs) if n_abs <= 2 else _pair_by_bits(n_abs, p)
     if not digits:
         return acc
-    t2m1 = Poly((-1, 0, 1), p)
-    if not p:
-        lift = lambda a: _raw_add_conic(a, a, t2m1)
-    elif p == 2:
+    if p == 2:
         lift = lambda a: (frob_pow(a[0] + a[1], 1), times_t(frob_pow(a[1], 1)))
     else:
-        c = t2m1 ** ((p - 1) // 2)
+        c = _lift_factor(p)
+        ct2m1 = c * Poly((-1, 0, 1), p)
         lift = lambda a: (frob_pow(a[0], 1), frob_pow(a[1], 1) * c)
     for d in reversed(digits):
         if d <= 2:
-            acc = next(itertools.islice(_steps(lift(acc)), d, None))
+            acc = _walk(lift(acc), d)
         else:
             x, y = frob_pow(acc[0], 1), frob_pow(acc[1], 1)
-            xd, yd = small[d]
-            acc = (x * xd + y * (c * t2m1 * yd), x * yd + y * (c * xd))
+            xd, yd = _pair_by_bits(d, p)
+            acc = (x * xd + y * (ct2m1 * yd), x * yd + y * (c * xd))
     return acc
-
-
-def _pair_by_steps(n_abs: int, p: int):
-    walk = _steps((Poly.one(p), Poly.zero(p)))
-    return next(itertools.islice(walk, n_abs, None))
 
 
 def _check_index(n: int, p: int) -> None:
@@ -165,14 +188,20 @@ def pell_pair(n: int, p: int) -> PellPair:
     return PellPair(n, x, y)
 
 
+def _by_t_minus_one(cs) -> tuple:
+    """(q, c) with cs = (t - 1) q + c over Z, cs coefficients constant first:
+    the coefficient of t^i in (t - 1) q is q_(i-1) - q_i, so q_k sums cs
+    above t^k, and c = cs(1).  q is a list; neither is reduced mod p."""
+    sums = list(itertools.accumulate(reversed(cs))) or [0]
+    c = sums.pop()
+    return sums[::-1], c
+
+
 def _offset_quotient(x: Poly) -> Poly:
-    """The z with x = 1 + (t-1)z; requires x(1) = 1.  The coefficient of
-    t^i in (t-1)z is z_(i-1) - z_i, so z_k sums the coefficients of x above
-    t^k, and the constant term x_0 - z_0 = 1 asks x(1) = 1."""
-    p, cs = x.modulus, x.data
-    z = list(itertools.accumulate(reversed(cs[1:])))[::-1]
-    total = sum(cs)
-    if (total % p if p else total) != 1:
+    """The z with x = 1 + (t-1)z; requires x(1) = 1 (see _by_t_minus_one)."""
+    p = x.modulus
+    z, c = _by_t_minus_one(x.data)
+    if (c % p if p else c) != 1:
         raise ValueError("no quotient: the argument is not 1 at t = 1")
     return Poly(z, p)
 
@@ -239,10 +268,9 @@ def pell_add(a: PellPair, b: PellPair) -> PellPair:
     if a.p != b.p:
         raise ValueError("moduli disagree")
     p = a.p
-    t = Poly.gen(p)
-    t2m1 = t * t - Poly.one(p)
-    x, y = _raw_add_conic((a.x, a.y), (b.x, b.y), t2m1)
-    return PellPair(a.n + b.n, x, y)
+    t2m1 = Poly((-1, 0, 1), p)
+    return PellPair(a.n + b.n, a.x * b.x + t2m1 * (a.y * b.y),
+                    a.x * b.y + b.x * a.y)
 
 
 def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:

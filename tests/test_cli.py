@@ -53,6 +53,15 @@ class TestPellCommands:
         assert code == 0
         assert out.splitlines()[0] == "x = 0, y = 1"
 
+    def test_gen_at_a_large_prime_within_the_fuzz_alarm(self, capsys):
+        """A digit near p = 65537 is built by doubling, not by a table of
+        about p steps, so the pair of index 100000 takes seconds."""
+        with _deadline(5):
+            code, out, _ = run(capsys, "pell", "gen", "-n", "100000",
+                               "-p", "65537")
+        assert code == 0
+        assert out.splitlines()[1].startswith("#RESULT pell-gen")
+
     @pytest.mark.parametrize("n", ["3000000", "-3000000", "100001"])
     def test_gen_degree_cap_exits_3(self, capsys, n):
         code, out, err = run(capsys, "pell", "gen", "-n", n, "-p", "5")
@@ -708,6 +717,8 @@ _NUMERIC_FLAGS = ("-n", "-p", "-D", "-d", "-r", "-M", "-k", "--n-max",
                   "--q-prec")
 # The F_p kernels leave their byte-lane paths between these primes.
 _BYTE_LANE_EDGES = ("127", "128", "131", "251", "256", "257")
+# -p values: those edges, and primes whose base-p digits can be near p.
+_P_EDGES = _BYTE_LANE_EDGES + ("65537", "100003")
 _HUGE = ("1000000", "100000000", "-100000000", str(10 ** 30))
 _ODD_NUMBERS = ("0", "1", "2", "4", "-1", "x", "", "1e3")
 _ODD_TEXT = ("t^", "t^100000000", "(", ")", "", "t*u*v", "1/0", "t^-1",
@@ -717,13 +728,14 @@ _ODD_TEXT = ("t^", "t^100000000", "(", ")", "", "t*u*v", "1/0", "t^-1",
 
 def _fuzzed_argvs(rng, count: int) -> list:
     """Each base with each numeric value replaced by each huge value (and
-    each -p value by each byte-lane edge), then count bases with one to
-    three random edits: a value replaced, a token dropped or a flag put in."""
+    each -p value by each byte-lane edge and large prime), then count bases
+    with one to three random edits: a value replaced, a token dropped or a
+    flag put in."""
     out = []
     for base in _FUZZ_BASES:
         for i, tok in enumerate(base):
             if tok in _NUMERIC_FLAGS:
-                for v in _HUGE + (_BYTE_LANE_EDGES if tok == "-p" else ()):
+                for v in _HUGE + (_P_EDGES if tok == "-p" else ()):
                     out.append(base[:i + 1] + (v,) + base[i + 2:])
     for _ in range(count):
         argv = list(rng.choice(_FUZZ_BASES))

@@ -15,7 +15,6 @@ from zinterp.pell import (
     _conic_solutions_for_y,
     _offset_quotient,
     _pair_by_digits,
-    _pair_by_steps,
     pell_add,
     pell_enumerate_oracle,
     pell_family,
@@ -95,6 +94,19 @@ def test_pell_pair_refuses_a_composite_modulus():
         pell_pair(1, 6)
 
 
+def _pair_by_steps(n_abs, p):
+    """The index-n_abs pair by n_abs products with the fundamental unit:
+    (x, y) -> (t x + (t^2 - 1) y, x + t y), or (y, x + t y) in char 2."""
+    t = Poly.gen(p)
+    x, y = Poly.one(p), Poly.zero(p)
+    for _ in range(n_abs):
+        if p == 2:
+            x, y = y, x + t * y
+        else:
+            x, y = t * x + (t * t - 1) * y, x + t * y
+    return x, y
+
+
 def test_digits_match_stepwise_at_digit_boundaries():
     for p in (2, 3, 5):
         ns = {100, 137}
@@ -145,6 +157,19 @@ def test_digits_match_binary_doubling(p):
                 got = pell_pair(k, p)
                 assert (got.x, got.y) == want, (p, k)
                 assert pell_verify(got.x, got.y), (p, k)
+
+
+@pytest.mark.parametrize("ns, p", [((100000, -100000), 65537),
+                                   ((99991,), 100003)])
+def test_large_digits_match_binary_doubling(ns, p):
+    """At a large p a digit can be near p, so its pair must come from
+    doubling, not from a table of steps: pell_pair against the doubling
+    reference, which satisfies the defining equation."""
+    x, y = _doubling_reference(abs(ns[0]), p)
+    assert pell_verify(x, y)
+    for n in ns:
+        got = pell_pair(n, p)
+        assert (got.x, got.y) == ((x, y) if n > 0 else (x, -y)), n
 
 
 def test_integer_index_limit():
