@@ -21,7 +21,6 @@ from .algebra import (
     poly_shift,
 )
 from .buchi import buchi_generate, buchi_search_oracle, ge_p_check
-from .bivar import BiTrunc, collapse_diagonal, kernel_factor
 from .formula import (
     LANG_D,
     LANG_STAR,
@@ -63,13 +62,6 @@ from .pell import (
     pell_index_recognize,
     pell_pair,
     pell_verify,
-)
-from .valued import (
-    LaurentTrunc,
-    NewtonPolygon,
-    newton_polygon,
-    polygon_sum,
-    theta_series,
 )
 
 __version__ = "0.1.0"
@@ -130,3 +122,25 @@ __all__ = [
     "polygon_sum",
     "theta_series",
 ]
+
+# The analytic layers load on first access (PEP 562): no compiler or
+# oracle command reads them, so a fresh process does not pay for them.
+_LAZY = {
+    "BiTrunc": "bivar",
+    "collapse_diagonal": "bivar",
+    "kernel_factor": "bivar",
+    "LaurentTrunc": "valued",
+    "NewtonPolygon": "valued",
+    "newton_polygon": "valued",
+    "polygon_sum": "valued",
+    "theta_series": "valued",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

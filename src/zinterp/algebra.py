@@ -118,6 +118,10 @@ class FeasibilityError(ValueError):
     or a construction to build past SYNTH_DEGREE_CAP."""
 
 
+class PrecisionError(ValueError):
+    """A query whose answer is not determined at the working precision."""
+
+
 # Largest degree a construction builds: pell_pair refuses |n| past it (the
 # pair has degree |n|), synthesis the larger Frobenius-power certificates,
 # buchi_generate its Frobenius scale and its length.

@@ -14,15 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import FeasibilityError, format_poly, parse_poly
-from .bivar import (
-    collapse_diagonal,
-    format_bipoly,
-    from_hyperbola,
-    kernel_factor,
-    parse_bipoly,
-    to_hyperbola,
-)
+from .algebra import FeasibilityError, PrecisionError, format_poly, parse_poly
 from .buchi import buchi_generate, buchi_search_oracle
 from .formula import (
     LANG_STAR,
@@ -59,15 +51,6 @@ from .pell import (
     pell_index_recognize,
     pell_pair,
     pell_verify,
-)
-from .valued import (
-    PrecisionError,
-    format_series,
-    hull_uncertainty,
-    newton_polygon,
-    norm_one_monomial,
-    parse_series,
-    theta_series,
 )
 
 CHECK_LANGS = {"t-ring": LANG_T, "t-ring-sem": LANG_T_SEM, "star": LANG_STAR}
@@ -171,8 +154,12 @@ def cmd_pell_oracle(args) -> int:
 
 
 # -- newton ----------------------------------------------------------------------
+# The newton and bivar handlers import the analytic layers themselves, so the
+# other commands start without loading them.
 
 def cmd_newton_hull(args) -> int:
+    from .valued import hull_uncertainty, newton_polygon, parse_series
+
     h = parse_series(_read_text_arg(args.series))
     polygon = newton_polygon(h)
     print("vertices: " + _points_text(polygon.vertices))
@@ -187,6 +174,8 @@ def cmd_newton_hull(args) -> int:
 
 
 def cmd_newton_theta(args) -> int:
+    from .valued import format_series, newton_polygon, theta_series
+
     h = theta_series(args.p, args.n_max, args.q_prec)
     polygon = newton_polygon(h)
     print(format_series(h))
@@ -205,6 +194,8 @@ def cmd_newton_theta(args) -> int:
 
 
 def cmd_newton_monomial(args) -> int:
+    from .valued import norm_one_monomial, parse_series
+
     h = parse_series(_read_text_arg(args.series))
     try:
         sign, n = norm_one_monomial(h)
@@ -223,6 +214,9 @@ def cmd_newton_monomial(args) -> int:
 # -- bivar ----------------------------------------------------------------------
 
 def cmd_bivar_collapse(args) -> int:
+    from .bivar import collapse_diagonal, parse_bipoly
+    from .valued import format_series
+
     f = parse_bipoly(args.poly, args.p, args.bound)
     print(format_series(collapse_diagonal(f)))
     print(f"#RESULT bivar-collapse p={args.p} status=ok")
@@ -230,6 +224,8 @@ def cmd_bivar_collapse(args) -> int:
 
 
 def cmd_bivar_kernel(args) -> int:
+    from .bivar import format_bipoly, kernel_factor, parse_bipoly
+
     f = parse_bipoly(args.poly, args.p, args.bound)
     try:
         g = kernel_factor(f)
@@ -243,6 +239,8 @@ def cmd_bivar_kernel(args) -> int:
 
 
 def cmd_bivar_hyperbola(args) -> int:
+    from .bivar import format_bipoly, from_hyperbola, parse_bipoly, to_hyperbola
+
     f = parse_bipoly(args.poly, args.p, args.bound)
     g = from_hyperbola(f) if args.inverse else to_hyperbola(f)
     print(format_bipoly(g))

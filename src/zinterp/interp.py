@@ -38,11 +38,9 @@ inputs give identical outputs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 from .algebra import is_prime
 from .formula import (
@@ -889,6 +887,10 @@ def _lang_from_json(data: dict) -> Lang:
 def save_bundle(interp: Interpretation, path) -> Path:
     """Write an interpretation to a directory: manifest.json plus one
     s-expression file per formula."""
+    # The codec's modules load here: no compiler or oracle path needs them.
+    import json
+    from pathlib import Path
+
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     (path / "domain.sexp").write_text(
@@ -918,6 +920,9 @@ def save_bundle(interp: Interpretation, path) -> Path:
 
 
 def load_bundle(path) -> Interpretation:
+    import json
+    from pathlib import Path
+
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     source_lang = _lang_from_json(manifest["source_lang"])

@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, _check_modulus,
-                      format_poly, parse_exponent, parse_poly)
-
-
-class PrecisionError(ValueError):
-    """A query whose answer is not determined at the working precision."""
+from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, PrecisionError,
+                      _check_modulus, format_poly, parse_exponent, parse_poly)
 
 
 @dataclass(frozen=True)

@@ -666,6 +666,47 @@ class TestDemoAndUsage:
         )
         assert probe.stdout == "False\n"
 
+    def test_cold_start_leaves_the_analytic_layers_out(self):
+        # The benchmark's set-up probe and a compiler-side command read
+        # neither bivar nor valued, nor the bundle codec's json; a fresh
+        # process loads them only when a name from them is touched.
+        src = str(Path(zinterp.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "before = set(sys.modules)\n"
+             "import zinterp, zinterp.cli\n"
+             "zinterp.pell_interpretation()\n"
+             "zinterp.formula_library()\n"
+             "zinterp.cli.main(['pell', 'gen', '-n', '3', '-p', '5'])\n"
+             "deferred = {'zinterp.bivar', 'zinterp.valued', 'fractions',\n"
+             "            'decimal', 'json'}\n"
+             "print(sorted(deferred & (set(sys.modules) - before)))\n"
+             "zinterp.BiTrunc\n"
+             "print('zinterp.bivar' in sys.modules)"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert probe.stdout.splitlines()[-2:] == ["[]", "True"]
+
+    def test_lazy_exports_are_the_submodules_names(self):
+        from zinterp import algebra, bivar, valued
+
+        assert valued.PrecisionError is algebra.PrecisionError
+        for module, names in (
+            (bivar, ("BiTrunc", "collapse_diagonal", "kernel_factor")),
+            (valued, ("LaurentTrunc", "NewtonPolygon", "newton_polygon",
+                      "polygon_sum", "theta_series")),
+        ):
+            for name in names:
+                assert name in zinterp.__all__
+                assert getattr(zinterp, name) is getattr(module, name)
+        star = {}
+        exec("from zinterp import *", star)
+        assert set(zinterp.__all__) <= set(star)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            zinterp.no_such_name
+
     def test_runtime_imports_are_standard_library(self):
         # The runtime promises the standard library only; numpy may be
         # installed beside it, so an accidental import would go unnoticed.
