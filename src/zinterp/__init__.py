@@ -66,6 +66,19 @@ from .pell import (
 
 __version__ = "0.1.0"
 
+# The analytic layers load on first access (PEP 562): no compiler or
+# oracle command reads them, so a fresh process does not pay for them.
+_LAZY = {
+    "BiTrunc": "bivar",
+    "collapse_diagonal": "bivar",
+    "kernel_factor": "bivar",
+    "LaurentTrunc": "valued",
+    "NewtonPolygon": "valued",
+    "newton_polygon": "valued",
+    "polygon_sum": "valued",
+    "theta_series": "valued",
+}
+
 __all__ = [
     "FeasibilityError",
     "Poly",
@@ -79,9 +92,6 @@ __all__ = [
     "buchi_generate",
     "buchi_search_oracle",
     "ge_p_check",
-    "BiTrunc",
-    "collapse_diagonal",
-    "kernel_factor",
     "LANG_D",
     "LANG_STAR",
     "LANG_T",
@@ -116,25 +126,7 @@ __all__ = [
     "pell_index_recognize",
     "pell_pair",
     "pell_verify",
-    "LaurentTrunc",
-    "NewtonPolygon",
-    "newton_polygon",
-    "polygon_sum",
-    "theta_series",
-]
-
-# The analytic layers load on first access (PEP 562): no compiler or
-# oracle command reads them, so a fresh process does not pay for them.
-_LAZY = {
-    "BiTrunc": "bivar",
-    "collapse_diagonal": "bivar",
-    "kernel_factor": "bivar",
-    "LaurentTrunc": "valued",
-    "NewtonPolygon": "valued",
-    "newton_polygon": "valued",
-    "polygon_sum": "valued",
-    "theta_series": "valued",
-}
+] + list(_LAZY)
 
 
 def __getattr__(name):

@@ -80,6 +80,9 @@ _KRONECKER_MIN_PRODUCT_SMALL_P = 4
 _SUM_LANE_MAX_P = 128
 # Largest prime whose residues fit in one byte: the moduli stored as bytes.
 _BYTES_MAX_P = 251
+# Moduli from here on are refused before trial division, which checks
+# 2^31 - 1 in milliseconds but would take minutes on 2^61 - 1.
+MODULUS_CAP = 2 ** 32
 
 # (slot width in bytes, array type code), narrowest first.  Packing reads
 # slots as little-endian integers, so other byte orders take the byte path.
@@ -109,13 +112,15 @@ def is_prime(n: int) -> bool:
 def _check_modulus(p: int) -> None:
     if p == 0:
         return
+    if p >= MODULUS_CAP:
+        raise ValueError(f"modulus {p} is at or above the cap 2^32")
     if p < 2 or not is_prime(p):
         raise ValueError(f"modulus must be 0 (integers) or a prime, got {p}")
 
 
 class FeasibilityError(ValueError):
     """A brute-force sweep was asked to cover more cases than the guard allows,
-    or a construction to build past SYNTH_DEGREE_CAP."""
+    or a construction or product to build past its cap."""
 
 
 class PrecisionError(ValueError):
@@ -126,6 +131,12 @@ class PrecisionError(ValueError):
 # pair has degree |n|), synthesis the larger Frobenius-power certificates,
 # buchi_generate its Frobenius scale and its length.
 SYNTH_DEGREE_CAP = 100_000
+# Largest degree of an F_p product: two values within the cap, and the
+# t^2 - 1 that pell_verify multiplies into y^2.
+PRODUCT_DEGREE_CAP = 2 * SYNTH_DEGREE_CAP + 2
+# Largest operand length product of a schoolbook product over Z[t]; pell_verify
+# at pell.INTEGER_INDEX_LIMIT squares 1,001 coefficients.
+INTEGER_MUL_WORK_LIMIT = 1 << 20
 
 
 def _frob_scale(p: int, r: int, base_degree: int = 1) -> int:
@@ -355,6 +366,10 @@ class Poly:
         if not a or not b:
             return Poly._raw(a[:0], p)  # the empty storage of p
         if not p:
+            if len(a) * len(b) > INTEGER_MUL_WORK_LIMIT:
+                raise FeasibilityError(f"a product of {len(a)} by {len(b)} "
+                                       "coefficients over Z[t] is above the "
+                                       f"cap {INTEGER_MUL_WORK_LIMIT}")
             return Poly._raw(tuple(_schoolbook_mul(a, b)), p)
         if p <= _BYTES_MAX_P and (len(a) == 1 or len(b) == 1):
             # a scalar times bytes storage: one translate, and over a prime
@@ -457,10 +472,13 @@ def _spread(cs, width: int) -> int:
 
 def _kronecker_mul(a, b, p: int):
     """The storage of a*b over F_p, from two nonempty storages (or tuples)."""
+    n = len(a) + len(b) - 1
+    if n - 1 > PRODUCT_DEGREE_CAP:
+        raise FeasibilityError(f"the product would have degree {n - 1}, "
+                               f"above the cap {PRODUCT_DEGREE_CAP}")
     # slot width chosen so convolution sums never carry between slots
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = max(1, (bound.bit_length() + 7) // 8)
-    n = len(a) + len(b) - 1
     if width * (p - 1) <= 255:
         # Byte lanes: slot i is sum_k raw[i*width + k] * 256^k, so it is
         # congruent mod p to the sum over k of lane k translated by

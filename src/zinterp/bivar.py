@@ -77,9 +77,9 @@ class BiTrunc:
         return cls(p, bound, ())
 
     @classmethod
-    def kernel_generator(cls, p: int, bound: int = 2) -> "BiTrunc":
+    def kernel_generator(cls, p: int) -> "BiTrunc":
         """t*u - 1."""
-        return cls(p, bound, ((0, 0, -1), (1, 1, 1)))
+        return cls(p, 2, ((0, 0, -1), (1, 1, 1)))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(m, n): c for m, n, c in self.entries}
@@ -228,9 +228,7 @@ def from_hyperbola(f: BiTrunc) -> BiTrunc:
 _BIFACTOR_RE = re.compile(r"^(?:(\d+)|([A-Za-z]\w*)(?:\^(\d+))?)$")
 
 
-def parse_bipoly(
-    text: str, p: int, bound: int, names: tuple[str, str] = ("t", "u")
-) -> BiTrunc:
+def parse_bipoly(text: str, p: int, bound: int) -> BiTrunc:
     """Parse sums of terms like ``2*t^2*u - t + 3`` into a BiTrunc."""
     s = text.strip()
     if not s:
@@ -239,7 +237,7 @@ def parse_bipoly(
     for coeff, term in signed_terms(s):
         if not term:
             raise ValueError(f"bad term in {text!r}")
-        powers = {names[0]: 0, names[1]: 0}
+        powers = {"t": 0, "u": 0}
         for factor in term.split("*"):
             m = _BIFACTOR_RE.match(factor.strip())
             if not m:
@@ -251,18 +249,18 @@ def parse_bipoly(
                 if var not in powers:
                     raise ValueError(f"unknown variable {var!r} in {text!r}")
                 powers[var] += parse_exponent(m.group(3)) if m.group(3) else 1
-        key = (powers[names[0]], powers[names[1]])
+        key = (powers["t"], powers["u"])
         acc[key] = acc.get(key, 0) + coeff
     return BiTrunc.from_dict(acc, p, bound)
 
 
-def format_bipoly(f: BiTrunc, names: tuple[str, str] = ("t", "u")) -> str:
+def format_bipoly(f: BiTrunc) -> str:
     if not f.entries:
         return "0"
     parts = []
     for m, n, c in sorted(f.entries, key=lambda e: (-(e[0] + e[1]), -e[0])):
         pieces = []
-        for var, k in ((names[0], m), (names[1], n)):
+        for var, k in (("t", m), ("u", n)):
             if k == 1:
                 pieces.append(var)
             elif k > 1:

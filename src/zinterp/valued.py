@@ -56,19 +56,19 @@ class ValCoeff:
         object.__setattr__(self, "qcoeffs", tuple(cs))
 
     @classmethod
-    def make(cls, value, p: int, prec: int, exact: bool = True) -> "ValCoeff":
+    def make(cls, value, p: int, prec: int) -> "ValCoeff":
         """Coerce an int, coefficient list, Poly in q, or text to a ValCoeff."""
         if isinstance(value, ValCoeff):
-            return cls(value.qcoeffs, p, prec, value.exact and exact)
+            return cls(value.qcoeffs, p, prec, value.exact)
         if isinstance(value, Poly):
-            return cls(value.coeffs, p, prec, exact)
+            return cls(value.coeffs, p, prec, True)
         if isinstance(value, int):
-            return cls((value,), p, prec, exact)
+            return cls((value,), p, prec, True)
         if isinstance(value, str):
             if value.strip() == "0?":
                 return cls((), p, prec, exact=False)
-            return cls(parse_poly(value, p, var="q").coeffs, p, prec, exact)
-        return cls(tuple(value), p, prec, exact)
+            return cls(parse_poly(value, p, var="q").coeffs, p, prec, True)
+        return cls(tuple(value), p, prec, True)
 
     def valuation(self) -> Optional[int]:
         """Order in q of the known part, or None when nothing is visible.
@@ -269,27 +269,13 @@ class NewtonPolygon:
         for (n0, v0), (n1, v1) in zip(vs, vs[1:]):
             if n1 <= n0:
                 raise ValueError("vertex abscissae must increase")
-        slopes = self._slopes_of(vs)
+        slopes = [
+            Fraction(v1 - v0, n1 - n0) for (n0, v0), (n1, v1) in zip(vs, vs[1:])
+        ]
         for s0, s1 in zip(slopes, slopes[1:]):
             if s1 <= s0:
                 raise ValueError("polygon must be strictly convex")
         object.__setattr__(self, "vertices", vs)
-
-    @staticmethod
-    def _slopes_of(vs):
-        return [
-            Fraction(v1 - v0, n1 - n0) for (n0, v0), (n1, v1) in zip(vs, vs[1:])
-        ]
-
-    def slopes(self) -> list[Fraction]:
-        return self._slopes_of(self.vertices)
-
-    def edges(self) -> list[tuple[int, Fraction]]:
-        """(horizontal length, rise) of each edge, slope-ascending."""
-        return [
-            (n1 - n0, v1 - v0)
-            for (n0, v0), (n1, v1) in zip(self.vertices, self.vertices[1:])
-        ]
 
     def value_at(self, n) -> Optional[Fraction]:
         """Hull height at abscissa n, or None (+infinity) outside the span."""
@@ -306,7 +292,8 @@ class NewtonPolygon:
 
 
 def lower_hull(points: Iterable[tuple[int, int]]) -> NewtonPolygon:
-    """Monotone-chain lower hull of (n, v) points (one point per abscissa)."""
+    """Monotone-chain lower hull of (n, v) points: the lowest point at each
+    abscissa counts, and collinear middle points are dropped."""
     best: dict[int, Fraction] = {}
     for n, v in points:
         v = Fraction(v)
@@ -359,24 +346,9 @@ def hull_uncertainty(h: LaurentTrunc) -> tuple[int, ...]:
 
 
 def polygon_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
-    """Minkowski sum: start vertices add, edges merge by ascending slope."""
-    n0 = a.vertices[0][0] + b.vertices[0][0]
-    v0 = a.vertices[0][1] + b.vertices[0][1]
-    edges = sorted(
-        [(Fraction(dv, dn), dn, dv) for dn, dv in a.edges() + b.edges()],
-        key=lambda e: e[0],
-    )
-    verts = [(n0, v0)]
-    for slope, dn, dv in edges:
-        n, v = verts[-1]
-        prev_slope = (
-            Fraction(v - verts[-2][1], n - verts[-2][0]) if len(verts) > 1 else None
-        )
-        if prev_slope is not None and prev_slope == slope:
-            verts[-1] = (n + dn, v + dv)
-        else:
-            verts.append((n + dn, v + dv))
-    return NewtonPolygon(tuple(verts))
+    """Minkowski sum: every vertex of it is a vertex of a plus one of b."""
+    return lower_hull((n0 + n1, v0 + v1)
+                      for n0, v0 in a.vertices for n1, v1 in b.vertices)
 
 
 def theta_series(p: int, n_max: int, q_prec: int) -> LaurentTrunc:

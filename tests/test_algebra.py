@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 import zinterp
 from zinterp.algebra import (
+    INTEGER_MUL_WORK_LIMIT,
     NEG_INFINITY,
+    PRODUCT_DEGREE_CAP,
+    FeasibilityError,
     Poly,
     format_poly,
     frob_pow,
@@ -84,6 +87,21 @@ def test_modulus_validation():
         Poly([1], -3)
     with pytest.raises(ValueError):
         Poly([1], 5) + Poly([1], 7)
+    # a prime, refused before trial division, which would take minutes
+    with pytest.raises(ValueError, match=r"at or above the cap 2\^32"):
+        Poly([1], 2**61 - 1)
+
+
+def test_products_past_the_caps_are_refused():
+    half = Poly.monomial(1, PRODUCT_DEGREE_CAP // 2, 17)
+    assert (half * half).degree == PRODUCT_DEGREE_CAP
+    with pytest.raises(FeasibilityError, match="degree 200003, above the cap"):
+        half * Poly.monomial(1, PRODUCT_DEGREE_CAP // 2 + 1, 17)
+    side = int(INTEGER_MUL_WORK_LIMIT ** 0.5)
+    dense = Poly([1] * side, 0)
+    assert (dense * dense).degree == 2 * side - 2
+    with pytest.raises(FeasibilityError, match="over Z\\[t\\]"):
+        dense * Poly([1] * (side + 1), 0)
 
 
 def test_int_coercion_in_operators():

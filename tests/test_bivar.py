@@ -316,6 +316,6 @@ def _text_bipolys(draw):
 
 
 @settings(max_examples=300)
-@given(f=_text_bipolys(), names=st.sampled_from((("t", "u"), ("z", "w1"))))
-def test_bipoly_text_round_trips(f, names):
-    assert parse_bipoly(format_bipoly(f, names), f.p, f.bound, names) == f
+@given(f=_text_bipolys())
+def test_bipoly_text_round_trips(f):
+    assert parse_bipoly(format_bipoly(f), f.p, f.bound) == f

@@ -62,6 +62,15 @@ class TestPellCommands:
         assert code == 0
         assert out.splitlines()[1].startswith("#RESULT pell-gen")
 
+    def test_gen_modulus_cap_exits_2(self, capsys):
+        # 2^61 - 1 is prime, and trial division would take minutes
+        with _deadline(5):
+            code, out, err = run(capsys, "pell", "gen", "-n", "1",
+                                 "-p", "2305843009213693951")
+        assert code == 2
+        assert out == "#RESULT pell-gen status=error code=2\n"
+        assert "at or above the cap 2^32" in err
+
     @pytest.mark.parametrize("n", ["3000000", "-3000000", "100001"])
     def test_gen_degree_cap_exits_3(self, capsys, n):
         code, out, err = run(capsys, "pell", "gen", "-n", n, "-p", "5")
@@ -155,6 +164,15 @@ class TestPellCommands:
         assert excinfo.value.code == 2
         # argparse refuses unrecognized arguments at the top level
         assert capsys.readouterr().out == "#RESULT zinterp status=error code=2\n"
+
+    def test_verify_integer_product_cap_exits_3(self, capsys):
+        dense = " + ".join(f"{k % 7 + 1}*t^{k}" for k in range(3000))
+        with _deadline(5):
+            code, out, err = run(capsys, "pell", "verify", "-x", dense,
+                                 "-y", dense, "-p", "0")
+        assert code == 3
+        assert out == "#RESULT pell-verify status=error code=3\n"
+        assert "a product of 3000 by 3000 coefficients over Z[t]" in err
 
     def test_verify_exponent_cap_exits_2(self, capsys):
         code, out, err = run(
@@ -448,6 +466,21 @@ class TestCheckCommand:
         assert code == 2
         assert out == "#RESULT check status=error code=2\n"
         assert "nesting deeper than" in err
+
+    @pytest.mark.parametrize("formula, code", [
+        ("(exists (x) (= (* x x) (* x x)))", 0),
+        ("(exists (x) (= (* (* x x) (* x x)) (* (* x x) (* x x))))", 3),
+    ], ids=["square", "fourth-power"])
+    def test_products_at_the_degree_cap(self, capsys, formula, code):
+        with _deadline(5):
+            got, out, err = run(capsys, "check", "--formula", formula,
+                                "--witness", "x = t^100000", "-p", "17")
+        assert got == code
+        if code:
+            assert out == "#RESULT check status=error code=3\n"
+            assert "degree 400000, above the cap 200002" in err
+        else:
+            assert "verified" in out
 
 
 class TestSynthCommand:
@@ -758,8 +791,9 @@ _NUMERIC_FLAGS = ("-n", "-p", "-D", "-d", "-r", "-M", "-k", "--n-max",
                   "--q-prec")
 # The F_p kernels leave their byte-lane paths between these primes.
 _BYTE_LANE_EDGES = ("127", "128", "131", "251", "256", "257")
-# -p values: those edges, and primes whose base-p digits can be near p.
-_P_EDGES = _BYTE_LANE_EDGES + ("65537", "100003")
+# -p values: those edges, primes whose base-p digits can be near p, and a
+# prime past the modulus cap.
+_P_EDGES = _BYTE_LANE_EDGES + ("65537", "100003", "2305843009213693951")
 _HUGE = ("1000000", "100000000", "-100000000", str(10 ** 30))
 _ODD_NUMBERS = ("0", "1", "2", "4", "-1", "x", "", "1e3")
 _ODD_TEXT = ("t^", "t^100000000", "(", ")", "", "t*u*v", "1/0", "t^-1",

@@ -1,7 +1,6 @@
 """Tests for witness synthesis, semantic checks, and e2e verification."""
 
 import hashlib
-import itertools
 
 import pytest
 from conftest import SEED, FreshConstants, random_poly
@@ -190,34 +189,6 @@ class TestNonzeroFamily:
                 targets.append(t ** alpha * (t - 1) ** beta * g)
             for f in targets:
                 assert _nonzero_values(f, p) == ref_values(f, p)
-
-    def test_soundness_random_samples(self, rng):
-        matrix = nonzero().body
-        for p in (5, 17):
-            for _ in range(200):
-                assignment = {
-                    "x": random_poly(rng, p, 3),
-                    "a": random_poly(rng, p, 3),
-                    "b": random_poly(rng, p, 3),
-                    "c": random_poly(rng, p, 3),
-                }
-                if eval_qf(matrix, assignment, p):
-                    assert not assignment["x"].is_zero()
-
-    def test_soundness_zero_target_exhaustive(self):
-        """No witness of degree <= 1 certifies the zero target over F_5.
-
-        The product (ta+1)((t-1)b+1) is never the zero polynomial, so the
-        matrix with x = 0 forces a contradiction; the sweep confirms it
-        on the full bounded grid.
-        """
-        p = 5
-        matrix = nonzero().body
-        zero = Poly.zero(p)
-        polys = [Poly((c0, c1), p) for c0 in range(p) for c1 in range(p)]
-        for a, b, c in itertools.product(polys, repeat=3):
-            assignment = {"x": zero, "a": a, "b": b, "c": c}
-            assert not eval_qf(matrix, assignment, p)
 
 
 class TestPowerCertificate:

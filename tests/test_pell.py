@@ -181,6 +181,9 @@ def test_integer_index_limit():
             pell_pairs_with_quotients([1, n], 0)
     assert pell_pair(INTEGER_INDEX_LIMIT + 1, 3).x.degree == (
         INTEGER_INDEX_LIMIT + 1)
+    # pell_verify's products at the index limit stay within the Z[t] cap
+    pair = pell_pair(INTEGER_INDEX_LIMIT, 0)
+    assert pell_verify(pair.x, pair.y)
 
 
 @pytest.mark.parametrize("p", [3, 5, 17])

@@ -9,11 +9,12 @@ could satisfy it there.  The verdicts must equal ground truth that these
 tests compute in the integers.
 
 Gated here: the pair domain, the symbols 0, 1, =, +, | and != of the pair
-interpretation, and the sets phi (Frobenius powers of t) and psi (positive
-powers of t).  For != the gate checks both directions apart: distinct
-indices hold with Bezout certificates built here, and equal ones are
-refused over a full box of certificates.  |* and beta are not gated: their
-chain certificate is not yet sound.
+interpretation, the sets phi (Frobenius powers of t) and psi (positive
+powers of t), and the nonzero test nu.  For nu and != the gate checks both
+directions apart: nonzero values and distinct indices hold with Bezout
+certificates built here, and zero and equal ones are refused over a full
+box of certificates.  |* and beta are not gated: their chain certificate
+is not yet sound.
 """
 
 from itertools import product
@@ -23,8 +24,8 @@ import pytest
 from zinterp.algebra import Poly, poly_divrem, poly_extgcd
 from zinterp.buchi import square_root_poly
 from zinterp.formula import Exists, Inst, check_sat
-from zinterp.interp import (OpenFormula, frob_powers_of_t, pell_interpretation,
-                            positive_powers_of_t)
+from zinterp.interp import (OpenFormula, frob_powers_of_t, nonzero,
+                            pell_interpretation, positive_powers_of_t)
 from zinterp.pell import pell_pair
 
 
@@ -174,6 +175,23 @@ def _nonzero_certificate(f: Poly) -> tuple:
     _, u, v = poly_extgcd(t, f1)
     _, s, r = poly_extgcd(t - one, Poly.monomial(1, alpha, p))
     return -u, -s, v * r
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 1)])
+def test_nonzero_holds_exactly_off_zero(p, d):
+    """Over every x of degree <= d: a nonzero x holds at the certificate
+    _nonzero_certificate builds, and x = 0 is refused at every (a, b, c)
+    of degree <= 1, since (ta + 1)((t - 1)b + 1) is never zero."""
+    of = OpenFormula(("x",), nonzero())
+    box = [Poly((c0, c1), p) for c0 in range(p) for c1 in range(p)]
+    for cs in product(range(p), repeat=d + 1):
+        x = Poly(cs, p)
+        if not x.is_zero():
+            cert = dict(zip("abc", _nonzero_certificate(x)))
+            assert _holds(of, {"x": x, **cert}, p), cs
+            continue
+        for cert in product(box, repeat=3):
+            assert not _holds(of, {"x": x, **dict(zip("abc", cert))}, p), cert
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

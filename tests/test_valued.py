@@ -197,6 +197,40 @@ def test_polygon_sum_examples():
     assert polygon_sum(point, b) == b
 
 
+def _edge_merge_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
+    """Reference Minkowski sum: the start vertices add, then the edges of
+    both polygons follow by ascending slope, equal slopes joined."""
+    def edges(polygon):
+        vs = polygon.vertices
+        return [(n1 - n0, v1 - v0) for (n0, v0), (n1, v1) in zip(vs, vs[1:])]
+
+    verts = [(a.vertices[0][0] + b.vertices[0][0],
+              a.vertices[0][1] + b.vertices[0][1])]
+    last = None
+    for dn, dv in sorted(edges(a) + edges(b), key=lambda e: e[1] / e[0]):
+        n, v = verts[-1]
+        if dv / dn == last:
+            verts[-1] = (n + dn, v + dv)
+        else:
+            verts.append((n + dn, v + dv))
+        last = dv / dn
+    return NewtonPolygon(tuple(verts))
+
+
+def _random_hull(rng) -> NewtonPolygon:
+    lo = rng.randint(-6, 3)
+    return lower_hull(
+        (rng.randint(lo, lo + 8), Fraction(rng.randint(0, 30), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 9))
+    )
+
+
+def test_polygon_sum_matches_the_edge_merge(rng):
+    for _ in range(2000):
+        a, b = _random_hull(rng), _random_hull(rng)
+        assert polygon_sum(a, b) == _edge_merge_sum(a, b), (a, b)
+
+
 def test_theta_series_hull():
     th = theta_series(5, 4, 20)
     assert newton_polygon(th).vertices == (
