@@ -134,8 +134,9 @@ SYNTH_DEGREE_CAP = 100_000
 # Largest degree of an F_p product: two values within the cap, and the
 # t^2 - 1 that pell_verify multiplies into y^2.
 PRODUCT_DEGREE_CAP = 2 * SYNTH_DEGREE_CAP + 2
-# Largest operand length product of a schoolbook product over Z[t]; pell_verify
-# at pell.INTEGER_INDEX_LIMIT squares 1,001 coefficients.
+# Largest operand length product of a schoolbook product over Z[t] and of a
+# truncated series product (valued.series_mul); pell_verify at
+# pell.INTEGER_INDEX_LIMIT squares 1,001 coefficients.
 INTEGER_MUL_WORK_LIMIT = 1 << 20
 
 
@@ -471,7 +472,10 @@ def _spread(cs, width: int) -> int:
 
 
 def _kronecker_mul(a, b, p: int):
-    """The storage of a*b over F_p, from two nonempty storages (or tuples)."""
+    """The storage of a*b over F_p, from two nonempty storages (or tuples).
+    When b is a, as for x * x, the operand is packed once and its integer
+    squared: CPython squares an int faster than it multiplies two equal
+    ones."""
     n = len(a) + len(b) - 1
     if n - 1 > PRODUCT_DEGREE_CAP:
         raise FeasibilityError(f"the product would have degree {n - 1}, "
@@ -485,8 +489,9 @@ def _kronecker_mul(a, b, p: int):
         # v -> v * 256^k mod p.  Each translated lane is below p, so the
         # width lane sums are at most width * (p - 1) <= 255: adding the
         # lanes as integers never carries, and one last translate reduces.
-        raw = (_spread(a, width) * _spread(b, width)).to_bytes(
-            width * n, "little")
+        abig = _spread(a, width)
+        bbig = abig if b is a else _spread(b, width)
+        raw = (abig * bbig).to_bytes(width * n, "little")
         lanes = _lanes(p, width)
         if width > 1:
             acc = 0
@@ -497,16 +502,18 @@ def _kronecker_mul(a, b, p: int):
     for slot, code in _SLOTS:
         if slot >= width:
             if p <= _BYTES_MAX_P:
-                abig, bbig = _spread(a, slot), _spread(b, slot)
+                abig = _spread(a, slot)
+                bbig = abig if b is a else _spread(b, slot)
             else:
                 abig = int.from_bytes(array(code, a).tobytes(), "little")
-                bbig = int.from_bytes(array(code, b).tobytes(), "little")
+                bbig = abig if b is a else int.from_bytes(
+                    array(code, b).tobytes(), "little")
             raw = (abig * bbig).to_bytes(slot * n, "little")
             return _stored([c % p for c in memoryview(raw).cast(code)], p)
     abig = int.from_bytes(
         b"".join(c.to_bytes(width, "little") for c in a), "little"
     )
-    bbig = int.from_bytes(
+    bbig = abig if b is a else int.from_bytes(
         b"".join(c.to_bytes(width, "little") for c in b), "little"
     )
     raw = (abig * bbig).to_bytes(width * n, "little")

@@ -21,8 +21,8 @@ and u2 fix the sequence, so the oracle reads everything off them; only a
 survivor that is neither constant nor a generated family gets the exact
 square test of u_3..u_p.  As s and -s have the same square, the sweep
 takes one seed of each sign class, and a survivor matches the family
-(n + v)^(p^r + 1) exactly when v + v^(p^r) = u2 - u1 - 3 and
-(1 + v)(1 + v^(p^r)) = u1 (see _match_family).
+(n + v)^(p^r + 1) = n^2 + n D + u_0 exactly when v + v^(p^r) = D =
+u2 - u1 - 3 and v^(p^r + 1) = u_0 = 2u1 - u2 + 2 (see _match_family).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .algebra import (
     FeasibilityError,
     Poly,
     _frob_scale,
+    _schoolbook_mul,
     frob_pow,
     kth_roots_mod,
 )
@@ -263,37 +264,50 @@ def _match_family(u1: Poly, u2: Poly) -> Optional[tuple[Poly, int]]:
     the map injective for odd p, so each r has one candidate, read off the
     first m + 1 coefficients of D.
 
-    Two identities decide, with q = p^r: v + v^q = D and (1 + v)(1 + v^q) =
-    u1.  Frobenius fixes F_p, so (n + v)^q = n + v^q and the family's terms
-    are u_n = (n + v)(n + v^q) = n^2 + n (v + v^q) + v^(q+1); hence
-    u_2 = u_1 + (v + v^q) + 3 on the family.  If the family gives (u1, u2),
-    then u1 = (1 + v)(1 + v^q) and D = u2 - u1 - 3 = v + v^q; conversely
-    those two give u2 = u1 + D + 3 = (2 + v)(2 + v^q).  A sequence with the
-    recurrence is fixed by its first two terms, and the family obeys the
-    same recurrence (its second difference is 2, see the module
-    docstring), so the candidate matches the whole sequence exactly when
-    both identities hold.
+    Two identities decide, with q = p^r: v + v^q = D and v v^q = u_0 =
+    2u1 - u2 + 2.  Frobenius fixes F_p, so (n + v)^q = n + v^q and the
+    family's terms are u_n = (n + v)(n + v^q) = n^2 + n (v + v^q) +
+    v^(q+1).  A quadratic n^2 + nD + u_0 takes the values u1 = 1 + D + u_0
+    and u2 = 4 + 2D + u_0 at n = 1, 2, which solve to the D and u_0 above.
+    A sequence with the recurrence is fixed by its first two terms, and the
+    family obeys the same recurrence (its second difference is 2, see the
+    module docstring), so the candidate matches the whole sequence exactly
+    when both identities hold.  Both are decided on coefficient lists: v^q
+    is v spread with step q, and only a match builds a Poly.
     """
     p, d1 = u1.modulus, u1.degree
     if not isinstance(d1, int) or d1 == 0:
         return None
-    dc = (u2 - u1 - Poly.const(3, p)).data
+    pairs = list(itertools.zip_longest(u1.data, u2.data, fillvalue=0))
+    dc = [(y - x) % p for x, y in pairs]
+    u0 = [(x + x - y) % p for x, y in pairs]
+    dc[0], u0[0] = (dc[0] - 3) % p, (u0[0] + 2) % p
+    for cs in dc, u0:
+        while cs and not cs[-1]:
+            cs.pop()
     half = pow(2, -1, p)
     r, q = 0, 1
     while q < d1:
-        if d1 % (q + 1) == 0:
+        m, rest = divmod(d1, q + 1)
+        if not rest:
             v = []
-            for i, c in enumerate(dc[:d1 // (q + 1) + 1]):
+            for i, c in enumerate(dc[:m + 1]):
                 if i == 0 or r == 0:
                     v.append(c * half % p)
                 elif i % q:
                     v.append(c)
                 else:
                     v.append((c - v[i // q]) % p)
-            v = Poly(v, p)
-            w = v + 1  # (1 + v)^q = 1 + v^q
-            if (v + frob_pow(v, r)).data == dc and w * frob_pow(w, r) == u1:
-                return v, r
+            # A match has deg v = m, as deg u1 = (q + 1) deg v.  Then the
+            # leading coefficients of v + v^q and v v^q are nonzero (p is
+            # odd), so neither needs trimming.
+            if len(v) > m and v[m]:
+                vq = [0] * (q * m + 1)
+                vq[::q] = v
+                total = [(x + y) % p for x, y in zip(vq, v)] + vq[m + 1:]
+                if total == dc and [
+                        c % p for c in _schoolbook_mul(vq, v)] == u0:
+                    return Poly(v, p), r
         r, q = r + 1, q * p
     return None
 

@@ -199,7 +199,7 @@ def cmd_newton_monomial(args) -> int:
     h = parse_series(_read_text_arg(args.series))
     try:
         sign, n = norm_one_monomial(h)
-    except PrecisionError:
+    except (FeasibilityError, PrecisionError):
         raise
     except ValueError as exc:
         print(f"falsified: {exc}")

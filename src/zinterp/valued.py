@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import (SYNTH_DEGREE_CAP, FeasibilityError, Poly, PrecisionError,
-                      _check_modulus, format_poly, parse_exponent, parse_poly)
+from .algebra import (INTEGER_MUL_WORK_LIMIT, SYNTH_DEGREE_CAP,
+                      FeasibilityError, Poly, PrecisionError, _check_modulus,
+                      format_poly, parse_exponent, parse_poly)
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,17 @@ def series_mul(h: LaurentTrunc, g: LaurentTrunc) -> LaurentTrunc:
 
     With both tails exact the window is the full support bound
     [h.lo+g.lo, h.hi+g.hi]; each open tail cuts the corresponding side down
-    to what the finite windows determine completely.
+    to what the finite windows determine completely.  Windows whose length
+    product passes INTEGER_MUL_WORK_LIMIT raise FeasibilityError before
+    anything is multiplied.
     """
     if h.p != g.p:
         raise ValueError("mixed moduli")
+    if len(h.coeffs) * len(g.coeffs) > INTEGER_MUL_WORK_LIMIT:
+        raise FeasibilityError(
+            f"a product of {len(h.coeffs)} by {len(g.coeffs)} series "
+            f"coefficients is above the cap {INTEGER_MUL_WORK_LIMIT}"
+        )
     prec = min(h.q_prec, g.q_prec)
     lo_exact = h.lo_exact and g.lo_exact
     hi_exact = h.hi_exact and g.hi_exact

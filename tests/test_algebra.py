@@ -517,6 +517,27 @@ def test_scalar_products_match_schoolbook(rng, p):
                 _check_result(r, ref, p, f"{n} coefficients times {c}")
 
 
+@pytest.mark.parametrize("p", [3, 17, 131, 257, 65537, 2**31 - 1])
+def test_squares_match_products_of_equal_copies(rng, p):
+    # f * f packs f once and squares the integer, in each packing branch:
+    # byte lanes (3, 17), array slots (131, 257, 65537) and wide bytes
+    # (2^31 - 1).  It equals the product by an equal polynomial with other
+    # storage, on both sides of the Kronecker threshold and up to a few
+    # thousand coefficients, and the schoolbook reference up to 300.  (One
+    # coefficient is a scalar product, and CPython shares one-byte bytes.)
+    for n in (2, 3, 4, 5, 6, 24, 25, 26, 300, 2500):
+        f = Poly(_random_coeffs(rng, p, n), p)
+        other = Poly(list(f.data), p)
+        assert other.data is not f.data
+        square = f * f
+        assert square == f * other, (p, n)
+        if n <= 300:
+            ref = _ref_red(_schoolbook_mul(f.coeffs, f.coeffs), p)
+        else:
+            ref = _ref_mul(f.coeffs, f.coeffs, p)
+        _check_result(square, ref, p, f"the square of {n} coefficients")
+
+
 @pytest.mark.parametrize("p", _STORAGE_PRIMES)
 def test_storage_matches_reference_at_every_edge(rng, p):
     shapes = _PRODUCT_SHAPES + [(0, 3), (3, 0), (0, 0)]

@@ -1,6 +1,7 @@
 """Tests for square-sequence families, polynomial roots, and the seed sweep."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -486,6 +487,82 @@ def test_match_family_equals_root_and_unit_matcher(rng):
         matched += match is not None
         unmatched += match is None
     assert matched > 500 and unmatched > 500
+
+
+def _match_family_by_polys(u1, u2):
+    """The matcher on Poly arithmetic: the same linear solve for v from
+    D = u2 - u1 - 3, then v + v^q = D and (1 + v)(1 + v^q) = u1 decided
+    by Poly sums and products."""
+    p, d1 = u1.modulus, u1.degree
+    if not isinstance(d1, int) or d1 == 0:
+        return None
+    dc = (u2 - u1 - Poly.const(3, p)).data
+    half = pow(2, -1, p)
+    r, q = 0, 1
+    while q < d1:
+        if d1 % (q + 1) == 0:
+            v = []
+            for i, c in enumerate(dc[:d1 // (q + 1) + 1]):
+                if i == 0 or r == 0:
+                    v.append(c * half % p)
+                elif i % q:
+                    v.append(c)
+                else:
+                    v.append((c - v[i // q]) % p)
+            v = Poly(v, p)
+            w = v + 1
+            if (v + frob_pow(v, r)).data == dc and w * frob_pow(w, r) == u1:
+                return v, r
+        r, q = r + 1, q * p
+    return None
+
+
+def test_match_family_equals_poly_level_matcher(rng):
+    # Seeds of generated families, the same with u2 perturbed or u1 + 1,
+    # and unrelated pairs (zero and constant u1, deg u2 above deg u1):
+    # the matcher on coefficient lists returns what the one on Poly
+    # arithmetic does, (v, r) or None.
+    kinds = Counter()
+    for _ in range(6000):
+        p = rng.choice([3, 5, 7, 11, 17, 257])
+        kind = rng.choice(["real", "perturbed", "plus one", "unrelated"])
+        if kind == "unrelated":
+            u1 = random_poly(rng, p, rng.choice([-1, 0, 0, 1, 2, 4, 8])) \
+                if rng.random() < 0.3 else random_poly(rng, p, 8)
+            u2 = random_poly(rng, p, rng.randint(0, 8))
+        else:
+            r = rng.choice([0, 1, 2]) if p < 11 else rng.choice([0, 1])
+            v = random_poly(rng, p, rng.randint(1, 3))
+            u1, u2 = buchi_generate(v, r, 2, p).terms
+            if kind == "perturbed":
+                u2 += random_poly(rng, p, rng.randint(0, 3), nonzero=True)
+            elif kind == "plus one":
+                u1 += 1
+        match = _match_family(u1, u2)
+        assert match == _match_family_by_polys(u1, u2), (p, u1, u2, kind)
+        kinds[kind, match is not None] += 1
+    assert kinds["real", True] > 1000
+    assert kinds["unrelated", False] > 1000
+    assert kinds["perturbed", False] > 1000
+    assert kinds["plus one", False] > 1000
+
+
+def test_oracle_sweep_makes_only_the_seed_products(monkeypatch):
+    # The d = 1 sweep multiplies each of its 145 seeds by itself and does no
+    # other Poly product, sum or difference: the matcher works on
+    # coefficient lists.
+    counts = Counter()
+    for name, kind in (("__mul__", "mul"), ("__rmul__", "mul"),
+                       ("__add__", "add"), ("__radd__", "add"),
+                       ("__sub__", "sub"), ("__rsub__", "sub")):
+        def counted(f, g, original=Poly.__dict__[name], kind=kind):
+            counts[kind] += 1
+            return original(f, g)
+
+        monkeypatch.setattr(Poly, name, counted)
+    report = buchi_search_oracle(17, 1)
+    assert len(report.retained) == 272
+    assert (counts["mul"], counts["add"], counts["sub"]) == (145, 0, 0)
 
 
 def test_sequence_type_flags_invalid():

@@ -258,6 +258,18 @@ class TestNewtonCommands:
         assert "error: inconclusive" in err
 
 
+    def test_monomial_series_product_cap_exits_3(self, capsys):
+        # h times its reflection would be 200,001 by 200,001 coefficients
+        with _deadline(5):
+            code, out, err = run(
+                capsys, "newton", "monomial",
+                "--series", "{-100000: 1, 100000: 1} @ p=5 Q=1",
+            )
+        assert code == 3
+        assert out == "#RESULT newton-monomial status=error code=3\n"
+        assert "above the cap 1048576" in err
+
+
 class TestBivarCommands:
     def test_kernel_factor(self, capsys):
         code, out, _ = run(

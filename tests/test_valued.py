@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zinterp.algebra import Poly
+from zinterp.algebra import INTEGER_MUL_WORK_LIMIT, FeasibilityError, Poly
 from zinterp.valued import (
     LaurentTrunc,
     NewtonPolygon,
@@ -125,6 +125,16 @@ def test_series_mul_open_tail_window():
     wide = S({n: 1 for n in range(6)})
     with pytest.raises(PrecisionError):
         series_mul(narrow, wide)
+
+
+def test_series_mul_refuses_work_past_the_cap():
+    # 1,025 by 1,025 coefficients passes 2^20; by one coefficient it does not
+    h = S({0: 1, 1024: 1})
+    assert len(h.coeffs) ** 2 > INTEGER_MUL_WORK_LIMIT
+    with pytest.raises(FeasibilityError, match="above the cap 1048576"):
+        series_mul(h, reflect(h))
+    prod = series_mul(h, S({2: 1}))
+    assert (prod.n_min, prod.n_max) == (2, 1026)
 
 
 def test_reflect_involution():
