@@ -13,7 +13,8 @@ it on each read, so code in this package reads ``data``.  Bytes of residues
 compare and sort as tuples of the same ints do.  The storage format is
 private to this module, with ``_raw``, ``_stored`` and ``_trimmed``: other
 modules build a polynomial with ``Poly(...)``, the ring operations,
-``frob_pow`` or ``times_t``, and may read ``data`` as a sequence of ints.
+``frob_pow``, ``frob_family`` or ``times_t``, and may read ``data`` as a
+sequence of ints.
 
 The degree of the zero polynomial is the sentinel ``NEG_INFINITY`` (never -1),
 so degree comparisons behave correctly without special-casing.
@@ -54,6 +55,9 @@ beyond 8 bytes.  Below ``_KRONECKER_MIN_PRODUCT`` (the length product;
 ``_KRONECKER_MIN_PRODUCT_SMALL_P`` for p <= 7) the fixed cost of the
 substitution loses to schoolbook convolution, which the integers always
 take and the tests use as the reference.
+
+``frob_family`` lays out the Büchi terms (n + v)^(p^r + 1) block by block,
+with one translate per block and no product, when deg v < p^r.
 """
 
 from __future__ import annotations
@@ -623,6 +627,46 @@ def frob_pow(f: Poly, r: int) -> Poly:
     cs = bytearray(n) if type(data) is bytes else [0] * n
     cs[::p**r] = data
     return Poly._raw(_stored(cs, p), p)
+
+
+def frob_family(v: Poly, r: int, ns: Iterable[int]) -> list[Poly]:
+    """[(n + v)^(p^r + 1) for n in ns] over F_p, p the modulus of v.
+
+    With s = n + v and q = p^r each term is s(t^q) s = frob_pow(s, r) * s.
+    When deg v < q the blocks s_j t^(jq) s do not overlap, so the
+    coefficient of t^(jq + k) is s_j s_k: each block is s scaled by s_j
+    (one translate, or one list for p > 251), and the blocks are laid
+    q apart with no product formed.  Nothing is trimmed, as the top
+    coefficient s_d^2 is nonzero.  When deg v >= q the term is the product.
+    """
+    p = v.modulus
+    if p == 0:
+        raise ValueError("Frobenius powers require a prime modulus")
+    if r < 0:
+        raise ValueError("negative Frobenius exponent")
+    q, data = p**r, v.data
+    overlap = len(data) > q
+    head, tail = type(data), data[1:]
+    c0 = data[0] if data else 0
+    out = []
+    for n in ns:
+        # s = n + v differs from v only in its constant coefficient
+        c = (c0 + n) % p
+        s = head((c,)) + tail if c or tail else tail
+        if overlap:
+            f = Poly._raw(s, p)
+            out.append(frob_pow(f, r) * f)
+            continue
+        d = len(s) - 1
+        if head is bytes:
+            cs = bytes(q - d - 1).join([s.translate(_lane(p, c)) for c in s])
+        else:
+            cs = [0] * (d * q + d + 1)
+            for j, c in enumerate(s):
+                cs[j * q : j * q + d + 1] = [c * e % p for e in s]
+            cs = tuple(cs)
+        out.append(Poly._raw(cs, p))
+    return out
 
 
 def times_t(f: Poly) -> Poly:

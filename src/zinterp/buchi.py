@@ -37,11 +37,17 @@ from .algebra import (
     Poly,
     _frob_scale,
     _schoolbook_mul,
+    frob_family,
     frob_pow,
     kth_roots_mod,
 )
 
 SEARCH_DEGREE_CAP = 2
+# Largest length * (p^r + 1) * max(deg v, 1), about the coefficient count,
+# of a family buchi_generate builds.  The slowest family measured at the
+# cap, a dense v of degree 11,000 (the most a 128 KiB argument holds) at
+# p = 2^32 - 5 and r = 0, prints through `zinterp buchi gen` in 2.2 s.
+GEN_SIZE_CAP = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,13 @@ def second_differences_equal_two(terms: tuple[Poly, ...]) -> bool:
 def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
     """The family u_n = (n + v)^(p^r + 1) for n = 1..length.
 
-    Each term is computed as frob_pow(n + v, r) * (n + v), which is the same
-    polynomial as the power but linear in the output size.  The returned
-    sequence carries the result of an exact second-difference check.
-    A Frobenius scale p^r * max(deg v, 1) or a length past SYNTH_DEGREE_CAP
-    raises FeasibilityError before anything is built.
+    The terms come from algebra.frob_family, which lays out each
+    (n + v)(t^(p^r)) (n + v) block by block when deg v < p^r and multiplies
+    otherwise.  The returned sequence carries the result of an exact
+    second-difference check.  A Frobenius scale p^r * max(deg v, 1) or a
+    length past SYNTH_DEGREE_CAP, or a size length * (p^r + 1) *
+    max(deg v, 1) past GEN_SIZE_CAP, raises FeasibilityError before
+    anything is built.
     """
     if p < 3:
         raise ValueError("square-sequence families need an odd prime modulus")
@@ -80,16 +88,18 @@ def buchi_generate(v: Poly, r: int, length: int, p: int) -> BuchiSeq:
         raise ValueError("Frobenius exponent must be nonnegative")
     if length < 1:
         raise ValueError(f"sequence length must be at least 1, got {length}")
-    _frob_scale(p, r, max(v.degree, 1))
+    q = _frob_scale(p, r, max(v.degree, 1))
     if length > SYNTH_DEGREE_CAP:
         raise FeasibilityError(
             f"sequence length {length} is above the cap {SYNTH_DEGREE_CAP}"
         )
-    terms = []
-    for n in range(1, length + 1):
-        base = Poly.const(n, p) + v
-        terms.append(frob_pow(base, r) * base)
-    terms = tuple(terms)
+    size = length * (q + 1) * max(v.degree, 1)
+    if size > GEN_SIZE_CAP:
+        raise FeasibilityError(
+            f"{length} terms of degree about {size // length} are above the "
+            f"size cap {GEN_SIZE_CAP}"
+        )
+    terms = tuple(frob_family(v, r, range(1, length + 1)))
     return BuchiSeq(terms, p, second_differences_equal_two(terms))
 
 

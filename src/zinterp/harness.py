@@ -31,6 +31,7 @@ from typing import Mapping, Optional
 from .algebra import (
     Poly,
     _frob_scale,
+    frob_family,
     frob_pow,
     poly_divrem,
 )
@@ -179,15 +180,16 @@ def _ge_p_values(g: Poly, r: int, p: int) -> list:
     """Values for the full power certificate's bound variables beyond the
     two related elements, in binder order: the conic point (u, v), then the
     three chains (GE_P_CHAIN_LENGTH sequence terms and a quotient each) for
-    bases t, t*g, and g.  The largest has degree about deg(t*g) * p^r."""
+    bases t, t*g, and g.  The largest has degree about deg(t*g) * p^r.
+    Each chain's terms (i + base)^(p^r + 1) come from one frob_family call,
+    which lays them out block by block, with no product, for a base of
+    degree below p^r."""
     q = _frob_scale(p, r, max(len(g.data), 1))
     t = Poly.gen(p)
     one = Poly.one(p)
     out = [Poly.monomial(1, q, p), (t * t - one) ** ((q - 1) // 2)]
     for base in (t, t * g, g):
-        for i in range(GE_P_CHAIN_LENGTH):
-            s = base + Poly.monomial(i, 0, p)
-            out.append(frob_pow(s, r) * s)
+        out += frob_family(base, r, range(GE_P_CHAIN_LENGTH))
         out.append(base ** (q - 1))
     return out
 
@@ -195,9 +197,10 @@ def _ge_p_values(g: Poly, r: int, p: int) -> list:
 def synth_ge_p(g: Poly, r: int, p: int) -> Witness:
     """Witness for the full certificate of g^(p^r) against g.
 
-    The sequence values are (i - 1 + base)^(p^r + 1); their second
-    difference is 2 in any odd characteristic, and the three pin equations
-    hold identically for x = y^(p^r).
+    The sequence values are (i - 1 + base)^(p^r + 1), built by
+    algebra.frob_family; their second difference is 2 in any odd
+    characteristic, and the three pin equations hold identically for
+    x = y^(p^r).
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("odd characteristic required")

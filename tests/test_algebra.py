@@ -16,6 +16,7 @@ from zinterp.algebra import (
     FeasibilityError,
     Poly,
     format_poly,
+    frob_family,
     frob_pow,
     is_prime,
     kth_roots_mod,
@@ -165,6 +166,32 @@ def test_frob_pow_matches_repeated_mul(rng):
             for _ in range(40):
                 f = random_poly(rng, p, 3)
                 assert frob_pow(f, r) == _binary_pow(f, p**r)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("p", [3, 5, 17, 131, 257])
+def test_frob_family_matches_the_product(rng, p, r):
+    """Blocks laid out for deg v < q and products for deg v >= q, on both
+    sides of q at every (p, r) small enough to multiply, with zero and
+    constant v and the n that zero the constant coefficient of n + v."""
+    q = p**r
+    degrees = [0, 1, 2] + [d for d in (q - 1, q, q + 1)
+                           if d > 2 and d * q <= 100_000]
+    vs = [Poly.zero(p), Poly.const(rng.randrange(1, p), p)]
+    for d in degrees:
+        vs += [Poly([rng.randrange(p) for _ in range(d)] + [1], p),
+               Poly([0] + [rng.randrange(p) for _ in range(d - 1)] + [p - 1],
+                    p) if d else Poly.one(p)]
+    for v in vs:
+        c0 = v.coeff(0)
+        ns = list(range(-2, 5)) + [-c0, p - c0, 2 * p - c0, p]
+        got = frob_family(v, r, ns)
+        assert len(got) == len(ns)
+        for n, term in zip(ns, got):
+            s = v + n
+            want = frob_pow(s, r) * s
+            assert (term.data, term.modulus) == (want.data, want.modulus), \
+                (p, r, v, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 17])

@@ -269,6 +269,25 @@ class TestNewtonCommands:
         assert out == "#RESULT newton-monomial status=error code=3\n"
         assert "above the cap 1048576" in err
 
+    def test_monomial_sparse_series_at_the_window_cap(self, capsys):
+        # 1,024 by 1,024 window coefficients, at the cap, but two nonzero
+        with _deadline(5):
+            code, out, _ = run(capsys, "newton", "monomial",
+                               "--series", "{-512: 1, 511: 1} @ p=5 Q=1")
+        assert code == 1
+        assert "falsified" in out
+
+    @pytest.mark.parametrize("size, code", [(256, 1), (257, 3)])
+    def test_monomial_dense_series_at_the_pair_cap(self, capsys, size, code):
+        # 256 * 256 nonzero pairs = 2^16, the cap; 257 * 257 pass it
+        entries = ", ".join(f"{n}: {n % 4 + 1} + q" for n in range(size))
+        with _deadline(5):
+            got, out, err = run(capsys, "newton", "monomial",
+                                "--series", f"{{{entries}}} @ p=5 Q=4")
+        assert got == code
+        if code == 3:
+            assert "above the cap 65536" in err
+
 
 class TestBivarCommands:
     def test_kernel_factor(self, capsys):
@@ -356,16 +375,36 @@ class TestBuchiCommands:
             assert out == "#RESULT buchi-gen status=error code=2\n"
             assert "length must be at least 1" in err
 
-    @pytest.mark.parametrize("r, length", [("9", "3"), ("0", "100000000")],
-                             ids=["frobenius-scale", "length"])
-    def test_gen_degree_cap_exits_3(self, capsys, r, length):
-        code, out, err = run(
-            capsys, "buchi", "gen", "-v", "t", "-r", r, "-M", length,
-            "-p", "17",
-        )
+    @pytest.mark.parametrize("r, length, cap", [
+        ("9", "3", "the cap 100000"),
+        ("0", "100000000", "the cap 100000"),
+        # 100,000 terms of 83,523 coefficients each, about 8.4 GB
+        ("4", "100000", "the size cap 524288"),
+    ], ids=["frobenius-scale", "length", "size"])
+    def test_gen_degree_cap_exits_3(self, capsys, r, length, cap):
+        with _deadline(5):
+            code, out, err = run(
+                capsys, "buchi", "gen", "-v", "t", "-r", r, "-M", length,
+                "-p", "17",
+            )
         assert code == 3
         assert out == "#RESULT buchi-gen status=error code=3\n"
-        assert "above the cap 100000" in err
+        assert f"above {cap}" in err
+
+    def test_gen_at_the_size_cap_within_the_fuzz_alarm(self, capsys):
+        # 64 * (8,191 + 1) * deg(t + 1) = 2^19, the size cap exactly; one
+        # more term is refused
+        with _deadline(5):
+            code, out, _ = run(
+                capsys, "buchi", "gen", "-v", "t + 1", "-r", "1", "-M", "64",
+                "-p", "8191",
+            )
+        assert code == 0
+        assert out.splitlines()[-1] \
+            == "#RESULT buchi-gen p=8191 r=1 length=64 status=ok"
+        code, out, _ = run(capsys, "buchi", "gen", "-v", "t + 1", "-r", "1",
+                           "-M", "65", "-p", "8191")
+        assert code == 3
 
     def test_oracle_degree_zero_sweep(self, capsys):
         code, out, _ = run(capsys, "buchi", "oracle", "-d", "0")

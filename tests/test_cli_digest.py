@@ -5,8 +5,9 @@ the argv as JSON.  Command lines run in this process through cli.main; an
 argv that names a demos/ script runs that script in a fresh process.  The
 list covers pell gen, verify and oracle (both spellings) at p = 0, 2, 3, 5
 and 17, pell oracle (both spellings) at eight bounds at p = 7, 11, 13, 19
-and 23, buchi gen and oracle, up to d = 2 at p = 17, synth for every
-family, e2e, e2e at 7 and 19 on sentences whose fresh tuples hold sums (on
+and 23, buchi gen (at p = 257 and with deg v >= p^r among them) and
+oracle, up to d = 2 at p = 17, synth for every family (beta also with a
+base of degree p^r), e2e, e2e at 7 and 19 on sentences whose fresh tuples hold sums (on
 both sides of =, inside |, |* and !=, nested, of constants only, and under
 a shadowed variable), compile through both built-in interpretations on
 sentences using every symbol of their source languages, check, newton and
@@ -83,6 +84,10 @@ def _buchi_argvs() -> list:
         ("buchi", "gen", "-v", "2*t + 3", "-r", "1", "-M", "3", "-p", "17"),
         ("buchi", "gen", "-v", "t", "-r", "1", "-M", "3", "-p", "2"),
         ("buchi", "gen", "-v", "t", "-r", "1", "-M", "3", "-p", "0"),
+        ("buchi", "gen", "-v", "3*t^2 + 250*t + 1", "-r", "1", "-M", "4",
+         "-p", "257"),
+        ("buchi", "gen", "-v", "t^6 + 2*t^5 + 4", "-r", "1", "-M", "4",
+         "-p", "5"),
     ]
     for d, p in (("0", "17"), ("1", "17"), ("-1", "17"), ("0", "5")):
         for spelling in (("buchi", "oracle"), ("oracle", "buchi")):
@@ -106,6 +111,8 @@ def _synth_argvs() -> list:
             ("synth", "--family", "theta", "-n", "-4", "-p", p),
             ("synth", "--family", "theta", "-n", "3", "-p", p),
         ]
+    out.append(("synth", "--family", "beta", "--base", "t^3 + 2*t + 1",
+                "-r", "1", "-p", "3"))
     return out
 
 

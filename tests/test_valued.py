@@ -137,6 +137,65 @@ def test_series_mul_refuses_work_past_the_cap():
     assert (prod.n_min, prod.n_max) == (2, 1026)
 
 
+def _series_mul_by_windows(h, g):
+    """series_mul's product as it read before exact zeros were skipped: one
+    ValCoeff product and sum for every pair of window exponents."""
+    prec = min(h.q_prec, g.q_prec)
+    lo = max([h.n_min + g.n_min]
+             + ([h.n_min + g.n_max] if not h.lo_exact else [])
+             + ([g.n_min + h.n_max] if not g.lo_exact else []))
+    hi = min([h.n_max + g.n_max]
+             + ([h.n_max + g.n_min] if not h.hi_exact else [])
+             + ([g.n_max + h.n_min] if not g.hi_exact else []))
+    if lo > hi:
+        raise PrecisionError("product window is empty")
+    out = []
+    for d in range(lo, hi + 1):
+        acc = ValCoeff((), h.p, prec, exact=True)
+        for u in range(max(h.n_min, d - g.n_max), min(h.n_max, d - g.n_min) + 1):
+            acc = acc + h.coeff(u) * g.coeff(d - u)
+        out.append(acc)
+    return LaurentTrunc(lo, tuple(out), h.p, prec, h.lo_exact and g.lo_exact,
+                        h.hi_exact and g.hi_exact)
+
+
+def _mixed_series(rng, p):
+    """A window of exact zeros, zeros known only at precision, and exact
+    and inexact nonzero coefficients, with random tails."""
+    q_prec = rng.randint(1, 6)
+    lo = rng.randint(-6, 6)
+    cs = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            cs.append(ValCoeff((), p, q_prec, exact=True))
+        elif kind == 1:
+            cs.append(ValCoeff((), p, q_prec, exact=False))
+        else:
+            qcs = [rng.randrange(p) for _ in range(rng.randint(1, 8))]
+            cs.append(ValCoeff(qcs, p, q_prec, exact=kind == 2))
+    return LaurentTrunc(lo, tuple(cs), p, q_prec, rng.random() < 0.7,
+                        rng.random() < 0.7)
+
+
+def test_series_mul_matches_the_window_loop():
+    import random
+    rng = random.Random(33)
+    compared = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        h, g = _mixed_series(rng, p), _mixed_series(rng, p)
+        try:
+            want = _series_mul_by_windows(h, g)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                series_mul(h, g)
+            continue
+        assert series_mul(h, g) == want
+        compared += 1
+    assert compared > 2000
+
+
 def test_reflect_involution():
     h = S({-2: "q", 0: 3, 1: "q^2"})
     assert reflect(reflect(h)) == h
