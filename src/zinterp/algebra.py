@@ -57,7 +57,8 @@ substitution loses to schoolbook convolution, which the integers always
 take and the tests use as the reference.
 
 ``frob_family`` lays out the Büchi terms (n + v)^(p^r + 1) block by block,
-with one translate per block and no product, when deg v < p^r.
+with one translate per block and no product, when deg v < p^r and
+p <= 251.
 """
 
 from __future__ import annotations
@@ -635,9 +636,10 @@ def frob_family(v: Poly, r: int, ns: Iterable[int]) -> list[Poly]:
     With s = n + v and q = p^r each term is s(t^q) s = frob_pow(s, r) * s.
     When deg v < q the blocks s_j t^(jq) s do not overlap, so the
     coefficient of t^(jq + k) is s_j s_k: each block is s scaled by s_j
-    (one translate, or one list for p > 251), and the blocks are laid
-    q apart with no product formed.  Nothing is trimmed, as the top
-    coefficient s_d^2 is nonzero.  When deg v >= q the term is the product.
+    (one translate), and the blocks are laid q apart with no product
+    formed.  Nothing is trimmed, as the top coefficient s_d^2 is nonzero.
+    When deg v >= q, or under tuple storage (p > 251), the term is the
+    product.
     """
     p = v.modulus
     if p == 0:
@@ -645,8 +647,8 @@ def frob_family(v: Poly, r: int, ns: Iterable[int]) -> list[Poly]:
     if r < 0:
         raise ValueError("negative Frobenius exponent")
     q, data = p**r, v.data
-    overlap = len(data) > q
     head, tail = type(data), data[1:]
+    overlap = head is not bytes or len(data) > q
     c0 = data[0] if data else 0
     out = []
     for n in ns:
@@ -657,14 +659,7 @@ def frob_family(v: Poly, r: int, ns: Iterable[int]) -> list[Poly]:
             f = Poly._raw(s, p)
             out.append(frob_pow(f, r) * f)
             continue
-        d = len(s) - 1
-        if head is bytes:
-            cs = bytes(q - d - 1).join([s.translate(_lane(p, c)) for c in s])
-        else:
-            cs = [0] * (d * q + d + 1)
-            for j, c in enumerate(s):
-                cs[j * q : j * q + d + 1] = [c * e % p for e in s]
-            cs = tuple(cs)
+        cs = bytes(q - len(s)).join([s.translate(_lane(p, c)) for c in s])
         out.append(Poly._raw(cs, p))
     return out
 

@@ -34,6 +34,12 @@ from .algebra import (INTEGER_MUL_WORK_LIMIT, SYNTH_DEGREE_CAP,
 # coefficients with up to 8 q-terms each times its reflection, at the cap,
 # takes 0.8-0.9 s through `zinterp newton monomial`.
 SERIES_PAIR_LIMIT = 1 << 16
+# Largest sum over those pairs of the product of their q-expansion lengths,
+# which bounds what the pairs cost once their q-expansions are long.  At
+# both caps the slowest shape measured, 256 one-term coefficients by 256 of
+# 128 terms, takes 0.9 s at p = 5 and 1.8 s at p = 257; through
+# `zinterp newton monomial` (h by its reflection) the slowest is 0.8-1.1 s.
+SERIES_QTERM_LIMIT = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,9 @@ def series_mul(h: LaurentTrunc, g: LaurentTrunc) -> LaurentTrunc:
     [h.lo+g.lo, h.hi+g.hi]; each open tail cuts the corresponding side down
     to what the finite windows determine completely.  Only coefficients
     that are not exactly zero are multiplied.  Windows whose length product
-    passes INTEGER_MUL_WORK_LIMIT, or more than SERIES_PAIR_LIMIT pairs of
-    such coefficients, raise FeasibilityError before anything is
+    passes INTEGER_MUL_WORK_LIMIT, more than SERIES_PAIR_LIMIT pairs of
+    such coefficients, or pairs whose q-expansion length products sum past
+    SERIES_QTERM_LIMIT raise FeasibilityError before anything is
     multiplied.
     """
     if h.p != g.p:
@@ -259,6 +266,13 @@ def series_mul(h: LaurentTrunc, g: LaurentTrunc) -> LaurentTrunc:
         raise FeasibilityError(
             f"a product of {len(hs)} by {len(gs)} series coefficients not "
             f"exactly zero is above the cap {SERIES_PAIR_LIMIT}"
+        )
+    h_terms = sum(len(c.qcoeffs) for _, c in hs)
+    g_terms = sum(len(c.qcoeffs) for _, c in gs)
+    if h_terms * g_terms > SERIES_QTERM_LIMIT:
+        raise FeasibilityError(
+            f"a product of {h_terms} by {g_terms} q-expansion terms is "
+            f"above the cap {SERIES_QTERM_LIMIT}"
         )
     out = [ValCoeff((), h.p, prec, exact=True)] * (hi - lo + 1)
     for u, a in hs:

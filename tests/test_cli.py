@@ -288,6 +288,20 @@ class TestNewtonCommands:
         if code == 3:
             assert "above the cap 65536" in err
 
+    @pytest.mark.parametrize("top, code", [(180, 1), (181, 3), (99999, 3)])
+    def test_monomial_long_q_expansions_at_the_term_cap(self, capsys, top,
+                                                        code):
+        # 16 coefficients of 181 q-terms: 2,896^2 terms multiplied, under
+        # the 2^23 cap; 182 terms pass it, and so do 100,000 at once
+        entries = ", ".join(f"{n}: q^{top}" for n in range(16))
+        with _deadline(5):
+            got, out, err = run(capsys, "newton", "monomial",
+                                "--series", f"{{{entries}}} @ p=5 Q=100000")
+        assert got == code
+        if code == 3:
+            assert out == "#RESULT newton-monomial status=error code=3\n"
+            assert "above the cap 8388608" in err
+
 
 class TestBivarCommands:
     def test_kernel_factor(self, capsys):

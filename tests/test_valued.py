@@ -137,6 +137,16 @@ def test_series_mul_refuses_work_past_the_cap():
     assert (prod.n_min, prod.n_max) == (2, 1026)
 
 
+def test_series_mul_refuses_long_q_expansions_past_the_cap():
+    # two coefficients of 2,048 q-terms by one of 2,048: 2^23, the cap
+    long = "q^2047"
+    h = S({0: long, 1: long}, q_prec=4096)
+    g = S({0: long}, q_prec=4096)
+    assert series_mul(h, g).coeff(0).qcoeffs == (0,) * 4094 + (1,)
+    with pytest.raises(FeasibilityError, match="above the cap 8388608"):
+        series_mul(h, S({0: "q^2048"}, q_prec=4096))
+
+
 def _series_mul_by_windows(h, g):
     """series_mul's product as it read before exact zeros were skipped: one
     ValCoeff product and sum for every pair of window exponents."""
