@@ -20,10 +20,7 @@ from .formula import (
     LANG_STAR,
     LANG_T,
     LANG_T_SEM,
-    bound_vars,
     check_sat,
-    eval_qf,
-    free_vars,
     parse,
     print_formula,
 )
@@ -323,15 +320,10 @@ def cmd_compile(args) -> int:
 def cmd_check(args) -> int:
     lang = CHECK_LANGS[args.lang]
     phi = parse(_read_text_arg(args.formula), lang)
+    witness = {}
     if args.witness:
         witness = _parse_poly_witness(_read_text_arg(args.witness), args.p)
-        ok = check_sat(phi, witness, args.p)
-    else:
-        if bound_vars(phi) or free_vars(phi):
-            raise ValueError(
-                "formula has variables; supply --witness FILE"
-            )
-        ok = eval_qf(phi, {}, args.p)
+    ok = check_sat(phi, witness, args.p)
     print("verified" if ok else "falsified")
     print(f"#RESULT check p={args.p} status={'ok' if ok else 'fail'}")
     return 0 if ok else 1

@@ -243,6 +243,22 @@ class _TokenStream:
         return tok
 
 
+def _parse_args(ts: _TokenStream, lang: Lang, kind: str, name: str,
+                arity: int, hpos: int) -> tuple:
+    """The terms up to the closing ')' of an application of the kind
+    ("function" or "relation") name at position hpos, arity of them."""
+    args = []
+    while ts.peek()[0] != ")":
+        args.append(_parse_term(ts, lang))
+    ts.expect(")")
+    if len(args) != arity:
+        raise ValueError(
+            f"{kind} {name!r} at position {hpos} takes {arity} "
+            f"arguments, got {len(args)}"
+        )
+    return tuple(args)
+
+
 def _parse_term(ts: _TokenStream, lang: Lang) -> Term:
     tok, pos = ts.next()
     if tok == ")":
@@ -254,16 +270,7 @@ def _parse_term(ts: _TokenStream, lang: Lang) -> Term:
             raise ValueError(
                 f"unknown function symbol {head!r} at position {hpos}"
             )
-        args = []
-        while ts.peek()[0] != ")":
-            args.append(_parse_term(ts, lang))
-        ts.expect(")")
-        if len(args) != arity:
-            raise ValueError(
-                f"function {head!r} at position {hpos} takes {arity} "
-                f"arguments, got {len(args)}"
-            )
-        return App(head, tuple(args))
+        return App(head, _parse_args(ts, lang, "function", head, arity, hpos))
     if tok.startswith('"'):
         raise ValueError(f"string where a term was expected at position {pos}")
     if lang.is_constant(tok):
@@ -314,16 +321,7 @@ def _parse_formula(ts: _TokenStream, lang: Lang) -> Formula:
     arity = lang.relation_arity(rel)
     if arity is None:
         raise ValueError(f"unknown relation {rel!r} at position {hpos}")
-    args = []
-    while ts.peek()[0] != ")":
-        args.append(_parse_term(ts, lang))
-    ts.expect(")")
-    if len(args) != arity:
-        raise ValueError(
-            f"relation {rel!r} at position {hpos} takes {arity} "
-            f"arguments, got {len(args)}"
-        )
-    return Atom(rel, tuple(args))
+    return Atom(rel, _parse_args(ts, lang, "relation", rel, arity, hpos))
 
 
 def _check_depth(tokens) -> None:
@@ -649,7 +647,7 @@ def _scan_formula(phi: Formula, scope: set, free: set, bound: list) -> None:
         scope.update(entered)
         _scan_formula(phi.body, scope, free, bound)
         scope.difference_update(entered)
-    elif tp is Inst:  # no argument mentions a renamed name (the guard)
+    elif tp is Inst:  # arguments end in .i, which no bound name does
         of = phi.of
         bound.extend(phi.bound)
         free.update([n for p, n in zip(of.params, phi.names)

@@ -100,17 +100,6 @@ def _eq(a, b) -> Formula:
     return Atom("=", (_v(a), _v(b)))
 
 
-def _guard_bound_names(new, incoming) -> None:
-    """Refuse argument variables (the names incoming) that are among the
-    renamed bound names new."""
-    clash = set(new).intersection(incoming)
-    if clash:
-        raise ValueError(
-            f"argument variables {sorted(clash)} collide with bound names; "
-            "pass a different mark"
-        )
-
-
 # -- formula builders -------------------------------------------------------------
 
 def conic_atom(x, y, shifted=False) -> Formula:
@@ -436,7 +425,12 @@ class OpenFormula:
                 f"expected {len(self.params)} arguments, got {len(args)}"
             )
         new = tuple([b + mark for b in self.bound])
-        _guard_bound_names(new, set().union(*map(term_vars, args)))
+        clash = set().union(*map(term_vars, args)).intersection(new)
+        if clash:
+            raise ValueError(
+                f"argument variables {sorted(clash)} collide with bound "
+                "names; pass a different mark"
+            )
         sub = dict(zip(self.params, args))
         sub.update((b, Var(n)) for b, n in zip(self.bound, new))
         return _substitute(self.body, sub), new
@@ -648,7 +642,6 @@ class _Translator:
         self.counter += 1
         names = tuple([n for base in bases for n in self.tuple_names(base)])
         inst = Inst(of, names, f"#{self.counter}")
-        _guard_bound_names(inst.bound, names)
         self.instantiations.append(
             InstRecord(kind, bases, self.counter, inst.bound))
         return inst
@@ -752,17 +745,17 @@ def _collect_names(names: set) -> set:
 def translate_with_trace(interp: Interpretation, phi: Formula):
     """Translate a closed source sentence into a glue of Inst nodes, one per
     library instantiation (expand gives the plain tree); also return the
-    trace recording every tuple and instantiation, for witness synthesis."""
+    trace recording every tuple and instantiation, for witness synthesis.
+    The output is closed with distinct names by construction: the block
+    introducing a tuple binds its coordinates, an Inst reads only its
+    argument coordinates, and its bound names end in #k, never in .i."""
     stray, bound = _scan(phi)
     if stray:
         raise ValueError(f"sentence is not closed; free: {sorted(stray)}")
     _check_formula_lang(phi, interp.source_lang, "translate input")
     tr = _Translator(interp, _collect_names(set(bound)))
     core = tr.go(phi, {})
-    out = tr.hoist_constants(core)
-    if free_vars(out):
-        raise AssertionError("translation produced an open formula")
-    return out, tr.trace()
+    return tr.hoist_constants(core), tr.trace()
 
 
 def translate(interp: Interpretation, phi: Formula) -> Formula:

@@ -172,20 +172,24 @@ def _check_index(n: int, p: int) -> None:
         )
 
 
+def _inverse(x: Poly, y: Poly) -> tuple:
+    """The pair of index -n from (x, y), the pair of index n: (x, -y) in the
+    conic form, (x + t y, y) in char 2."""
+    return (x + times_t(y), y) if x.modulus == 2 else (x, -y)
+
+
 def pell_pair(n: int, p: int) -> PellPair:
     """The index-n solution pair over F_p[t] (or Z[t] when p = 0).
 
-    Index 0 is (1, 0) and index 1 the fundamental pair; negative indices
-    invert: (x, -y) in the conic form, (x + t y, y) in char 2.  Indices
-    past SYNTH_DEGREE_CAP (INTEGER_INDEX_LIMIT when p = 0) raise
+    Index 0 is (1, 0) and index 1 the fundamental pair; a negative index
+    gives the _inverse of its absolute value's pair.  Indices past
+    SYNTH_DEGREE_CAP (INTEGER_INDEX_LIMIT when p = 0) raise
     FeasibilityError.
     """
     _check_modulus(p)
     _check_index(n, p)
     x, y = _pair_by_digits(abs(n), p)
-    if n < 0:
-        x, y = (x + times_t(y), y) if p == 2 else (x, -y)
-    return PellPair(n, x, y)
+    return PellPair(n, *(_inverse(x, y) if n < 0 else (x, y)))
 
 
 def _by_t_minus_one(cs) -> tuple:
@@ -228,7 +232,7 @@ def pell_pairs_with_quotients(ns, p: int) -> tuple[dict, dict]:
     def record(k, x, y):
         z = _offset_quotient(x)
         for n in by_abs[k]:
-            pairs[n] = PellPair(n, x, -y if n < 0 else y)
+            pairs[n] = PellPair(n, *(_inverse(x, y) if n < 0 else (x, y)))
             quot[n] = z
 
     top = max((k for k in by_abs if k <= STEP_LIMIT), default=-1)
@@ -278,9 +282,10 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
     solutions that are not power pairs.
 
     y_n has |n| coefficients in both forms, so (x, y) is compared with the
-    pairs of index |n| and -|n|.  Outside characteristic 2, x(1) = 1 holds
-    for every power pair and fails on its negative, which is refused before
-    any pair is built.  Raises if (x, y) is not a solution at all.
+    pair of index |n|, built once, and its _inverse.  Outside characteristic
+    2, x(1) = 1 holds for every power pair and fails on its negative, which
+    is refused before any pair is built.  Raises if (x, y) is not a solution
+    at all.
     """
     if x.modulus != y.modulus:
         raise ValueError("moduli disagree")
@@ -289,12 +294,11 @@ def pell_index_recognize(x: Poly, y: Poly) -> Optional[int]:
         raise ValueError("not a solution of the Pell equation")
     if p != 2 and x.evaluate(1) != 1:
         return None
-    n_abs = len(y.data)
-    for n in (n_abs, -n_abs):
-        cand = pell_pair(n, p)
-        if cand.x == x and cand.y == y:
-            return n
-    return None
+    n = len(y.data)
+    pos = pell_pair(n, p)
+    if (pos.x, pos.y) == (x, y):
+        return n
+    return -n if _inverse(pos.x, pos.y) == (x, y) else None
 
 
 def _conic_solutions_for_y(y: Poly):
@@ -552,8 +556,7 @@ def pell_family(p: int, max_y_degree: int) -> set:
         pos = pell_pair(n, p)
         if pos.y.degree > max_y_degree:
             return expected
-        neg = pell_pair(-n, p)
-        for pair in (pos, neg):
-            expected.add((pair.x, pair.y))
+        for x, y in ((pos.x, pos.y), _inverse(pos.x, pos.y)):
+            expected.add((x, y))
             if p != 2:
-                expected.add((-pair.x, pair.y))
+                expected.add((-x, y))

@@ -496,6 +496,14 @@ class TestCheckCommand:
         assert code == 2
         assert "witness" in err
 
+    @pytest.mark.parametrize("witness", [(), ("--witness", "x = t")],
+                             ids=["bare", "witness"])
+    def test_free_variable_is_not_closed(self, capsys, witness):
+        code, out, err = run(capsys, "check", "--formula",
+                             "(= (* x x) (* t t))", *witness, "-p", "5")
+        assert (code, out) == (2, "#RESULT check status=error code=2\n")
+        assert "not closed" in err
+
     def test_witness_file(self, capsys, tmp_path):
         witness = tmp_path / "w.txt"
         witness.write_text("x = t^2\n# comment line\ny = [0,0,1]\n")

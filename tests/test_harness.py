@@ -1,5 +1,6 @@
 """Tests for witness synthesis, semantic checks, and e2e verification."""
 
+import functools
 import hashlib
 
 import pytest
@@ -62,6 +63,11 @@ from zinterp.interp import (
     OpenFormula,
     _collect_names,
     _Translator,
+    char_is,
+    compose,
+    dispatch,
+    divisibility_in_star,
+    identity_interpretation,
     nonzero,
     pell_interpretation,
     translate_with_trace,
@@ -1029,3 +1035,68 @@ def test_e2e_agrees_with_the_integers_at_every_odd_prime(body, values, star):
         assert report.ok == truth, (sentence, env, p)
         texts.add(report.formula_text)
     assert len(texts) == 1
+
+
+# -- translated sentences are closed and name each variable once ----------------
+#
+# translate_with_trace checks neither: every coordinate it writes is bound by
+# the block introducing its tuple (a binder, an atom's intermediate tuples,
+# the hoisted constants), an Inst reads only its argument coordinates, and its
+# renamed bound names end in #k where coordinates end in .i.  These tests hold
+# the output of three interpretations to that, on expanded trees.
+
+_SHADOWED = "(exists (a) (and (| a (+ a 1)) (exists (a) (!= (+ a a) 1))))"
+
+
+@functools.lru_cache(maxsize=None)
+def _translators() -> tuple:
+    """The star interpretations: the Pell pairs and criterion 8's dispatch."""
+    return (pell_interpretation(), dispatch([
+        (char_is(5), pell_interpretation()),
+        (char_is(17), compose(identity_interpretation(LANG_STAR),
+                              pell_interpretation())),
+    ]))
+
+
+def _as_divisibility(phi):
+    """The star formula phi over the divisibility language: |* reads as |_p,
+    and (!= x y) as (T (+ x y))."""
+    tp = type(phi)
+    if tp is Atom:
+        if phi.rel == "!=":
+            return Atom("T", (App("+", phi.args),))
+        return Atom("|_p" if phi.rel == "|*" else phi.rel, phi.args)
+    if tp is Exists:
+        return Exists(phi.names, _as_divisibility(phi.body))
+    return tp(tuple(map(_as_divisibility, phi.parts)))
+
+
+def _assert_closed_and_distinct(interp, phi):
+    out, trace = translate_with_trace(interp, phi)
+    free, bound = _scan(expand(out))
+    assert not free, sorted(free)
+    assert len(set(bound)) == len(bound), bound
+    coordinates = {n for r in trace.instantiations for b in r.bases
+                   for n in tuple_names(b, interp.dim)}
+    renamed = {n for r in trace.instantiations for n in r.bound}
+    assert coordinates.isdisjoint(renamed), coordinates & renamed
+
+
+def _sentences(star):
+    yield from ((interp, star) for interp in _translators())
+    yield divisibility_in_star(), _as_divisibility(star)
+
+
+@seed(SEED)
+@settings(max_examples=100)
+@given(body=_D_BODIES)
+def test_translations_are_closed_with_distinct_names(body):
+    star = parse(f"(exists (a b c) {_render(body, {'d': 'a'}, [])})",
+                 LANG_STAR)
+    for interp, phi in _sentences(star):
+        _assert_closed_and_distinct(interp, phi)
+
+
+def test_translation_of_a_shadowed_binder_is_closed_with_distinct_names():
+    for interp, phi in _sentences(parse(_SHADOWED, LANG_STAR)):
+        _assert_closed_and_distinct(interp, phi)
