@@ -25,6 +25,7 @@ from .formula import (
     LANG_D,
     LANG_STAR,
     LANG_T,
+    OpenFormula,
     check_sat,
     eval_qf,
     expand,
@@ -45,7 +46,6 @@ from .harness import (
 )
 from .interp import (
     Interpretation,
-    OpenFormula,
     compose,
     dispatch,
     formula_library,

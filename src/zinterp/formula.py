@@ -1,4 +1,4 @@
-"""Positive-existential formulas: syntax, s-expression parsing, evaluation.
+"""Positive-existential formulas and library formulas: parsing, evaluation.
 
 The formula type has exactly four constructors: atoms, conjunction,
 disjunction, and existential quantification (Inst, an unexpanded instance
@@ -10,9 +10,9 @@ an ordinary relation symbol with registered semantics, not a negation.
 Nodes are slots dataclasses, a half to a third as costly to build as frozen
 ones, with the same == and hash.  They stay immutable by convention: no code
 assigns a field of a built node, because one node may sit in many formulas
-(TRUE, interp's T_CONST, ONE and ZERO).  An instance of a library formula
-(interp's OpenFormula.template) builds every node afresh but shares the
-body's Const leaves and the argument terms it was given.
+(TRUE, interp's T_CONST, ONE and ZERO).  A library formula is an
+OpenFormula; its one instantiation routine, OpenFormula.template, builds
+every node afresh but shares the body's Const leaves and the arguments.
 
 Terms and formulas are written as s-expressions:
 
@@ -89,15 +89,15 @@ class Exists:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Inst:
-    """The library formula of (interp's OpenFormula) with the variable
-    names[i] for its i-th parameter and each bound name b renamed to b +
-    mark, unexpanded: the printer reads of per instance, and the evaluator
-    runs of.evaluate, compiled once per library formula.  bound holds the
-    renamed bound names in binder order, built once here; the scan and the
-    evaluator read them, and it takes no part in ==, hash or repr.  body
-    substitutes into of.body on each read (of.template)."""
+    """The OpenFormula of, unexpanded, with the variable names[i] for its
+    i-th parameter and each bound name b renamed to b + mark: the printer
+    reads of per instance, and the evaluator runs of.evaluate, compiled once
+    per library formula.  bound holds the renamed bound names in binder
+    order, built once here; the scan and the evaluator read them, and it
+    takes no part in ==, hash or repr.  body substitutes into of.body on
+    each read (of.template)."""
 
-    of: object
+    of: OpenFormula
     names: tuple
     mark: str
     bound: tuple = field(init=False, compare=False, repr=False)
@@ -517,7 +517,7 @@ def _eval(phi: Formula, env: Mapping, structure, memo: dict) -> bool:
     """Truth of phi with every variable it mentions, free or bound, read
     from env.  Conjunctions and disjunctions stop at the first false or
     true part, so later parts are not evaluated.  An Inst runs its library
-    formula's compiled evaluator (interp's OpenFormula.evaluate), which makes
+    formula's compiled evaluator (OpenFormula.evaluate), which makes
     the calls this walk makes on the expanded instance, in the same order,
     without building it.  memo maps (function, id of each argument value) to
     (argument values, result), so a function is applied once per distinct
@@ -766,7 +766,7 @@ def _group_source(name: str, atoms: list, kind, leaf: dict) -> str:
 
 
 def _evaluator(params: tuple, body: Formula, bound: tuple):
-    """body's evaluator (interp's OpenFormula.evaluate), compiled: the
+    """body's evaluator (OpenFormula.evaluate), compiled: the
     function evaluate(env, names, bound, structure, memo), which is _eval of
     the instance with the variable names[i] for parameter i and bound[j]
     for the j-th of body's bound names (Inst.bound, the renamed names in
@@ -818,3 +818,79 @@ def _evaluator(params: tuple, body: Formula, bound: tuple):
               f"    return {skeleton(body)}\n")
     exec(compile(source, "<library evaluator>", "exec"), scope)
     return scope["evaluate"]
+
+
+@dataclass(frozen=True)
+class OpenFormula:
+    """A formula together with an ordered list of its free parameters.
+
+    Bound names must be pairwise distinct and disjoint from the parameters,
+    so that a flat witness map can address every quantifier unambiguously.
+    bound keeps them in binder order, free the parameters the body reads.
+    """
+
+    params: tuple
+    body: Formula
+    bound: tuple = field(init=False, repr=False, compare=False)
+    free: frozenset = field(init=False, repr=False, compare=False)
+
+    @_depth_limited
+    def __post_init__(self):
+        if len(set(self.params)) != len(self.params):
+            raise ValueError("duplicate parameter name")
+        free, bound = _scan(self.body)
+        object.__setattr__(self, "bound", tuple(bound))
+        object.__setattr__(self, "free", frozenset(free))
+        if len(set(bound)) != len(bound):
+            raise ValueError("a bound name is reused inside the body")
+        if set(bound) & set(self.params):
+            raise ValueError("a bound name shadows a parameter")
+        extra = free - set(self.params)
+        if extra:
+            raise ValueError(
+                f"body has free variables outside params: {sorted(extra)}"
+            )
+
+    @property
+    def arity(self) -> int:
+        return len(self.params)
+
+    def template(self, args: tuple, mark: str) -> tuple:
+        """The one instantiation routine: the body with the terms args, one
+        per parameter in parameter order, for the parameters and each bound
+        name renamed to name + mark, paired with the renamed names in binder
+        order.  The invariants above make capture avoidance needless, except
+        for an argument that mentions a renamed name, which is refused, as
+        is a wrong number of arguments."""
+        if len(args) != len(self.params):
+            raise ValueError(
+                f"expected {len(self.params)} arguments, got {len(args)}"
+            )
+        new = tuple([b + mark for b in self.bound])
+        clash = set().union(*map(term_vars, args)).intersection(new)
+        if clash:
+            raise ValueError(
+                f"argument variables {sorted(clash)} collide with bound "
+                "names; pass a different mark"
+            )
+        sub = dict(zip(self.params, args))
+        sub.update((b, Var(n)) for b, n in zip(self.bound, new))
+        return _substitute(self.body, sub), new
+
+    @functools.cached_property
+    def evaluate(self):
+        """The evaluator of an instance, compiled on first use.
+        evaluate(env, names, bound, structure, memo) is the truth of the
+        instance template(names as Vars, mark) under env, where bound is
+        that instance's Inst.bound (the renamed bound names), with the calls
+        of _eval on it, in its order, made without building it."""
+        return _evaluator(self.params, self.body, self.bound)
+
+    @functools.cached_property
+    def print_format(self) -> str:
+        """An instance's text as a str.format string, {i} for argument i and
+        {m} for the mark, from holes printed "i" and "m" (no '"' otherwise)."""
+        holes = tuple(Var(f'"{i}"') for i in range(len(self.params)))
+        text = print_formula(self.template(holes, '"m"')[0])
+        text = text.replace("{", "{{").replace("}", "}}")
+        return re.sub(r'"(\d+|m)"', r"{\1}", text)

@@ -7,7 +7,7 @@ set directly, with no formula evaluation, and drive both against check_sat
 to confirm that the formulas define exactly what they should at desk scale.
 
 Family sentences and pair-encoded clauses are checked as Insts of their
-interp.OpenFormula, so check_sat runs its compiled evaluator and
+formula.OpenFormula, so check_sat runs its compiled evaluator and
 OpenFormula.bound is the one binder order: a synthesizer returns its values
 in that order, and _bind pairs them with those names, refusing a count
 mismatch.  Adding a family takes one FAMILIES entry and one synthesizer.
@@ -40,6 +40,7 @@ from .formula import (
     Inst,
     IntStructure,
     LANG_STAR,
+    OpenFormula,
     check_sat,
     parse,
     print_formula,
@@ -47,7 +48,6 @@ from .formula import (
 from .interp import (
     GE_P_CHAIN_LENGTH,
     InstRecord,
-    OpenFormula,
     frob_powers_of_t,
     ge_p_full,
     nonzero,

@@ -38,9 +38,7 @@ inputs give identical outputs.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .algebra import is_prime
 from .formula import (
@@ -55,19 +53,17 @@ from .formula import (
     LANG_STAR,
     LANG_T,
     Lang,
+    OpenFormula,
     Or,
     TRUE,
     Term,
     Var,
     _depth_limited,
-    _evaluator,
     _scan,
-    _substitute,
     expand,
     free_vars,
     parse,
     print_formula,
-    term_vars,
     walk,
 )
 
@@ -376,82 +372,6 @@ def _check_formula_lang(phi: Formula, lang: Lang, where: str) -> None:
         if isinstance(node, Atom):
             _check_args("relation", node.rel, lang.relation_arity(node.rel),
                         node.args, lang, where)
-
-
-@dataclass(frozen=True)
-class OpenFormula:
-    """A formula together with an ordered list of its free parameters.
-
-    Bound names must be pairwise distinct and disjoint from the parameters,
-    so that a flat witness map can address every quantifier unambiguously.
-    bound keeps them in binder order, free the parameters the body reads.
-    """
-
-    params: tuple
-    body: Formula
-    bound: tuple = field(init=False, repr=False, compare=False)
-    free: frozenset = field(init=False, repr=False, compare=False)
-
-    @_depth_limited
-    def __post_init__(self):
-        if len(set(self.params)) != len(self.params):
-            raise ValueError("duplicate parameter name")
-        free, bound = _scan(self.body)
-        object.__setattr__(self, "bound", tuple(bound))
-        object.__setattr__(self, "free", frozenset(free))
-        if len(set(bound)) != len(bound):
-            raise ValueError("a bound name is reused inside the body")
-        if set(bound) & set(self.params):
-            raise ValueError("a bound name shadows a parameter")
-        extra = free - set(self.params)
-        if extra:
-            raise ValueError(
-                f"body has free variables outside params: {sorted(extra)}"
-            )
-
-    @property
-    def arity(self) -> int:
-        return len(self.params)
-
-    def template(self, args: tuple, mark: str) -> tuple:
-        """The one instantiation routine: the body with the terms args, one
-        per parameter in parameter order, for the parameters and each bound
-        name renamed to name + mark, paired with the renamed names in binder
-        order.  The invariants above make capture avoidance needless, except
-        for an argument that mentions a renamed name, which is refused, as
-        is a wrong number of arguments."""
-        if len(args) != len(self.params):
-            raise ValueError(
-                f"expected {len(self.params)} arguments, got {len(args)}"
-            )
-        new = tuple([b + mark for b in self.bound])
-        clash = set().union(*map(term_vars, args)).intersection(new)
-        if clash:
-            raise ValueError(
-                f"argument variables {sorted(clash)} collide with bound "
-                "names; pass a different mark"
-            )
-        sub = dict(zip(self.params, args))
-        sub.update((b, Var(n)) for b, n in zip(self.bound, new))
-        return _substitute(self.body, sub), new
-
-    @cached_property
-    def evaluate(self):
-        """The evaluator of an instance, compiled on first use.
-        evaluate(env, names, bound, structure, memo) is the truth of the
-        instance template(names as Vars, mark) under env, where bound is
-        that instance's Inst.bound (the renamed bound names), with the calls
-        of formula._eval on it, in its order, made without building it."""
-        return _evaluator(self.params, self.body, self.bound)
-
-    @cached_property
-    def print_format(self) -> str:
-        """An instance's text as a str.format string, {i} for argument i and
-        {m} for the mark, from holes printed "i" and "m" (no '"' otherwise)."""
-        holes = tuple(Var(f'"{i}"') for i in range(len(self.params)))
-        text = print_formula(self.template(holes, '"m"')[0])
-        text = text.replace("{", "{{").replace("}", "}}")
-        return re.sub(r'"(\d+|m)"', r"{\1}", text)
 
 
 class Interpretation:
@@ -912,12 +832,49 @@ def save_bundle(interp: Interpretation, path) -> Path:
     return path
 
 
+# The manifest save_bundle writes: an object maps each key to its shape, a
+# one-item list is a list of that shape, a tuple a list of exactly those.
+_LANG_SHAPE = {"name": str, "constants": [str], "functions": [(str, int)],
+               "relations": [(str, int)]}
+_ENTRY_SHAPE = {"file": str, "params": [str]}
+_MANIFEST_SHAPE = {"name": str, "dim": int, "source_lang": _LANG_SHAPE,
+                   "target_lang": _LANG_SHAPE, "domain": _ENTRY_SHAPE,
+                   "symbols": dict}
+
+
+def _check_shape(value, shape, key: str) -> None:
+    """Refuse value, read at key of the manifest, unless it has shape."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} is not an object")
+        for k, sub in shape.items():
+            if k not in value:
+                raise ValueError(f"{key} has no key {k!r}")
+            _check_shape(value[k], sub, f"{key}.{k}")
+    elif isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} is not a list")
+        shapes = shape * len(value) if isinstance(shape, list) else shape
+        if len(shapes) != len(value):
+            raise ValueError(f"{key} has {len(value)} items, not {len(shapes)}")
+        for i, (item, sub) in enumerate(zip(value, shapes)):
+            _check_shape(item, sub, f"{key}[{i}]")
+    elif type(value) is not shape:  # a bool is no int
+        raise ValueError(f"{key} is {type(value).__name__}, not {shape.__name__}")
+
+
 def load_bundle(path) -> Interpretation:
+    """The interpretation save_bundle wrote to path; a manifest whose keys
+    or value types differ is refused with ValueError before anything is
+    read or built from it."""
     import json
     from pathlib import Path
 
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
+    _check_shape(manifest, _MANIFEST_SHAPE, "manifest")
+    for sym, entry in manifest["symbols"].items():
+        _check_shape(entry, _ENTRY_SHAPE, f"manifest.symbols.{sym}")
     source_lang = _lang_from_json(manifest["source_lang"])
     target_lang = _lang_from_json(manifest["target_lang"])
 

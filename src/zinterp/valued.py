@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import (INTEGER_MUL_WORK_LIMIT, SYNTH_DEGREE_CAP,
@@ -88,10 +89,7 @@ class ValCoeff:
 
         None means "exactly zero" for exact values and ">= prec" otherwise.
         """
-        for i, c in enumerate(self.qcoeffs):
-            if c:
-                return i
-        return None
+        return next(compress(count(), self.qcoeffs), None)
 
     def is_exact_zero(self) -> bool:
         return self.exact and not self.qcoeffs
@@ -101,6 +99,8 @@ class ValCoeff:
 
     def at_precision(self, prec: int) -> "ValCoeff":
         exact = self.exact and len(self.qcoeffs) <= prec
+        if prec == self.prec and exact == self.exact:
+            return self
         return ValCoeff(self.qcoeffs[:prec] if not exact else self.qcoeffs,
                         self.p, prec, exact)
 
@@ -474,13 +474,25 @@ def parse_series(text: str) -> LaurentTrunc:
     body = body.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ValueError(f"series must be wrapped in braces: {text!r}")
-    meta_parts = dict(
-        kv.split("=", 1) for kv in meta.split() if "=" in kv
-    )
+    meta_parts = {}
+    for kv in meta.split():
+        key, eq, value = kv.partition("=")
+        if not eq or key not in ("p", "Q", "open"):
+            raise ValueError(f"unknown series metadata {kv!r}")
+        if key in meta_parts:
+            raise ValueError(f"series metadata {key!r} appears twice")
+        meta_parts[key] = value
     if "p" not in meta_parts or "Q" not in meta_parts:
         raise ValueError("series text needs '@ p=... Q=...'")
-    p, q_prec = int(meta_parts["p"]), int(meta_parts["Q"])
-    open_part = meta_parts.get("open", "")
+    try:
+        p, q_prec = int(meta_parts["p"]), int(meta_parts["Q"])
+    except ValueError:
+        raise ValueError("series metadata 'p' and 'Q' must be integers: "
+                         f"{meta.strip()!r}") from None
+    open_part = meta_parts.get("open")
+    if open_part not in (None, "lo", "hi", "both"):
+        raise ValueError(
+            f"series metadata 'open' is {open_part!r}, not lo, hi or both")
     lo_exact = open_part not in ("lo", "both")
     hi_exact = open_part not in ("hi", "both")
     data: dict[int, ValCoeff] = {}

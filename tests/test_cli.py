@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
 import contextlib
+import json
 import os
 import re
 import signal
@@ -219,6 +220,19 @@ class TestNewtonCommands:
         assert code == 3
         assert out == "#RESULT newton-hull status=error code=3\n"
         assert "no visible support at this precision" in err
+
+    @pytest.mark.parametrize("meta, key", [
+        ("p=5 Q=3 p=7", "'p' appears twice"),
+        ("p=5 Q=3 Q=9 junk", "'Q' appears twice"),
+        ("p=5 Q=3 junk", "'junk'"),
+        ("p=5 Q=3 open=sideways", "'open' is 'sideways'"),
+    ])
+    def test_hull_malformed_metadata_exits_2(self, capsys, meta, key):
+        code, out, err = run(capsys, "newton", "hull",
+                             "--series", f"{{0: 1, 2: q}} @ {meta}")
+        assert code == 2
+        assert out == "#RESULT newton-hull status=error code=2\n"
+        assert key in err
 
     @pytest.mark.parametrize("n_max, q_prec", [
         ("100000000", "10"),  # n_max itself
@@ -469,6 +483,23 @@ class TestCompileCommand:
         code, _, err = run(capsys, "compile", "--interp", "pell")
         assert code == 2
         assert "sentence" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.clear(), "manifest has no key 'name'"),
+        (lambda m: m.update(dim="2"), "manifest.dim is str, not int"),
+    ])
+    def test_malformed_manifest_exits_2(self, capsys, tmp_path, edit,
+                                        message):
+        bundle = tmp_path / "bundle"
+        run(capsys, "compile", "--interp", "pell", "--export", str(bundle))
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        edit(manifest)
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "compile", "--interp", str(bundle),
+                             "--sentence", "(exists (n) (= n 0))")
+        assert code == 2
+        assert out == "#RESULT compile status=error code=2\n"
+        assert message in err
 
     def test_missing_bundle(self, capsys):
         code, _, _ = run(
@@ -860,6 +891,29 @@ _FUZZ_BASES = (
     ("e2e", "--sentence", "(exists (a b) (|* a b))", "--witness", "a=1,b=17",
      "-p", "17"),
 )
+# Fixed command lines at the edge of a cap and one step past it, run after
+# the fuzzed ones and never mutated: the Pell oracle's work estimate at p =
+# 2, 3 and 5, the degree bound of bivar, and theta's n_max and q-exponent.
+_CAP_EDGES = (
+    ("pell", "oracle", "-p", "2", "-D", "16"),
+    ("pell", "oracle", "-p", "2", "-D", "17"),
+    ("pell", "oracle", "-p", "3", "-D", "10"),
+    ("pell", "oracle", "-p", "3", "-D", "11"),
+    ("pell", "oracle", "-p", "5", "-D", "7"),
+    ("pell", "oracle", "-p", "5", "-D", "8"),
+    ("bivar", "collapse", "--poly", "t*u - 1", "-p", "5", "-D", "100000"),
+    ("bivar", "collapse", "--poly", "t*u - 1", "-p", "5", "-D", "100001"),
+    ("bivar", "kernel", "--poly", "t*u - 1", "-p", "5", "-D", "100000"),
+    ("bivar", "kernel", "--poly", "t*u - 1", "-p", "5", "-D", "100001"),
+    ("bivar", "hyperbola", "--poly", "t^50000*u^50000", "-p", "65537",
+     "-D", "100000"),
+    ("bivar", "hyperbola", "--poly", "t^50000*u^50000", "-p", "65537",
+     "-D", "100001"),
+    ("newton", "theta", "-p", "5", "--n-max", "100000", "--q-prec", "100000"),
+    ("newton", "theta", "-p", "5", "--n-max", "100001", "--q-prec", "100000"),
+    ("newton", "theta", "-p", "5", "--n-max", "100000", "--q-prec", "100489"),
+    ("newton", "theta", "-p", "5", "--n-max", "100000", "--q-prec", "100490"),
+)
 _NUMERIC_FLAGS = ("-n", "-p", "-D", "-d", "-r", "-M", "-k", "--n-max",
                   "--q-prec")
 # The F_p kernels leave their byte-lane paths between these primes.
@@ -878,7 +932,7 @@ def _fuzzed_argvs(rng, count: int) -> list:
     """Each base with each numeric value replaced by each huge value (and
     each -p value by each byte-lane edge and large prime), then count bases
     with one to three random edits: a value replaced, a token dropped or a
-    flag put in."""
+    flag put in, then the fixed cap edges."""
     out = []
     for base in _FUZZ_BASES:
         for i, tok in enumerate(base):
@@ -900,7 +954,7 @@ def _fuzzed_argvs(rng, count: int) -> list:
             else:
                 argv.insert(i, rng.choice(_NUMERIC_FLAGS + ("--inverse", "--lang")))
         out.append(tuple(argv))
-    return out
+    return out + list(_CAP_EDGES)
 
 
 def test_fuzzed_command_lines_exit_with_a_code_and_a_result_line(capsys, rng):
@@ -926,3 +980,13 @@ def test_fuzzed_command_lines_exit_with_a_code_and_a_result_line(capsys, rng):
                 rf"^#RESULT \S+ status=error code={code}$", out, re.M):
             faults.append((argv, code, "no #RESULT error line"))
     assert not faults
+
+
+@pytest.mark.parametrize("argv", _CAP_EDGES[1::2], ids=" ".join)
+def test_one_step_past_each_cap_edge_exits_3(capsys, argv):
+    """_CAP_EDGES pairs each edge with the line one step past it, and the
+    second of each pair is refused before any work."""
+    with _deadline(1):
+        code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.endswith("status=error code=3\n")

@@ -871,3 +871,12 @@ def test_walk_reaches_any_depth():
     nodes = list(walk(_and_chain(5000)))
     assert len(nodes) == 5001
     assert all(outer.parts[0] is inner for outer, inner in zip(nodes, nodes[1:]))
+
+
+def test_open_formula_is_defined_beside_inst():
+    """The package and interp name the one class formula.py defines."""
+    import zinterp
+    import zinterp.formula
+
+    assert OpenFormula.__module__ == "zinterp.formula"
+    assert zinterp.OpenFormula is OpenFormula is zinterp.formula.OpenFormula

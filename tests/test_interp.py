@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -786,6 +787,26 @@ class TestBundles:
         assert print_formula(J.symbols["|_p"].body) == \
             print_formula(I.symbols["|_p"].body)
         assert J.domain.body == TRUE
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("symbols"), "manifest has no key 'symbols'"),
+        (lambda m: m.update(dim=True), "manifest.dim is bool, not int"),
+        (lambda m: m["source_lang"]["functions"].append(["*"]),
+         "manifest.source_lang.functions[1] has 1 items, not 2"),
+        (lambda m: m["target_lang"].update(constants="01t"),
+         "manifest.target_lang.constants is not a list"),
+        (lambda m: m["domain"]["params"].append(3),
+         "manifest.domain.params[2] is int, not str"),
+        (lambda m: m["symbols"]["+"].pop("file"),
+         "manifest.symbols.+ has no key 'file'"),
+    ])
+    def test_malformed_manifest_is_refused(self, tmp_path, edit, message):
+        path = save_bundle(pell_interpretation(), tmp_path / "pell")
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_bundle(path)
 
 
 # sha256 of the parameters, the bound names in binder order and the printed

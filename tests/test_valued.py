@@ -1,5 +1,6 @@
 """Truncated series, valuations, and Newton polygon laws."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -420,6 +421,23 @@ def test_parse_series_errors():
                 "{0: 1, 0: 2} @ p=5 Q=3"]:
         with pytest.raises(ValueError):
             parse_series(bad)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("p=5 Q=3 p=7", "'p' appears twice"),
+    ("p=5 Q=3 Q=9", "'Q' appears twice"),
+    ("p=5 Q=3 open=hi open=lo", "'open' appears twice"),
+    ("p=5 Q=3 junk", "unknown series metadata 'junk'"),
+    ("p=5 Q=3 R=2", "unknown series metadata 'R=2'"),
+    ("p=5 Q=3 open=sideways", "'open' is 'sideways'"),
+    ("p=5 Q=3 open=", "'open' is ''"),
+    ("p=five Q=3", "'p' and 'Q' must be integers: 'p=five Q=3'"),
+])
+def test_parse_series_refuses_malformed_metadata(meta, message):
+    """A repeated key, an unknown key or bare token, and an open= value other
+    than lo, hi or both are refused, naming the key, not read past."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_series(f"{{0: 1, 2: q}} @ {meta}")
 
 
 # -- series text round-trips (property-based) -------------------------------------
