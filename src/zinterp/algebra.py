@@ -137,11 +137,11 @@ class PrecisionError(ValueError):
 # buchi_generate its Frobenius scale and its length.
 SYNTH_DEGREE_CAP = 100_000
 # Largest degree of an F_p product: two values within the cap, and the
-# t^2 - 1 that pell_verify multiplies into y^2.
+# t^2 - 1 that pell_verify multiplies into y^2.  valued.series_mul caps the
+# length of its packed product at it.
 PRODUCT_DEGREE_CAP = 2 * SYNTH_DEGREE_CAP + 2
-# Largest operand length product of a schoolbook product over Z[t] and of a
-# truncated series product (valued.series_mul); pell_verify at
-# pell.INTEGER_INDEX_LIMIT squares 1,001 coefficients.
+# Largest operand length product of a schoolbook product over Z[t];
+# pell_verify at pell.INTEGER_INDEX_LIMIT squares 1,001 coefficients.
 INTEGER_MUL_WORK_LIMIT = 1 << 20
 
 

@@ -26,21 +26,9 @@ from fractions import Fraction
 from itertools import compress, count
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import (INTEGER_MUL_WORK_LIMIT, SYNTH_DEGREE_CAP,
-                      FeasibilityError, Poly, PrecisionError, _check_modulus,
-                      format_poly, parse_exponent, parse_poly)
-
-# Largest count of nonzero coefficient pairs series_mul multiplies, one
-# ValCoeff product and sum each (about 13 us).  A dense series of 256
-# coefficients with up to 8 q-terms each times its reflection, at the cap,
-# takes 0.8-0.9 s through `zinterp newton monomial`.
-SERIES_PAIR_LIMIT = 1 << 16
-# Largest sum over those pairs of the product of their q-expansion lengths,
-# which bounds what the pairs cost once their q-expansions are long.  At
-# both caps the slowest shape measured, 256 one-term coefficients by 256 of
-# 128 terms, takes 0.9 s at p = 5 and 1.8 s at p = 257; through
-# `zinterp newton monomial` (h by its reflection) the slowest is 0.8-1.1 s.
-SERIES_QTERM_LIMIT = 1 << 23
+from .algebra import (PRODUCT_DEGREE_CAP, SYNTH_DEGREE_CAP, FeasibilityError,
+                      Poly, PrecisionError, _check_modulus, format_poly,
+                      parse_exponent, parse_poly)
 
 
 @dataclass(frozen=True)
@@ -104,32 +92,10 @@ class ValCoeff:
         return ValCoeff(self.qcoeffs[:prec] if not exact else self.qcoeffs,
                         self.p, prec, exact)
 
-    def _poly(self) -> Poly:
-        return Poly(self.qcoeffs, self.p)
-
-    def __add__(self, other: "ValCoeff") -> "ValCoeff":
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-        prec = min(self.prec, other.prec)
-        return ValCoeff((self._poly() + other._poly()).coeffs, self.p, prec,
-                        self.exact and other.exact)
-
-    def __mul__(self, other: "ValCoeff") -> "ValCoeff":
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-        prec = min(self.prec, other.prec)
-        if not self.qcoeffs or not other.qcoeffs:
-            exact = self.is_exact_zero() or other.is_exact_zero()
-            return ValCoeff((), self.p, prec, exact)
-        n = len(self.qcoeffs) + len(other.qcoeffs) - 1
-        exact = self.exact and other.exact and n <= prec
-        return ValCoeff((self._poly() * other._poly()).coeffs, self.p, prec,
-                        exact)
-
     def format(self) -> str:
         if not self.qcoeffs:
             return "0" if self.exact else "0?"
-        return format_poly(self._poly(), var="q")
+        return format_poly(Poly(self.qcoeffs, self.p), var="q")
 
 
 CoeffLike = Union[int, "ValCoeff", Poly, str, tuple, list]
@@ -226,60 +192,73 @@ def series_mul(h: LaurentTrunc, g: LaurentTrunc) -> LaurentTrunc:
 
     With both tails exact the window is the full support bound
     [h.lo+g.lo, h.hi+g.hi]; each open tail cuts the corresponding side down
-    to what the finite windows determine completely.  Only coefficients
-    that are not exactly zero are multiplied.  Windows whose length product
-    passes INTEGER_MUL_WORK_LIMIT, more than SERIES_PAIR_LIMIT pairs of
-    such coefficients, or pairs whose q-expansion length products sum past
-    SERIES_QTERM_LIMIT raise FeasibilityError before anything is
-    multiplied.
+    to what the finite windows determine completely.  Open tails on
+    opposite sides (h's lower and g's upper, or the reverse) determine no
+    coefficient and raise PrecisionError.
+
+    Each series is one Poly in q, coefficient i cut at the precision and
+    placed at q^(i*k), k long enough for any pair product, so one product
+    gives every coefficient in its own slot.  A coefficient is exact when
+    every pair reaching it, a factor exactly zero left out, has exact
+    factors of lengths la, lb with la + lb - 1 <= prec: each factor marks
+    height min(la - 1, cut), or cut when inexact, and one integer product
+    counts the pairs by height sum.  A packed length past
+    PRODUCT_DEGREE_CAP raises FeasibilityError before anything is packed.
     """
     if h.p != g.p:
         raise ValueError("mixed moduli")
-    if len(h.coeffs) * len(g.coeffs) > INTEGER_MUL_WORK_LIMIT:
-        raise FeasibilityError(
-            f"a product of {len(h.coeffs)} by {len(g.coeffs)} series "
-            f"coefficients is above the cap {INTEGER_MUL_WORK_LIMIT}"
-        )
+    if (not h.lo_exact and not g.hi_exact) or (
+            not h.hi_exact and not g.lo_exact):
+        raise PrecisionError("open ends on opposite sides determine no "
+                             "product coefficient")
     prec = min(h.q_prec, g.q_prec)
-    lo_exact = h.lo_exact and g.lo_exact
-    hi_exact = h.hi_exact and g.hi_exact
-    lo_bounds = [h.n_min + g.n_min]
-    if not h.lo_exact:
-        lo_bounds.append(h.n_min + g.n_max)
-    if not g.lo_exact:
-        lo_bounds.append(g.n_min + h.n_max)
-    hi_bounds = [h.n_max + g.n_max]
-    if not h.hi_exact:
-        hi_bounds.append(h.n_max + g.n_min)
-    if not g.hi_exact:
-        hi_bounds.append(g.n_max + h.n_min)
-    lo, hi = max(lo_bounds), min(hi_bounds)
+    lo = max(h.n_min + (g.n_min if h.lo_exact else g.n_max),
+             g.n_min + (h.n_min if g.lo_exact else h.n_max))
+    hi = min(h.n_max + (g.n_max if h.hi_exact else g.n_min),
+             g.n_max + (h.n_max if g.hi_exact else h.n_min))
     if lo > hi:
         raise PrecisionError("product window is empty at these truncations")
-    # An exact-zero factor gives an exact-zero product, which leaves a sum
-    # as it is; a zero known only at precision clears exact, so it stays.
-    hs = [(n, c) for n, c in enumerate(h.coeffs, h.n_min)
-          if not c.is_exact_zero()]
-    gs = [(n, c) for n, c in enumerate(g.coeffs, g.n_min)
-          if not c.is_exact_zero()]
-    if len(hs) * len(gs) > SERIES_PAIR_LIMIT:
-        raise FeasibilityError(
-            f"a product of {len(hs)} by {len(gs)} series coefficients not "
-            f"exactly zero is above the cap {SERIES_PAIR_LIMIT}"
-        )
-    h_terms = sum(len(c.qcoeffs) for _, c in hs)
-    g_terms = sum(len(c.qcoeffs) for _, c in gs)
-    if h_terms * g_terms > SERIES_QTERM_LIMIT:
-        raise FeasibilityError(
-            f"a product of {h_terms} by {g_terms} q-expansion terms is "
-            f"above the cap {SERIES_QTERM_LIMIT}"
-        )
-    out = [ValCoeff((), h.p, prec, exact=True)] * (hi - lo + 1)
-    for u, a in hs:
-        for w, b in gs:
-            if lo <= u + w <= hi:
-                out[u + w - lo] = out[u + w - lo] + a * b
-    return LaurentTrunc(lo, tuple(out), h.p, prec, lo_exact, hi_exact)
+    hq = [c.qcoeffs[:prec] for c in h.coeffs]
+    gq = [c.qcoeffs[:prec] for c in g.coeffs]
+    k = max(max(map(len, hq)) + max(map(len, gq)) - 1, 1)
+    cut = min(prec, k)
+    slot = 2 * cut + 1
+    length = (len(hq) + len(gq) - 1) * max(k, slot)
+    if length > PRODUCT_DEGREE_CAP:
+        raise FeasibilityError(f"a packed series product of length {length} "
+                               f"is above the cap {PRODUCT_DEGREE_CAP}")
+    values = (_packed(hq, k, h.p) * _packed(gq, k, h.p)).data
+    width = (min(len(hq), len(gq)).bit_length() + 7) // 8
+    marks = (_marks(h, cut, slot, width) * _marks(g, cut, slot, width)
+             ).to_bytes(length * width, "little")
+    blank = bytes((cut + 1) * width)
+    out = []
+    for m in range(lo - h.n_min - g.n_min, hi - h.n_min - g.n_min + 1):
+        at = (m * slot + cut) * width
+        out.append(ValCoeff(tuple(values[m * k:m * k + cut]), h.p, prec,
+                            marks[at:at + len(blank)] == blank))
+    return LaurentTrunc(lo, tuple(out), h.p, prec, h.lo_exact and g.lo_exact,
+                        h.hi_exact and g.hi_exact)
+
+
+def _packed(qs: list[tuple[int, ...]], k: int, p: int) -> Poly:
+    """The q-expansions qs as one polynomial, qs[i] at q^(i*k)."""
+    cs = [0] * (len(qs) * k)
+    for i, q in enumerate(qs):
+        cs[i * k:i * k + len(q)] = q
+    return Poly(cs, p)
+
+
+def _marks(h: LaurentTrunc, cut: int, slot: int, width: int) -> int:
+    """A count of one, in width bytes, at position i*slot + height for each
+    coefficient i of h not exactly zero: min(len - 1, cut) when exact, cut
+    when not."""
+    buf = bytearray(len(h.coeffs) * slot * width)
+    for i, c in enumerate(h.coeffs):
+        if not c.is_exact_zero():
+            height = min(len(c.qcoeffs) - 1, cut) if c.exact else cut
+            buf[(i * slot + height) * width] = 1
+    return int.from_bytes(buf, "little")
 
 
 def reflect(h: LaurentTrunc) -> LaurentTrunc:

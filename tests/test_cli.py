@@ -272,8 +272,16 @@ class TestNewtonCommands:
         assert "error: inconclusive" in err
 
 
+    def test_monomial_open_ends_on_opposite_sides_exit_3(self, capsys):
+        # t^3 + t^2 agrees with the series, and times its reflection is not 1
+        code, out, err = run(capsys, "newton", "monomial",
+                             "--series", "{3: 1} @ p=5 Q=2 open=lo")
+        assert code == 3
+        assert out == "#RESULT newton-monomial status=error code=3\n"
+        assert "open ends on opposite sides" in err
+
     def test_monomial_series_product_cap_exits_3(self, capsys):
-        # h times its reflection would be 200,001 by 200,001 coefficients
+        # h times its reflection would pack 400,001 slots of 3
         with _deadline(5):
             code, out, err = run(
                 capsys, "newton", "monomial",
@@ -281,40 +289,42 @@ class TestNewtonCommands:
             )
         assert code == 3
         assert out == "#RESULT newton-monomial status=error code=3\n"
-        assert "above the cap 1048576" in err
+        assert "above the cap 200002" in err
 
     def test_monomial_sparse_series_at_the_window_cap(self, capsys):
-        # 1,024 by 1,024 window coefficients, at the cap, but two nonzero
+        # 1,024 window coefficients, two nonzero: all 1,024 are packed
         with _deadline(5):
             code, out, _ = run(capsys, "newton", "monomial",
                                "--series", "{-512: 1, 511: 1} @ p=5 Q=1")
         assert code == 1
         assert "falsified" in out
 
-    @pytest.mark.parametrize("size, code", [(256, 1), (257, 3)])
-    def test_monomial_dense_series_at_the_pair_cap(self, capsys, size, code):
-        # 256 * 256 nonzero pairs = 2^16, the cap; 257 * 257 pass it
-        entries = ", ".join(f"{n}: {n % 4 + 1} + q" for n in range(size))
+    @pytest.mark.parametrize("entries, q_prec, code", [
+        # a dense window at Q = 1: 2n - 1 slots of 3, at most 200,002
+        ([f"{n}: 1" for n in range(33334)], 1, 1),
+        ([f"{n}: 1" for n in range(33335)], 1, 3),
+        # 16 coefficients of q^top: 31 slots of 4top + 3
+        ([f"{n}: q^1612" for n in range(16)], 100000, 1),
+        ([f"{n}: q^1613" for n in range(16)], 100000, 3),
+        ([f"{n}: q^99999" for n in range(16)], 100000, 3),
+        # past the former pair and q-term caps, within this one
+        ([f"{n}: {n % 4 + 1} + q" for n in range(257)], 4, 1),
+        ([f"{n}: q^181" for n in range(16)], 100000, 1),
+        # sparse, but all 2,001 slots of the window, 163 wide, are packed
+        (["0: q^40", "1000: q^40"], 100000, 3),
+    ], ids=["dense-edge", "dense-past", "long-edge", "long-past", "long-huge",
+            "dense-257", "long-181", "sparse-long"])
+    def test_monomial_at_the_packed_cap(self, capsys, entries, q_prec, code):
+        series = f"{{{', '.join(entries)}}} @ p=5 Q={q_prec}"
         with _deadline(5):
             got, out, err = run(capsys, "newton", "monomial",
-                                "--series", f"{{{entries}}} @ p=5 Q=4")
-        assert got == code
-        if code == 3:
-            assert "above the cap 65536" in err
-
-    @pytest.mark.parametrize("top, code", [(180, 1), (181, 3), (99999, 3)])
-    def test_monomial_long_q_expansions_at_the_term_cap(self, capsys, top,
-                                                        code):
-        # 16 coefficients of 181 q-terms: 2,896^2 terms multiplied, under
-        # the 2^23 cap; 182 terms pass it, and so do 100,000 at once
-        entries = ", ".join(f"{n}: q^{top}" for n in range(16))
-        with _deadline(5):
-            got, out, err = run(capsys, "newton", "monomial",
-                                "--series", f"{{{entries}}} @ p=5 Q=100000")
+                                "--series", series)
         assert got == code
         if code == 3:
             assert out == "#RESULT newton-monomial status=error code=3\n"
-            assert "above the cap 8388608" in err
+            assert "above the cap 200002" in err
+        else:
+            assert "falsified" in out
 
 
 class TestBivarCommands:
@@ -893,7 +903,8 @@ _FUZZ_BASES = (
 )
 # Fixed command lines at the edge of a cap and one step past it, run after
 # the fuzzed ones and never mutated: the Pell oracle's work estimate at p =
-# 2, 3 and 5, the degree bound of bivar, and theta's n_max and q-exponent.
+# 2, 3 and 5, the degree bound of bivar, theta's n_max and q-exponent, and
+# the packed length of monomial's series product.
 _CAP_EDGES = (
     ("pell", "oracle", "-p", "2", "-D", "16"),
     ("pell", "oracle", "-p", "2", "-D", "17"),
@@ -913,6 +924,10 @@ _CAP_EDGES = (
     ("newton", "theta", "-p", "5", "--n-max", "100001", "--q-prec", "100000"),
     ("newton", "theta", "-p", "5", "--n-max", "100000", "--q-prec", "100489"),
     ("newton", "theta", "-p", "5", "--n-max", "100000", "--q-prec", "100490"),
+    ("newton", "monomial", "--series",
+     "{" + ", ".join(f"{n}: q^1612" for n in range(16)) + "} @ p=5 Q=100000"),
+    ("newton", "monomial", "--series",
+     "{" + ", ".join(f"{n}: q^1613" for n in range(16)) + "} @ p=5 Q=100000"),
 )
 _NUMERIC_FLAGS = ("-n", "-p", "-D", "-d", "-r", "-M", "-k", "--n-max",
                   "--q-prec")

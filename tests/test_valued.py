@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zinterp.algebra import INTEGER_MUL_WORK_LIMIT, FeasibilityError, Poly
+from zinterp.algebra import FeasibilityError
 from zinterp.valued import (
     LaurentTrunc,
     NewtonPolygon,
@@ -43,23 +43,8 @@ def test_valcoeff_basics():
     assert masked.is_zero_at_precision() and not masked.is_exact_zero()
 
 
-def test_valcoeff_arith_precision():
-    a = ValCoeff.make("q", 5, 8)
-    b = ValCoeff.make("q^7 + 4*q", 5, 6)
-    s = a + b
-    assert s.prec == 6
-    # exact inputs keep an exact sum even past the precision index ...
-    assert s.exact and s.qcoeffs == (0,) * 7 + (1,)
-    # ... but forcing the shared precision masks it honestly
-    assert s.at_precision(6).is_zero_at_precision()
-    assert not s.at_precision(6).exact
-    prod = ValCoeff.make("q^5 + 1", 5, 8) * ValCoeff.make("q^5 + 1", 5, 8)
-    assert prod.qcoeffs == (1, 0, 0, 0, 0, 2)  # q^10 truncated away
-    assert not prod.exact
-
-
 def _schoolbook_add(x, y):
-    """ValCoeff.__add__ before it went through Poly."""
+    """The sum of two coefficients, by hand: exact when both are."""
     a, b = x.qcoeffs, y.qcoeffs
     if len(a) < len(b):
         a, b = b, a
@@ -70,7 +55,8 @@ def _schoolbook_add(x, y):
 
 
 def _schoolbook_mul(x, y):
-    """ValCoeff.__mul__ before it went through Poly."""
+    """The product of two coefficients, by hand: exactly zero when a factor
+    is, else exact when both are and its length is within the precision."""
     prec = min(x.prec, y.prec)
     if not x.qcoeffs or not y.qcoeffs:
         return ValCoeff((), x.p, prec, x.is_exact_zero() or y.is_exact_zero())
@@ -81,26 +67,6 @@ def _schoolbook_mul(x, y):
             for j, b in enumerate(y.qcoeffs):
                 cs[i + j] += a * b
     return ValCoeff(tuple(cs), x.p, prec, x.exact and y.exact and n <= prec)
-
-
-def _random_valcoeff(rng, p):
-    size = rng.choice([0, 1, 2, rng.randint(3, 30)])
-    exact = rng.random() < 0.6
-    return ValCoeff(tuple(rng.randrange(p) for _ in range(size)), p,
-                    rng.randint(1, 20), exact)
-
-
-def test_valcoeff_arith_matches_schoolbook(rng):
-    # Both operations go through Poly; the copies above are the hand-written
-    # F_p convolution and sum they replaced.  Long operands reach the
-    # packed multiply, zeros and masked values the exactness rules.
-    for _ in range(600):
-        p = rng.choice([2, 3, 5, 17, 101])
-        x, y = _random_valcoeff(rng, p), _random_valcoeff(rng, p)
-        for got, want in ((x + y, _schoolbook_add(x, y)),
-                          (x * y, _schoolbook_mul(x, y))):
-            assert (got.qcoeffs, got.prec, got.exact) \
-                == (want.qcoeffs, want.prec, want.exact), (x, y)
 
 
 # -- multiplication and reflection ---------------------------------------------
@@ -116,6 +82,22 @@ def test_series_mul_example():
     assert prod.coeff(0).qcoeffs == (0, 0, 4)  # -q^2
 
 
+def test_series_mul_coefficient_precision():
+    # two exact pairs sum to an exact coefficient at the shared precision ...
+    h = S({0: "q", 1: 1}, q_prec=8)
+    c = series_mul(h, S({-1: "4*q", 0: "q^4"}, q_prec=6)).coeff(0)
+    assert c.prec == 6 and c.exact and c.qcoeffs == (0, 4, 0, 0, 0, 1)
+    # ... but a pair one q-term longer passes it, and is masked honestly
+    c = series_mul(h, S({-1: "4*q", 0: "q^5"}, q_prec=6)).coeff(0)
+    assert not c.exact and c.qcoeffs == (0, 4)
+    # an exact q^7 known modulo q^8 is masked at the shared precision 6
+    c = series_mul(S({0: "q^7"}), S({0: 1}, q_prec=6)).coeff(0)
+    assert c.is_zero_at_precision() and not c.exact
+    c = series_mul(S({0: "q^5 + 1"}), S({0: "q^5 + 1"})).coeff(0)
+    assert c.qcoeffs == (1, 0, 0, 0, 0, 2)  # q^10 truncated away
+    assert not c.exact
+
+
 def test_series_mul_open_tail_window():
     h = theta_series(5, 4, 20)  # upper tail open
     g = S({0: 1, 1: 1}, q_prec=20)
@@ -128,29 +110,37 @@ def test_series_mul_open_tail_window():
         series_mul(narrow, wide)
 
 
-def test_series_mul_refuses_work_past_the_cap():
-    # 1,025 by 1,025 coefficients passes 2^20; by one coefficient it does not
-    h = S({0: 1, 1024: 1})
-    assert len(h.coeffs) ** 2 > INTEGER_MUL_WORK_LIMIT
-    with pytest.raises(FeasibilityError, match="above the cap 1048576"):
+def test_series_mul_open_ends_on_opposite_sides_determine_nothing():
+    # t^3 + t^2 agrees with h, and times its reflection has 2 at t^0, not 1
+    h = S({3: 1}, q_prec=2, lo_exact=False)
+    for a, b in ((h, reflect(h)), (reflect(h), h)):
+        with pytest.raises(PrecisionError, match="opposite sides"):
+            series_mul(a, b)
+    with pytest.raises(PrecisionError):
+        norm_one_monomial(h)
+
+
+@pytest.mark.parametrize("make, edge", [
+    # a dense window at Q = 1: 2n - 1 slots of 3 mark heights
+    (lambda n: S({i: 1 for i in range(n)}, q_prec=1), 33334),
+    # 16 coefficients of q^top: 31 slots of 2(2top + 1) + 1 mark heights
+    (lambda top: S({i: f"q^{top}" for i in range(16)}, q_prec=100000), 1612),
+], ids=["dense", "long"])
+def test_series_mul_refuses_a_packed_length_past_the_cap(make, edge):
+    h = make(edge)
+    c = series_mul(h, reflect(h)).coeff(0)
+    assert c.exact and c.qcoeffs[-1] == len(h.coeffs) % 5
+    h = make(edge + 1)
+    with pytest.raises(FeasibilityError, match="above the cap 200002"):
         series_mul(h, reflect(h))
-    prod = series_mul(h, S({2: 1}))
-    assert (prod.n_min, prod.n_max) == (2, 1026)
-
-
-def test_series_mul_refuses_long_q_expansions_past_the_cap():
-    # two coefficients of 2,048 q-terms by one of 2,048: 2^23, the cap
-    long = "q^2047"
-    h = S({0: long, 1: long}, q_prec=4096)
-    g = S({0: long}, q_prec=4096)
-    assert series_mul(h, g).coeff(0).qcoeffs == (0,) * 4094 + (1,)
-    with pytest.raises(FeasibilityError, match="above the cap 8388608"):
-        series_mul(h, S({0: "q^2048"}, q_prec=4096))
 
 
 def _series_mul_by_windows(h, g):
-    """series_mul's product as it read before exact zeros were skipped: one
-    ValCoeff product and sum for every pair of window exponents."""
+    """series_mul's product as one coefficient product and sum for every
+    pair of window exponents."""
+    if (not h.lo_exact and not g.hi_exact) or (
+            not h.hi_exact and not g.lo_exact):
+        raise PrecisionError("open ends on opposite sides")
     prec = min(h.q_prec, g.q_prec)
     lo = max([h.n_min + g.n_min]
              + ([h.n_min + g.n_max] if not h.lo_exact else [])
@@ -164,16 +154,18 @@ def _series_mul_by_windows(h, g):
     for d in range(lo, hi + 1):
         acc = ValCoeff((), h.p, prec, exact=True)
         for u in range(max(h.n_min, d - g.n_max), min(h.n_max, d - g.n_min) + 1):
-            acc = acc + h.coeff(u) * g.coeff(d - u)
+            acc = _schoolbook_add(
+                acc, _schoolbook_mul(h.coeff(u), g.coeff(d - u)))
         out.append(acc)
     return LaurentTrunc(lo, tuple(out), h.p, prec, h.lo_exact and g.lo_exact,
                         h.hi_exact and g.hi_exact)
 
 
-def _mixed_series(rng, p):
+def _mixed_series(rng, p, max_prec, max_len):
     """A window of exact zeros, zeros known only at precision, and exact
-    and inexact nonzero coefficients, with random tails."""
-    q_prec = rng.randint(1, 6)
+    and inexact nonzero coefficients of up to max_len q-terms, with random
+    tails."""
+    q_prec = rng.randint(1, max_prec)
     lo = rng.randint(-6, 6)
     cs = []
     for _ in range(rng.randint(1, 12)):
@@ -183,19 +175,26 @@ def _mixed_series(rng, p):
         elif kind == 1:
             cs.append(ValCoeff((), p, q_prec, exact=False))
         else:
-            qcs = [rng.randrange(p) for _ in range(rng.randint(1, 8))]
+            qcs = [rng.randrange(p) for _ in range(rng.randint(1, max_len))]
             cs.append(ValCoeff(qcs, p, q_prec, exact=kind == 2))
     return LaurentTrunc(lo, tuple(cs), p, q_prec, rng.random() < 0.7,
                         rng.random() < 0.7)
 
 
-def test_series_mul_matches_the_window_loop():
+@pytest.mark.parametrize("primes, max_prec, max_len, cases, least", [
+    ((2, 3, 5, 7), 6, 8, 3000, 2000),
+    # tuple storage and multi-byte Kronecker slots, expansions past prec
+    ((257, 65537), 20, 30, 2000, 1400),
+])
+def test_series_mul_matches_the_window_loop(primes, max_prec, max_len, cases,
+                                            least):
     import random
     rng = random.Random(33)
     compared = 0
-    for _ in range(3000):
-        p = rng.choice((2, 3, 5, 7))
-        h, g = _mixed_series(rng, p), _mixed_series(rng, p)
+    for _ in range(cases):
+        p = rng.choice(primes)
+        h, g = (_mixed_series(rng, p, max_prec, max_len),
+                _mixed_series(rng, p, max_prec, max_len))
         try:
             want = _series_mul_by_windows(h, g)
         except PrecisionError:
@@ -204,7 +203,7 @@ def test_series_mul_matches_the_window_loop():
             continue
         assert series_mul(h, g) == want
         compared += 1
-    assert compared > 2000
+    assert compared > least
 
 
 def test_reflect_involution():
