@@ -56,6 +56,17 @@ beyond 8 bytes.  Below ``_KRONECKER_MIN_PRODUCT`` (the length product;
 substitution loses to schoolbook convolution, which the integers always
 take and the tests use as the reference.
 
+From ``_LATTICE_MIN_LENGTH`` coefficients between the two operands on, a
+product first finds each operand's exponent lattice: its t-adic valuation
+v and the gcd d of its exponents above v.  The paper's objects have such
+lattices.  A Frobenius image f^(p^r) = f(t^(p^r)) has stride p^r, and a
+Pell coordinate for D = t^2 - 1 is a Chebyshev polynomial, even or odd, so
+it has stride 2.  With a = t^v g(t^d) and b = t^w h(t^d), d the gcd of the
+two strides, only g and h are packed, and gh is spread back d apart after
+v + w zeros; for p <= 251 a one-coefficient g, as from a monomial, is
+one translate.  The degree cap is checked before the search, and a dense
+operand (first two coefficients nonzero) ends it at once.
+
 ``frob_family`` lays out the Büchi terms (n + v)^(p^r + 1) block by block,
 with one translate per block and no product, when deg v < p^r and
 p <= 251.
@@ -67,6 +78,7 @@ import re
 import sys
 from array import array
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
@@ -79,6 +91,10 @@ NEG_INFINITY = float("-inf")
 # (5x5: 5.0 against 5.3 us; 3x3: 3.0 against 2.1 us).
 _KRONECKER_MIN_PRODUCT = 25
 _KRONECKER_MIN_PRODUCT_SMALL_P = 4
+# Combined operand length from which a product deflates its operands to
+# their exponent lattice; below it the search cost more than it saved.
+_LATTICE_MIN_LENGTH = 256
+_NONZERO = bytes(1) + bytes([1]) * 255  # translate table: nonzero -> 1
 
 # Largest p with 2(p - 1) <= 255: a sum of two residues fits in one byte, so
 # sums and differences add the bytes storages with no carry.
@@ -385,6 +401,8 @@ class Poly:
             return Poly._raw(a.translate(_lane(p, b[0])), p)
         if len(a) * len(b) >= (_KRONECKER_MIN_PRODUCT_SMALL_P if p <= 7
                                else _KRONECKER_MIN_PRODUCT):
+            if len(a) + len(b) >= _LATTICE_MIN_LENGTH:
+                return Poly._raw(_lattice_mul(a, b, p), p)
             return Poly._raw(_kronecker_mul(a, b, p), p)
         cs = [c % p for c in _schoolbook_mul(a, b)]
         return Poly._raw(bytes(cs) if p <= _BYTES_MAX_P else tuple(cs), p)
@@ -476,15 +494,58 @@ def _spread(cs, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _lattice(a) -> tuple[int, int]:
+    """(v, d) of a nonempty storage: v the index of its first nonzero entry,
+    d the gcd of the offsets of the others from v (0 when there are none).
+    Each round clears v + dZ from a mask of the nonzero entries and takes
+    the gcd with the first entry left, so d at least halves per round."""
+    if len(a) > 1 and a[0] and a[1]:
+        return 0, 1
+    mask = bytearray(a.translate(_NONZERO) if type(a) is bytes
+                     else map(bool, a))
+    v = mask.find(1)
+    d = 0
+    i = mask.find(1, v + 1)
+    while i >= 0:
+        d = gcd(d, i - v)
+        if d == 1:
+            break
+        mask[v::d] = bytes((len(mask) - v - 1) // d + 1)
+        i = mask.find(1)
+    return v, d
+
+
+def _lattice_mul(a, b, p: int):
+    """The storage of a*b over F_p, for canonical storages a = t^v g(t^d)
+    and b = t^w h(t^d): gh from the deflated a[v::d] and b[w::d], spread
+    back d apart after v + w zeros.  The degree cap is checked first."""
+    n = len(a) + len(b) - 1
+    if n - 1 > PRODUCT_DEGREE_CAP:
+        raise FeasibilityError(f"the product would have degree {n - 1}, "
+                               f"above the cap {PRODUCT_DEGREE_CAP}")
+    v, d = _lattice(a)
+    w, e = (v, d) if b is a else _lattice(b)
+    d = gcd(d, e) or 1
+    if d == 1 and not v + w:
+        return _kronecker_mul(a, b, p)
+    g = a[v::d]
+    a, b = g, (g if b is a else b[w::d])
+    if len(a) == 1:
+        a, b = b, a
+    # a one-coefficient factor, as a monomial deflates to, is one translate
+    gh = (a.translate(_lane(p, b[0])) if len(b) == 1 and p <= _BYTES_MAX_P
+          else _kronecker_mul(a, b, p))
+    out = bytearray(n) if p <= _BYTES_MAX_P else [0] * n
+    out[v + w::d] = gh
+    return _stored(out, p)
+
+
 def _kronecker_mul(a, b, p: int):
     """The storage of a*b over F_p, from two nonempty storages (or tuples).
     When b is a, as for x * x, the operand is packed once and its integer
     squared: CPython squares an int faster than it multiplies two equal
     ones."""
     n = len(a) + len(b) - 1
-    if n - 1 > PRODUCT_DEGREE_CAP:
-        raise FeasibilityError(f"the product would have degree {n - 1}, "
-                               f"above the cap {PRODUCT_DEGREE_CAP}")
     # slot width chosen so convolution sums never carry between slots
     bound = (p - 1) * (p - 1) * min(len(a), len(b))
     width = max(1, (bound.bit_length() + 7) // 8)

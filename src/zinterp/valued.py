@@ -59,8 +59,11 @@ class ValCoeff:
 
     @classmethod
     def make(cls, value, p: int, prec: int) -> "ValCoeff":
-        """Coerce an int, coefficient list, Poly in q, or text to a ValCoeff."""
+        """Coerce an int, coefficient list, Poly in q, or text to a ValCoeff;
+        a ValCoeff already at p and prec is returned as it is."""
         if isinstance(value, ValCoeff):
+            if value.p == p and value.prec == prec:
+                return value
             return cls(value.qcoeffs, p, prec, value.exact)
         if isinstance(value, Poly):
             return cls(value.coeffs, p, prec, True)

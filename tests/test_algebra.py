@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zinterp
+from zinterp import algebra
 from zinterp.algebra import (
     INTEGER_MUL_WORK_LIMIT,
     NEG_INFINITY,
@@ -30,6 +31,7 @@ from zinterp.algebra import (
     _kronecker_mul,
     _schoolbook_mul,
 )
+from zinterp.pell import pell_pair
 from conftest import random_poly
 
 PRIMES = [2, 3, 5, 7, 17]
@@ -370,6 +372,105 @@ def test_mul_threshold_crossing(rng):
         assert big.coeffs == tuple(
             c % p for c in _schoolbook_mul(a.coeffs, b.coeffs)
         )
+
+
+# -- products on the exponent lattice ----------------------------------------
+
+# Byte lanes (2 .. 17), array slots (131 .. 65537), tuple storage (> 251).
+_LATTICE_PRIMES = [2, 3, 5, 17, 131, 251, 257, 65537]
+
+
+def _on_lattice(rng, p, v, d, length):
+    """t^v g(t^d), g of the given length with nonzero ends."""
+    g = ([rng.randrange(1, p)]
+         + [rng.randrange(p) for _ in range(length - 2)]
+         + [rng.randrange(1, p)])[:length]
+    cs = [0] * (v + (length - 1) * d + 1)
+    cs[v::d] = g
+    return Poly(cs, p)
+
+
+def _assert_product(a, b):
+    p = a.modulus
+    got = a * b
+    assert got.coeffs == Poly(_schoolbook_mul(a.coeffs, b.coeffs), p).coeffs
+    assert type(got.data) is (bytes if p <= 251 else tuple)
+    assert got.data[-1] and all(0 <= c < p for c in got.data)
+
+
+@pytest.mark.parametrize("p", _LATTICE_PRIMES)
+def test_lattice_products_match_schoolbook(rng, p):
+    # combined lengths on both sides of the threshold (256); g of one
+    # coefficient makes a monomial, which deflates to one translate
+    for d in (1, 2, 3, p, p * p):
+        # the longest g that keeps the reference and the operands small
+        top = min(160, max(2400 // d, 2 if d <= 20_000 else 1))
+        for _ in range(6):
+            a = _on_lattice(rng, p, rng.randint(0, 400), d,
+                            rng.randint(1, top))
+            b = _on_lattice(rng, p, rng.randint(0, 400),
+                            rng.choice((1, d, 2 * d)), rng.randint(1, top))
+            _assert_product(a, b)
+            _assert_product(a, a)
+            _assert_product(b, _on_lattice(rng, p, 0, 1, rng.randint(1, 4)))
+        for v in (0, 1, 255, 400):
+            m = Poly.monomial(rng.randrange(1, p), v, p)
+            _assert_product(m, m)
+            _assert_product(m, _on_lattice(rng, p, 3, d, min(2, top)))
+
+
+@pytest.mark.parametrize("p", _LATTICE_PRIMES)
+def test_lattice_products_of_frobenius_images_and_pell_pairs(rng, p):
+    for r in (1, 2):
+        for length in (2, 5, 12):
+            f = _on_lattice(rng, p, rng.randint(0, 2), 1, length)
+            if (length - 1) * p**r <= 20_000:
+                y = frob_pow(f, r)
+                _assert_product(y, y)
+                _assert_product(y, frob_pow(f, r))
+                _assert_product(y, f)
+                _assert_product(y + 1, y + 1)
+    d2 = Poly([-1, 0, 1], p)
+    if p > 2:
+        for n in (130, 301):
+            pair = pell_pair(n, p)
+            _assert_product(pair.x, pair.x)
+            _assert_product(pair.y, pair.y)
+            _assert_product(pair.x, pair.y)
+            _assert_product(d2, pair.y * pair.y)
+    for k in (3, 64, 130):
+        _assert_product(d2**k, d2**k)
+        _assert_product(d2**k, d2)
+
+
+def test_lattice_products_pack_the_deflated_operands(monkeypatch):
+    f = Poly([3, 1, 4, 1, 5, 9], 17)
+    x = pell_pair(301, 5).x
+    want = frob_pow(f * f, 2)
+    # the operand lengths, and whether b is a, of every packed product
+    seen = []
+    kronecker = algebra._kronecker_mul
+    monkeypatch.setattr(algebra, "_kronecker_mul", lambda a, b, p: (
+        seen.append((len(a), len(b), b is a)) or kronecker(a, b, p)))
+    assert frob_pow(f, 2) * frob_pow(f, 2) == want
+    assert seen == [(len(f.data), len(f.data), False)]
+    seen.clear()
+    x * x
+    assert len(x.data) == 302 and seen == [(151, 151, True)]
+
+
+def test_lattice_products_check_the_cap_before_deflating(monkeypatch):
+    # stride-17 operands whose product lands at the cap and one step past
+    # it; the refusal comes before either lattice is searched
+    f = frob_pow(Poly([1] * 5883, 17), 1)
+    at, past = f * Poly.monomial(1, 14, 17), f * Poly.monomial(1, 15, 17)
+    assert (f * at).degree == PRODUCT_DEGREE_CAP
+    searched = []
+    monkeypatch.setattr(algebra, "_lattice",
+                        lambda a: searched.append(len(a)) or (0, 1))
+    with pytest.raises(FeasibilityError, match="degree 200003, above the cap"):
+        f * past
+    assert searched == []
 
 
 # -- ring axioms (property-based) --------------------------------------------

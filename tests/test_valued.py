@@ -43,6 +43,14 @@ def test_valcoeff_basics():
     assert masked.is_zero_at_precision() and not masked.is_exact_zero()
 
 
+def test_valcoeff_make_keeps_a_value_already_at_its_modulus_and_precision():
+    for v in (ValCoeff.make("q^2 + 1", 5, 8), ValCoeff((3, 1), 5, 2)):
+        assert ValCoeff.make(v, v.p, v.prec) is v
+        moved = ValCoeff.make(v, v.p, v.prec + 1)
+        assert moved is not v and moved.prec == v.prec + 1
+        assert moved.qcoeffs == v.qcoeffs and moved.exact == v.exact
+
+
 def _schoolbook_add(x, y):
     """The sum of two coefficients, by hand: exact when both are."""
     a, b = x.qcoeffs, y.qcoeffs
